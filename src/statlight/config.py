@@ -9,6 +9,7 @@ control plateau: `t_start t_end omega_plus omega_minus [ramp]`.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .errors import ParseError, ValidationError
 from .medium import (
@@ -90,9 +91,12 @@ def _parse_bool(raw: str, lineno: int) -> bool:
 
 def _parse_float(raw: str, lineno: int) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ParseError(f"line {lineno}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"line {lineno}: expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:

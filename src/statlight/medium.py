@@ -219,12 +219,6 @@ def build_schedule(segments, phi_plus=0.0, phi_minus=0.0) -> ControlSchedule:
     return ControlSchedule(tuple(segs), float(phi_plus), float(phi_minus))
 
 
-def control_amplitudes(schedule: ControlSchedule, t: float):
-    """(omega_plus, omega_minus, phi_plus, phi_minus) at time t."""
-    op, om = schedule.values(t)
-    return op, om, schedule.phi_plus, schedule.phi_minus
-
-
 @dataclasses.dataclass(frozen=True)
 class Coefficients:
     """Instantaneous transport coefficients of the two-channel pair."""

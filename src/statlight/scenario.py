@@ -22,7 +22,7 @@ from .diagnostics import (channel_energies, compare_to_oracle, linear_fit,
 from .errors import (EmptyField, GuardBandOverflow, NonPhysicalParameter,
                      SimulationError)
 from .integrator import (MODE_PDE, MODE_STORAGE, build_absorbers, init_state,
-                         release, sponge_energy_fraction, step,
+                         plan_steps, release, sponge_energy_fraction, step,
                          storage_advance, store)
 from .medium import (HYSTERESIS, coefficients, group_velocity, power_crossings,
                      pulse_length, stationarity_residual, tau_of_t,
@@ -171,8 +171,13 @@ def _pde_advance(state, schedule, a: float, b: float, safety: float,
             cap = min(cap, ramp / 64.0)
         n = max(1, math.ceil((hi - lo) / cap))
         dt = (hi - lo) / n
+        plan = None
         for _ in range(n):
-            step(state, schedule, dt, pulse, w_plus, w_minus, perturber)
+            if plan is None or ramp is not None:
+                # the matrix follows the controls, so a ramp refactors each step
+                plan = plan_steps(med, schedule, state.t, dt, w_plus, w_minus,
+                                  perturber)
+            step(state, plan, schedule, pulse)
         state.t = hi
 
 
@@ -339,13 +344,8 @@ def _fit_window(config: RunConfig):
     return best
 
 
-def _replay_window(config: RunConfig):
-    # replay needs a window free of source inflow and storage, same gate
-    return _fit_window(config)
-
-
 def _cross_engine(config: RunConfig, primary: EngineRun):
-    window = _replay_window(config)
+    window = _fit_window(config)
     if window is None:
         return None, ["cross-engine replay skipped: no suitable constant window"]
     lo, hi = window
@@ -571,7 +571,7 @@ def run_scenario(config: RunConfig, out_dir=None) -> RunResult:
     else:
         extra = ()
         if config.engine == "both":
-            window = _replay_window(config)
+            window = _fit_window(config)
             if window is not None:
                 extra = window
         primary = _run_direct(config, include_perturber=True,
@@ -613,8 +613,17 @@ def _write_snapshot(path: pathlib.Path, config: RunConfig, snap: Snapshot):
     header = (f"t = {snap.t:.12g}  tau = {snap.tau:.12g}  mode = {snap.mode}\n"
               "z re_psi_plus im_psi_plus re_psi_minus im_psi_minus "
               "abs_a_plus abs_a_minus re_phi im_phi")
-    np.savetxt(path, data, fmt="%.12g", delimiter="\t",
-               header=header, comments="# ")
+    _write_table(path, header, data)
+
+
+def _write_table(path: pathlib.Path, header: str, data: np.ndarray) -> None:
+    """Write the bytes `np.savetxt(path, data, fmt="%.12g", delimiter="\\t",
+    header=header, comments="# ")` writes, with one format operation over the
+    whole array instead of one per row."""
+    rows, cols = data.shape
+    row = "\t".join(["%.12g"] * cols) + "\n"
+    comment = "# " + header.replace("\n", "\n# ") + "\n"
+    path.write_text(comment + (row * rows) % tuple(data.ravel().tolist()))
 
 
 def _write_trajectory(path: pathlib.Path, trajectory: list):

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from statlight.cli import main
@@ -15,6 +16,7 @@ from statlight.errors import (
     ParseError,
     ValidationError,
 )
+from statlight.scenario import _write_table
 
 OM0 = math.sqrt(1e-3)
 
@@ -78,6 +80,16 @@ class TestParse:
         bad = "medium.r_g = 1\nmedium.gamma = quick\n"
         with pytest.raises(ParseError, match="line 2"):
             parse_config(bad + MINIMAL)
+
+    @pytest.mark.parametrize("line", [
+        "schedule.segment = 0 8e4 nan 0 50",
+        "schedule.phi_plus = nan",
+        "medium.r_g = -inf",
+    ])
+    def test_non_finite_number_rejected(self, line):
+        lineno = len(MINIMAL.splitlines()) + 1
+        with pytest.raises(ParseError, match=f"line {lineno}: expected a finite"):
+            parse_config(MINIMAL + line + "\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
@@ -189,6 +201,19 @@ class TestCli:
         assert main(["run", str(cfg), "--out-dir", str(out_dir),
                      "--snapshot-every", "100"]) == 0
         assert len(sorted(out_dir.glob("snap_*.tsv"))) == 3
+
+
+def test_snapshot_table_matches_savetxt(tmp_path):
+    data = np.array([
+        [-0.0, 0.0, 1e-300, -1e-300, 1e4, -1e4, 1.5e-7, -2.5e-12, 12345678901234.5],
+        [np.nan, 1.0, -1.0, 1e-5, 0.1, 2.0 / 3.0, -7.25e-100, 1e16, 5e-324],
+    ])
+    header = "t = 1  tau = 0.5  mode = pde\nz a b c d e f g h"
+    np.savetxt(tmp_path / "savetxt.tsv", data, fmt="%.12g", delimiter="\t",
+               header=header, comments="# ")
+    _write_table(tmp_path / "table.tsv", header, data)
+    expect = (tmp_path / "savetxt.tsv").read_bytes()
+    assert (tmp_path / "table.tsv").read_bytes() == expect
 
 
 def test_module_entry_point():

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+import statlight.integrator as integrator
+import statlight.scenario as scenario
 from statlight.errors import (
     CFLViolation,
     GridTooCoarse,
@@ -15,6 +18,7 @@ from statlight.integrator import (
     MODE_STORAGE,
     build_absorbers,
     init_state,
+    plan_steps,
     release,
     source_amplitude,
     sponge_energy_fraction,
@@ -29,6 +33,7 @@ from statlight.medium import (
     build_pulse,
     build_schedule,
     coefficients,
+    tau_rate_at,
 )
 
 OM0 = math.sqrt(1e-3)
@@ -131,6 +136,54 @@ class TestAbsorbers:
         assert sponge_energy_fraction(shifted, w_plus, w_minus) > 1e-3
 
 
+def advance(state, sched, dt, pulse, w_plus, w_minus, perturber=None):
+    """One step with a plan built for it, as a ramp window takes it."""
+    plan = plan_steps(state.medium, sched, state.t, dt, w_plus, w_minus,
+                      perturber)
+    return step(state, plan, sched, pulse)
+
+
+def reference_step(state, sched, dt, pulse, w_plus, w_minus):
+    """Backward-Euler step assembled as a complex band matrix and solved with
+    `solve_banded`: the direct form the factored plan must reproduce."""
+    med = state.medium
+    n, m = med.grid_points, 2 * med.grid_points
+    t0, t1 = state.t, state.t + dt
+    rates = [tau_rate_at(med, sched, s) for s in (t0, t0 + 0.5 * dt, t1)]
+    dtau = (rates[0] + 4.0 * rates[1] + rates[2]) * dt / 6.0
+    co_old = coefficients(med, *sched.values(t0))
+    co = coefficients(med, *sched.values(t1))
+    phi_old = co_old.alpha_plus * state.psi_plus + co_old.alpha_minus * state.psi_minus
+    xp_am, xm_ap = med.xi_plus * co.alpha_minus, med.xi_minus * co.alpha_plus
+    rho, g2p, inv_dz = med.rho, co.gamma2_prime, 1.0 / med.dz
+    a = np.zeros((m, m), dtype=complex)
+    rhs = np.empty(m, dtype=complex)
+    for i in range(n):
+        j = 2 * i
+        a[j, j] = inv_dz + xp_am + co.alpha_plus / dtau + g2p + w_plus[i]
+        a[j, j + 1] = -xp_am + co.alpha_minus / dtau
+        if j >= 2:
+            a[j, j - 2] = -inv_dz
+        rhs[j] = phi_old[i] / dtau
+        k = j + 1
+        a[k, k] = inv_dz + xm_ap + rho * co.alpha_minus / dtau + rho * g2p + w_minus[i]
+        a[k, k - 1] = -xm_ap + rho * co.alpha_plus / dtau
+        if k + 2 < m:
+            a[k, k + 2] = -inv_dz
+        rhs[k] = rho * phi_old[i] / dtau
+    a[0, :] = 0.0
+    a[0, 0] = 1.0
+    rhs[0] = source_amplitude(med, sched, pulse, t1)
+    a[m - 1, :] = 0.0
+    a[m - 1, m - 1] = 1.0
+    rhs[m - 1] = 0.0
+    ab = np.zeros((5, m), dtype=complex)
+    for d in range(-2, 3):
+        ab[2 - d, max(d, 0):m + min(d, 0)] = np.diagonal(a, d)
+    u = solve_banded((2, 2), ab, rhs)
+    return u[0::2], u[1::2], dtau
+
+
 class TestStep:
     def run_setup(self, gamma2=0.0):
         med = medium_for(gamma2=gamma2, n=2048)
@@ -141,20 +194,20 @@ class TestStep:
 
     def test_cfl_guard(self):
         med, sched, state, zeros = self.run_setup()
-        pulse = prepared()
         with pytest.raises(CFLViolation):
-            step(state, sched, 50.0, pulse, zeros, zeros)
+            plan_steps(med, sched, state.t, 50.0, zeros, zeros)
 
     def test_step_requires_transport_mode(self):
         med = medium_for(gamma2=1e-4, n=2048)
         state = init_state(med, hold(1e-4, 0.0), prepared())
         zeros = np.zeros(med.grid_points)
+        plan = plan_steps(med, hold(OM0, OM0), state.t, 1.0, zeros, zeros)
         with pytest.raises(NonPhysicalParameter):
-            step(state, hold(1e-4, 0.0), 1.0, prepared(), zeros, zeros)
+            step(state, plan, hold(1e-4, 0.0), prepared())
 
     def test_dtau_increment_on_constant_controls(self):
         med, sched, state, zeros = self.run_setup()
-        dtau = step(state, sched, 10.0, prepared(), zeros, zeros)
+        dtau = advance(state, sched, 10.0, prepared(), zeros, zeros)
         assert dtau == pytest.approx(2e-3 * 10.0, rel=1e-12)
         assert state.t == pytest.approx(10.0)
         assert state.tau == pytest.approx(dtau)
@@ -163,8 +216,9 @@ class TestStep:
         med, sched, state, zeros = self.run_setup(gamma2=0.0)
         co = coefficients(med, OM0, OM0)
         area0 = np.sum(state.polariton(co.alpha_plus, co.alpha_minus))
+        plan = plan_steps(med, sched, state.t, 10.0, zeros, zeros)
         for _ in range(50):
-            step(state, sched, 10.0, prepared(), zeros, zeros)
+            step(state, plan, sched, prepared())
         area1 = np.sum(state.polariton(co.alpha_plus, co.alpha_minus))
         assert abs(area1 - area0) / abs(area0) < 1e-9
 
@@ -173,16 +227,74 @@ class TestStep:
         density = np.ones(med.grid_points)
         rate = 0.25j  # per unit density and stretched time
         before = state.psi_plus.copy()
-        dtau = step(state, sched, 10.0, prepared(), zeros, zeros,
-                    perturber=(density, rate))
+        dtau = advance(state, sched, 10.0, prepared(), zeros, zeros,
+                       perturber=(density, rate))
         unperturbed = state.copy()
         # undo the uniform rotation and compare against a plain step
         state2 = init_state(med, sched, prepared())
-        step(state2, sched, 10.0, prepared(), zeros, zeros)
+        advance(state2, sched, 10.0, prepared(), zeros, zeros)
         np.testing.assert_allclose(
             unperturbed.psi_plus * np.exp(-rate * dtau), state2.psi_plus,
             atol=1e-12)
         assert not np.allclose(state.psi_plus, before)
+
+
+RAMPED = build_schedule([Segment(0.0, 1e4, OM0, OM0),
+                         Segment(1e4, 2e4, 0.5 * OM0, 2.0 * OM0, 500.0)])
+
+
+class TestPlan:
+    @pytest.mark.parametrize("t0", [5e3, 1e4 + 100.0])  # plateau, ramp
+    def test_matches_complex_reference(self, t0):
+        med = medium_for(gamma2=1e-5, n=256, length=25.0)
+        w_plus, w_minus = build_absorbers(med)
+        assert np.any(w_plus) and np.any(w_minus)
+        rng = np.random.default_rng(7)
+        n = med.grid_points
+        state = init_state(med, RAMPED, prepared(center=12.5))
+        state.t = t0
+        state.psi_plus = rng.normal(size=n) + 1j * rng.normal(size=n)
+        state.psi_minus = rng.normal(size=n) + 1j * rng.normal(size=n)
+        dt = 0.5
+        pulse = build_pulse(duration=1e3, injection_time=t0 + dt)
+        assert abs(source_amplitude(med, RAMPED, pulse, t0 + dt)) > 1.0
+        ref_plus, ref_minus, ref_dtau = reference_step(
+            state.copy(), RAMPED, dt, pulse, w_plus, w_minus)
+        dtau = advance(state, RAMPED, dt, pulse, w_plus, w_minus)
+        assert dtau == pytest.approx(ref_dtau, rel=1e-15)
+        np.testing.assert_allclose(state.psi_plus, ref_plus, rtol=1e-12)
+        np.testing.assert_allclose(state.psi_minus, ref_minus, rtol=1e-12)
+
+    def counted_advance(self, monkeypatch, a, b):
+        """Run `_pde_advance` over [a, b]; (dgbtrf calls, step calls)."""
+        med = medium_for(n=2048)
+        w_plus, w_minus = build_absorbers(med)
+        state = init_state(med, RAMPED, prepared())
+        state.t = a
+        calls = {"dgbtrf": 0, "step": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(integrator, "dgbtrf", counting("dgbtrf", integrator.dgbtrf))
+        monkeypatch.setattr(scenario, "step", counting("step", scenario.step))
+        scenario._pde_advance(state, RAMPED, a, b, 0.9, prepared(),
+                              w_plus, w_minus, None)
+        assert state.t == b
+        return calls["dgbtrf"], calls["step"]
+
+    def test_constant_window_factors_once(self, monkeypatch):
+        factors, steps = self.counted_advance(monkeypatch, 0.0, 2e3)
+        assert steps > 1
+        assert factors == 1
+
+    def test_ramp_window_factors_every_step(self, monkeypatch):
+        factors, steps = self.counted_advance(monkeypatch, 1e4, 1e4 + 500.0)
+        assert steps >= 64
+        assert factors == steps
 
 
 class TestStorage:
