@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EmptyField, PhaseUnwrapAmbiguity, WindowTooShort
 from .medium import ControlSchedule, MediumModel, PulseSpec, tau_of_t
-from .oracle import decay_factor, drift_beta, gaussian_envelope, width_b
+from .oracle import decay_factor, gaussian_envelope, width_b
 
 ENERGY_FLOOR = 1e-30
 MIN_FIT_POINTS = 5
@@ -56,16 +56,6 @@ def linear_fit(x, y) -> tuple[float, float, float]:
     ss_tot = float(np.sum((ya - np.mean(ya)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r2
-
-
-def measured_group_velocity(times, centroids) -> tuple[float, float]:
-    """Least-squares drift velocity of a centroid track; returns
-    (velocity, rms fit residual)."""
-    slope, intercept, _ = linear_fit(times, centroids)
-    ta = np.asarray(times, dtype=float)
-    ca = np.asarray(centroids, dtype=float)
-    resid = ca - (slope * ta + intercept)
-    return slope, float(np.sqrt(np.mean(resid ** 2)))
 
 
 def relative_phase(perturbed, reference) -> np.ndarray:

@@ -15,7 +15,7 @@ import dataclasses
 import math
 from typing import NamedTuple
 
-from scipy import integrate, optimize
+from scipy import optimize
 
 from .errors import (
     DegenerateCoefficients,
@@ -25,7 +25,6 @@ from .errors import (
 )
 
 DEFAULT_RAMP = 50.0
-QUAD_TOL = 1e-10
 
 # storage-mode hysteresis: PDE mode ends below theta, resumes above 1.2 theta
 THRESHOLD_FACTOR = 10.0
@@ -171,14 +170,26 @@ class ControlSchedule:
         pts.append(self.t_end)
         return sorted(set(pts))
 
+    def pieces(self, lo: float, hi: float) -> list[tuple[float, float, int, bool]]:
+        """(a, b, i, ramping) pieces of [lo, hi] between breakpoints: segment
+        i governs the piece and, if ramping, blends in from segment i - 1."""
+        self._locate(lo)  # raise OutOfScheduleRange outside the span
+        self._locate(hi)
+        pts = self.breakpoints()
+        pts[0], pts[-1] = min(pts[0], lo), max(pts[-1], hi)
+        out = []
+        for a, b in zip(pts, pts[1:]):
+            a, b = max(a, lo), min(b, hi)
+            if b > a:
+                i = self._locate(0.5 * (a + b))
+                seg = self.segments[i]
+                out.append((a, b, i, i > 0 and 0.5 * (a + b) < seg.t_start + seg.ramp))
+        return out
+
     def constant_windows(self) -> list[tuple[float, float]]:
         """Maximal intervals with both controls constant."""
-        out = []
-        for i, seg in enumerate(self.segments):
-            lo = seg.t_start if i == 0 else min(seg.t_start + seg.ramp, seg.t_end)
-            if seg.t_end > lo:
-                out.append((lo, seg.t_end))
-        return out
+        return [(a, b) for a, b, _, ramping in self.pieces(self.t_start, self.t_end)
+                if not ramping]
 
 
 def _smoothstep(x: float) -> float:
@@ -230,10 +241,6 @@ class Coefficients:
     gamma2_prime: float
     omega_sigma_sq: float
     tau_rate: float
-
-    @property
-    def alpha_sum(self) -> float:
-        return self.alpha_plus + self.alpha_minus
 
 
 def coefficients(medium: MediumModel, omega_plus: float, omega_minus: float) -> Coefficients:
@@ -294,19 +301,81 @@ def tau_rate_at(medium: MediumModel, schedule: ControlSchedule, t: float) -> flo
     return (medium.gamma * medium.gamma2 + op ** 2 + om ** 2) / medium.gamma
 
 
+class _ClockPiece(NamedTuple):
+    """Piece [a, b] of the clock between breakpoints: dtau/dt is
+    c0 + c1 s + c2 s^2, s the smoothstep of (t - t_ramp) / ramp (c1 = c2 = 0
+    on a plateau), a degree-6 polynomial in t."""
+
+    a: float
+    b: float
+    t_ramp: float
+    ramp: float
+    c0: float
+    c1: float
+    c2: float
+
+    def mean_rate(self, ta: float, tb: float) -> float:
+        """Exact mean of dtau/dt over [ta, tb], the rate at ta if tb == ta.
+        The antiderivatives x^3 - x^4/2 of s and 9x^5/5 - 2x^6 + 4x^7/7 of s^2
+        are differenced as xb^n - xa^n = (xb - xa) e_n: no cancellation."""
+        xa = (ta - self.t_ramp) / self.ramp
+        xb = (tb - self.t_ramp) / self.ramp
+        e = [0.0, 1.0]  # e[n] = sum_k xb^k xa^(n-1-k)
+        for n in range(2, 8):
+            e.append(xb * e[-1] + xa ** (n - 1))
+        mean_s = e[3] - 0.5 * e[4]
+        mean_s2 = 1.8 * e[5] - 2.0 * e[6] + 4.0 / 7.0 * e[7]
+        return self.c0 + self.c1 * mean_s + self.c2 * mean_s2
+
+    def invert(self, rem: float) -> float:
+        """Time in [a, b] at which the piece has accumulated rem of tau:
+        Newton's method on the monotone polynomial, kept inside a shrinking
+        bracket and bisecting when a step would leave it."""
+        lo, hi = self.a, self.b
+        t = self.a + rem / self.mean_rate(self.a, self.b)
+        for _ in range(100):
+            g = (t - self.a) * self.mean_rate(self.a, t) - rem
+            lo, hi = (lo, t) if g > 0.0 else (t, hi)
+            rate = self.mean_rate(t, t)
+            nxt = t - g / rate if rate > 0.0 else lo
+            if abs(nxt - t) <= 1e-14 * max(1.0, abs(t)):
+                return nxt
+            t = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        return t
+
+
+def _clock_pieces(medium: MediumModel, schedule: ControlSchedule,
+                  lo: float, hi: float) -> list[_ClockPiece]:
+    """Clock pieces covering [lo, hi]; on a plateau c1 = c2 = 0."""
+    out = []
+    for a, b, i, ramping in schedule.pieces(lo, hi):
+        seg = schedule.segments[i]
+        start = schedule.segments[i - 1] if ramping else seg
+        # omega = p + d s blends from the start segment's controls to seg's
+        p_plus, p_minus = start.omega_plus, start.omega_minus
+        d_plus, d_minus = seg.omega_plus - p_plus, seg.omega_minus - p_minus
+        out.append(_ClockPiece(
+            a, b, *((seg.t_start, seg.ramp) if ramping else (a, b - a)),
+            (medium.gamma * medium.gamma2 + p_plus ** 2 + p_minus ** 2) / medium.gamma,
+            2.0 * (p_plus * d_plus + p_minus * d_minus) / medium.gamma,
+            (d_plus ** 2 + d_minus ** 2) / medium.gamma))
+    return out
+
+
 def tau_of_t(medium: MediumModel, schedule: ControlSchedule, t: float,
              t0: float | None = None) -> float:
-    """Stretched time tau accumulated between t0 (schedule start) and t."""
+    """Stretched time tau accumulated between t0 (schedule start) and t.
+
+    This is the package's one stretched-time clock. It is exact: the rate
+    is constant on plateaus and a degree-6 polynomial in t on smoothstep
+    ramps, and each piece between t0 and t contributes its closed-form
+    integral, so a step on a plateau gets rate * dt.
+    """
     lo = schedule.t_start if t0 is None else t0
     if t < lo:
         raise OutOfScheduleRange(f"t = {t:g} precedes integration start {lo:g}")
-    if t == lo:
-        return 0.0
-    pts = [p for p in schedule.breakpoints() if lo < p < t]
-    val, _ = integrate.quad(lambda s: tau_rate_at(medium, schedule, s), lo, t,
-                            points=pts or None, epsabs=QUAD_TOL, epsrel=QUAD_TOL,
-                            limit=400)
-    return val
+    return sum(((p.b - p.a) * p.mean_rate(p.a, p.b)
+                for p in _clock_pieces(medium, schedule, lo, t)), 0.0)
 
 
 def t_of_tau(medium: MediumModel, schedule: ControlSchedule, tau: float,
@@ -317,15 +386,16 @@ def t_of_tau(medium: MediumModel, schedule: ControlSchedule, tau: float,
         raise OutOfScheduleRange(f"tau = {tau:g} is negative")
     if tau == 0.0:
         return lo
-    hi = schedule.t_end
-    total = tau_of_t(medium, schedule, hi, lo)
+    total = 0.0
+    for piece in _clock_pieces(medium, schedule, lo, schedule.t_end):
+        inc = (piece.b - piece.a) * piece.mean_rate(piece.a, piece.b)
+        if total + inc >= tau:
+            return piece.invert(tau - total)
+        total += inc
     if tau > total * (1.0 + 1e-12):
         raise OutOfScheduleRange(
             f"tau = {tau:g} beyond schedule total {total:g}")
-    if tau >= total:
-        return hi
-    return optimize.brentq(lambda s: tau_of_t(medium, schedule, s, lo) - tau,
-                           lo, hi, xtol=1e-12, rtol=1e-14)
+    return schedule.t_end
 
 
 def group_velocity(medium: MediumModel, omega_plus: float, omega_minus: float) -> float:
@@ -393,12 +463,8 @@ def power_crossings(medium: MediumModel, schedule: ControlSchedule):
 
     events: list[tuple[float, str]] = []
     active = power(schedule.t_start) >= theta_off
-    for i, seg in enumerate(schedule.segments):
-        if i == 0:
-            continue
-        lo = seg.t_start
-        hi = min(seg.t_start + seg.ramp, seg.t_end)
-        if hi <= lo:
+    for lo, hi, _, ramping in schedule.pieces(schedule.t_start, schedule.t_end):
+        if not ramping:
             continue
         n = 256
         ts = [lo + (hi - lo) * j / n for j in range(n + 1)]
@@ -450,10 +516,9 @@ def validity_report(medium: MediumModel, pulse: PulseSpec,
 
     # slowest scale protecting adiabatic following: |d(power)/dt| << gamma * power
     worst = math.inf
-    for i, seg in enumerate(schedule.segments):
-        if i == 0:
+    for lo, hi, _, ramping in schedule.pieces(schedule.t_start, schedule.t_end):
+        if not ramping:
             continue
-        lo, hi = seg.t_start, min(seg.t_start + seg.ramp, seg.t_end)
         n = 64
         for j in range(n + 1):
             t = lo + (hi - lo) * j / n

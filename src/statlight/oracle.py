@@ -20,7 +20,6 @@ from .medium import (
     Coefficients,
     MediumModel,
     PulseSpec,
-    QUAD_TOL,
     coefficient_rates,
     coefficients,
     power_crossings,
@@ -30,6 +29,7 @@ from .medium import (
 )
 
 ORDERINGS = ("reconciled", "as_printed")
+QUAD_TOL = 1e-10
 
 
 def _check_ordering(ordering: str):
@@ -175,11 +175,6 @@ def decay_factor(medium: MediumModel, schedule: ControlSchedule, t: float,
     return math.exp(-decay_exponent(medium, schedule, t, include_storage))
 
 
-def storage_decay(medium: MediumModel, elapsed: float) -> float:
-    """Amplitude retention of a stored excitation over `elapsed` lab time."""
-    return math.exp(-medium.gamma2 * elapsed)
-
-
 def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
                       pulse: PulseSpec, channel: str, tau: float, z,
                       ordering="reconciled"):
@@ -237,7 +232,3 @@ def conversion_probability(medium: MediumModel, pulse: PulseSpec, t_s: float) ->
     growth = medium.u_g0 * t_s * medium.xi_sum_inv / l_o ** 2
     return 1.0 / math.sqrt(1.0 + growth)
 
-
-def z_offset(medium: MediumModel) -> float:
-    """Stationary displacement between backward and forward envelopes."""
-    return medium.z_offset

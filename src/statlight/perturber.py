@@ -48,8 +48,10 @@ def build_perturber(m_atoms, z_center, length, sigma_over_s, gamma_a, detuning) 
         raise NonPhysicalParameter(f"sigma_over_s must be positive, got {sigma_over_s}")
     if gamma_a <= 0.0:
         raise NonPhysicalParameter(f"perturber linewidth must be positive, got {gamma_a}")
-    return PerturberSpec(float(m_atoms), float(z_center), float(length),
+    spec = PerturberSpec(float(m_atoms), float(z_center), float(length),
                          float(sigma_over_s), float(gamma_a), float(detuning))
+    _require_dispersive(spec)
+    return spec
 
 
 def _require_dispersive(spec: PerturberSpec):

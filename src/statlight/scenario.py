@@ -136,44 +136,21 @@ def _build_events(config: RunConfig, extra=()) -> list[_Event]:
     return events
 
 
-def _split_at_ramps(schedule, a: float, b: float):
-    """(lo, hi, ramp_or_None) subwindows of [a, b], cut at ramp zone edges."""
-    cuts = {a, b}
-    zones = []
-    for i, seg in enumerate(schedule.segments):
-        if i == 0:
-            continue
-        lo = seg.t_start
-        hi = min(seg.t_start + seg.ramp, seg.t_end)
-        if hi > a and lo < b:
-            zones.append((max(lo, a), min(hi, b), seg.ramp))
-            cuts.add(max(lo, a))
-            cuts.add(min(hi, b))
-    pts = sorted(cuts)
-    out = []
-    for lo, hi in zip(pts, pts[1:]):
-        if hi <= lo:
-            continue
-        ramp = next((r for zl, zh, r in zones if zl <= lo and hi <= zh), None)
-        out.append((lo, hi, ramp))
-    return out
-
-
 def _pde_advance(state, schedule, a: float, b: float, safety: float,
                  pulse, w_plus, w_minus, perturber) -> None:
     med = state.medium
-    for lo, hi, ramp in _split_at_ramps(schedule, a, b):
-        ts = np.linspace(lo, hi, 65 if ramp else 2)
+    for lo, hi, i, ramping in schedule.pieces(a, b):
+        ts = np.linspace(lo, hi, 65 if ramping else 2)
         vmax = max(abs(group_velocity(med, *schedule.values(float(s)))) for s in ts)
         rmax = max(tau_rate_at(med, schedule, float(s)) for s in ts)
         cap = 0.5 * med.dz / max(vmax, rmax, 1e-300) * safety
-        if ramp is not None:
-            cap = min(cap, ramp / 64.0)
+        if ramping:
+            cap = min(cap, schedule.segments[i].ramp / 64.0)
         n = max(1, math.ceil((hi - lo) / cap))
         dt = (hi - lo) / n
         plan = None
         for _ in range(n):
-            if plan is None or ramp is not None:
+            if plan is None or ramping:
                 # the matrix follows the controls, so a ramp refactors each step
                 plan = plan_steps(med, schedule, state.t, dt, w_plus, w_minus,
                                   perturber)
@@ -318,9 +295,7 @@ def _run_spectral(config: RunConfig) -> EngineRun:
 
     record(*fields_from_state(sstate))
     for ta, tb in zip(times, times[1:]):
-        rate = tau_rate_at(med, sched, 0.5 * (ta + tb))
-        propagate(sstate, sched, rate * (tb - ta))
-        sstate.t = tb
+        propagate(sstate, sched, tb)
         record(*fields_from_state(sstate))
     return EngineRun(snapshots, traj, [], 0.0, sstate.tau, MODE_PDE, [])
 
@@ -358,9 +333,7 @@ def _cross_engine(config: RunConfig, primary: EngineRun):
     s0 = snaps[0]
     sstate = spectral_state_from_fields(med, s0.psi_plus, t=s0.t, tau=s0.tau)
     for sa, sb in zip(snaps, snaps[1:]):
-        rate = tau_rate_at(med, sched, 0.5 * (sa.t + sb.t))
-        propagate(sstate, sched, rate * (sb.t - sa.t))
-        sstate.t = sb.t
+        propagate(sstate, sched, sb.t)
     pp, pm = fields_from_state(sstate)
     ref = snaps[-1]
     den = (float(np.linalg.norm(ref.psi_plus)) ** 2

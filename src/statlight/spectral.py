@@ -26,6 +26,7 @@ from .medium import (
     Coefficients,
     MediumModel,
     coefficients,
+    tau_of_t,
     tau_rate_at,
 )
 
@@ -144,38 +145,28 @@ def fields_from_state(state: SpectralState):
     return np.fft.ifft(state.psi_plus_k), np.fft.ifft(f * state.psi_plus_k)
 
 
-def reconstruct_minus(state: SpectralState) -> np.ndarray:
-    f = slaving_kernel(state.medium, state.k)
-    return np.fft.ifft(f * state.psi_plus_k)
-
-
-def propagate(state: SpectralState, schedule: ControlSchedule, dtau: float) -> None:
-    """Advance the spectrum by dtau using the midpoint branch frequency.
+def propagate(state: SpectralState, schedule: ControlSchedule, t_next: float) -> None:
+    """Advance the spectrum to lab time t_next using the midpoint branch
+    frequency and the exact stretched-time increment from `tau_of_t`.
 
     For constant controls the exponent is exact at any step size; during
     ramps the step must resolve both the mode rotation and the ramp
     (enforced here, CFLViolation otherwise).
     """
-    if dtau <= 0.0:
-        raise NonPhysicalParameter(f"dtau must be positive, got {dtau}")
+    if not t_next > state.t:
+        raise NonPhysicalParameter(
+            f"t_next = {t_next:g} must follow the state time {state.t:g}")
     med = state.medium
-
-    # invert dtau -> dt via two fixed-point passes on the midpoint rate
-    rate = tau_rate_at(med, schedule, state.t)
-    dt = dtau / rate
-    for _ in range(2):
-        rate = tau_rate_at(med, schedule, state.t + 0.5 * dt)
-        dt = dtau / rate
-    t_mid = state.t + 0.5 * dt
+    dtau = tau_of_t(med, schedule, t_next, state.t)
+    t_mid = 0.5 * (state.t + t_next)
 
     op, om = schedule.values(t_mid)
     co = coefficients(med, op, om)
     omega = omega_from_determinant(med, co, state.k)
 
-    dop, dom = schedule.rates(t_mid)
-    if dop != 0.0 or dom != 0.0:
+    if schedule.rates(t_mid) != (0.0, 0.0):
         seg = schedule.segments[schedule._locate(t_mid)]
-        ramp_tau = seg.ramp * rate
+        ramp_tau = seg.ramp * tau_rate_at(med, schedule, t_mid)
         cap = min(0.1 / max(np.max(np.abs(omega.real)), 1e-300), ramp_tau / 32.0)
         if dtau > cap * (1.0 + 1e-9):
             raise CFLViolation(
@@ -187,7 +178,7 @@ def propagate(state: SpectralState, schedule: ControlSchedule, dtau: float) -> N
     if worst > 1.0 + BLOWUP_TOL:
         raise ModeBlowup(f"mode growth factor {worst:.12g} exceeds roundoff tolerance")
     state.psi_plus_k *= factor
-    state.t += dt
+    state.t = t_next
     state.tau += dtau
 
 

@@ -168,6 +168,17 @@ class TestCli:
         assert out.startswith("config ok")
         assert "medium.grid_points = 1024" in out
 
+    def test_check_rejects_non_dispersive_perturber(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(MINIMAL + (
+            "perturber.m_atoms = 5\nperturber.z_center = 10\n"
+            "perturber.length = 2\nperturber.sigma_over_s = 1\n"
+            "perturber.gamma_a = 0.5\nperturber.detuning = 0.4\n"))
+        assert main(["run", str(cfg), "--check"]) == 2
+        captured = capsys.readouterr()
+        assert "config ok" not in captured.out
+        assert "must exceed the linewidth" in captured.err
+
     def test_exactly_one_source_required(self, capsys):
         assert main(["run"]) == 2
         assert main(["run", "file.cfg", "--preset", "stationary"]) == 2

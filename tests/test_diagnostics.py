@@ -10,7 +10,6 @@ from statlight.diagnostics import (
     channel_energies,
     compare_to_oracle,
     linear_fit,
-    measured_group_velocity,
     moments,
     relative_phase,
 )
@@ -79,10 +78,12 @@ class TestFits:
         assert MIN_FIT_POINTS == 5
 
     def test_measured_group_velocity(self):
+        # the drift velocity of a centroid track is the slope of its fit
         t = np.linspace(0.0, 1e4, 9)
-        v, resid = measured_group_velocity(t, 3e-3 * t + 5.0)
+        v, z0, r2 = linear_fit(t, 3e-3 * t + 5.0)
         assert v == pytest.approx(3e-3, rel=1e-12)
-        assert resid < 1e-9
+        assert z0 == pytest.approx(5.0, rel=1e-12)
+        assert r2 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRelativePhase:

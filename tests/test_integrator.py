@@ -12,6 +12,7 @@ from statlight.errors import (
     CFLViolation,
     GridTooCoarse,
     NonPhysicalParameter,
+    SweepDivergence,
 )
 from statlight.integrator import (
     MODE_PDE,
@@ -25,7 +26,6 @@ from statlight.integrator import (
     step,
     storage_advance,
     store,
-    store_release,
 )
 from statlight.medium import (
     Segment,
@@ -33,7 +33,7 @@ from statlight.medium import (
     build_pulse,
     build_schedule,
     coefficients,
-    tau_rate_at,
+    tau_of_t,
 )
 
 OM0 = math.sqrt(1e-3)
@@ -149,8 +149,7 @@ def reference_step(state, sched, dt, pulse, w_plus, w_minus):
     med = state.medium
     n, m = med.grid_points, 2 * med.grid_points
     t0, t1 = state.t, state.t + dt
-    rates = [tau_rate_at(med, sched, s) for s in (t0, t0 + 0.5 * dt, t1)]
-    dtau = (rates[0] + 4.0 * rates[1] + rates[2]) * dt / 6.0
+    dtau = tau_of_t(med, sched, t1, t0)
     co_old = coefficients(med, *sched.values(t0))
     co = coefficients(med, *sched.values(t1))
     phi_old = co_old.alpha_plus * state.psi_plus + co_old.alpha_minus * state.psi_minus
@@ -222,6 +221,25 @@ class TestStep:
         area1 = np.sum(state.polariton(co.alpha_plus, co.alpha_minus))
         assert abs(area1 - area0) / abs(area0) < 1e-9
 
+    def test_nan_field_fails_residual_check(self):
+        med = medium_for(n=256, length=25.0)
+        sched = hold(OM0, OM0)
+        state = init_state(med, sched, prepared(center=12.5))
+        state.psi_plus[100] = np.nan
+        zeros = np.zeros(med.grid_points)
+        with pytest.raises(SweepDivergence):
+            advance(state, sched, 0.5, prepared(), zeros, zeros)
+
+    def test_zero_fields_pass_residual_check(self):
+        med = medium_for(n=256, length=25.0)
+        sched = hold(OM0, OM0)
+        state = init_state(med, sched, prepared(center=12.5))
+        state.psi_plus[:] = 0.0
+        state.psi_minus[:] = 0.0
+        zeros = np.zeros(med.grid_points)
+        advance(state, sched, 0.5, prepared(), zeros, zeros)
+        assert not np.any(state.psi_plus) and not np.any(state.psi_minus)
+
     def test_perturber_split_rotates_forward_field(self):
         med, sched, state, zeros = self.run_setup()
         density = np.ones(med.grid_points)
@@ -264,6 +282,13 @@ class TestPlan:
         assert dtau == pytest.approx(ref_dtau, rel=1e-15)
         np.testing.assert_allclose(state.psi_plus, ref_plus, rtol=1e-12)
         np.testing.assert_allclose(state.psi_minus, ref_minus, rtol=1e-12)
+
+    @pytest.mark.parametrize("t0", [5e3, 1e4 - 0.25, 1e4 + 100.0, 1e4 + 499.75])
+    def test_dtau_is_the_exact_clock(self, t0):
+        med = medium_for(gamma2=1e-5, n=256, length=25.0)
+        zeros = np.zeros(med.grid_points)
+        plan = plan_steps(med, RAMPED, t0, 0.5, zeros, zeros)
+        assert plan.dtau == tau_of_t(med, RAMPED, t0 + 0.5, t0)
 
     def counted_advance(self, monkeypatch, a, b):
         """Run `_pde_advance` over [a, b]; (dgbtrf calls, step calls)."""
@@ -335,6 +360,9 @@ class TestStorage:
         med = medium_for(gamma2=1e-5, n=2048)
         sched = hold(OM0, OM0)
         state = init_state(med, sched, prepared())
-        elapsed = store_release(state, sched, state.t, state.t + 5e3)
-        assert elapsed == pytest.approx(5e3)
+        store(state, sched)
+        storage_advance(state, 5e3)
+        release(state, sched)
+        assert state.t == pytest.approx(5e3)
+        assert state.tau == pytest.approx(1e-5 * 5e3)
         assert state.mode == MODE_PDE

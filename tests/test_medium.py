@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from statlight.errors import (
     DegenerateCoefficients,
@@ -27,6 +28,7 @@ from statlight.medium import (
     stationarity_residual,
     t_of_tau,
     tau_of_t,
+    tau_rate_at,
     validity_report,
 )
 
@@ -121,7 +123,7 @@ class TestCoefficients:
         op = math.sqrt(power * (1 + s) / 2)
         om = math.sqrt(med.rho * power * (1 - s) / 2)
         co = coefficients(med, op, om)
-        assert co.alpha_sum * co.eta == pytest.approx(1.0, rel=1e-12)
+        assert (co.alpha_plus + co.alpha_minus) * co.eta == pytest.approx(1.0, rel=1e-12)
 
 
 class TestGroupVelocity:
@@ -274,6 +276,72 @@ class TestPolaritonTime:
         med, sched = self.two_stage()
         taus = [tau_of_t(med, sched, t) for t in np.linspace(0, 1000, 17)]
         assert all(b > a for a, b in zip(taus, taus[1:]))
+
+
+def quad_tau(med, sched, t0, t1):
+    """Reference stretched time: adaptive quadrature of the rate."""
+    pts = [p for p in sched.breakpoints() if t0 < p < t1]
+    val, _ = integrate.quad(lambda s: tau_rate_at(med, sched, s), t0, t1,
+                            points=pts or None, epsabs=1e-13, epsrel=1e-13,
+                            limit=400)
+    return val
+
+
+class TestExactClock:
+    """tau_of_t is closed-form on every piece of the schedule."""
+
+    def schedule(self):
+        # plateau, a ramp up to a matched hold, a long ramp down to near-dark
+        return build_schedule([
+            Segment(0.0, 500.0, OM0, 0.0),
+            Segment(500.0, 1000.0, OM0, OM0, ramp=100.0),
+            Segment(1000.0, 3000.0, 0.2 * OM0, 1.5 * OM0, ramp=700.0),
+            Segment(3000.0, 4000.0, 0.01 * OM0, 0.0, ramp=1000.0),
+        ])
+
+    @pytest.mark.parametrize("t0,t1", [
+        (0.0, 300.0),                        # plateau
+        (520.0, 570.0),                      # inside a ramp
+        (1000.0, 1000.0 + 700.0 / 64.0),     # one ramp step
+        (3900.0, 3900.0 + 1000.0 / 64.0),    # ramp step at low power
+        (450.0, 620.0),                      # across both edges of a ramp
+        (1100.0, 2900.0),                    # ramp into plateau
+        (0.0, 4000.0),                       # whole schedule
+    ])
+    def test_matches_quadrature(self, t0, t1):
+        med = canonical(1e-4)
+        ref = quad_tau(med, self.schedule(), t0, t1)
+        tau = tau_of_t(med, self.schedule(), t1, t0)
+        assert abs(tau - ref) <= 1e-12 * ref
+
+    def test_plateau_step_is_rate_times_dt(self):
+        med = canonical(1e-4)
+        sched = self.schedule()
+        rate = tau_rate_at(med, sched, 800.0)
+        assert tau_of_t(med, sched, 800.5, 800.0) == rate * 0.5
+
+    @pytest.mark.parametrize("t0", [None, 250.0, 1234.5])
+    def test_round_trip_across_pieces(self, t0):
+        med = canonical(1e-4)
+        sched = self.schedule()
+        lo = 0.0 if t0 is None else t0
+        for t in np.linspace(lo, 4000.0, 97):
+            back = t_of_tau(med, sched, tau_of_t(med, sched, t, t0), t0)
+            assert abs(back - t) <= 1e-9 * max(1.0, abs(t))
+
+    def test_out_of_range(self):
+        med = canonical(1e-4)
+        sched = self.schedule()
+        with pytest.raises(OutOfScheduleRange):
+            tau_of_t(med, sched, 4100.0)
+        with pytest.raises(OutOfScheduleRange):
+            tau_of_t(med, sched, 100.0, 200.0)
+        total = tau_of_t(med, sched, 4000.0)
+        assert t_of_tau(med, sched, total) == pytest.approx(4000.0, abs=1e-9)
+        with pytest.raises(OutOfScheduleRange):
+            t_of_tau(med, sched, 1.01 * total)
+        with pytest.raises(OutOfScheduleRange):
+            t_of_tau(med, sched, -1.0)
 
 
 class TestCrossings:

@@ -25,7 +25,6 @@ from statlight.oracle import (
     drift_beta,
     gaussian_envelope,
     spreading_velocity,
-    storage_decay,
     taylor_c012,
     width_b,
     width_growth_rate,
@@ -204,12 +203,6 @@ class TestDecay:
         pde_only = decay_exponent(med, sched, 10800.0, include_storage=False)
         stored = (full - pde_only) / med.gamma2
         assert 9900.0 < stored < 10100.0
-
-    def test_storage_decay(self):
-        med = medium_for(gamma2=1e-5)
-        assert storage_decay(med, 2e4) == pytest.approx(math.exp(-0.2),
-                                                        rel=1e-12)
-        assert storage_decay(medium_for(gamma2=0.0), 1e6) == 1.0
 
 
 class TestEnvelope:

@@ -15,6 +15,7 @@ from statlight.errors import (
 )
 from statlight.medium import build_medium, coefficients
 from statlight.perturber import (
+    PerturberSpec,
     apply_perturber,
     build_perturber,
     interaction_rate,
@@ -51,8 +52,15 @@ class TestBuild:
         with pytest.raises(NonPhysicalParameter):
             build_perturber(**base)
 
+    @pytest.mark.parametrize("detuning", [0.3, -0.3, 0.5])
+    def test_resonant_cloud_rejected_at_build(self, detuning):
+        # |detuning| must exceed gamma_a = 0.5
+        with pytest.raises(NonDispersiveRegime):
+            spec_for(detuning=detuning)
+
     def test_resonant_cloud_rejected_at_use(self):
-        spec = spec_for(detuning=0.3)  # inside the linewidth
+        # a spec built directly skips the build-time check
+        spec = PerturberSpec(6.0, 100.0, 4.0, 1.0, 0.5, 0.3)
         med = medium_for()
         density, _ = perturber_density(med, spec_for())
         with pytest.raises(NonDispersiveRegime):

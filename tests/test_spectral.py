@@ -17,6 +17,7 @@ from statlight.medium import (
     build_medium,
     build_schedule,
     coefficients,
+    t_of_tau,
 )
 from statlight.spectral import (
     GUARD_ENERGY_FRACTION,
@@ -28,7 +29,6 @@ from statlight.spectral import (
     omega_from_determinant,
     propagate,
     realspace_kernel,
-    reconstruct_minus,
     release_projection,
     slaving_kernel,
     spectral_state_from_fields,
@@ -166,7 +166,7 @@ class TestProjection:
         co = coefficients(med, OM0, OM0)
         psi_p, psi_m = release_projection(med, co, self.gaussian_phi(med))
         state = spectral_state_from_fields(med, psi_p, t=0.0)
-        np.testing.assert_allclose(reconstruct_minus(state), psi_m,
+        np.testing.assert_allclose(fields_from_state(state)[1], psi_m,
                                    atol=1e-12)
 
     def test_field_length_guard(self):
@@ -186,9 +186,9 @@ class TestPropagate:
         sched = hold(OM0, OM0)
         one = self.initial(med)
         two = self.initial(med)
-        propagate(one, sched, 1.0)
-        propagate(two, sched, 0.5)
-        propagate(two, sched, 0.5)
+        propagate(one, sched, t_of_tau(med, sched, 1.0))
+        propagate(two, sched, t_of_tau(med, sched, 0.5))
+        propagate(two, sched, t_of_tau(med, sched, 1.0))
         np.testing.assert_allclose(one.psi_plus_k, two.psi_plus_k,
                                    atol=1e-12)
         assert one.tau == pytest.approx(two.tau)
@@ -199,8 +199,8 @@ class TestPropagate:
         sched = hold(OM0, 0.0)
         state = self.initial(med)
         before = float(np.sum(np.abs(state.psi_plus_k) ** 2))
-        for _ in range(20):
-            propagate(state, sched, 0.05)
+        for i in range(20):
+            propagate(state, sched, 50.0 * (i + 1))  # dtau = 0.05 each
         after = float(np.sum(np.abs(state.psi_plus_k) ** 2))
         assert after == pytest.approx(before, rel=1e-12)
 
@@ -208,7 +208,7 @@ class TestPropagate:
         med = medium_for(gamma2=0.0, n=1024)
         sched = hold(OM0, 0.0)
         state = self.initial(med)
-        propagate(state, sched, 2.0)  # tau = 2 -> t = 2000, drift 2
+        propagate(state, sched, 2000.0)  # tau = 2, drift 2
         psi_p, _ = fields_from_state(state)
         z = med.grid()
         w = np.abs(psi_p) ** 2
@@ -225,13 +225,17 @@ class TestPropagate:
         state = self.initial(med)
         state.t = 10500.0  # mid-ramp
         with pytest.raises(CFLViolation):
-            propagate(state, sched, 1.0)
+            propagate(state, sched, t_of_tau(med, sched, 1.0, 10500.0))
 
     def test_dtau_must_be_positive(self):
+        # the step ends at a lab time, which must follow the state's
         med = medium_for(n=256)
         state = self.initial(med)
         with pytest.raises(NonPhysicalParameter):
-            propagate(state, hold(OM0, OM0), 0.0)
+            propagate(state, hold(OM0, OM0), state.t)
+        state.t = 100.0
+        with pytest.raises(NonPhysicalParameter):
+            propagate(state, hold(OM0, OM0), 50.0)
 
 
 class TestGuardBand:
