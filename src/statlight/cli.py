@@ -10,7 +10,7 @@ import sys
 from .config import parse_config, render_config
 from .errors import SimulationError
 from .presets import get_preset, list_presets
-from .scenario import run_scenario
+from .scenario import preflight, run_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,6 +59,7 @@ def _cmd_run(args) -> int:
         config = dataclasses.replace(config, run=run)
 
     if args.check:
+        preflight(config)
         print("config ok")
         print(render_config(config), end="")
         return 0

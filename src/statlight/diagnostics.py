@@ -125,13 +125,13 @@ def compare_to_oracle(medium: MediumModel, schedule: ControlSchedule,
                 raise EmptyField("first snapshot has no forward field")
             scale = pk / float(np.max(pred))
             peak0 = pk
-            b0 = width_b(medium, schedule, pulse, tau, ordering="reconciled")
+            b0 = width_b(medium, schedule, pulse, tau)
             df0 = decay_factor(medium, schedule, t)
         pred = pred * scale
         env_err.append(float(np.linalg.norm(meas - pred) / np.linalg.norm(pred)))
 
         m = moments(z, a_plus, medium.dz)
-        b = width_b(medium, schedule, pulse, tau, ordering="reconciled")
+        b = width_b(medium, schedule, pulse, tau)
         width_err.append(abs(m.rms - b / math.sqrt(2.0)) / (b / math.sqrt(2.0)))
 
         predicted_ratio = (decay_factor(medium, schedule, t) / df0) * (b0 / b)

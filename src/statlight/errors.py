@@ -21,6 +21,10 @@ class NegativeRadicand(SimulationError):
     """Width quadrature produced a negative squared width."""
 
 
+class QuadratureFailure(SimulationError):
+    """Adaptive quadrature over a control ramp did not converge."""
+
+
 class ChannelOff(SimulationError):
     """Envelope requested for a channel whose control field is off."""
 

@@ -15,8 +15,6 @@ import dataclasses
 import math
 from typing import NamedTuple
 
-from scipy import optimize
-
 from .errors import (
     DegenerateCoefficients,
     NonPhysicalParameter,
@@ -447,44 +445,54 @@ def build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
                      bool(prepared), float(center))
 
 
+def _ramp_crossing(piece: _ClockPiece, rate: float, rising: bool) -> float | None:
+    """Smoothstep value s at which the piece's dtau/dt = c0 + c1 s + c2 s^2
+    passes `rate` upwards (rising) or downwards, None if it never does. c2 >= 0,
+    so the falling crossing is the smaller root and the rising one the larger."""
+    c = piece.c0 - rate
+    if piece.c2 == 0.0:
+        if piece.c1 == 0.0 or (piece.c1 > 0.0) != rising:
+            return None
+        return -c / piece.c1
+    disc = piece.c1 ** 2 - 4.0 * piece.c2 * c
+    if disc <= 0.0:
+        return None
+    q = -0.5 * (piece.c1 + math.copysign(math.sqrt(disc), piece.c1))
+    lo, hi = sorted((q / piece.c2, c / q))
+    return hi if rising else lo
+
+
 def power_crossings(medium: MediumModel, schedule: ControlSchedule):
     """Chronological storage threshold crossings as (time, kind) pairs.
 
     kind is "off" (total control power dropped below the storage threshold)
-    or "on" (power recovered above the hysteresis level). Raises
-    ThresholdChatter when a single ramp produces more than one crossing.
+    or "on" (power recovered above the hysteresis level). On a ramp the power
+    is a quadratic in the smoothstep s, so each crossing is a root in s mapped
+    back through the smoothstep inverse. Raises ThresholdChatter when a single
+    ramp produces more than one crossing.
     """
     theta_off = medium.storage_threshold
-    theta_on = HYSTERESIS * theta_off
-
-    def power(t):
-        op, om = schedule.values(t)
-        return op ** 2 + om ** 2
-
+    gg2 = medium.gamma * medium.gamma2
+    op, om = schedule.values(schedule.t_start)
+    active = op ** 2 + om ** 2 >= theta_off
     events: list[tuple[float, str]] = []
-    active = power(schedule.t_start) >= theta_off
-    for lo, hi, _, ramping in schedule.pieces(schedule.t_start, schedule.t_end):
-        if not ramping:
-            continue
-        n = 256
-        ts = [lo + (hi - lo) * j / n for j in range(n + 1)]
+    # over the whole span every ramp piece is a whole ramp, s from 0 to 1; on a
+    # plateau c1 = c2 = 0 and nothing crosses
+    for piece in _clock_pieces(medium, schedule, schedule.t_start, schedule.t_end):
+        s_lo = 0.0
         ramp_events = []
-        for a, b in zip(ts, ts[1:]):
-            thr = theta_off if active else theta_on
-            fa = power(a) - thr
-            fb = power(b) - thr
-            if fa == 0.0:
-                continue
-            if fa * fb < 0.0 or fb == 0.0:
-                tc = optimize.brentq(lambda s: power(s) - thr, a, b,
-                                     xtol=1e-12, rtol=1e-14)
-                kind = "off" if active else "on"
-                ramp_events.append((tc, kind))
-                active = not active
+        while True:
+            thr = theta_off if active else HYSTERESIS * theta_off
+            s = _ramp_crossing(piece, (gg2 + thr) / medium.gamma, not active)
+            if s is None or not s_lo < s <= 1.0:
+                break
+            x = 0.5 - math.sin(math.asin(1.0 - 2.0 * s) / 3.0)
+            ramp_events.append((piece.t_ramp + piece.ramp * x, "off" if active else "on"))
+            active, s_lo = not active, s
         if len(ramp_events) > 1:
             raise ThresholdChatter(
                 f"control power crossed the storage threshold {len(ramp_events)} "
-                f"times during the ramp at t = {lo:g}")
+                f"times during the ramp at t = {piece.a:g}")
         events.extend(ramp_events)
     return events
 

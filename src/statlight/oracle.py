@@ -1,10 +1,12 @@
 """Closed-form pulse predictions used as ground truth by the tests.
 
-Everything here is quadrature over the control schedule plus small-k Taylor
-data of the transport branch; no fields are evolved. The drift/width pair
-(`drift_beta`, `width_b`) describes a Gaussian envelope carried by the
-two-channel medium; `gaussian_envelope` assembles the full complex envelope
-including the common decay and the channel prefactors.
+Everything here is an integral over the control schedule plus small-k Taylor
+data of the transport branch; no fields are evolved. The integrands depend on
+t only through the controls, so `_quad` takes each plateau exactly, as value
+times length, and each smoothstep ramp by adaptive Gauss-Legendre quadrature.
+The drift/width pair (`drift_beta`, `width_b`) describes a Gaussian envelope
+carried by the two-channel medium; `gaussian_envelope` assembles the full
+complex envelope including the common decay and the channel prefactors.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
-from .errors import ChannelOff, NegativeRadicand, NonPhysicalParameter
+from .errors import (ChannelOff, NegativeRadicand, NonPhysicalParameter,
+                     QuadratureFailure)
 from .medium import (
     ControlSchedule,
     Coefficients,
@@ -30,6 +32,9 @@ from .medium import (
 
 ORDERINGS = ("reconciled", "as_printed")
 QUAD_TOL = 1e-10
+# panel bisections allowed per ramp before the quadrature gives up
+QUAD_LIMIT = 400
+_GL_NODES, _GL_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(10))
 
 
 def _check_ordering(ordering: str):
@@ -70,13 +75,39 @@ def width_growth_rate(medium: MediumModel, omega_plus: float, omega_minus: float
     return c2.imag * co.tau_rate
 
 
-def _quad(f, lo, hi, pts):
+def _gauss(f, a, b):
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    return half * sum(w * f(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+
+
+def _ramp_integral(f, a, b):
+    """Adaptive Gauss-Legendre: a panel is accepted once its two halves sum
+    to the whole within QUAD_TOL, absolute and relative."""
+    panels = [(a, b, _gauss(f, a, b))]
+    total, splits = 0.0, 0
+    while panels:
+        lo, hi, whole = panels.pop()
+        mid = 0.5 * (lo + hi)
+        left, right = _gauss(f, lo, mid), _gauss(f, mid, hi)
+        if abs(left + right - whole) <= QUAD_TOL * max(1.0, abs(left + right)):
+            total += left + right
+            continue
+        splits += 1
+        if splits > QUAD_LIMIT:
+            raise QuadratureFailure(
+                f"ramp integral over [{a:g}, {b:g}] not converged to "
+                f"{QUAD_TOL:g} after {QUAD_LIMIT} bisections")
+        panels += [(lo, mid, left), (mid, hi, right)]
+    return total
+
+
+def _quad(f, schedule: ControlSchedule, lo: float, hi: float) -> float:
+    """Integral over [lo, hi] of an f that depends on t only through the
+    controls: exact on plateaus, where f is constant, adaptive on ramps."""
     if hi <= lo:
         return 0.0
-    inner = [p for p in pts if lo < p < hi]
-    val, _ = integrate.quad(f, lo, hi, points=inner or None,
-                            epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
-    return val
+    return sum((_ramp_integral(f, a, b) if ramping else f(0.5 * (a + b)) * (b - a)
+                for a, b, _, ramping in schedule.pieces(lo, hi)), 0.0)
 
 
 def drift_beta(medium: MediumModel, schedule: ControlSchedule, tau: float,
@@ -96,7 +127,7 @@ def drift_beta(medium: MediumModel, schedule: ControlSchedule, tau: float,
         co = coefficients(medium, op, om)
         return co.eta ** 2 * delta_weighted(medium, co, ordering) / xm * co.tau_rate
 
-    main = _quad(rate, t0, t1, schedule.breakpoints())
+    main = _quad(rate, schedule, t0, t1)
 
     def eta_alpha_tilde(t):
         op, om = schedule.values(t)
@@ -108,7 +139,7 @@ def drift_beta(medium: MediumModel, schedule: ControlSchedule, tau: float,
 
 
 def m2_rate(medium: MediumModel, schedule: ControlSchedule, t: float,
-            ordering="as_printed") -> float:
+            ordering="reconciled") -> float:
     """Width-growth integrand of the envelope law at lab time t."""
     _check_ordering(ordering)
     op, om = schedule.values(t)
@@ -125,14 +156,14 @@ def m2_rate(medium: MediumModel, schedule: ControlSchedule, t: float,
 
 
 def width_b(medium: MediumModel, schedule: ControlSchedule, pulse: PulseSpec,
-            tau: float, ordering="as_printed") -> float:
+            tau: float, ordering="reconciled") -> float:
     """Envelope Gaussian width B at stretched time tau (time units, c = 1)."""
     t0 = schedule.t_start
     t1 = t_of_tau(medium, schedule, tau)
     l_o = pulse_length(medium, pulse)
     grow = _quad(lambda t: m2_rate(medium, schedule, t, ordering)
                  * tau_rate_at(medium, schedule, t),
-                 t0, t1, schedule.breakpoints())
+                 schedule, t0, t1)
     radicand = l_o ** 2 + 2.0 * grow
     if radicand <= 0.0:
         raise NegativeRadicand(
@@ -163,7 +194,7 @@ def decay_exponent(medium: MediumModel, schedule: ControlSchedule, t: float,
             def rate(s):
                 op, om = schedule.values(s)
                 return coefficients(medium, op, om).eta * medium.gamma2
-            total += _quad(rate, lo, hi, schedule.breakpoints())
+            total += _quad(rate, schedule, lo, hi)
         elif include_storage:
             total += medium.gamma2 * (hi - lo)
     return total

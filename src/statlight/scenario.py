@@ -20,7 +20,7 @@ from .config import RunConfig, config_echo, render_config
 from .diagnostics import (channel_energies, compare_to_oracle, linear_fit,
                           moments, relative_phase)
 from .errors import (EmptyField, GuardBandOverflow, NonPhysicalParameter,
-                     SimulationError)
+                     SimulationError, ValidationError)
 from .integrator import (MODE_PDE, MODE_STORAGE, build_absorbers, init_state,
                          plan_steps, release, sponge_energy_fraction, step,
                          storage_advance, store)
@@ -44,6 +44,10 @@ FIT_MIN_POINTS = 5
 PHASE_MASK_LEVEL = 0.5
 # injected runs only: fits start this many pulse durations past the source peak
 SOURCE_CLEAR_FACTOR = 3.5
+# preflight budget: a run estimated to need more transport steps, or to hold
+# more bytes of snapshot fields, is refused before any work starts
+MAX_STEPS = 1_000_000
+MAX_SNAPSHOT_BYTES = 2 ** 30
 
 TRAJECTORY_COLUMNS = (
     "t", "tau", "mode", "e_plus", "e_minus", "phi_energy", "phi_area",
@@ -136,17 +140,25 @@ def _build_events(config: RunConfig, extra=()) -> list[_Event]:
     return events
 
 
+def _piece_steps(med, schedule, lo: float, hi: float, i: int, ramping: bool,
+                 safety: float) -> int:
+    """Steps over the schedule piece [lo, hi]: the CFL cap at the fastest of
+    the group velocity and dtau/dt (sampled across a ramp), and at least 64
+    steps per ramp."""
+    ts = np.linspace(lo, hi, 65 if ramping else 2)
+    vmax = max(abs(group_velocity(med, *schedule.values(float(s)))) for s in ts)
+    rmax = max(tau_rate_at(med, schedule, float(s)) for s in ts)
+    cap = 0.5 * med.dz / max(vmax, rmax, 1e-300) * safety
+    if ramping:
+        cap = min(cap, schedule.segments[i].ramp / 64.0)
+    return max(1, math.ceil((hi - lo) / cap))
+
+
 def _pde_advance(state, schedule, a: float, b: float, safety: float,
                  pulse, w_plus, w_minus, perturber) -> None:
     med = state.medium
     for lo, hi, i, ramping in schedule.pieces(a, b):
-        ts = np.linspace(lo, hi, 65 if ramping else 2)
-        vmax = max(abs(group_velocity(med, *schedule.values(float(s)))) for s in ts)
-        rmax = max(tau_rate_at(med, schedule, float(s)) for s in ts)
-        cap = 0.5 * med.dz / max(vmax, rmax, 1e-300) * safety
-        if ramping:
-            cap = min(cap, schedule.segments[i].ramp / 64.0)
-        n = max(1, math.ceil((hi - lo) / cap))
+        n = _piece_steps(med, schedule, lo, hi, i, ramping, safety)
         dt = (hi - lo) / n
         plan = None
         for _ in range(n):
@@ -156,6 +168,47 @@ def _pde_advance(state, schedule, a: float, b: float, safety: float,
                                   perturber)
             step(state, plan, schedule, pulse)
         state.t = hi
+
+
+def resource_estimate(config: RunConfig) -> tuple[int, int]:
+    """(transport steps, snapshot bytes held) that a run will need, from
+    arithmetic alone. Steps are `_piece_steps` over the transport windows
+    between storage threshold crossings (the events of a run split pieces and
+    add at most one step each); snapshots hold three complex grid arrays each,
+    and the perturber's reference twin doubles both figures."""
+    med, sched, run = config.medium, config.schedule, config.run
+    runs = 1 if config.perturber is None else 2
+    steps = 0
+    if config.engine != "spectral":
+        op, om = sched.values(sched.t_start)
+        stored = op ** 2 + om ** 2 < med.storage_threshold
+        edges = ([sched.t_start] + [t for t, _ in power_crossings(med, sched)
+                                    if t < run.t_end] + [run.t_end])
+        transport = list(zip(edges, edges[1:]))[int(stored)::2]
+        steps = runs * sum(_piece_steps(med, sched, a, b, i, ramping, run.dt_safety)
+                           for lo, hi in transport
+                           for a, b, i, ramping in sched.pieces(lo, hi))
+    # start, end and the two ends of the fit window ride on top of the interval
+    snapshots = math.ceil((run.t_end - sched.t_start) / run.snapshot_interval) + 3
+    # psi_plus, psi_minus and phi, 16-byte complex values
+    return steps, runs * snapshots * med.grid_points * 3 * 16
+
+
+def preflight(config: RunConfig) -> None:
+    """Refuse a run whose resource estimate exceeds the budget."""
+    steps, held = resource_estimate(config)
+    med, run = config.medium, config.run
+    if held > MAX_SNAPSHOT_BYTES:
+        raise ValidationError(
+            f"run.snapshot_interval = {run.snapshot_interval:g} with "
+            f"medium.grid_points = {med.grid_points} would hold about "
+            f"{held / 2 ** 20:.4g} MiB of snapshots, above the budget of "
+            f"{MAX_SNAPSHOT_BYTES / 2 ** 20:g} MiB")
+    if steps > MAX_STEPS:
+        raise ValidationError(
+            f"medium.grid_points = {med.grid_points} over run.t_end = "
+            f"{run.t_end:g} needs about {steps:.4g} transport steps, above the "
+            f"budget of {MAX_STEPS}")
 
 
 def _probe_index(config: RunConfig):
@@ -537,6 +590,7 @@ def _summary(config: RunConfig, primary: EngineRun, measurements: dict,
 
 
 def run_scenario(config: RunConfig, out_dir=None) -> RunResult:
+    preflight(config)
     warnings: list[str] = []
     reference = None
     if config.engine == "spectral":

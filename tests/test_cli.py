@@ -1,14 +1,18 @@
 """Config parsing, canonical rendering and the command line front end."""
 
+import dataclasses
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import statlight
 from statlight.cli import main
 from statlight.config import ENGINES, config_echo, parse_config, render_config
 from statlight.errors import (
@@ -16,9 +20,29 @@ from statlight.errors import (
     ParseError,
     ValidationError,
 )
-from statlight.scenario import _write_table
+from statlight.presets import get_preset, list_presets
+from statlight.scenario import (MAX_SNAPSHOT_BYTES, MAX_STEPS, _write_table,
+                                preflight, resource_estimate)
 
 OM0 = math.sqrt(1e-3)
+SRC = pathlib.Path(statlight.__file__).resolve().parents[1]
+PERFBENCH = SRC.parent / "perfbench"
+
+# the slow-light transit of the spectral engine: its guard band is sized
+# with the reconciled width (half-width 42.4); the as-printed width (78.2)
+# does not fit around the start at z = 60
+SPECTRAL_TRANSIT = f"""
+medium.gamma2 = 0
+medium.domain_length = 200
+medium.grid_points = 2048
+pulse.prepared = true
+pulse.duration = 1e4
+pulse.center = 60
+schedule.segment = 0 6e4 {OM0!r} 0 50
+engine = spectral
+run.t_end = 6e4
+run.snapshot_interval = 5000
+"""
 
 MINIMAL = f"""
 # comments and blank lines are skipped
@@ -205,6 +229,15 @@ class TestCli:
         trajectory = (out_dir / "trajectory.tsv").read_text().splitlines()
         assert trajectory[0].startswith("# t\ttau\tmode")
 
+    def test_spectral_transit_fits_reconciled_guard_band(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(SPECTRAL_TRANSIT)
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        velocity = summary["measurements"]["velocity"]["measured"]
+        assert velocity == pytest.approx(1e-3, rel=1e-3)
+
     def test_snapshot_override(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(MINIMAL)
@@ -212,6 +245,107 @@ class TestCli:
         assert main(["run", str(cfg), "--out-dir", str(out_dir),
                      "--snapshot-every", "100"]) == 0
         assert len(sorted(out_dir.glob("snap_*.tsv"))) == 3
+
+
+def _stationary(**changes) -> str:
+    """The stationary preset's text with some keys set to other values."""
+    text = get_preset("stationary")
+    for key, value in changes.items():
+        lines = [l for l in text.splitlines() if not l.startswith(key + " ")]
+        text = "\n".join(lines) + f"\n{key} = {value}\n"
+    return text
+
+
+class TestPreflight:
+    def test_estimate_is_arithmetic(self):
+        config = parse_config(_stationary(**{"medium.grid_points": "1e9",
+                                             "run.snapshot_interval": "1e-3"}))
+        tracemalloc.start()
+        steps, held = resource_estimate(config)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2 ** 20
+        # balanced hold: v = 0, so the CFL cap comes from dtau/dt
+        rate = 2e-3 + 1e-4
+        cap = 0.5 * (200.0 / 1e9) / rate * 0.9
+        assert 0 <= steps - 1e4 / cap < 1.0 + 1e-6 * steps
+        # t = 0 and 1e4, the fit window's two ends, 1e7 - 1 in between;
+        # three 16-byte complex arrays per snapshot
+        assert held == pytest.approx((1e7 + 3) * 1e9 * 3 * 16, rel=1e-9)
+
+    def test_reference_twin_doubles_the_estimate(self):
+        config = parse_config(get_preset("phase_gate"))
+        steps, held = resource_estimate(config)
+        alone = resource_estimate(dataclasses.replace(config, perturber=None))
+        assert (steps, held) == (2 * alone[0], 2 * alone[1])
+
+    def test_snapshot_budget_names_the_key(self):
+        config = parse_config(_stationary(**{"run.snapshot_interval": "1e-3"}))
+        assert resource_estimate(config)[1] > MAX_SNAPSHOT_BYTES
+        with pytest.raises(ValidationError, match="run.snapshot_interval"):
+            preflight(config)
+
+    def test_step_budget_names_the_key(self):
+        config = parse_config(_stationary(**{"medium.grid_points": "5e6",
+                                             "run.snapshot_interval": "1e4"}))
+        steps, held = resource_estimate(config)
+        assert held <= MAX_SNAPSHOT_BYTES < 2 * held
+        assert steps > MAX_STEPS
+        with pytest.raises(ValidationError, match="medium.grid_points .* steps"):
+            preflight(config)
+
+    @pytest.mark.parametrize("key,value", [("medium.grid_points", "1e9"),
+                                           ("run.snapshot_interval", "1e-3")])
+    def test_check_refuses_over_budget(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(_stationary(**{key: value}))
+        assert main(["run", str(cfg), "--check"]) == 2
+        captured = capsys.readouterr()
+        assert "config ok" not in captured.out
+        assert key in captured.err
+
+    def test_presets_and_benchmark_configs_pass(self):
+        texts = [get_preset(name) for name, _ in list_presets()]
+        sys.path.insert(0, str(PERFBENCH))
+        try:
+            from workloads import WORKLOADS
+        finally:
+            sys.path.remove(str(PERFBENCH))
+        texts += [WORKLOADS[name].config_text(1)
+                  for name in ("transit", "hold_dense", "gate")]
+        for text in texts:
+            preflight(parse_config(text))
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+
+
+class TestImportGraph:
+    """The CLI stays clear of scipy's quadrature and root finders, which
+    would make up most of its start-up cost."""
+
+    PROBE = ("import sys\n"
+             "def heavy():\n"
+             "    return sorted(m for m in sys.modules\n"
+             "                  if m.startswith(('scipy.integrate', 'scipy.optimize')))\n")
+
+    def test_cli_import_skips_integrate_and_optimize(self):
+        proc = _fresh_python(self.PROBE + "import statlight.cli\nprint(heavy())")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_check_runs_without_them(self):
+        proc = _fresh_python(
+            self.PROBE + "from statlight.cli import main\n"
+            "codes = [main(['run', '--preset', name, '--check'])\n"
+            "         for name in ('stationary', 'stop_and_store', 'phase_gate')]\n"
+            "print(codes, heavy())")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0] []"
 
 
 def test_snapshot_table_matches_savetxt(tmp_path):

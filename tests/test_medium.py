@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 
 from statlight.errors import (
     DegenerateCoefficients,
     NonPhysicalParameter,
     OutOfScheduleRange,
+    ThresholdChatter,
 )
 from statlight.medium import (
     DEFAULT_RAMP,
@@ -344,6 +345,31 @@ class TestExactClock:
             t_of_tau(med, sched, -1.0)
 
 
+def brentq_crossings(med, sched, n=4096):
+    """Reference crossings: sample each ramp, refine sign changes by brentq."""
+    theta_off = med.storage_threshold
+
+    def power(t):
+        op, om = sched.values(t)
+        return op ** 2 + om ** 2
+
+    events = []
+    active = power(sched.t_start) >= theta_off
+    for lo, hi, _, ramping in sched.pieces(sched.t_start, sched.t_end):
+        if not ramping:
+            continue
+        ts = np.linspace(lo, hi, n + 1)
+        for a, b in zip(ts, ts[1:]):
+            thr = theta_off if active else HYSTERESIS * theta_off
+            fa, fb = power(a) - thr, power(b) - thr
+            if fa != 0.0 and (fa * fb < 0.0 or fb == 0.0):
+                tc = optimize.brentq(lambda t: power(t) - thr, a, b,
+                                     xtol=1e-13, rtol=1e-15)
+                events.append((tc, "off" if active else "on"))
+                active = not active
+    return events
+
+
 class TestCrossings:
     def test_power_crossings_with_hysteresis(self):
         med = canonical(1e-5)
@@ -370,6 +396,40 @@ class TestCrossings:
     def test_no_crossings_on_steady_hold(self):
         med = canonical(1e-4)
         assert power_crossings(med, hold(OM0, OM0)) == []
+
+    @pytest.mark.parametrize("levels", [
+        # (omega_plus, omega_minus) per segment, in units of sqrt(theta)
+        [(10.0, 0.0), (0.0, 0.0), (0.0, 10.0)],           # store and retrieve
+        [(1.0001, 0.0), (0.0, 0.0), (0.0, 1.0955)],       # crossings near s = 0, 1
+        [(0.0, 3.0), (0.5, 0.5), (2.0, 2.0), (0.1, 0.0)],  # off, on, off
+        [(3.0, 0.0), (0.0, 0.0), (0.0, 1.0), (0.0, 1.5)],  # on waits for 1.2 theta
+    ])
+    def test_matches_brentq_reference(self, levels):
+        med = canonical(1e-5)
+        root = math.sqrt(med.storage_threshold)
+        sched = build_schedule([
+            Segment(1000.0 * k, 1000.0 * (k + 1), root * op, root * om,
+                    ramp=80.0 + 170.0 * k)
+            for k, (op, om) in enumerate(levels)])
+        ref = brentq_crossings(med, sched)
+        got = power_crossings(med, sched)
+        assert ref
+        assert [kind for _, kind in got] == [kind for _, kind in ref]
+        for (t, _), (t_ref, _) in zip(got, ref):
+            assert abs(t - t_ref) <= 1e-9 * max(1.0, abs(t_ref))
+
+    def test_chatter_within_one_ramp_raises(self):
+        # (omega, 0) -> (0, omega): the power dips to half of 1.5 theta, below
+        # the off level, and recovers past the on level 1.2 theta
+        med = canonical(1e-5)
+        omega = math.sqrt(1.5 * med.storage_threshold)
+        sched = build_schedule([
+            Segment(0.0, 500.0, omega, 0.0),
+            Segment(500.0, 1000.0, 0.0, omega, ramp=200.0),
+        ])
+        assert [kind for _, kind in brentq_crossings(med, sched)] == ["off", "on"]
+        with pytest.raises(ThresholdChatter, match="2 times"):
+            power_crossings(med, sched)
 
 
 def test_validity_report_smoke():

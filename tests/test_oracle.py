@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, optimize
 
 from statlight.errors import ChannelOff, NonPhysicalParameter
 from statlight.medium import (
+    HYSTERESIS,
     Segment,
     build_medium,
     build_pulse,
     build_schedule,
     coefficients,
+    pulse_length,
     tau_of_t,
+    tau_rate_at,
 )
 from statlight.oracle import (
     ORDERINGS,
@@ -24,6 +28,7 @@ from statlight.oracle import (
     delta_weighted,
     drift_beta,
     gaussian_envelope,
+    m2_rate,
     spreading_velocity,
     taylor_c012,
     width_b,
@@ -143,6 +148,16 @@ class TestWidth:
         pulse = build_pulse(duration=2e4, prepared=True, center=100.0)
         assert width_b(med, sched, pulse, 0.0) == pytest.approx(20.0)
 
+    def test_default_ordering_is_reconciled(self):
+        med = medium_for(r_g=2.0, gamma2=0.0)
+        sched = hold(OM0, OM0 / math.sqrt(2.0))
+        pulse = build_pulse(duration=2e4, prepared=True, center=100.0)
+        tau = tau_of_t(med, sched, 1e4)
+        assert width_b(med, sched, pulse, tau) == width_b(
+            med, sched, pulse, tau, ordering="reconciled")
+        assert m2_rate(med, sched, 5e3) == m2_rate(med, sched, 5e3,
+                                                   ordering="reconciled")
+
     def test_orderings_split_off_balance(self):
         med = medium_for(r_g=2.0, gamma2=0.0)
         # unequal control powers so the weighted imbalances disagree
@@ -203,6 +218,95 @@ class TestDecay:
         pde_only = decay_exponent(med, sched, 10800.0, include_storage=False)
         stored = (full - pde_only) / med.gamma2
         assert 9900.0 < stored < 10100.0
+
+
+def quad_ref(f, sched, t0, t1):
+    """Reference integral: adaptive quadrature split at the breakpoints."""
+    pts = [p for p in sched.breakpoints() if t0 < p < t1]
+    val, _ = integrate.quad(f, t0, t1, points=pts or None, epsabs=1e-13,
+                            epsrel=1e-13, limit=400)
+    return val
+
+
+class TestAgainstQuadrature:
+    """Exact plateaus and adaptive ramps match a tight quad reference."""
+
+    def medium(self):
+        return medium_for(r_g=1.5, gamma2=1e-5)
+
+    def schedule(self):
+        return build_schedule([
+            Segment(0.0, 500.0, OM0, 0.0),
+            Segment(500.0, 2000.0, OM0, 0.8 * OM0, ramp=200.0),
+            Segment(2000.0, 4000.0, 0.5 * OM0, 1.2 * OM0, ramp=700.0),
+        ])
+
+    # every window starts at the schedule start and ends: on the first
+    # plateau, inside a ramp, past a ramp's far edge, across both ramps
+    ENDS = [300.0, 620.0, 1200.0, 2350.0, 4000.0]
+
+    @pytest.mark.parametrize("t1", ENDS)
+    def test_drift_beta(self, t1):
+        med, sched = self.medium(), self.schedule()
+        xm = med.xi_minus
+
+        def rate(t):
+            co = coefficients(med, *sched.values(t))
+            return co.eta ** 2 * delta_weighted(med, co) / xm * co.tau_rate
+
+        def eta_alpha_tilde(t):
+            co = coefficients(med, *sched.values(t))
+            return co.eta * co.alpha_tilde
+
+        ref = quad_ref(rate, sched, 0.0, t1) - (
+            eta_alpha_tilde(t1) - eta_alpha_tilde(0.0)) / xm
+        beta, _ = drift_beta(med, sched, tau_of_t(med, sched, t1))
+        assert abs(beta - ref) <= 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    @pytest.mark.parametrize("t1", ENDS)
+    def test_width_b(self, t1, ordering):
+        med, sched = self.medium(), self.schedule()
+        pulse = build_pulse(duration=2e3, prepared=True, center=50.0)
+        grow = quad_ref(lambda t: m2_rate(med, sched, t, ordering)
+                        * tau_rate_at(med, sched, t), sched, 0.0, t1)
+        b = width_b(med, sched, pulse, tau_of_t(med, sched, t1), ordering)
+        assert abs(b ** 2 - pulse_length(med, pulse) ** 2 - 2.0 * grow) \
+            <= 1e-9 * abs(2.0 * grow)
+
+    def eta_gamma2(self, med, sched):
+        return lambda t: coefficients(med, *sched.values(t)).eta * med.gamma2
+
+    @pytest.mark.parametrize("t1", ENDS)
+    def test_decay_exponent(self, t1):
+        med, sched = self.medium(), self.schedule()
+        ref = quad_ref(self.eta_gamma2(med, sched), sched, 0.0, t1)
+        assert abs(decay_exponent(med, sched, t1) - ref) <= 1e-9 * ref
+
+    @pytest.mark.parametrize("include_storage", [True, False])
+    def test_decay_exponent_across_storage_ramps(self, include_storage):
+        med = self.medium()
+        sched = build_schedule([
+            Segment(0.0, 200.0, OM0, 0.0),
+            Segment(200.0, 1200.0, 0.0, 0.0, ramp=100.0),
+            Segment(1200.0, 2000.0, 0.0, OM0, ramp=100.0),
+        ])
+        theta = med.storage_threshold
+
+        def power(t):
+            op, om = sched.values(t)
+            return op ** 2 + om ** 2
+
+        t_off = optimize.brentq(lambda t: power(t) - theta, 200.0, 300.0,
+                                xtol=1e-13, rtol=1e-15)
+        t_on = optimize.brentq(lambda t: power(t) - HYSTERESIS * theta,
+                               1200.0, 1300.0, xtol=1e-13, rtol=1e-15)
+        rate = self.eta_gamma2(med, sched)
+        ref = quad_ref(rate, sched, 0.0, t_off) + quad_ref(rate, sched, t_on, 1700.0)
+        if include_storage:
+            ref += med.gamma2 * (t_on - t_off)
+        got = decay_exponent(med, sched, 1700.0, include_storage)
+        assert abs(got - ref) <= 1e-9 * ref
 
 
 class TestEnvelope:
