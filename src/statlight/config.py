@@ -31,13 +31,23 @@ ENGINES = ("direct", "spectral", "both")
 class RunSettings:
     t_end: float
     snapshot_interval: float
-    dt_safety: float = 0.9
-    probe_z: float | None = None
+    dt_safety: float
+    probe_z: float | None
+
+    def __post_init__(self):
+        # also guards dataclasses.replace, which the CLI's override goes through
+        if not (math.isfinite(self.snapshot_interval) and self.snapshot_interval > 0.0):
+            raise ValidationError(
+                f"run.snapshot_interval must be a positive finite time, "
+                f"got {self.snapshot_interval:g}")
+        if not 0.0 < self.dt_safety <= 1.0:
+            raise ValidationError(
+                f"run.dt_safety must lie in (0, 1], got {self.dt_safety:g}")
 
 
 @dataclasses.dataclass(frozen=True)
 class OutputSettings:
-    snapshots: bool = True
+    snapshots: bool
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,37 +57,44 @@ class RunConfig:
     pulse: PulseSpec
     run: RunSettings
     output: OutputSettings
-    engine: str = "both"
-    perturber: PerturberSpec | None = None
+    engine: str
+    perturber: PerturberSpec | None
 
 
-_FLOAT_KEYS = {
-    "medium.r_g", "medium.gamma", "medium.gamma2", "medium.u_g0",
-    "medium.domain_length",
-    "pulse.amplitude", "pulse.duration", "pulse.injection_time", "pulse.center",
-    "schedule.phi_plus", "schedule.phi_minus",
-    "run.t_end", "run.snapshot_interval", "run.dt_safety", "run.probe_z",
-    "perturber.m_atoms", "perturber.z_center", "perturber.length",
-    "perturber.sigma_over_s", "perturber.gamma_a", "perturber.detuning",
-}
-_INT_KEYS = {"medium.grid_points"}
-_BOOL_KEYS = {"pulse.prepared", "output.snapshots"}
-_STR_KEYS = {"engine"}
-_REPEAT_KEYS = {"schedule.segment"}
-
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS | _REPEAT_KEYS
-
-_DEFAULTS = {
-    "medium.r_g": 1.0, "medium.gamma": 1.0, "medium.gamma2": 0.0,
-    "medium.u_g0": 1e-3, "medium.domain_length": 200.0,
-    "medium.grid_points": 4096,
-    "pulse.amplitude": 1.0, "pulse.duration": 2e4,
-    "pulse.injection_time": 0.0, "pulse.center": 0.0, "pulse.prepared": False,
-    "schedule.phi_plus": 0.0, "schedule.phi_minus": 0.0,
-    "engine": "both",
-    "run.dt_safety": 0.9,
-    "output.snapshots": True,
-}
+# Every config key in canonical order as (name, kind, default). A key's value
+# lives at the attribute path its name spells (schedule.segment lines fill
+# schedule.segments), and each section's keys are its builder's parameters.
+# None as a default means unset: t_end and snapshot_interval are then derived
+# from the schedule, probe_z and the perturber block stay absent.
+KEYS = (
+    ("medium.r_g", float, 1.0),
+    ("medium.gamma", float, 1.0),
+    ("medium.gamma2", float, 0.0),
+    ("medium.u_g0", float, 1e-3),
+    ("medium.domain_length", float, 200.0),
+    ("medium.grid_points", int, 4096),
+    ("pulse.amplitude", float, 1.0),
+    ("pulse.duration", float, 2e4),
+    ("pulse.injection_time", float, 0.0),
+    ("pulse.prepared", bool, False),
+    ("pulse.center", float, 0.0),
+    ("schedule.segment", Segment, None),
+    ("schedule.phi_plus", float, 0.0),
+    ("schedule.phi_minus", float, 0.0),
+    ("engine", str, "both"),
+    ("run.t_end", float, None),
+    ("run.snapshot_interval", float, None),
+    ("run.dt_safety", float, 0.9),
+    ("run.probe_z", float, None),
+    ("output.snapshots", bool, True),
+    ("perturber.m_atoms", float, None),
+    ("perturber.z_center", float, None),
+    ("perturber.length", float, None),
+    ("perturber.sigma_over_s", float, None),
+    ("perturber.gamma_a", float, None),
+    ("perturber.detuning", float, None),
+)
+_KIND = {name: kind for name, kind, _ in KEYS}
 
 
 def _parse_bool(raw: str, lineno: int) -> bool:
@@ -99,6 +116,27 @@ def _parse_float(raw: str, lineno: int) -> float:
     return value
 
 
+def _parse_int(raw: str, lineno: int) -> int:
+    f = _parse_float(raw, lineno)
+    if f != int(f):
+        raise ParseError(f"line {lineno}: expected an integer, got {raw!r}")
+    return int(f)
+
+
+def _parse_segment(raw: str, lineno: int) -> Segment:
+    parts = raw.split()
+    if len(parts) not in (4, 5):
+        raise ParseError(
+            f"line {lineno}: segment needs 4 or 5 numbers "
+            f"(t_start t_end omega_plus omega_minus [ramp])")
+    nums = [_parse_float(p, lineno) for p in parts]
+    return Segment(*nums[:4], nums[4] if len(nums) == 5 else DEFAULT_RAMP)
+
+
+_PARSE = {float: _parse_float, int: _parse_int, bool: _parse_bool,
+          str: lambda raw, lineno: raw, Segment: _parse_segment}
+
+
 def parse_config(text: str) -> RunConfig:
     values: dict = {}
     segments: list[Segment] = []
@@ -115,94 +153,62 @@ def parse_config(text: str) -> RunConfig:
             raise ValidationError(
                 f"line {lineno}: the two-photon detuning is fixed to zero in "
                 f"this model; the key {name!r} is not configurable")
-        if name not in _ALL_KEYS:
+        kind = _KIND.get(name)
+        if kind is None:
             raise ValidationError(f"line {lineno}: unknown key {name!r}")
-        if name in _REPEAT_KEYS:
-            parts = raw.split()
-            if len(parts) not in (4, 5):
-                raise ParseError(
-                    f"line {lineno}: segment needs 4 or 5 numbers "
-                    f"(t_start t_end omega_plus omega_minus [ramp])")
-            nums = [_parse_float(p, lineno) for p in parts]
-            ramp = nums[4] if len(nums) == 5 else DEFAULT_RAMP
-            segments.append(Segment(nums[0], nums[1], nums[2], nums[3], ramp))
-            continue
-        if name in values:
+        value = _PARSE[kind](raw, lineno)
+        if kind is Segment:
+            segments.append(value)
+        elif name in values:
             raise ValidationError(f"line {lineno}: duplicate key {name!r}")
-        if name in _FLOAT_KEYS:
-            values[name] = _parse_float(raw, lineno)
-        elif name in _INT_KEYS:
-            f = _parse_float(raw, lineno)
-            if f != int(f):
-                raise ParseError(f"line {lineno}: expected an integer, got {raw!r}")
-            values[name] = int(f)
-        elif name in _BOOL_KEYS:
-            values[name] = _parse_bool(raw, lineno)
         else:
-            values[name] = raw
+            values[name] = value
 
     return _assemble(values, segments)
 
 
 def _assemble(values: dict, segments: list[Segment]) -> RunConfig:
-    def get(key, default=None):
-        return values.get(key, _DEFAULTS.get(key, default))
-
     if not segments:
         raise ValidationError("config defines no schedule.segment lines")
+    sections: dict = {}
+    for name, kind, default in KEYS:
+        section, _, key = name.rpartition(".")
+        if kind is not Segment:
+            sections.setdefault(section, {})[key] = values.get(name, default)
 
-    medium = build_medium(
-        r_g=get("medium.r_g"), gamma=get("medium.gamma"),
-        gamma2=get("medium.gamma2"), u_g0=get("medium.u_g0"),
-        domain_length=get("medium.domain_length"),
-        grid_points=get("medium.grid_points"))
-    schedule = build_schedule(segments, phi_plus=get("schedule.phi_plus"),
-                              phi_minus=get("schedule.phi_minus"))
-    pulse = build_pulse(
-        amplitude=get("pulse.amplitude"), duration=get("pulse.duration"),
-        injection_time=get("pulse.injection_time"),
-        prepared=get("pulse.prepared"), center=get("pulse.center"))
+    medium = build_medium(**sections["medium"])
+    schedule = build_schedule(segments, **sections["schedule"])
+    pulse = build_pulse(**sections["pulse"])
 
-    engine = get("engine")
+    engine = sections[""]["engine"]
     if engine not in ENGINES:
         raise ValidationError(f"engine must be one of {ENGINES}, got {engine!r}")
 
-    t_end = values.get("run.t_end", schedule.t_end)
+    run = sections["run"]
+    t_end = schedule.t_end if run["t_end"] is None else run["t_end"]
     if t_end <= schedule.t_start:
         raise ValidationError(f"run.t_end = {t_end:g} precedes the schedule start")
     if t_end > schedule.t_end * (1.0 + 1e-12):
         raise ValidationError(
             f"run.t_end = {t_end:g} extends beyond the schedule end "
             f"{schedule.t_end:g}; lengthen the final segment")
-    interval = values.get("run.snapshot_interval", 0.0)
-    if interval <= 0.0:
+    interval = run["snapshot_interval"]
+    if interval is None:
         interval = (t_end - schedule.t_start) / 20.0
-    probe = values.get("run.probe_z")
+    probe = run["probe_z"]
     if probe is not None and not 0.0 <= probe <= medium.domain_length:
         raise ValidationError(f"run.probe_z = {probe:g} outside the domain")
-    dt_safety = get("run.dt_safety")
-    if not 0.0 < dt_safety <= 1.0:
-        raise ValidationError(f"run.dt_safety must lie in (0, 1], got {dt_safety:g}")
     run = RunSettings(t_end=float(t_end), snapshot_interval=float(interval),
-                      dt_safety=float(dt_safety), probe_z=probe)
+                      dt_safety=float(run["dt_safety"]), probe_z=probe)
 
-    pert_keys = [k for k in values if k.startswith("perturber.")]
     perturber = None
-    if pert_keys:
-        needed = {"perturber.m_atoms", "perturber.z_center", "perturber.length",
-                  "perturber.sigma_over_s", "perturber.gamma_a",
-                  "perturber.detuning"}
-        missing = needed - set(pert_keys)
+    block = sections["perturber"]
+    if any(v is not None for v in block.values()):
+        missing = [f"perturber.{k}" for k, v in block.items() if v is None]
         if missing:
             raise ValidationError(
                 f"incomplete perturber block, missing {sorted(missing)}")
-        perturber = build_perturber(
-            m_atoms=values["perturber.m_atoms"],
-            z_center=values["perturber.z_center"],
-            length=values["perturber.length"],
-            sigma_over_s=values["perturber.sigma_over_s"],
-            gamma_a=values["perturber.gamma_a"],
-            detuning=values["perturber.detuning"])
+        perturber = build_perturber(**block)
 
     if engine == "spectral":
         if perturber is not None:
@@ -216,70 +222,47 @@ def _assemble(values: dict, segments: list[Segment]) -> RunConfig:
                 "must stay within the first schedule segment")
 
     return RunConfig(medium=medium, schedule=schedule, pulse=pulse, run=run,
-                     output=OutputSettings(snapshots=get("output.snapshots")),
+                     output=OutputSettings(**sections["output"]),
                      engine=engine, perturber=perturber)
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+    """12 significant digits where they parse back to x, else all of them."""
+    short = f"{x:.12g}"
+    return short if float(short) == x else repr(x)
+
+
+_FORMAT = {float: _fmt, int: str, bool: lambda b: "true" if b else "false",
+           str: str}
+
+
+def _items(config: RunConfig):
+    """(name, value text) pairs of the canonical form, in KEYS order; unset
+    keys (no probe, no perturber) are left out."""
+    for name, kind, _ in KEYS:
+        section, _, key = name.rpartition(".")
+        owner = getattr(config, section) if section else config
+        if kind is Segment:
+            for seg in owner.segments:
+                yield name, " ".join(_fmt(v) for v in dataclasses.astuple(seg))
+        elif owner is not None and getattr(owner, key) is not None:
+            yield name, _FORMAT[kind](getattr(owner, key))
 
 
 def render_config(config: RunConfig) -> str:
-    """Canonical text form; parsing it reproduces the configuration."""
-    m, p, s, r = config.medium, config.pulse, config.schedule, config.run
-    lines = [
-        f"medium.r_g = {_fmt(m.r_g)}",
-        f"medium.gamma = {_fmt(m.gamma)}",
-        f"medium.gamma2 = {_fmt(m.gamma2)}",
-        f"medium.u_g0 = {_fmt(m.u_g0)}",
-        f"medium.domain_length = {_fmt(m.domain_length)}",
-        f"medium.grid_points = {m.grid_points}",
-        f"pulse.amplitude = {_fmt(p.amplitude)}",
-        f"pulse.duration = {_fmt(p.duration)}",
-        f"pulse.injection_time = {_fmt(p.injection_time)}",
-        f"pulse.prepared = {'true' if p.prepared else 'false'}",
-        f"pulse.center = {_fmt(p.center)}",
-    ]
-    for seg in s.segments:
-        lines.append("schedule.segment = "
-                     f"{_fmt(seg.t_start)} {_fmt(seg.t_end)} "
-                     f"{_fmt(seg.omega_plus)} {_fmt(seg.omega_minus)} "
-                     f"{_fmt(seg.ramp)}")
-    lines += [
-        f"schedule.phi_plus = {_fmt(s.phi_plus)}",
-        f"schedule.phi_minus = {_fmt(s.phi_minus)}",
-        f"engine = {config.engine}",
-        f"run.t_end = {_fmt(r.t_end)}",
-        f"run.snapshot_interval = {_fmt(r.snapshot_interval)}",
-        f"run.dt_safety = {_fmt(r.dt_safety)}",
-    ]
-    if r.probe_z is not None:
-        lines.append(f"run.probe_z = {_fmt(r.probe_z)}")
-    lines.append(f"output.snapshots = {'true' if config.output.snapshots else 'false'}")
-    if config.perturber is not None:
-        q = config.perturber
-        lines += [
-            f"perturber.m_atoms = {_fmt(q.m_atoms)}",
-            f"perturber.z_center = {_fmt(q.z_center)}",
-            f"perturber.length = {_fmt(q.length)}",
-            f"perturber.sigma_over_s = {_fmt(q.sigma_over_s)}",
-            f"perturber.gamma_a = {_fmt(q.gamma_a)}",
-            f"perturber.detuning = {_fmt(q.detuning)}",
-        ]
-    return "\n".join(lines) + "\n"
+    """Canonical text form; parsing it gives back an equal configuration."""
+    return "".join(f"{name} = {text}\n" for name, text in _items(config))
 
 
 def config_echo(config: RunConfig) -> dict:
     """Nested plain-data mirror of the configuration for run summaries."""
     out: dict = {}
-    for line in render_config(config).splitlines():
-        name, raw = (part.strip() for part in line.split("=", 1))
+    for name, text in _items(config):
+        section, _, key = name.rpartition(".")
         if name == "schedule.segment":
-            out.setdefault("schedule", {}).setdefault("segments", []).append(raw)
-            continue
-        if "." in name:
-            section, key = name.split(".", 1)
-            out.setdefault(section, {})[key] = raw
+            out.setdefault("schedule", {}).setdefault("segments", []).append(text)
+        elif section:
+            out.setdefault(section, {})[key] = text
         else:
-            out[name] = raw
+            out[name] = text
     return out

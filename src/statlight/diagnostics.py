@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import EmptyField, PhaseUnwrapAmbiguity, WindowTooShort
-from .medium import ControlSchedule, MediumModel, PulseSpec, tau_of_t
+from .medium import ControlSchedule, MediumModel, PulseSpec
 from .oracle import decay_factor, gaussian_envelope, width_b
 
 ENERGY_FLOOR = 1e-30
@@ -116,8 +116,7 @@ def compare_to_oracle(medium: MediumModel, schedule: ControlSchedule,
     b0 = None
     df0 = None
     for t, a_plus in zip(times, a_plus_list):
-        tau = tau_of_t(medium, schedule, t)
-        pred = np.abs(gaussian_envelope(medium, schedule, pulse, "+", tau, z))
+        pred = np.abs(gaussian_envelope(medium, schedule, pulse, "+", t, z))
         meas = np.abs(np.asarray(a_plus))
         if scale is None:
             pk = float(np.max(meas))
@@ -125,13 +124,13 @@ def compare_to_oracle(medium: MediumModel, schedule: ControlSchedule,
                 raise EmptyField("first snapshot has no forward field")
             scale = pk / float(np.max(pred))
             peak0 = pk
-            b0 = width_b(medium, schedule, pulse, tau)
+            b0 = width_b(medium, schedule, pulse, t)
             df0 = decay_factor(medium, schedule, t)
         pred = pred * scale
         env_err.append(float(np.linalg.norm(meas - pred) / np.linalg.norm(pred)))
 
         m = moments(z, a_plus, medium.dz)
-        b = width_b(medium, schedule, pulse, tau)
+        b = width_b(medium, schedule, pulse, t)
         width_err.append(abs(m.rms - b / math.sqrt(2.0)) / (b / math.sqrt(2.0)))
 
         predicted_ratio = (decay_factor(medium, schedule, t) / df0) * (b0 / b)

@@ -250,7 +250,7 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
     t1 = state.t + plan.dt
     inv_dtau = 1.0 / plan.dtau
     co_old = plan.co_old
-    phi_old = co_old.alpha_plus * state.psi_plus + co_old.alpha_minus * state.psi_minus
+    phi_old = state.polariton(co_old.alpha_plus, co_old.alpha_minus)
 
     # real and imaginary parts as rows; rhs.T is the two-column right-hand
     # side of one dgbtrs call
@@ -304,7 +304,7 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
 def store(state: FieldState, schedule: ControlSchedule) -> None:
     """Map the fields onto the stored coherence at the current time."""
     co = coefficients(state.medium, *schedule.values(state.t))
-    state.spin = co.alpha_plus * state.psi_plus + co.alpha_minus * state.psi_minus
+    state.spin = state.polariton(co.alpha_plus, co.alpha_minus)
     state.psi_plus = np.zeros_like(state.psi_plus)
     state.psi_minus = np.zeros_like(state.psi_minus)
     state.mode = MODE_STORAGE

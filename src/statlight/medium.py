@@ -325,22 +325,6 @@ class _ClockPiece(NamedTuple):
         mean_s2 = 1.8 * e[5] - 2.0 * e[6] + 4.0 / 7.0 * e[7]
         return self.c0 + self.c1 * mean_s + self.c2 * mean_s2
 
-    def invert(self, rem: float) -> float:
-        """Time in [a, b] at which the piece has accumulated rem of tau:
-        Newton's method on the monotone polynomial, kept inside a shrinking
-        bracket and bisecting when a step would leave it."""
-        lo, hi = self.a, self.b
-        t = self.a + rem / self.mean_rate(self.a, self.b)
-        for _ in range(100):
-            g = (t - self.a) * self.mean_rate(self.a, t) - rem
-            lo, hi = (lo, t) if g > 0.0 else (t, hi)
-            rate = self.mean_rate(t, t)
-            nxt = t - g / rate if rate > 0.0 else lo
-            if abs(nxt - t) <= 1e-14 * max(1.0, abs(t)):
-                return nxt
-            t = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-        return t
-
 
 def _clock_pieces(medium: MediumModel, schedule: ControlSchedule,
                   lo: float, hi: float) -> list[_ClockPiece]:
@@ -374,26 +358,6 @@ def tau_of_t(medium: MediumModel, schedule: ControlSchedule, t: float,
         raise OutOfScheduleRange(f"t = {t:g} precedes integration start {lo:g}")
     return sum(((p.b - p.a) * p.mean_rate(p.a, p.b)
                 for p in _clock_pieces(medium, schedule, lo, t)), 0.0)
-
-
-def t_of_tau(medium: MediumModel, schedule: ControlSchedule, tau: float,
-             t0: float | None = None) -> float:
-    """Inverse of tau_of_t on the schedule span."""
-    lo = schedule.t_start if t0 is None else t0
-    if tau < 0.0:
-        raise OutOfScheduleRange(f"tau = {tau:g} is negative")
-    if tau == 0.0:
-        return lo
-    total = 0.0
-    for piece in _clock_pieces(medium, schedule, lo, schedule.t_end):
-        inc = (piece.b - piece.a) * piece.mean_rate(piece.a, piece.b)
-        if total + inc >= tau:
-            return piece.invert(tau - total)
-        total += inc
-    if tau > total * (1.0 + 1e-12):
-        raise OutOfScheduleRange(
-            f"tau = {tau:g} beyond schedule total {total:g}")
-    return schedule.t_end
 
 
 def group_velocity(medium: MediumModel, omega_plus: float, omega_minus: float) -> float:

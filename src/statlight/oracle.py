@@ -1,9 +1,10 @@
 """Closed-form pulse predictions used as ground truth by the tests.
 
 Everything here is an integral over the control schedule plus small-k Taylor
-data of the transport branch; no fields are evolved. The integrands depend on
-t only through the controls, so `_quad` takes each plateau exactly, as value
-times length, and each smoothstep ramp by adaptive Gauss-Legendre quadrature.
+data of the transport branch, keyed by lab time t; no fields are evolved. The
+integrands depend on t only through the controls, so `_quad` takes each
+plateau exactly, as value times length, and each smoothstep ramp by adaptive
+Gauss-Legendre quadrature.
 The drift/width pair (`drift_beta`, `width_b`) describes a Gaussian envelope
 carried by the two-channel medium; `gaussian_envelope` assembles the full
 complex envelope including the common decay and the channel prefactors.
@@ -26,7 +27,6 @@ from .medium import (
     coefficients,
     power_crossings,
     pulse_length,
-    t_of_tau,
     tau_rate_at,
 )
 
@@ -110,31 +110,28 @@ def _quad(f, schedule: ControlSchedule, lo: float, hi: float) -> float:
                 for a, b, _, ramping in schedule.pieces(lo, hi)), 0.0)
 
 
-def drift_beta(medium: MediumModel, schedule: ControlSchedule, tau: float,
+def drift_beta(medium: MediumModel, schedule: ControlSchedule, t: float,
                ordering="reconciled") -> tuple[float, float]:
-    """Envelope center drift (beta_plus, beta_minus) at stretched time tau.
+    """Envelope center drift (beta_plus, beta_minus) at lab time t.
 
     The rate contains an exact time derivative; it is integrated as a
     boundary difference rather than numerically.
     """
     _check_ordering(ordering)
     t0 = schedule.t_start
-    t1 = t_of_tau(medium, schedule, tau)
     xm = medium.xi_minus
 
-    def rate(t):
-        op, om = schedule.values(t)
-        co = coefficients(medium, op, om)
+    def rate(s):
+        co = coefficients(medium, *schedule.values(s))
         return co.eta ** 2 * delta_weighted(medium, co, ordering) / xm * co.tau_rate
 
-    main = _quad(rate, schedule, t0, t1)
+    main = _quad(rate, schedule, t0, t)
 
-    def eta_alpha_tilde(t):
-        op, om = schedule.values(t)
-        co = coefficients(medium, op, om)
+    def eta_alpha_tilde(s):
+        co = coefficients(medium, *schedule.values(s))
         return co.eta * co.alpha_tilde
 
-    beta_plus = main - (eta_alpha_tilde(t1) - eta_alpha_tilde(t0)) / xm
+    beta_plus = main - (eta_alpha_tilde(t) - eta_alpha_tilde(t0)) / xm
     return beta_plus, beta_plus - medium.z_offset
 
 
@@ -156,18 +153,16 @@ def m2_rate(medium: MediumModel, schedule: ControlSchedule, t: float,
 
 
 def width_b(medium: MediumModel, schedule: ControlSchedule, pulse: PulseSpec,
-            tau: float, ordering="reconciled") -> float:
-    """Envelope Gaussian width B at stretched time tau (time units, c = 1)."""
-    t0 = schedule.t_start
-    t1 = t_of_tau(medium, schedule, tau)
+            t: float, ordering="reconciled") -> float:
+    """Envelope Gaussian width B at lab time t (time units, c = 1)."""
     l_o = pulse_length(medium, pulse)
-    grow = _quad(lambda t: m2_rate(medium, schedule, t, ordering)
-                 * tau_rate_at(medium, schedule, t),
-                 schedule, t0, t1)
+    grow = _quad(lambda s: m2_rate(medium, schedule, s, ordering)
+                 * tau_rate_at(medium, schedule, s),
+                 schedule, schedule.t_start, t)
     radicand = l_o ** 2 + 2.0 * grow
     if radicand <= 0.0:
         raise NegativeRadicand(
-            f"squared width {radicand:g} not positive at tau = {tau:g}")
+            f"squared width {radicand:g} not positive at t = {t:g}")
     return math.sqrt(radicand)
 
 
@@ -207,9 +202,9 @@ def decay_factor(medium: MediumModel, schedule: ControlSchedule, t: float,
 
 
 def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
-                      pulse: PulseSpec, channel: str, tau: float, z,
+                      pulse: PulseSpec, channel: str, t: float, z,
                       ordering="reconciled"):
-    """Predicted complex field envelope A_channel(tau, z).
+    """Predicted complex field envelope A_channel(t, z) at lab time t.
 
     channel is "+" or "-". z may be an array. The width uses the reconciled
     ordering by default so that the prediction tracks real fields (a single
@@ -218,9 +213,8 @@ def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
     if channel not in ("+", "-"):
         raise NonPhysicalParameter(f"channel must be '+' or '-', got {channel!r}")
     t0 = schedule.t_start
-    t1 = t_of_tau(medium, schedule, tau)
     op0, _ = schedule.values(t0)
-    op1, om1 = schedule.values(t1)
+    op1, om1 = schedule.values(t)
     co0 = coefficients(medium, *schedule.values(t0))
     co1 = coefficients(medium, op1, om1)
     if channel == "+":
@@ -228,12 +222,12 @@ def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
     else:
         om_here, g_ratio, phi = om1, 1.0 / medium.r_g, schedule.phi_minus
     if om_here == 0.0:
-        raise ChannelOff(f"channel {channel} has no control field at tau = {tau:g}")
+        raise ChannelOff(f"channel {channel} has no control field at t = {t:g}")
     if op0 == 0.0:
         raise ChannelOff("envelope normalization needs the forward control on at start")
 
-    b = width_b(medium, schedule, pulse, tau, ordering)
-    beta_p, beta_m = drift_beta(medium, schedule, tau)
+    b = width_b(medium, schedule, pulse, t, ordering)
+    beta_p, beta_m = drift_beta(medium, schedule, t)
     beta = beta_p if channel == "+" else beta_m
     # beta is a displacement from the initial forward-channel center, which
     # sits ahead of the polariton center by the slaving offset
@@ -241,7 +235,7 @@ def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
               + co0.alpha_minus * medium.z_offset)
     l_o = pulse_length(medium, pulse)
     pref = (l_o / b) * (co1.eta * om_here * g_ratio / (co0.eta * op0)) * pulse.amplitude
-    pref *= math.exp(-decay_exponent(medium, schedule, t1, include_storage=False))
+    pref *= math.exp(-decay_exponent(medium, schedule, t, include_storage=False))
     zz = np.asarray(z, dtype=float)
     body = np.exp(-((zz - anchor - beta) ** 2) / (2.0 * b ** 2))
     return pref * body * complex(math.cos(phi), math.sin(phi))

@@ -88,13 +88,6 @@ def interaction_rate(spec: PerturberSpec) -> complex:
     return -spec.sigma_over_s * spec.gamma_a / complex(spec.gamma_a, spec.detuning)
 
 
-def apply_perturber(psi_plus: np.ndarray, density: np.ndarray,
-                    spec: PerturberSpec, dtau: float) -> np.ndarray:
-    """One splitting substep: attenuate and phase-rotate the forward field."""
-    _require_dispersive(spec)
-    return psi_plus * np.exp(interaction_rate(spec) * density * dtau)
-
-
 def phase_shift_traveling(medium: MediumModel, co: Coefficients,
                           spec: PerturberSpec) -> float:
     """Total phase picked up by a pulse crossing the cloud once."""

@@ -25,8 +25,8 @@ from .integrator import (MODE_PDE, MODE_STORAGE, build_absorbers, init_state,
                          plan_steps, release, sponge_energy_fraction, step,
                          storage_advance, store)
 from .medium import (HYSTERESIS, coefficients, group_velocity, power_crossings,
-                     pulse_length, stationarity_residual, tau_of_t,
-                     tau_rate_at, validity_report)
+                     pulse_length, stationarity_residual, tau_rate_at,
+                     validity_report)
 from .oracle import decay_exponent, width_b, width_growth_rate
 from .perturber import (interaction_rate, perturber_density,
                         phase_rate_stationary, phase_shift_traveling,
@@ -44,9 +44,10 @@ FIT_MIN_POINTS = 5
 PHASE_MASK_LEVEL = 0.5
 # injected runs only: fits start this many pulse durations past the source peak
 SOURCE_CLEAR_FACTOR = 3.5
-# preflight budget: a run estimated to need more transport steps, or to hold
-# more bytes of snapshot fields, is refused before any work starts
-MAX_STEPS = 1_000_000
+# preflight budget: a run estimated to need more grid-point updates (transport
+# steps times grid points; a million steps on the default 4096-point grid), or
+# to hold more bytes of snapshot fields, is refused before any work starts
+MAX_POINT_STEPS = 4096 * 10 ** 6
 MAX_SNAPSHOT_BYTES = 2 ** 30
 
 TRAJECTORY_COLUMNS = (
@@ -204,11 +205,12 @@ def preflight(config: RunConfig) -> None:
             f"medium.grid_points = {med.grid_points} would hold about "
             f"{held / 2 ** 20:.4g} MiB of snapshots, above the budget of "
             f"{MAX_SNAPSHOT_BYTES / 2 ** 20:g} MiB")
-    if steps > MAX_STEPS:
+    if steps * med.grid_points > MAX_POINT_STEPS:
         raise ValidationError(
             f"medium.grid_points = {med.grid_points} over run.t_end = "
-            f"{run.t_end:g} needs about {steps:.4g} transport steps, above the "
-            f"budget of {MAX_STEPS}")
+            f"{run.t_end:g} needs about {steps:.4g} transport steps, "
+            f"{float(steps) * med.grid_points:.4g} point-steps, above the budget of "
+            f"{MAX_POINT_STEPS:.4g}")
 
 
 def _probe_index(config: RunConfig):
@@ -330,8 +332,7 @@ def _run_spectral(config: RunConfig) -> EngineRun:
             "(controls above the storage threshold)")
     sstate = spectral_state_from_fields(med, state0.psi_plus,
                                         t=sched.t_start, tau=0.0)
-    tau_end = tau_of_t(med, sched, config.run.t_end)
-    half = GUARD_WIDTHS * width_b(med, sched, pulse, tau_end) / math.sqrt(2.0)
+    half = GUARD_WIDTHS * width_b(med, sched, pulse, config.run.t_end) / math.sqrt(2.0)
     probe_idx = _probe_index(config)
 
     times = _snapshot_times(config)

@@ -81,25 +81,6 @@ def slaving_kernel(medium: MediumModel, k):
     return out if out.shape else complex(out)
 
 
-def realspace_kernel(medium: MediumModel, channel: str, x):
-    """Real-space slaving kernel: (continuous part, delta weight at x = 0).
-
-    channel "-" maps the forward field onto the backward one (support x < 0,
-    i.e. the source point lies ahead); channel "+" is the inverse map.
-    """
-    xp, xm = medium.xi_plus, medium.xi_minus
-    xarr = np.asarray(x, dtype=float)
-    if channel == "-":
-        cont = np.where(xarr < 0.0, (1.0 + xm / xp) * xm * np.exp(xm * np.minimum(xarr, 0.0)), 0.0)
-        weight = -xm / xp
-    elif channel == "+":
-        cont = np.where(xarr > 0.0, (1.0 + xp / xm) * xp * np.exp(-xp * np.maximum(xarr, 0.0)), 0.0)
-        weight = -xp / xm
-    else:
-        raise NonPhysicalParameter(f"channel must be '+' or '-', got {channel!r}")
-    return (cont if cont.shape else float(cont)), weight
-
-
 def k_grid(medium: MediumModel) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(medium.grid_points, d=medium.dz)
 

@@ -11,18 +11,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import statlight
 from statlight.cli import main
-from statlight.config import ENGINES, config_echo, parse_config, render_config
+from statlight.config import (ENGINES, KEYS, config_echo, parse_config,
+                              render_config)
 from statlight.errors import (
     NonPhysicalParameter,
     ParseError,
+    SimulationError,
     ValidationError,
 )
+from statlight.medium import Segment
 from statlight.presets import get_preset, list_presets
-from statlight.scenario import (MAX_SNAPSHOT_BYTES, MAX_STEPS, _write_table,
-                                preflight, resource_estimate)
+from statlight.scenario import (MAX_POINT_STEPS, MAX_SNAPSHOT_BYTES,
+                                _write_table, preflight, resource_estimate)
 
 OM0 = math.sqrt(1e-3)
 SRC = pathlib.Path(statlight.__file__).resolve().parents[1]
@@ -77,6 +82,10 @@ class TestParse:
         text = MINIMAL.replace("run.t_end = 200\n", "")
         assert parse_config(text).run.t_end == 500.0
 
+    def test_snapshot_interval_defaults_to_a_twentieth(self):
+        text = MINIMAL.replace("run.snapshot_interval = 50\n", "")
+        assert parse_config(text).run.snapshot_interval == 10.0
+
     @pytest.mark.parametrize("line,error", [
         ("medium.r_g", ParseError),               # no assignment
         ("medium.r_g = ", ParseError),            # empty value
@@ -89,6 +98,8 @@ class TestParse:
         ("engine = warp", ValidationError),
         ("run.probe_z = 500", ValidationError),
         ("run.dt_safety = 0", ValidationError),
+        ("run.snapshot_interval = 0", ValidationError),
+        ("run.snapshot_interval = -50", ValidationError),
         ("run.t_end = 900", ValidationError),      # beyond the schedule
         ("perturber.m_atoms = 5", ValidationError),  # incomplete block
     ])
@@ -174,6 +185,71 @@ class TestRender:
         assert echo["medium"]["r_g"] == "1"
         assert echo["engine"] == "direct"
         assert isinstance(echo["schedule"], dict)
+
+    def test_twelve_digits_only_where_exact(self):
+        text = render_config(parse_config(MINIMAL))
+        assert "medium.u_g0 = 0.001\n" in text
+        assert f"schedule.segment = 0 500 {OM0!r} {OM0!r} 50\n" in text
+
+    @pytest.mark.parametrize("name", [name for name, _ in list_presets()])
+    def test_presets_round_trip_exactly(self, name):
+        config = parse_config(get_preset(name))
+        assert parse_config(render_config(config)) == config
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_property(self, data):
+        # every key of a base config redrawn by kind: floats scaled by a
+        # full-precision factor, which 12 digits cannot carry
+        base = data.draw(st.sampled_from(
+            [get_preset(name) for name, _ in list_presets()] + [MINIMAL]))
+        kinds = {name: kind for name, kind, _ in KEYS}
+        lines = []
+        for line in render_config(parse_config(base)).splitlines():
+            name, text = line.split(" = ")
+            kind = kinds[name]
+            if kind is float:
+                text = repr(float(text) * data.draw(st.floats(0.5, 1.0)))
+            elif kind is Segment:
+                nums = [float(x) for x in text.split()]
+                for i in (2, 3, 4):
+                    nums[i] *= data.draw(st.floats(0.5, 1.0))
+                text = " ".join(map(repr, nums))
+            elif kind is int:
+                text = str(data.draw(st.integers(16, 8192)))
+            elif kind is bool:
+                text = data.draw(st.sampled_from(["true", "false"]))
+            else:
+                text = data.draw(st.sampled_from(ENGINES))
+            lines.append(f"{name} = {text}")
+        try:
+            config = parse_config("\n".join(lines))
+        except SimulationError:
+            reject()
+        assert parse_config(render_config(config)) == config
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_values_fail_as_simulation_errors(self, data):
+        text = data.draw(st.sampled_from(
+            [get_preset(name) for name, _ in list_presets()]))
+        value = st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            st.integers(-10 ** 20, 10 ** 20).map(str),
+            st.sampled_from(["true", "no", "maybe", "", "1e400", "-0", "0x10",
+                             "1 2 3", "0 2e4 0.03 0.03 50", "0 1 2 3 4 5",
+                             "both", "spectral", "=", "#"]),
+            st.text(max_size=12))
+        for _ in range(data.draw(st.integers(1, 4))):
+            name = data.draw(st.sampled_from([n for n, _, _ in KEYS]))
+            if name != "schedule.segment" or data.draw(st.booleans()):
+                text = "\n".join(l for l in text.splitlines()
+                                 if not l.startswith(name + " "))
+            text += f"\n{name} = {data.draw(value)}\n"
+        try:
+            parse_config(text)
+        except SimulationError:
+            pass
 
 
 class TestCli:
@@ -290,9 +366,35 @@ class TestPreflight:
                                              "run.snapshot_interval": "1e4"}))
         steps, held = resource_estimate(config)
         assert held <= MAX_SNAPSHOT_BYTES < 2 * held
-        assert steps > MAX_STEPS
+        assert steps * 5_000_000 > MAX_POINT_STEPS
         with pytest.raises(ValidationError, match="medium.grid_points .* steps"):
             preflight(config)
+
+    def test_step_budget_counts_grid_points(self):
+        # fewer steps than the default grid may take, each on 100x the points
+        config = parse_config(_stationary(**{"medium.grid_points": "400000",
+                                             "run.snapshot_interval": "5000"}))
+        steps, held = resource_estimate(config)
+        assert steps == 93_334
+        assert held <= MAX_SNAPSHOT_BYTES
+        assert steps * 4096 <= MAX_POINT_STEPS < steps * 400_000
+        with pytest.raises(ValidationError, match="medium.grid_points = 400000"):
+            preflight(config)
+
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+    def test_check_refuses_bad_snapshot_override(self, capsys, value):
+        assert main(["run", "--preset", "stationary", "--check",
+                     f"--snapshot-every={value}"]) == 2
+        captured = capsys.readouterr()
+        assert "config ok" not in captured.out
+        assert "run.snapshot_interval" in captured.err
+
+    def test_replaced_snapshot_interval_is_validated(self):
+        # the override goes through dataclasses.replace; a negative interval
+        # that got past it would grow the snapshot-time list without bound
+        run = parse_config(get_preset("stop_and_store")).run
+        with pytest.raises(ValidationError, match="run.snapshot_interval"):
+            dataclasses.replace(run, snapshot_interval=-5.0)
 
     @pytest.mark.parametrize("key,value", [("medium.grid_points", "1e9"),
                                            ("run.snapshot_interval", "1e-3")])

@@ -17,7 +17,6 @@ from statlight.medium import (
     build_schedule,
     coefficients,
     pulse_length,
-    tau_of_t,
     tau_rate_at,
 )
 from statlight.oracle import (
@@ -110,25 +109,22 @@ class TestDrift:
         med = medium_for(gamma2=0.0)
         sched = hold(OM0, 0.0)
         for t in (1e3, 5e3, 1e4):
-            tau = tau_of_t(med, sched, t)
-            beta_p, beta_m = drift_beta(med, sched, tau)
+            beta_p, beta_m = drift_beta(med, sched, t)
             assert beta_p == pytest.approx(1e-3 * t, rel=1e-9)
             assert beta_m == pytest.approx(beta_p - med.z_offset, rel=1e-12)
 
     def test_balanced_hold_is_pinned(self):
         med = medium_for(gamma2=1e-4)
         sched = hold(OM0, OM0)
-        tau = tau_of_t(med, sched, 1e4)
-        beta_p, beta_m = drift_beta(med, sched, tau)
+        beta_p, beta_m = drift_beta(med, sched, 1e4)
         assert beta_p == pytest.approx(0.0, abs=1e-12)
         assert beta_m == pytest.approx(-2.0, rel=1e-12)
 
     def test_as_printed_ordering_underpredicts_slow_light(self):
         med = medium_for(r_g=2.0, gamma2=0.0)
         sched = hold(OM0, 0.0)
-        tau = tau_of_t(med, sched, 1e4)
-        beta_good, _ = drift_beta(med, sched, tau, ordering="reconciled")
-        beta_bad, _ = drift_beta(med, sched, tau, ordering="as_printed")
+        beta_good, _ = drift_beta(med, sched, 1e4, ordering="reconciled")
+        beta_bad, _ = drift_beta(med, sched, 1e4, ordering="as_printed")
         assert beta_good == pytest.approx(10.0, rel=1e-9)
         assert beta_bad == pytest.approx(2.5, rel=1e-9)
 
@@ -138,8 +134,7 @@ class TestWidth:
         med = medium_for(gamma2=0.0)
         sched = hold(OM0, OM0)
         pulse = build_pulse(duration=2e4, prepared=True, center=100.0)
-        tau = tau_of_t(med, sched, 1e4)
-        b = width_b(med, sched, pulse, tau)
+        b = width_b(med, sched, pulse, 1e4)
         assert b**2 == pytest.approx(440.0, rel=1e-9)
 
     def test_initial_width_is_pulse_length(self):
@@ -152,9 +147,8 @@ class TestWidth:
         med = medium_for(r_g=2.0, gamma2=0.0)
         sched = hold(OM0, OM0 / math.sqrt(2.0))
         pulse = build_pulse(duration=2e4, prepared=True, center=100.0)
-        tau = tau_of_t(med, sched, 1e4)
-        assert width_b(med, sched, pulse, tau) == width_b(
-            med, sched, pulse, tau, ordering="reconciled")
+        assert width_b(med, sched, pulse, 1e4) == width_b(
+            med, sched, pulse, 1e4, ordering="reconciled")
         assert m2_rate(med, sched, 5e3) == m2_rate(med, sched, 5e3,
                                                    ordering="reconciled")
 
@@ -163,9 +157,8 @@ class TestWidth:
         # unequal control powers so the weighted imbalances disagree
         sched = hold(OM0, OM0 / math.sqrt(2.0))
         pulse = build_pulse(duration=2e4, prepared=True, center=100.0)
-        tau = tau_of_t(med, sched, 1e4)
-        b_ap = width_b(med, sched, pulse, tau, ordering="as_printed")
-        b_rec = width_b(med, sched, pulse, tau, ordering="reconciled")
+        b_ap = width_b(med, sched, pulse, 1e4, ordering="as_printed")
+        b_rec = width_b(med, sched, pulse, 1e4, ordering="reconciled")
         assert b_ap != pytest.approx(b_rec, rel=1e-6)
 
 
@@ -260,7 +253,7 @@ class TestAgainstQuadrature:
 
         ref = quad_ref(rate, sched, 0.0, t1) - (
             eta_alpha_tilde(t1) - eta_alpha_tilde(0.0)) / xm
-        beta, _ = drift_beta(med, sched, tau_of_t(med, sched, t1))
+        beta, _ = drift_beta(med, sched, t1)
         assert abs(beta - ref) <= 1e-9 * abs(ref)
 
     @pytest.mark.parametrize("ordering", ORDERINGS)
@@ -270,7 +263,7 @@ class TestAgainstQuadrature:
         pulse = build_pulse(duration=2e3, prepared=True, center=50.0)
         grow = quad_ref(lambda t: m2_rate(med, sched, t, ordering)
                         * tau_rate_at(med, sched, t), sched, 0.0, t1)
-        b = width_b(med, sched, pulse, tau_of_t(med, sched, t1), ordering)
+        b = width_b(med, sched, pulse, t1, ordering)
         assert abs(b ** 2 - pulse_length(med, pulse) ** 2 - 2.0 * grow) \
             <= 1e-9 * abs(2.0 * grow)
 
@@ -318,8 +311,7 @@ class TestEnvelope:
         sched = hold(OM0, 0.0, t_end=6e4)
         z = med.grid()
         for t in (0.0, 2e4, 5e4):
-            tau = tau_of_t(med, sched, t)
-            a = gaussian_envelope(med, sched, self.pulse(), "+", tau, z)
+            a = gaussian_envelope(med, sched, self.pulse(), "+", t, z)
             w = np.abs(a) ** 2
             centroid = float(np.sum(z * w) / np.sum(w))
             assert centroid == pytest.approx(50.0 + 1e-3 * t, abs=1e-3)
@@ -330,8 +322,7 @@ class TestEnvelope:
         z = med.grid()
         areas = []
         for t in (0.0, 2e4, 5e4):
-            tau = tau_of_t(med, sched, t)
-            a = gaussian_envelope(med, sched, self.pulse(), "+", tau, z)
+            a = gaussian_envelope(med, sched, self.pulse(), "+", t, z)
             areas.append(float(np.trapezoid(np.abs(a), z)))
         # grid truncation of the far tails limits the match, not physics
         assert areas[1] == pytest.approx(areas[0], rel=1e-5)
@@ -341,9 +332,8 @@ class TestEnvelope:
         med = medium_for(gamma2=1e-4)
         sched = hold(OM0, OM0)
         z = med.grid()
-        tau = tau_of_t(med, sched, 5e3)
-        ap = gaussian_envelope(med, sched, self.pulse(), "+", tau, z)
-        am = gaussian_envelope(med, sched, self.pulse(), "-", tau, z)
+        ap = gaussian_envelope(med, sched, self.pulse(), "+", 5e3, z)
+        am = gaussian_envelope(med, sched, self.pulse(), "-", 5e3, z)
         cp = float(np.sum(z * np.abs(ap) ** 2) / np.sum(np.abs(ap) ** 2))
         cm = float(np.sum(z * np.abs(am) ** 2) / np.sum(np.abs(am) ** 2))
         assert cp - cm == pytest.approx(med.z_offset, abs=1e-3)

@@ -13,10 +13,10 @@ from statlight.errors import (
     NonPhysicalParameter,
     PerturberOffGrid,
 )
-from statlight.medium import build_medium, coefficients
+from statlight.integrator import plan_steps
+from statlight.medium import Segment, build_medium, build_schedule, coefficients
 from statlight.perturber import (
     PerturberSpec,
-    apply_perturber,
     build_perturber,
     interaction_rate,
     perturber_density,
@@ -40,6 +40,17 @@ def spec_for(m_atoms=6.0, z_center=100.0, length=4.0, sigma_over_s=1.0,
                            detuning)
 
 
+def split_factor(spec, density, dt):
+    """(factor, dtau) of the direct engine's per-step perturber split over a
+    slow-light step of length dt."""
+    med = medium_for(n=len(density))
+    sched = build_schedule([Segment(0.0, 1e3, OM0, 0.0)])
+    zeros = np.zeros(med.grid_points)
+    plan = plan_steps(med, sched, 0.0, dt, zeros, zeros,
+                      (density, interaction_rate(spec)))
+    return plan.split, plan.dtau
+
+
 class TestBuild:
     @pytest.mark.parametrize("kwargs", [
         dict(m_atoms=0.0), dict(length=-1.0), dict(sigma_over_s=0.0),
@@ -61,13 +72,8 @@ class TestBuild:
     def test_resonant_cloud_rejected_at_use(self):
         # a spec built directly skips the build-time check
         spec = PerturberSpec(6.0, 100.0, 4.0, 1.0, 0.5, 0.3)
-        med = medium_for()
-        density, _ = perturber_density(med, spec_for())
         with pytest.raises(NonDispersiveRegime):
-            apply_perturber(np.ones(med.grid_points, complex), density,
-                            spec, 0.1)
-        with pytest.raises(NonDispersiveRegime):
-            phase_rate_stationary(med, spec)
+            phase_rate_stationary(medium_for(), spec)
 
 
 class TestDensity:
@@ -111,25 +117,19 @@ class TestRates:
         assert rate.imag == pytest.approx(0.5 * 10.0 / 100.25, rel=1e-12)
 
     def test_apply_perturber_rotation(self):
-        med = medium_for(n=256)
         spec = spec_for()
-        density = np.ones(med.grid_points)
-        psi = np.ones(med.grid_points, complex)
-        out = apply_perturber(psi, density, spec, 0.2)
+        split, dtau = split_factor(spec, np.ones(256), 200.0)
         rate = interaction_rate(spec)
-        assert np.angle(out[0]) == pytest.approx(rate.imag * 0.2, rel=1e-12)
-        assert abs(out[0]) == pytest.approx(math.exp(rate.real * 0.2),
-                                            rel=1e-12)
+        assert dtau == pytest.approx(0.2, rel=1e-12)
+        assert np.angle(split[0]) == pytest.approx(rate.imag * dtau, rel=1e-12)
+        assert abs(split[0]) == pytest.approx(math.exp(rate.real * dtau),
+                                              rel=1e-12)
 
     def test_splitting_is_additive(self):
-        med = medium_for(n=256)
-        spec = spec_for()
-        density = np.linspace(0.0, 1.0, med.grid_points)
-        psi = np.ones(med.grid_points, complex)
-        once = apply_perturber(psi, density, spec, 0.4)
-        twice = apply_perturber(
-            apply_perturber(psi, density, spec, 0.2), density, spec, 0.2)
-        np.testing.assert_allclose(once, twice, atol=1e-14)
+        density = np.linspace(0.0, 1.0, 256)
+        once, _ = split_factor(spec_for(), density, 300.0)
+        half, _ = split_factor(spec_for(), density, 150.0)
+        np.testing.assert_allclose(once, half * half, atol=1e-14)
 
 
 class TestPhasePredictions:
