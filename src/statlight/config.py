@@ -244,7 +244,7 @@ def _items(config: RunConfig):
         owner = getattr(config, section) if section else config
         if kind is Segment:
             for seg in owner.segments:
-                yield name, " ".join(_fmt(v) for v in dataclasses.astuple(seg))
+                yield name, " ".join(_fmt(v) for v in vars(seg).values())
         elif owner is not None and getattr(owner, key) is not None:
             yield name, _FORMAT[kind](getattr(owner, key))
 

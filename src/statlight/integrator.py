@@ -46,6 +46,11 @@ MODE_PDE = "pde"
 MODE_STORAGE = "storage"
 
 
+def polariton_field(alpha_plus: float, alpha_minus: float, psi_plus, psi_minus):
+    """The polariton carried in transport by the two channel fields."""
+    return alpha_plus * psi_plus + alpha_minus * psi_minus
+
+
 @dataclasses.dataclass
 class FieldState:
     """Grid fields plus clock; `spin` holds the coherence while stored."""
@@ -62,12 +67,7 @@ class FieldState:
     def polariton(self, alpha_plus: float, alpha_minus: float) -> np.ndarray:
         if self.mode == MODE_STORAGE:
             return self.spin
-        return alpha_plus * self.psi_plus + alpha_minus * self.psi_minus
-
-    def copy(self) -> "FieldState":
-        return FieldState(self.medium, self.z, self.psi_plus.copy(),
-                          self.psi_minus.copy(), self.t, self.tau, self.mode,
-                          None if self.spin is None else self.spin.copy())
+        return polariton_field(alpha_plus, alpha_minus, self.psi_plus, self.psi_minus)
 
 
 def _check_grid(medium: MediumModel, pulse: PulseSpec):
@@ -279,9 +279,11 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
     for band, k in ((sup1, 1), (sup2, 2)):
         np.multiply(band[:-k], u[:, k:], out=prod[:, :-k])
         res[:, :-k] += prod[:, :-k]
-    # written so that a NaN anywhere fails the check; all-zero fields pass
-    scale = float(np.linalg.norm(rhs)) + float(np.linalg.norm(u))
-    err = float(np.linalg.norm(res))
+    # written so that a NaN anywhere fails the check; all-zero fields pass.
+    # einsum sums in this thread: np.linalg.norm's BLAS dot would wake a pool
+    scale = (math.sqrt(np.einsum("ij,ij->", rhs, rhs))
+             + math.sqrt(np.einsum("ij,ij->", u, u)))
+    err = math.sqrt(np.einsum("ij,ij->", res, res))
     if not err <= RESIDUAL_TOL * scale:
         raise SweepDivergence(
             f"implicit step residual {err:.3g} exceeds {RESIDUAL_TOL:g} "

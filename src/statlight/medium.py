@@ -83,8 +83,7 @@ class MediumModel:
         return ZERO_GAMMA2_THRESHOLD * self.omega_plus0 ** 2
 
 
-def build_medium(r_g, gamma, gamma2, u_g0,
-                 domain_length=200.0, grid_points=4096) -> MediumModel:
+def build_medium(r_g, gamma, gamma2, u_g0, domain_length, grid_points) -> MediumModel:
     if not (r_g > 0.0 and math.isfinite(r_g)):
         raise NonPhysicalParameter(f"coupling ratio r_g must be positive, got {r_g}")
     if not (gamma > 0.0 and math.isfinite(gamma)):
@@ -128,12 +127,12 @@ class ControlSchedule:
         return self.segments[-1].t_end
 
     def _locate(self, t: float) -> int:
-        slack = 1e-9 * max(1.0, abs(self.t_end))
-        if t < self.t_start - slack or t > self.t_end + slack:
+        t0, t1 = self.segments[0].t_start, self.segments[-1].t_end
+        slack = 1e-9 * max(1.0, abs(t1))
+        if t < t0 - slack or t > t1 + slack:
             raise OutOfScheduleRange(
-                f"t = {t:g} outside schedule span [{self.t_start:g}, {self.t_end:g}]")
-        starts = [s.t_start for s in self.segments]
-        i = bisect.bisect_right(starts, t) - 1
+                f"t = {t:g} outside schedule span [{t0:g}, {t1:g}]")
+        i = bisect.bisect_right(self.segments, t, key=lambda s: s.t_start) - 1
         return max(0, min(i, len(self.segments) - 1))
 
     def values(self, t: float) -> tuple[float, float]:
@@ -399,8 +398,7 @@ def pulse_length(medium: MediumModel, pulse: PulseSpec) -> float:
     return medium.u_g0 * pulse.duration
 
 
-def build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
-                prepared=False, center=0.0) -> PulseSpec:
+def build_pulse(amplitude, duration, injection_time, prepared, center) -> PulseSpec:
     if amplitude <= 0.0 or not math.isfinite(amplitude):
         raise NonPhysicalParameter(f"pulse amplitude must be positive, got {amplitude}")
     if duration <= 0.0 or not math.isfinite(duration):

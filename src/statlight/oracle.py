@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .errors import (ChannelOff, NegativeRadicand, NonPhysicalParameter,
-                     QuadratureFailure)
+from .errors import (ChannelOff, DegenerateCoefficients, NegativeRadicand,
+                     NonPhysicalParameter, QuadratureFailure)
 from .medium import (
     ControlSchedule,
     Coefficients,
@@ -115,9 +115,15 @@ def drift_beta(medium: MediumModel, schedule: ControlSchedule, t: float,
     """Envelope center drift (beta_plus, beta_minus) at lab time t.
 
     The rate contains an exact time derivative; it is integrated as a
-    boundary difference rather than numerically.
+    boundary difference rather than numerically. It diverges in dark
+    storage, so a t past an "off" crossing is refused before any quadrature.
     """
     _check_ordering(ordering)
+    for tc, kind in power_crossings(medium, schedule):
+        if kind == "off" and tc <= t:
+            raise DegenerateCoefficients(
+                f"drift undefined at t = {t:g}: the control power fell below "
+                f"the storage threshold at t = {tc:g}")
     t0 = schedule.t_start
     xm = medium.xi_minus
 

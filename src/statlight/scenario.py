@@ -22,8 +22,8 @@ from .diagnostics import (channel_energies, compare_to_oracle, linear_fit,
 from .errors import (EmptyField, GuardBandOverflow, NonPhysicalParameter,
                      SimulationError, ValidationError)
 from .integrator import (MODE_PDE, MODE_STORAGE, build_absorbers, init_state,
-                         plan_steps, release, sponge_energy_fraction, step,
-                         storage_advance, store)
+                         plan_steps, polariton_field, release,
+                         sponge_energy_fraction, step, storage_advance, store)
 from .medium import (HYSTERESIS, coefficients, group_velocity, power_crossings,
                      pulse_length, stationarity_residual, tau_rate_at,
                      validity_report)
@@ -115,12 +115,15 @@ def _snapshot_times(config: RunConfig) -> list[float]:
     return times
 
 
-def _build_events(config: RunConfig, extra=()) -> list[_Event]:
+def _build_events(config: RunConfig) -> list[_Event]:
     sched = config.schedule
     t0, t_end = sched.t_start, config.run.t_end
     tol = _tol(config)
     tagged = [(t, "snap") for t in _snapshot_times(config)]
-    tagged += [(float(t), "snap") for t in extra if t0 - tol <= t <= t_end + tol]
+    if config.engine == "both":
+        # the cross-engine replay runs between snapshots at the fit window's ends
+        tagged += [(float(t), "snap") for t in _fit_window(config) or ()
+                   if t0 - tol <= t <= t_end + tol]
     tagged += [(b, "break") for b in sched.breakpoints() if t0 + tol < b < t_end - tol]
     tagged += [(t, kind) for t, kind in power_crossings(config.medium, sched)
                if t0 + tol < t <= t_end - tol]
@@ -144,9 +147,9 @@ def _build_events(config: RunConfig, extra=()) -> list[_Event]:
 def _piece_steps(med, schedule, lo: float, hi: float, i: int, ramping: bool,
                  safety: float) -> int:
     """Steps over the schedule piece [lo, hi]: the CFL cap at the fastest of
-    the group velocity and dtau/dt (sampled across a ramp), and at least 64
-    steps per ramp."""
-    ts = np.linspace(lo, hi, 65 if ramping else 2)
+    the group velocity and dtau/dt (sampled across a ramp, once on a
+    plateau), and at least 64 steps per ramp."""
+    ts = np.linspace(lo, hi, 65) if ramping else [0.5 * (lo + hi)]
     vmax = max(abs(group_velocity(med, *schedule.values(float(s)))) for s in ts)
     rmax = max(tau_rate_at(med, schedule, float(s)) for s in ts)
     cap = 0.5 * med.dz / max(vmax, rmax, 1e-300) * safety
@@ -231,7 +234,7 @@ def _record(config: RunConfig, t: float, tau: float, mode: str,
     else:
         op, om = sched.values(t)
         co = coefficients(med, op, om)
-        phi = co.alpha_plus * psi_plus + co.alpha_minus * psi_minus
+        phi = polariton_field(co.alpha_plus, co.alpha_minus, psi_plus, psi_minus)
         ep, em = channel_energies(med, psi_plus, psi_minus, op, om)
         app = float(np.max(np.abs(psi_plus))) * op / math.sqrt(med.gamma)
         apm = float(np.max(np.abs(psi_minus))) * om / (math.sqrt(med.gamma) * med.r_g)
@@ -257,8 +260,7 @@ def _record(config: RunConfig, t: float, tau: float, mode: str,
     return snap, row
 
 
-def _run_direct(config: RunConfig, include_perturber: bool,
-                extra_snap_times=()) -> EngineRun:
+def _run_direct(config: RunConfig, include_perturber: bool) -> EngineRun:
     med, sched, pulse, run = (config.medium, config.schedule,
                               config.pulse, config.run)
     state = init_state(med, sched, pulse)
@@ -275,7 +277,7 @@ def _run_direct(config: RunConfig, include_perturber: bool,
         pert = (density, interaction_rate(config.perturber))
     probe_idx = _probe_index(config)
 
-    events = _build_events(config, extra_snap_times)
+    events = _build_events(config)
     snapshots: list[Snapshot] = []
     traj: list[dict] = []
     warnings: list[str] = []
@@ -597,16 +599,9 @@ def run_scenario(config: RunConfig, out_dir=None) -> RunResult:
     if config.engine == "spectral":
         primary = _run_spectral(config)
     else:
-        extra = ()
-        if config.engine == "both":
-            window = _fit_window(config)
-            if window is not None:
-                extra = window
-        primary = _run_direct(config, include_perturber=True,
-                              extra_snap_times=extra)
+        primary = _run_direct(config, include_perturber=True)
         if config.perturber is not None:
-            reference = _run_direct(config, include_perturber=False,
-                                    extra_snap_times=extra)
+            reference = _run_direct(config, include_perturber=False)
     warnings += primary.warnings
 
     measurements, mwarn = _measurements(config, primary, reference)
@@ -626,6 +621,8 @@ def run_scenario(config: RunConfig, out_dir=None) -> RunResult:
 
 
 def _write_snapshot(path: pathlib.Path, config: RunConfig, snap: Snapshot):
+    """Save the float64 (N, 9) columns of the README's snap_NNNNN.npy; t, tau
+    and mode of the snapshot are row `snap.index` of trajectory.tsv."""
     med, sched = config.medium, config.schedule
     op, om = sched.values(snap.t)
     scale_p = op / math.sqrt(med.gamma)
@@ -638,20 +635,7 @@ def _write_snapshot(path: pathlib.Path, config: RunConfig, snap: Snapshot):
         np.abs(snap.psi_minus) * scale_m,
         snap.phi.real, snap.phi.imag,
     ])
-    header = (f"t = {snap.t:.12g}  tau = {snap.tau:.12g}  mode = {snap.mode}\n"
-              "z re_psi_plus im_psi_plus re_psi_minus im_psi_minus "
-              "abs_a_plus abs_a_minus re_phi im_phi")
-    _write_table(path, header, data)
-
-
-def _write_table(path: pathlib.Path, header: str, data: np.ndarray) -> None:
-    """Write the bytes `np.savetxt(path, data, fmt="%.12g", delimiter="\\t",
-    header=header, comments="# ")` writes, with one format operation over the
-    whole array instead of one per row."""
-    rows, cols = data.shape
-    row = "\t".join(["%.12g"] * cols) + "\n"
-    comment = "# " + header.replace("\n", "\n# ") + "\n"
-    path.write_text(comment + (row * rows) % tuple(data.ravel().tolist()))
+    np.save(path, data, allow_pickle=False)
 
 
 def _write_trajectory(path: pathlib.Path, trajectory: list):
@@ -666,7 +650,7 @@ def write_outputs(result: RunResult, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     if result.config.output.snapshots:
         for snap in result.snapshots:
-            _write_snapshot(out / f"snap_{snap.index:05d}.tsv",
+            _write_snapshot(out / f"snap_{snap.index:05d}.npy",
                             result.config, snap)
     _write_trajectory(out / "trajectory.tsv", result.trajectory)
     (out / "summary.json").write_text(render_summary(result.summary))

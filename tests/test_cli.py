@@ -27,7 +27,7 @@ from statlight.errors import (
 from statlight.medium import Segment
 from statlight.presets import get_preset, list_presets
 from statlight.scenario import (MAX_POINT_STEPS, MAX_SNAPSHOT_BYTES,
-                                _write_table, preflight, resource_estimate)
+                                preflight, resource_estimate, run_scenario)
 
 OM0 = math.sqrt(1e-3)
 SRC = pathlib.Path(statlight.__file__).resolve().parents[1]
@@ -298,7 +298,7 @@ class TestCli:
         assert (out_dir / "summary.json").is_file()
         assert (out_dir / "trajectory.tsv").is_file()
         assert (out_dir / "config.txt").is_file()
-        snaps = sorted(out_dir.glob("snap_*.tsv"))
+        snaps = sorted(out_dir.glob("snap_*.npy"))
         assert len(snaps) == 5  # t = 0, 50, 100, 150, 200
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["derived"]["final_mode"] == "pde"
@@ -320,7 +320,7 @@ class TestCli:
         out_dir = tmp_path / "out"
         assert main(["run", str(cfg), "--out-dir", str(out_dir),
                      "--snapshot-every", "100"]) == 0
-        assert len(sorted(out_dir.glob("snap_*.tsv"))) == 3
+        assert len(sorted(out_dir.glob("snap_*.npy"))) == 3
 
 
 def _stationary(**changes) -> str:
@@ -450,17 +450,31 @@ class TestImportGraph:
         assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0] []"
 
 
-def test_snapshot_table_matches_savetxt(tmp_path):
-    data = np.array([
-        [-0.0, 0.0, 1e-300, -1e-300, 1e4, -1e4, 1.5e-7, -2.5e-12, 12345678901234.5],
-        [np.nan, 1.0, -1.0, 1e-5, 0.1, 2.0 / 3.0, -7.25e-100, 1e16, 5e-324],
-    ])
-    header = "t = 1  tau = 0.5  mode = pde\nz a b c d e f g h"
-    np.savetxt(tmp_path / "savetxt.tsv", data, fmt="%.12g", delimiter="\t",
-               header=header, comments="# ")
-    _write_table(tmp_path / "table.tsv", header, data)
-    expect = (tmp_path / "savetxt.tsv").read_bytes()
-    assert (tmp_path / "table.tsv").read_bytes() == expect
+def test_snapshot_npy_round_trip(tmp_path):
+    """Each snap_NNNNN.npy holds snapshot NNNNN's nine columns bit for bit
+    (so -0.0 and NaN count), and its t, tau and mode are row NNNNN of
+    trajectory.tsv."""
+    config = parse_config(get_preset("stop_and_store"))
+    result = run_scenario(config, tmp_path)
+    med, sched = config.medium, config.schedule
+    rows = [line.split("\t") for line in
+            (tmp_path / "trajectory.tsv").read_text().splitlines()[1:]]
+    assert len(rows) == len(result.snapshots)
+    assert {snap.mode for snap in result.snapshots} == {"pde", "storage"}
+    for snap, row in zip(result.snapshots, rows):
+        op, om = sched.values(snap.t)
+        expect = np.column_stack([
+            med.grid(),
+            snap.psi_plus.real, snap.psi_plus.imag,
+            snap.psi_minus.real, snap.psi_minus.imag,
+            np.abs(snap.psi_plus) * (op / math.sqrt(med.gamma)),
+            np.abs(snap.psi_minus) * (om / (math.sqrt(med.gamma) * med.r_g)),
+            snap.phi.real, snap.phi.imag])
+        got = np.load(tmp_path / f"snap_{snap.index:05d}.npy", allow_pickle=False)
+        assert got.dtype == np.float64 and got.shape == (med.grid_points, 9)
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+        mode = "0" if snap.mode == "pde" else "1"
+        assert row[:3] == [f"{snap.t:.12g}", f"{snap.tau:.12g}", mode]
 
 
 def test_module_entry_point():

@@ -111,7 +111,8 @@ class TestOracleComparison:
         med = build_medium(r_g=1.0, gamma=1.0, gamma2=1e-4, u_g0=1e-3,
                            domain_length=200.0, grid_points=4096)
         sched = build_schedule([Segment(0.0, 2e4, OM0, OM0)])
-        pulse = build_pulse(duration=2e4, prepared=True, center=100.0)
+        pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
+                            prepared=True, center=100.0)
         z = med.grid()
         times = [0.0, 2.5e3, 5e3, 1e4]
         snaps = []
@@ -128,7 +129,8 @@ class TestOracleComparison:
         med = build_medium(r_g=1.0, gamma=1.0, gamma2=0.0, u_g0=1e-3,
                            domain_length=200.0, grid_points=256)
         sched = build_schedule([Segment(0.0, 2e4, OM0, OM0)])
-        pulse = build_pulse(duration=2e4, prepared=True, center=100.0)
+        pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
+                            prepared=True, center=100.0)
         with pytest.raises(EmptyField):
             compare_to_oracle(med, sched, pulse, [0.0],
                               [np.zeros(256, complex)])

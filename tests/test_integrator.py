@@ -1,5 +1,6 @@
 """Direct integrator unit tests: setup guards, stepping, storage."""
 
+import copy
 import math
 
 import numpy as np
@@ -49,7 +50,8 @@ def hold(om_plus, om_minus, t_end=2e4):
 
 
 def prepared(center=100.0, duration=1e4):
-    return build_pulse(duration=duration, prepared=True, center=center)
+    return build_pulse(amplitude=1.0, duration=duration, injection_time=0.0,
+                       prepared=True, center=center)
 
 
 class TestInit:
@@ -70,7 +72,8 @@ class TestInit:
 
     def test_injected_starts_empty(self):
         med = medium_for(n=2048)
-        pulse = build_pulse(duration=2e4, injection_time=3e4)
+        pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=3e4,
+                            prepared=False, center=0.0)
         state = init_state(med, hold(OM0, 0.0, t_end=1e5), pulse)
         assert state.mode == MODE_PDE
         assert not np.any(state.psi_plus)
@@ -99,7 +102,8 @@ class TestInit:
 class TestSource:
     def test_peak_amplitude(self):
         med = medium_for(gamma2=0.0)
-        pulse = build_pulse(duration=2e4, injection_time=3e4)
+        pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=3e4,
+                            prepared=False, center=0.0)
         sched = hold(OM0, 0.0, t_end=1e5)
         peak = source_amplitude(med, sched, pulse, 3e4)
         assert peak == pytest.approx(1.0 / OM0, rel=1e-12)
@@ -113,7 +117,8 @@ class TestSource:
 
     def test_source_gated_by_storage_threshold(self):
         med = medium_for(gamma2=1e-4)
-        pulse = build_pulse(duration=2e4, injection_time=0.0)
+        pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
+                            prepared=False, center=0.0)
         assert source_amplitude(med, hold(1e-4, 0.0), pulse, 0.0) == 0.0
 
 
@@ -247,7 +252,7 @@ class TestStep:
         before = state.psi_plus.copy()
         dtau = advance(state, sched, 10.0, prepared(), zeros, zeros,
                        perturber=(density, rate))
-        unperturbed = state.copy()
+        unperturbed = copy.deepcopy(state)
         # undo the uniform rotation and compare against a plain step
         state2 = init_state(med, sched, prepared())
         advance(state2, sched, 10.0, prepared(), zeros, zeros)
@@ -274,10 +279,11 @@ class TestPlan:
         state.psi_plus = rng.normal(size=n) + 1j * rng.normal(size=n)
         state.psi_minus = rng.normal(size=n) + 1j * rng.normal(size=n)
         dt = 0.5
-        pulse = build_pulse(duration=1e3, injection_time=t0 + dt)
+        pulse = build_pulse(amplitude=1.0, duration=1e3, injection_time=t0 + dt,
+                            prepared=False, center=0.0)
         assert abs(source_amplitude(med, RAMPED, pulse, t0 + dt)) > 1.0
         ref_plus, ref_minus, ref_dtau = reference_step(
-            state.copy(), RAMPED, dt, pulse, w_plus, w_minus)
+            copy.deepcopy(state), RAMPED, dt, pulse, w_plus, w_minus)
         dtau = advance(state, RAMPED, dt, pulse, w_plus, w_minus)
         assert dtau == pytest.approx(ref_dtau, rel=1e-15)
         np.testing.assert_allclose(state.psi_plus, ref_plus, rtol=1e-12)
@@ -327,7 +333,7 @@ class TestStorage:
         med = medium_for(gamma2=0.0, n=2048)
         sched = hold(OM0, OM0)
         state = init_state(med, sched, prepared())
-        reference = state.copy()
+        reference = copy.deepcopy(state)
         store(state, sched)
         assert state.mode == MODE_STORAGE
         assert not np.any(state.psi_plus)

@@ -411,7 +411,8 @@ class TestCrossings:
 
 def test_validity_report_smoke():
     med = canonical(1e-4)
-    pulse = build_pulse(duration=2e4, prepared=True, center=100.0)
+    pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
+                        prepared=True, center=100.0)
     checks = validity_report(med, pulse, hold(OM0, OM0))
     assert checks
     names = {c.name for c in checks}

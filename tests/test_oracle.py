@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
-from statlight.errors import ChannelOff, NonPhysicalParameter
+from statlight import oracle
+from statlight.errors import (ChannelOff, DegenerateCoefficients,
+                             NonPhysicalParameter)
 from statlight.medium import (
     HYSTERESIS,
     Segment,
@@ -128,25 +130,50 @@ class TestDrift:
         assert beta_good == pytest.approx(10.0, rel=1e-9)
         assert beta_bad == pytest.approx(2.5, rel=1e-9)
 
+    @pytest.mark.parametrize("t", [5000.0, 10800.0])
+    def test_refuses_dark_storage_before_integrating(self, t, monkeypatch):
+        med = medium_for(gamma2=1e-5)
+        sched = build_schedule([
+            Segment(0.0, 200.0, OM0, 0.0),
+            Segment(200.0, 10200.0, 0.0, 0.0, ramp=50.0),
+            Segment(10200.0, 10800.0, 0.0, OM0, ramp=50.0),
+        ])
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return coefficients(*args)
+
+        monkeypatch.setattr(oracle, "coefficients", counted)
+        drift_beta(med, sched, 100.0)
+        assert calls
+        calls.clear()
+        with pytest.raises(DegenerateCoefficients, match="storage threshold"):
+            drift_beta(med, sched, t)
+        assert calls == []
+
 
 class TestWidth:
     def test_canonical_hold_frozen_value(self):
         med = medium_for(gamma2=0.0)
         sched = hold(OM0, OM0)
-        pulse = build_pulse(duration=2e4, prepared=True, center=100.0)
+        pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
+                            prepared=True, center=100.0)
         b = width_b(med, sched, pulse, 1e4)
         assert b**2 == pytest.approx(440.0, rel=1e-9)
 
     def test_initial_width_is_pulse_length(self):
         med = medium_for(gamma2=0.0)
         sched = hold(OM0, OM0)
-        pulse = build_pulse(duration=2e4, prepared=True, center=100.0)
+        pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
+                            prepared=True, center=100.0)
         assert width_b(med, sched, pulse, 0.0) == pytest.approx(20.0)
 
     def test_default_ordering_is_reconciled(self):
         med = medium_for(r_g=2.0, gamma2=0.0)
         sched = hold(OM0, OM0 / math.sqrt(2.0))
-        pulse = build_pulse(duration=2e4, prepared=True, center=100.0)
+        pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
+                            prepared=True, center=100.0)
         assert width_b(med, sched, pulse, 1e4) == width_b(
             med, sched, pulse, 1e4, ordering="reconciled")
         assert m2_rate(med, sched, 5e3) == m2_rate(med, sched, 5e3,
@@ -156,7 +183,8 @@ class TestWidth:
         med = medium_for(r_g=2.0, gamma2=0.0)
         # unequal control powers so the weighted imbalances disagree
         sched = hold(OM0, OM0 / math.sqrt(2.0))
-        pulse = build_pulse(duration=2e4, prepared=True, center=100.0)
+        pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
+                            prepared=True, center=100.0)
         b_ap = width_b(med, sched, pulse, 1e4, ordering="as_printed")
         b_rec = width_b(med, sched, pulse, 1e4, ordering="reconciled")
         assert b_ap != pytest.approx(b_rec, rel=1e-6)
@@ -260,7 +288,8 @@ class TestAgainstQuadrature:
     @pytest.mark.parametrize("t1", ENDS)
     def test_width_b(self, t1, ordering):
         med, sched = self.medium(), self.schedule()
-        pulse = build_pulse(duration=2e3, prepared=True, center=50.0)
+        pulse = build_pulse(amplitude=1.0, duration=2e3, injection_time=0.0,
+                            prepared=True, center=50.0)
         grow = quad_ref(lambda t: m2_rate(med, sched, t, ordering)
                         * tau_rate_at(med, sched, t), sched, 0.0, t1)
         b = width_b(med, sched, pulse, t1, ordering)
@@ -304,7 +333,8 @@ class TestAgainstQuadrature:
 
 class TestEnvelope:
     def pulse(self):
-        return build_pulse(duration=1e4, prepared=True, center=50.0)
+        return build_pulse(amplitude=1.0, duration=1e4, injection_time=0.0,
+                           prepared=True, center=50.0)
 
     def test_slow_light_centroid_translation(self):
         med = medium_for(gamma2=0.0)
@@ -361,13 +391,15 @@ class TestEnvelope:
 class TestConversion:
     def test_frozen_canonical_value(self):
         med = medium_for(gamma2=1e-4)
-        pulse = build_pulse(duration=2e4, prepared=True, center=100.0)
+        pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
+                            prepared=True, center=100.0)
         p = conversion_probability(med, pulse, 1e4)
         assert p == pytest.approx(0.9759000729485332, rel=1e-12)
 
     def test_monotone_from_unity(self):
         med = medium_for(gamma2=1e-4)
-        pulse = build_pulse(duration=2e4, prepared=True, center=100.0)
+        pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
+                            prepared=True, center=100.0)
         assert conversion_probability(med, pulse, 0.0) == 1.0
         values = [conversion_probability(med, pulse, ts)
                   for ts in (0.0, 2.5e3, 5e3, 1e4)]
@@ -379,6 +411,7 @@ class TestConversion:
     @settings(max_examples=40, deadline=None)
     def test_bounded_in_unit_interval(self, t_s, r_g):
         med = medium_for(r_g=r_g, gamma2=1e-4)
-        pulse = build_pulse(duration=2e4, prepared=True, center=100.0)
+        pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
+                            prepared=True, center=100.0)
         p = conversion_probability(med, pulse, t_s)
         assert 0.0 < p <= 1.0
