@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import EmptyField, PhaseUnwrapAmbiguity, WindowTooShort
-from .medium import ControlSchedule, MediumModel, PulseSpec
+from .medium import ControlSchedule, MediumModel, PulseSpec, envelope_scales
 from .oracle import decay_factor, gaussian_envelope, width_b
 
 ENERGY_FLOOR = 1e-30
@@ -144,8 +144,18 @@ def compare_to_oracle(medium: MediumModel, schedule: ControlSchedule,
 def channel_energies(medium: MediumModel, psi_plus, psi_minus,
                      omega_plus: float, omega_minus: float) -> tuple[float, float]:
     """(E_plus, E_minus) of the physical field envelopes on the grid."""
-    g = medium.gamma
-    a_p = np.abs(psi_plus) * (omega_plus / math.sqrt(g))
-    a_m = np.abs(psi_minus) * (omega_minus / (math.sqrt(g) * medium.r_g))
+    scale_p, scale_m = envelope_scales(medium, omega_plus, omega_minus)
+    a_p = np.abs(psi_plus) * scale_p
+    a_m = np.abs(psi_minus) * scale_m
     dz = medium.dz
     return float(np.sum(a_p ** 2) * dz), float(np.sum(a_m ** 2) * dz)
+
+
+def energy_fraction(psi_plus, psi_minus, mask) -> float:
+    """Share of the two channels' grid energy |psi_+|^2 + |psi_-|^2 that sits
+    where mask is true; zero for empty fields."""
+    w = np.abs(psi_plus) ** 2 + np.abs(psi_minus) ** 2
+    total = float(np.sum(w))
+    if total <= 0.0:
+        return 0.0
+    return float(np.sum(w[mask])) / total

@@ -4,8 +4,8 @@ Backward Euler in stretched time with per-channel upwind differences in z;
 each step's increment dtau comes from the exact clock `medium.tau_of_t`.
 Interleaving the unknowns as u[2i] = psi_plus(z_i), u[2i+1] = psi_minus(z_i)
 makes the implicit system pentadiagonal. Its matrix is real and depends only
-on dt and the controls, so `plan_steps` checks the advective bound and
-factors it once per constant-control window (once per step on ramps), and
+on dt and the controls, so `plan_steps` checks dt against `advective_cap`
+and factors it once per constant-control window (once per step on ramps), and
 `step` solves the real and imaginary parts of each right-hand side against
 those factors and verifies the residual against a fixed tolerance. The
 polariton time derivative is discretized so that the weighted field sum is
@@ -33,6 +33,7 @@ from .medium import (
     PulseSpec,
     coefficients,
     group_velocity,
+    opens_stored,
     pulse_length,
     tau_of_t,
     tau_rate_at,
@@ -84,30 +85,28 @@ def _check_grid(medium: MediumModel, pulse: PulseSpec):
 def init_state(medium: MediumModel, schedule: ControlSchedule,
                pulse: PulseSpec) -> FieldState:
     """Starting fields: empty grid for injected pulses, on-branch Gaussian
-    polariton for prepared ones."""
+    polariton for prepared ones. Either kind opens in storage, as the spin,
+    when the controls start below the storage threshold."""
     _check_grid(medium, pulse)
     z = medium.grid()
-    n = medium.grid_points
     t0 = schedule.t_start
-    zero = np.zeros(n, dtype=complex)
-    if not pulse.prepared:
-        state = FieldState(medium, z, zero.copy(), zero.copy(), t0, 0.0)
-    else:
+    zero = np.zeros(medium.grid_points, dtype=complex)
+    phi = zero
+    if pulse.prepared:
         l_o = pulse_length(medium, pulse)
         if not (0.0 < pulse.center < medium.domain_length):
             raise NonPhysicalParameter(
                 f"prepared pulse center {pulse.center:g} outside the domain")
         phi = pulse.amplitude * np.exp(-((z - pulse.center) ** 2) / (2.0 * l_o ** 2))
         phi = phi.astype(complex)
-        op, om = schedule.values(t0)
-        if op ** 2 + om ** 2 < medium.storage_threshold:
-            state = FieldState(medium, z, zero.copy(), zero.copy(), t0, 0.0,
-                               mode=MODE_STORAGE, spin=phi)
-        else:
-            co = coefficients(medium, op, om)
-            pp, pm = release_projection(medium, co, phi)
-            state = FieldState(medium, z, pp, pm, t0, 0.0)
-    return state
+    if opens_stored(medium, schedule):
+        return FieldState(medium, z, zero.copy(), zero.copy(), t0, 0.0,
+                          mode=MODE_STORAGE, spin=phi)
+    if not pulse.prepared:
+        return FieldState(medium, z, zero.copy(), zero.copy(), t0, 0.0)
+    co = coefficients(medium, *schedule.values(t0))
+    pp, pm = release_projection(medium, co, phi)
+    return FieldState(medium, z, pp, pm, t0, 0.0)
 
 
 def source_amplitude(medium: MediumModel, schedule: ControlSchedule,
@@ -138,13 +137,12 @@ def build_absorbers(medium: MediumModel, fraction: float = SPONGE_FRACTION):
     return w_plus, w_minus
 
 
-def sponge_energy_fraction(state: FieldState, w_plus, w_minus) -> float:
-    w = np.abs(state.psi_plus) ** 2 + np.abs(state.psi_minus) ** 2
-    total = float(np.sum(w))
-    if total <= 0.0:
-        return 0.0
-    mask = (w_plus > 0.0) | (w_minus > 0.0)
-    return float(np.sum(w[mask])) / total
+def advective_cap(medium: MediumModel, schedule: ControlSchedule, times) -> float:
+    """Largest stable dt at the given times: half a grid cell per step at the
+    fastest of the group velocity and dtau/dt."""
+    vmax = max(abs(group_velocity(medium, *schedule.values(t))) for t in times)
+    rmax = max(tau_rate_at(medium, schedule, t) for t in times)
+    return 0.5 * medium.dz / max(vmax, rmax, 1e-300)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,8 +166,8 @@ class StepPlan:
 
 def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
                dt: float, w_plus, w_minus, perturber=None) -> StepPlan:
-    """Check the advective bound and factor the implicit operator of a step
-    of length dt from t0.
+    """Check dt against `advective_cap` and factor the implicit operator of a
+    step of length dt from t0.
 
     The plan serves every step of a window whose controls are constant, since
     all of them see the same matrix; on a ramp build one per step.
@@ -181,10 +179,7 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     dz = medium.dz
 
     t1 = t0 + dt
-    samples = (t0, 0.5 * (t0 + t1), t1)
-    vmax = max(abs(group_velocity(medium, *schedule.values(s))) for s in samples)
-    rmax = max(tau_rate_at(medium, schedule, s) for s in samples)
-    cap = 0.5 * dz / max(vmax, rmax)
+    cap = advective_cap(medium, schedule, (t0, 0.5 * (t0 + t1), t1))
     if dt > cap * (1.0 + 1e-6):
         raise CFLViolation(f"dt = {dt:g} exceeds advective bound {cap:g}")
 

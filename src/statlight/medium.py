@@ -62,11 +62,6 @@ class MediumModel:
         return 1.0 / self.xi_plus + 1.0 / self.xi_minus
 
     @property
-    def z_offset(self) -> float:
-        # stationary displacement of the backward envelope
-        return self.xi_sum_inv
-
-    @property
     def dz(self) -> float:
         return self.domain_length / self.grid_points
 
@@ -82,10 +77,24 @@ class MediumModel:
             return THRESHOLD_FACTOR * self.gamma * self.gamma2
         return ZERO_GAMMA2_THRESHOLD * self.omega_plus0 ** 2
 
+    @property
+    def release_threshold(self) -> float:
+        """Control power above which a stored pulse resumes transport."""
+        return HYSTERESIS * self.storage_threshold
+
+
+def _square_finite(x: float) -> bool:
+    """Whether x^2 and x^-2 are both finite positive floats."""
+    try:
+        return 0.0 < x ** 2 < math.inf and x ** -2 < math.inf
+    except (OverflowError, ZeroDivisionError):
+        return False
+
 
 def build_medium(r_g, gamma, gamma2, u_g0, domain_length, grid_points) -> MediumModel:
-    if not (r_g > 0.0 and math.isfinite(r_g)):
-        raise NonPhysicalParameter(f"coupling ratio r_g must be positive, got {r_g}")
+    if not (r_g > 0.0 and _square_finite(r_g)):
+        raise NonPhysicalParameter(
+            f"medium.r_g must be positive with r_g^2 and r_g^-2 finite, got {r_g:g}")
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise NonPhysicalParameter(f"polarization decay gamma must be positive, got {gamma}")
     if gamma2 < 0.0 or not math.isfinite(gamma2):
@@ -214,6 +223,10 @@ def build_schedule(segments, phi_plus=0.0, phi_minus=0.0) -> ControlSchedule:
                 f"segment [{seg.t_start:g}, {seg.t_end:g}] has non-positive length")
         if seg.omega_plus < 0.0 or seg.omega_minus < 0.0:
             raise NonPhysicalParameter("control amplitudes must be >= 0")
+        for omega in (seg.omega_plus, seg.omega_minus):
+            if omega != 0.0 and not _square_finite(omega):
+                raise NonPhysicalParameter(f"schedule.segment control {omega:g} "
+                                           f"needs its square and inverse square finite")
         if not seg.ramp > 0.0:
             raise NonPhysicalParameter("ramp duration must be positive")
         if seg.ramp > seg.t_end - seg.t_start:
@@ -261,36 +274,18 @@ def coefficients(medium: MediumModel, omega_plus: float, omega_minus: float) -> 
     )
 
 
-class CoefficientRates(NamedTuple):
-    """Lab-time derivatives of the schedule-dependent coefficients."""
-
-    dalpha_plus_dt: float
-    dalpha_minus_dt: float
-    dalpha_tilde_dt: float
-    deta_inv_dt: float
-    deta_dt: float
-
-
-def coefficient_rates(medium: MediumModel, schedule: ControlSchedule, t: float) -> CoefficientRates:
+def alpha_tilde_rate(medium: MediumModel, schedule: ControlSchedule, t: float) -> float:
+    """Lab-time derivative of alpha_tilde = alpha_+ - rho alpha_- at t."""
     op, om = schedule.values(t)
     dop, dom = schedule.rates(t)
-    gg2 = medium.gamma * medium.gamma2
     oss = op ** 2 + om ** 2
-    denom = gg2 + oss
+    denom = medium.gamma * medium.gamma2 + oss
     if oss <= 0.0:
-        raise DegenerateCoefficients("coefficient rates need at least one control on")
+        raise DegenerateCoefficients("the alpha_tilde rate needs at least one control on")
     d_oss = 2.0 * (op * dop + om * dom)
     d_ap = (2.0 * op * dop * denom - op ** 2 * d_oss) / denom ** 2
     d_am = (2.0 * om * dom * denom - om ** 2 * d_oss) / denom ** 2
-    deta_inv = d_oss * gg2 / denom ** 2
-    eta = denom / oss
-    return CoefficientRates(
-        dalpha_plus_dt=d_ap,
-        dalpha_minus_dt=d_am,
-        dalpha_tilde_dt=d_ap - medium.rho * d_am,
-        deta_inv_dt=deta_inv,
-        deta_dt=-eta ** 2 * deta_inv,
-    )
+    return d_ap - medium.rho * d_am
 
 
 def tau_rate_at(medium: MediumModel, schedule: ControlSchedule, t: float) -> float:
@@ -433,10 +428,8 @@ def power_crossings(medium: MediumModel, schedule: ControlSchedule):
     back through the smoothstep inverse. Raises ThresholdChatter when a single
     ramp produces more than one crossing.
     """
-    theta_off = medium.storage_threshold
     gg2 = medium.gamma * medium.gamma2
-    op, om = schedule.values(schedule.t_start)
-    active = op ** 2 + om ** 2 >= theta_off
+    active = not opens_stored(medium, schedule)
     events: list[tuple[float, str]] = []
     # over the whole span every ramp piece is a whole ramp, s from 0 to 1; on a
     # plateau c1 = c2 = 0 and nothing crosses
@@ -444,7 +437,7 @@ def power_crossings(medium: MediumModel, schedule: ControlSchedule):
         s_lo = 0.0
         ramp_events = []
         while True:
-            thr = theta_off if active else HYSTERESIS * theta_off
+            thr = medium.storage_threshold if active else medium.release_threshold
             s = _ramp_crossing(piece, (gg2 + thr) / medium.gamma, not active)
             if s is None or not s_lo < s <= 1.0:
                 break
@@ -457,6 +450,36 @@ def power_crossings(medium: MediumModel, schedule: ControlSchedule):
                 f"times during the ramp at t = {piece.a:g}")
         events.extend(ramp_events)
     return events
+
+
+def opens_stored(medium: MediumModel, schedule: ControlSchedule) -> bool:
+    """Whether the control power at the schedule start sits below the
+    storage threshold, so that a run opens with the pulse held as spin."""
+    op, om = schedule.values(schedule.t_start)
+    return op ** 2 + om ** 2 < medium.storage_threshold
+
+
+def regime_windows(medium: MediumModel, schedule: ControlSchedule,
+                   t: float) -> list[tuple[float, float, bool]]:
+    """Nonempty (lo, hi, transport) windows splitting [schedule start, t] at
+    the storage threshold crossings; transport is False while stored."""
+    transport = not opens_stored(medium, schedule)
+    edges = ([schedule.t_start]
+             + [tc for tc, _ in power_crossings(medium, schedule) if tc < t] + [t])
+    out = []
+    for lo, hi in zip(edges, edges[1:]):
+        if hi > lo:
+            out.append((lo, hi, transport))
+        transport = not transport
+    return out
+
+
+def envelope_scales(medium: MediumModel, omega_plus: float,
+                    omega_minus: float) -> tuple[float, float]:
+    """Factors taking |psi_plus| and |psi_minus| to the physical channel
+    envelopes: Omega_+/sqrt(gamma) and Omega_-/(sqrt(gamma) r_g)."""
+    root = math.sqrt(medium.gamma)
+    return omega_plus / root, omega_minus / (root * medium.r_g)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -23,10 +23,11 @@ from .medium import (
     Coefficients,
     MediumModel,
     PulseSpec,
-    coefficient_rates,
+    alpha_tilde_rate,
     coefficients,
     power_crossings,
     pulse_length,
+    regime_windows,
     tau_rate_at,
 )
 
@@ -138,7 +139,7 @@ def drift_beta(medium: MediumModel, schedule: ControlSchedule, t: float,
         return co.eta * co.alpha_tilde
 
     beta_plus = main - (eta_alpha_tilde(t) - eta_alpha_tilde(t0)) / xm
-    return beta_plus, beta_plus - medium.z_offset
+    return beta_plus, beta_plus - medium.xi_sum_inv
 
 
 def m2_rate(medium: MediumModel, schedule: ControlSchedule, t: float,
@@ -147,13 +148,12 @@ def m2_rate(medium: MediumModel, schedule: ControlSchedule, t: float,
     _check_ordering(ordering)
     op, om = schedule.values(t)
     co = coefficients(medium, op, om)
-    rates = coefficient_rates(medium, schedule, t)
     xm = medium.xi_minus
+    imbalance = delta_weighted(medium, co, ordering)
     if ordering == "as_printed":
-        imbalance = xm * co.alpha_minus - medium.xi_plus * co.alpha_plus
-    else:
-        imbalance = delta_weighted(medium, co)
-    dat2_dtau = 2.0 * co.alpha_tilde * rates.dalpha_tilde_dt / co.tau_rate
+        imbalance = -imbalance  # the as-printed law also flips its sign
+    rate = alpha_tilde_rate(medium, schedule, t)
+    dat2_dtau = 2.0 * co.alpha_tilde * rate / co.tau_rate
     return co.eta * (xm - co.eta * co.alpha_tilde * imbalance
                      + co.eta * dat2_dtau) / xm ** 2
 
@@ -177,24 +177,14 @@ def decay_exponent(medium: MediumModel, schedule: ControlSchedule, t: float,
     """Integral of the common envelope decay rate from schedule start to t."""
     if medium.gamma2 == 0.0:
         return 0.0
-    t0 = schedule.t_start
-    theta = medium.storage_threshold
 
-    op0, om0 = schedule.values(t0)
-    state = op0 ** 2 + om0 ** 2 >= theta
-    bounds = [(t0, state)]
-    for tc, kind in power_crossings(medium, schedule):
-        if tc < t:
-            bounds.append((tc, kind == "on"))
-    bounds.append((t, False))
+    def rate(s):
+        op, om = schedule.values(s)
+        return coefficients(medium, op, om).eta * medium.gamma2
+
     total = 0.0
-    for (lo, active), (hi, _) in zip(bounds, bounds[1:]):
-        if hi <= lo:
-            continue
-        if active:
-            def rate(s):
-                op, om = schedule.values(s)
-                return coefficients(medium, op, om).eta * medium.gamma2
+    for lo, hi, transport in regime_windows(medium, schedule, t):
+        if transport:
             total += _quad(rate, schedule, lo, hi)
         elif include_storage:
             total += medium.gamma2 * (hi - lo)
@@ -208,12 +198,11 @@ def decay_factor(medium: MediumModel, schedule: ControlSchedule, t: float,
 
 
 def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
-                      pulse: PulseSpec, channel: str, t: float, z,
-                      ordering="reconciled"):
+                      pulse: PulseSpec, channel: str, t: float, z):
     """Predicted complex field envelope A_channel(t, z) at lab time t.
 
-    channel is "+" or "-". z may be an array. The width uses the reconciled
-    ordering by default so that the prediction tracks real fields (a single
+    channel is "+" or "-". z may be an array. Width and drift both use the
+    reconciled ordering, so that the prediction tracks real fields (a single
     constant control then gives pure translation).
     """
     if channel not in ("+", "-"):
@@ -232,13 +221,13 @@ def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
     if op0 == 0.0:
         raise ChannelOff("envelope normalization needs the forward control on at start")
 
-    b = width_b(medium, schedule, pulse, t, ordering)
+    b = width_b(medium, schedule, pulse, t)
     beta_p, beta_m = drift_beta(medium, schedule, t)
     beta = beta_p if channel == "+" else beta_m
     # beta is a displacement from the initial forward-channel center, which
     # sits ahead of the polariton center by the slaving offset
     anchor = ((pulse.center if pulse.prepared else 0.0)
-              + co0.alpha_minus * medium.z_offset)
+              + co0.alpha_minus * medium.xi_sum_inv)
     l_o = pulse_length(medium, pulse)
     pref = (l_o / b) * (co1.eta * om_here * g_ratio / (co0.eta * op0)) * pulse.amplitude
     pref *= math.exp(-decay_exponent(medium, schedule, t, include_storage=False))

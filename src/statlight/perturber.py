@@ -20,6 +20,7 @@ from .errors import (
     PerturberOffGrid,
 )
 from .medium import Coefficients, MediumModel, coefficients
+from .oracle import delta_weighted
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,8 +93,7 @@ def phase_shift_traveling(medium: MediumModel, co: Coefficients,
                           spec: PerturberSpec) -> float:
     """Total phase picked up by a pulse crossing the cloud once."""
     _require_dispersive(spec)
-    factor = (medium.xi_minus * co.alpha_plus
-              - medium.xi_plus * co.alpha_minus) / medium.xi_minus
+    factor = delta_weighted(medium, co) / medium.xi_minus
     if abs(factor) < 1e-12:
         raise DegenerateCoefficients(
             "drift factor vanishes (standing pulse): use phase_rate_stationary")

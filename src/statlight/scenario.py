@@ -17,16 +17,16 @@ import pathlib
 import numpy as np
 
 from .config import RunConfig, config_echo, render_config
-from .diagnostics import (channel_energies, compare_to_oracle, linear_fit,
-                          moments, relative_phase)
+from .diagnostics import (channel_energies, compare_to_oracle, energy_fraction,
+                          linear_fit, moments, relative_phase)
 from .errors import (EmptyField, GuardBandOverflow, NonPhysicalParameter,
                      SimulationError, ValidationError)
-from .integrator import (MODE_PDE, MODE_STORAGE, build_absorbers, init_state,
-                         plan_steps, polariton_field, release,
-                         sponge_energy_fraction, step, storage_advance, store)
-from .medium import (HYSTERESIS, coefficients, group_velocity, power_crossings,
-                     pulse_length, stationarity_residual, tau_rate_at,
-                     validity_report)
+from .integrator import (MODE_PDE, MODE_STORAGE, advective_cap, build_absorbers,
+                         init_state, plan_steps, polariton_field, release, step,
+                         storage_advance, store)
+from .medium import (coefficients, envelope_scales, group_velocity,
+                     power_crossings, pulse_length, regime_windows,
+                     stationarity_residual, validity_report)
 from .oracle import decay_exponent, width_b, width_growth_rate
 from .perturber import (interaction_rate, perturber_density,
                         phase_rate_stationary, phase_shift_traveling,
@@ -75,7 +75,6 @@ class EngineRun:
     sponge_max: float
     tau_end: float
     mode_end: str
-    warnings: list
 
 
 @dataclasses.dataclass
@@ -145,17 +144,16 @@ def _build_events(config: RunConfig) -> list[_Event]:
 
 
 def _piece_steps(med, schedule, lo: float, hi: float, i: int, ramping: bool,
-                 safety: float) -> int:
-    """Steps over the schedule piece [lo, hi]: the CFL cap at the fastest of
-    the group velocity and dtau/dt (sampled across a ramp, once on a
-    plateau), and at least 64 steps per ramp."""
-    ts = np.linspace(lo, hi, 65) if ramping else [0.5 * (lo + hi)]
-    vmax = max(abs(group_velocity(med, *schedule.values(float(s)))) for s in ts)
-    rmax = max(tau_rate_at(med, schedule, float(s)) for s in ts)
-    cap = 0.5 * med.dz / max(vmax, rmax, 1e-300) * safety
+                 safety: float) -> int | float:
+    """Steps over the schedule piece [lo, hi]: `advective_cap` (sampled
+    across a ramp, once on a plateau) times the safety factor, and at least
+    64 steps per ramp; inf when that many steps overflow a float."""
+    ts = np.linspace(lo, hi, 65).tolist() if ramping else [0.5 * (lo + hi)]
+    cap = advective_cap(med, schedule, ts) * safety
     if ramping:
         cap = min(cap, schedule.segments[i].ramp / 64.0)
-    return max(1, math.ceil((hi - lo) / cap))
+    n = (hi - lo) / cap if cap > 0.0 else math.inf
+    return max(1, math.ceil(n)) if n < math.inf else math.inf
 
 
 def _pde_advance(state, schedule, a: float, b: float, safety: float,
@@ -176,21 +174,17 @@ def _pde_advance(state, schedule, a: float, b: float, safety: float,
 
 def resource_estimate(config: RunConfig) -> tuple[int, int]:
     """(transport steps, snapshot bytes held) that a run will need, from
-    arithmetic alone. Steps are `_piece_steps` over the transport windows
-    between storage threshold crossings (the events of a run split pieces and
-    add at most one step each); snapshots hold three complex grid arrays each,
-    and the perturber's reference twin doubles both figures."""
+    arithmetic alone. Steps are `_piece_steps` over the transport windows of
+    `regime_windows` (the events of a run split pieces and add at most one
+    step each); snapshots hold three complex grid arrays each, and the
+    perturber's reference twin doubles both figures."""
     med, sched, run = config.medium, config.schedule, config.run
     runs = 1 if config.perturber is None else 2
     steps = 0
     if config.engine != "spectral":
-        op, om = sched.values(sched.t_start)
-        stored = op ** 2 + om ** 2 < med.storage_threshold
-        edges = ([sched.t_start] + [t for t, _ in power_crossings(med, sched)
-                                    if t < run.t_end] + [run.t_end])
-        transport = list(zip(edges, edges[1:]))[int(stored)::2]
         steps = runs * sum(_piece_steps(med, sched, a, b, i, ramping, run.dt_safety)
-                           for lo, hi in transport
+                           for lo, hi, transport in regime_windows(med, sched, run.t_end)
+                           if transport
                            for a, b, i, ramping in sched.pieces(lo, hi))
     # start, end and the two ends of the fit window ride on top of the interval
     snapshots = math.ceil((run.t_end - sched.t_start) / run.snapshot_interval) + 3
@@ -199,7 +193,8 @@ def resource_estimate(config: RunConfig) -> tuple[int, int]:
 
 
 def preflight(config: RunConfig) -> None:
-    """Refuse a run whose resource estimate exceeds the budget."""
+    """Refuse a run whose resource estimate exceeds the budget; a step count
+    too large for a float counts as over it."""
     steps, held = resource_estimate(config)
     med, run = config.medium, config.run
     if held > MAX_SNAPSHOT_BYTES:
@@ -208,10 +203,11 @@ def preflight(config: RunConfig) -> None:
             f"medium.grid_points = {med.grid_points} would hold about "
             f"{held / 2 ** 20:.4g} MiB of snapshots, above the budget of "
             f"{MAX_SNAPSHOT_BYTES / 2 ** 20:g} MiB")
-    if steps * med.grid_points > MAX_POINT_STEPS:
+    if not steps * med.grid_points <= MAX_POINT_STEPS:
         raise ValidationError(
-            f"medium.grid_points = {med.grid_points} over run.t_end = "
-            f"{run.t_end:g} needs about {steps:.4g} transport steps, "
+            f"medium.grid_points = {med.grid_points} with medium.domain_length = "
+            f"{med.domain_length:g} and run.dt_safety = {run.dt_safety:g} over "
+            f"run.t_end = {run.t_end:g} needs about {steps:.4g} transport steps, "
             f"{float(steps) * med.grid_points:.4g} point-steps, above the budget of "
             f"{MAX_POINT_STEPS:.4g}")
 
@@ -236,8 +232,9 @@ def _record(config: RunConfig, t: float, tau: float, mode: str,
         co = coefficients(med, op, om)
         phi = polariton_field(co.alpha_plus, co.alpha_minus, psi_plus, psi_minus)
         ep, em = channel_energies(med, psi_plus, psi_minus, op, om)
-        app = float(np.max(np.abs(psi_plus))) * op / math.sqrt(med.gamma)
-        apm = float(np.max(np.abs(psi_minus))) * om / (math.sqrt(med.gamma) * med.r_g)
+        scale_p, scale_m = envelope_scales(med, op, om)
+        app = float(np.max(np.abs(psi_plus))) * scale_p
+        apm = float(np.max(np.abs(psi_minus))) * scale_m
     try:
         m = moments(z, phi, med.dz)
         energy, cen, rms, peak = m.energy, m.centroid, m.rms, m.peak
@@ -264,13 +261,8 @@ def _run_direct(config: RunConfig, include_perturber: bool) -> EngineRun:
     med, sched, pulse, run = (config.medium, config.schedule,
                               config.pulse, config.run)
     state = init_state(med, sched, pulse)
-    op0, om0 = sched.values(sched.t_start)
-    if state.mode == MODE_PDE and op0 ** 2 + om0 ** 2 < med.storage_threshold:
-        # injected run opening with the controls off waits in storage
-        state.mode = MODE_STORAGE
-        state.spin = np.zeros(med.grid_points, dtype=complex)
-
     w_plus, w_minus = build_absorbers(med)
+    sponge_mask = (w_plus > 0.0) | (w_minus > 0.0)
     pert = None
     if include_perturber and config.perturber is not None:
         density, _ = perturber_density(med, config.perturber)
@@ -280,14 +272,13 @@ def _run_direct(config: RunConfig, include_perturber: bool) -> EngineRun:
     events = _build_events(config)
     snapshots: list[Snapshot] = []
     traj: list[dict] = []
-    warnings: list[str] = []
     storage_windows: list[list] = []
     storage_open = sched.t_start if state.mode == MODE_STORAGE else None
     sponge_max = 0.0
 
     def record():
         nonlocal sponge_max
-        sponge = (sponge_energy_fraction(state, w_plus, w_minus)
+        sponge = (energy_fraction(state.psi_plus, state.psi_minus, sponge_mask)
                   if state.mode == MODE_PDE else 0.0)
         sponge_max = max(sponge_max, sponge)
         snap, row = _record(config, state.t, state.tau, state.mode,
@@ -297,7 +288,7 @@ def _run_direct(config: RunConfig, include_perturber: bool) -> EngineRun:
         traj.append(row)
         if state.mode == MODE_PDE and sponge > SPONGE_ABORT_FRACTION:
             op, om = sched.values(state.t)
-            held = op ** 2 + om ** 2 >= HYSTERESIS * med.storage_threshold
+            held = op ** 2 + om ** 2 >= med.release_threshold
             if held and abs(stationarity_residual(med, op, om)) < EXIT_RESIDUAL:
                 raise GuardBandOverflow(
                     f"{sponge:.3g} of the pulse energy reached the absorbing "
@@ -322,7 +313,7 @@ def _run_direct(config: RunConfig, include_perturber: bool) -> EngineRun:
     if storage_open is not None:
         storage_windows.append([storage_open, None])
     return EngineRun(snapshots, traj, storage_windows, sponge_max,
-                     state.tau, state.mode, warnings)
+                     state.tau, state.mode)
 
 
 def _run_spectral(config: RunConfig) -> EngineRun:
@@ -353,13 +344,12 @@ def _run_spectral(config: RunConfig) -> EngineRun:
     for ta, tb in zip(times, times[1:]):
         propagate(sstate, sched, tb)
         record(*fields_from_state(sstate))
-    return EngineRun(snapshots, traj, [], 0.0, sstate.tau, MODE_PDE, [])
+    return EngineRun(snapshots, traj, [], 0.0, sstate.tau, MODE_PDE)
 
 
 def _fit_window(config: RunConfig):
     """Last constant-control window usable for measurement fits."""
     med, sched, pulse = config.medium, config.schedule, config.pulse
-    theta_on = HYSTERESIS * med.storage_threshold
     best = None
     for lo, hi in sched.constant_windows():
         lo2 = max(lo, sched.t_start)
@@ -369,7 +359,7 @@ def _fit_window(config: RunConfig):
         if hi2 <= lo2:
             continue
         op, om = sched.values(0.5 * (lo2 + hi2))
-        if op ** 2 + om ** 2 < theta_on:
+        if op ** 2 + om ** 2 < med.release_threshold:
             continue
         best = (lo2, hi2)
     return best
@@ -417,17 +407,17 @@ def _longest_true_run(mask) -> slice:
 def _perturber_measurement(config: RunConfig, primary: EngineRun,
                            reference: EngineRun):
     med, sched, spec = config.medium, config.schedule, config.perturber
-    if config.run.probe_z is None:
+    idx = _probe_index(config)
+    if idx is None:
         return None, ["perturber phase needs run.probe_z; measurement skipped"]
-    z = med.grid()
-    idx = int(np.argmin(np.abs(z - config.run.probe_z)))
-    pairs = [(sp, sr) for sp, sr in zip(primary.snapshots, reference.snapshots)
-             if sp.mode == MODE_PDE and sr.mode == MODE_PDE]
+    # each transport row of a trajectory carries psi_plus at the probe
+    pairs = [(rp, rr) for rp, rr in zip(primary.trajectory, reference.trajectory)
+             if rp["mode"] == 0.0 and rr["mode"] == 0.0]
     if len(pairs) < 2:
         return None, ["perturber phase skipped: too few transport snapshots"]
-    tseries = np.array([sp.t for sp, _ in pairs])
-    p = np.array([sp.psi_plus[idx] for sp, _ in pairs])
-    r = np.array([sr.psi_plus[idx] for _, sr in pairs])
+    tseries = np.array([rp["t"] for rp, _ in pairs])
+    p = np.array([complex(rp["probe_re"], rp["probe_im"]) for rp, _ in pairs])
+    r = np.array([complex(rr["probe_re"], rr["probe_im"]) for _, rr in pairs])
     amp = np.minimum(np.abs(p), np.abs(r))
     top = float(np.max(amp))
     if top <= 0.0:
@@ -440,7 +430,7 @@ def _perturber_measurement(config: RunConfig, primary: EngineRun,
     except SimulationError as exc:
         return None, [f"perturber phase skipped: {exc}"]
     tm = tseries[sl]
-    result = {"probe_z": float(z[idx]),
+    result = {"probe_z": float(med.grid()[idx]),
               "window": [float(tm[0]), float(tm[-1])],
               "phase_final": float(phi[-1]),
               "phase_slope": None, "phase_r2": None,
@@ -520,8 +510,8 @@ def _measurements(config: RunConfig, primary: EngineRun,
                 if len(snaps) >= 2:
                     try:
                         times = [s.t for s in snaps]
-                        aps = [s.psi_plus * (sched.values(s.t)[0]
-                                             / math.sqrt(med.gamma))
+                        aps = [s.psi_plus
+                               * envelope_scales(med, *sched.values(s.t))[0]
                                for s in snaps]
                         comp = compare_to_oracle(med, sched, pulse, times, aps)
                         out["oracle"] = {
@@ -577,7 +567,7 @@ def _summary(config: RunConfig, primary: EngineRun, measurements: dict,
             "xi_minus": med.xi_minus,
             "rho": med.rho,
             "dz": med.dz,
-            "z_offset": med.z_offset,
+            "z_offset": med.xi_sum_inv,
             "storage_threshold": med.storage_threshold,
             "tau_end": primary.tau_end,
             "final_mode": primary.mode_end,
@@ -594,7 +584,6 @@ def _summary(config: RunConfig, primary: EngineRun, measurements: dict,
 
 def run_scenario(config: RunConfig, out_dir=None) -> RunResult:
     preflight(config)
-    warnings: list[str] = []
     reference = None
     if config.engine == "spectral":
         primary = _run_spectral(config)
@@ -602,10 +591,8 @@ def run_scenario(config: RunConfig, out_dir=None) -> RunResult:
         primary = _run_direct(config, include_perturber=True)
         if config.perturber is not None:
             reference = _run_direct(config, include_perturber=False)
-    warnings += primary.warnings
 
-    measurements, mwarn = _measurements(config, primary, reference)
-    warnings += mwarn
+    measurements, warnings = _measurements(config, primary, reference)
     cross = None
     if config.engine == "both":
         cross, cwarn = _cross_engine(config, primary)
@@ -624,9 +611,7 @@ def _write_snapshot(path: pathlib.Path, config: RunConfig, snap: Snapshot):
     """Save the float64 (N, 9) columns of the README's snap_NNNNN.npy; t, tau
     and mode of the snapshot are row `snap.index` of trajectory.tsv."""
     med, sched = config.medium, config.schedule
-    op, om = sched.values(snap.t)
-    scale_p = op / math.sqrt(med.gamma)
-    scale_m = om / (math.sqrt(med.gamma) * med.r_g)
+    scale_p, scale_m = envelope_scales(med, *sched.values(snap.t))
     data = np.column_stack([
         med.grid(),
         snap.psi_plus.real, snap.psi_plus.imag,

@@ -14,6 +14,7 @@ import dataclasses
 
 import numpy as np
 
+from .diagnostics import energy_fraction
 from .errors import (
     BranchSelectionFailure,
     CFLViolation,
@@ -29,26 +30,23 @@ from .medium import (
     tau_of_t,
     tau_rate_at,
 )
+from .oracle import delta_weighted
 
 BLOWUP_TOL = 1e-9
 GUARD_ENERGY_FRACTION = 1e-6
 
 
 def dispersion_omega(medium: MediumModel, co: Coefficients, k,
-                     deta_inv_dtau=0.0, dalpha_tilde_dtau=0.0,
                      ordering="reconciled"):
     """Closed-form branch frequency omega(k), quadratic-in-k form.
 
     The `as_printed` ordering of the channel imbalance is retained as a
     negative control; it mispredicts the drift velocity off r_g = 1.
     """
-    from .oracle import delta_weighted
-
     karr = np.asarray(k, dtype=complex)
     xm = medium.xi_minus
     delta = delta_weighted(medium, co, ordering)
-    num = (karr * (co.eta * delta - 1j * karr)
-           - 1j * (xm * deta_inv_dtau - 1j * karr * dalpha_tilde_dtau))
+    num = karr * (co.eta * delta - 1j * karr)
     den = xm / co.eta - 1j * karr * co.alpha_tilde
     out = 1j * co.eta * co.gamma2_prime - num / den
     if not np.all(np.isfinite(out)):
@@ -58,8 +56,6 @@ def dispersion_omega(medium: MediumModel, co: Coefficients, k,
 
 def omega_from_determinant(medium: MediumModel, co: Coefficients, k):
     """Branch frequency from the transport determinant (exact, all k)."""
-    from .oracle import delta_weighted
-
     karr = np.asarray(k, dtype=complex)
     xm = medium.xi_minus
     rho = medium.rho
@@ -163,31 +159,21 @@ def propagate(state: SpectralState, schedule: ControlSchedule, t_next: float) ->
     state.tau += dtau
 
 
-def guard_band_fraction(medium: MediumModel, psi_plus: np.ndarray,
-                        psi_minus: np.ndarray, centroid: float,
-                        half_width: float) -> float:
-    """Energy fraction sitting farther than half_width from the centroid.
+def check_guard_band(medium: MediumModel, psi_plus, psi_minus,
+                     centroid: float, half_width: float):
+    """Energy fraction sitting farther than half_width from the centroid,
+    refused above GUARD_ENERGY_FRACTION.
 
     The periodic domain recycles anything that drifts off one edge; energy
     found outside the half_width ball is either genuine tail escape or
     wrapped-around contamination, and both invalidate the run.
     """
-    z = medium.grid()
-    w = np.abs(psi_plus) ** 2 + np.abs(psi_minus) ** 2
-    total = float(np.sum(w))
-    if total <= 0.0:
-        return 0.0
-    outside = np.abs(z - centroid) > half_width
-    return float(np.sum(w[outside])) / total
-
-
-def check_guard_band(medium: MediumModel, psi_plus, psi_minus,
-                     centroid: float, half_width: float):
     if centroid - half_width < 0.0 or centroid + half_width > medium.domain_length:
         raise GuardBandOverflow(
             f"guard band of {half_width:g} around z = {centroid:g} does not fit "
             f"in a domain of length {medium.domain_length:g}")
-    frac = guard_band_fraction(medium, psi_plus, psi_minus, centroid, half_width)
+    frac = energy_fraction(psi_plus, psi_minus,
+                           np.abs(medium.grid() - centroid) > half_width)
     if frac > GUARD_ENERGY_FRACTION:
         raise GuardBandOverflow(
             f"{frac:.3g} of the pulse energy sits outside the guard band "

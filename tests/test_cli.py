@@ -406,6 +406,23 @@ class TestPreflight:
         assert "config ok" not in captured.out
         assert key in captured.err
 
+    @pytest.mark.parametrize("key,value,named", [
+        ("medium.r_g", "1e200", "medium.r_g"),
+        ("medium.r_g", "1e-200", "medium.r_g"),
+        ("schedule.segment", f"0 1e4 1e200 {OM0!r} 50", "schedule.segment"),
+        ("medium.domain_length", "1e-310", "medium.domain_length"),
+        ("run.dt_safety", "1e-320", "run.dt_safety"),
+    ])
+    def test_check_refuses_extreme_finite_values(self, tmp_path, capsys, key,
+                                                 value, named):
+        # each once escaped as a raw OverflowError or ZeroDivisionError
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(_stationary(**{key: value}))
+        assert main(["run", str(cfg), "--check"]) == 2
+        captured = capsys.readouterr()
+        assert "config ok" not in captured.out
+        assert named in captured.err
+
     def test_presets_and_benchmark_configs_pass(self):
         texts = [get_preset(name) for name, _ in list_presets()]
         sys.path.insert(0, str(PERFBENCH))

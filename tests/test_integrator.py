@@ -18,16 +18,17 @@ from statlight.errors import (
 from statlight.integrator import (
     MODE_PDE,
     MODE_STORAGE,
+    advective_cap,
     build_absorbers,
     init_state,
     plan_steps,
     release,
     source_amplitude,
-    sponge_energy_fraction,
     step,
     storage_advance,
     store,
 )
+from statlight.diagnostics import energy_fraction
 from statlight.medium import (
     Segment,
     build_medium,
@@ -76,6 +77,17 @@ class TestInit:
                             prepared=False, center=0.0)
         state = init_state(med, hold(OM0, 0.0, t_end=1e5), pulse)
         assert state.mode == MODE_PDE
+        assert not np.any(state.psi_plus)
+        assert not np.any(state.psi_minus)
+
+    def test_injected_under_dark_controls_starts_stored(self):
+        med = medium_for(gamma2=1e-4, n=2048)
+        pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=3e4,
+                            prepared=False, center=0.0)
+        state = init_state(med, hold(1e-4, 0.0, t_end=1e5), pulse)
+        assert state.mode == MODE_STORAGE
+        assert state.spin.shape == (med.grid_points,)
+        assert not np.any(state.spin)
         assert not np.any(state.psi_plus)
         assert not np.any(state.psi_minus)
 
@@ -135,10 +147,11 @@ class TestAbsorbers:
     def test_sponge_energy_fraction(self):
         med = medium_for(n=2048)
         w_plus, w_minus = build_absorbers(med)
+        sponge = (w_plus > 0.0) | (w_minus > 0.0)
         state = init_state(med, hold(OM0, OM0), prepared(center=100.0))
-        assert sponge_energy_fraction(state, w_plus, w_minus) < 1e-12
+        assert energy_fraction(state.psi_plus, state.psi_minus, sponge) < 1e-12
         shifted = init_state(med, hold(OM0, OM0), prepared(center=185.0))
-        assert sponge_energy_fraction(shifted, w_plus, w_minus) > 1e-3
+        assert energy_fraction(shifted.psi_plus, shifted.psi_minus, sponge) > 1e-3
 
 
 def advance(state, sched, dt, pulse, w_plus, w_minus, perturber=None):
@@ -200,6 +213,13 @@ class TestStep:
         med, sched, state, zeros = self.run_setup()
         with pytest.raises(CFLViolation):
             plan_steps(med, sched, state.t, 50.0, zeros, zeros)
+
+    def test_dt_just_above_advective_cap_is_refused(self):
+        med, sched, state, zeros = self.run_setup()
+        cap = advective_cap(med, sched, [state.t])
+        plan_steps(med, sched, state.t, cap, zeros, zeros)
+        with pytest.raises(CFLViolation):
+            plan_steps(med, sched, state.t, cap * (1.0 + 1e-5), zeros, zeros)
 
     def test_step_requires_transport_mode(self):
         med = medium_for(gamma2=1e-4, n=2048)

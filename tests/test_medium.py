@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
+from statlight.config import parse_config
 from statlight.errors import (
     DegenerateCoefficients,
     NonPhysicalParameter,
@@ -26,11 +27,13 @@ from statlight.medium import (
     group_velocity,
     power_crossings,
     pulse_length,
+    regime_windows,
     stationarity_residual,
     tau_of_t,
     tau_rate_at,
     validity_report,
 )
+from statlight.presets import get_preset
 
 OM0 = math.sqrt(1e-3)
 
@@ -57,8 +60,7 @@ class TestMediumModel:
         assert med.rho == pytest.approx(4.0)
         # harmonic sum of the two attenuation lengths
         assert med.xi_sum_inv == pytest.approx(1.25)
-        assert med.z_offset == pytest.approx(1.25)
-        assert canonical().z_offset == pytest.approx(2.0)
+        assert canonical().xi_sum_inv == pytest.approx(2.0)
 
     def test_grid(self):
         med = canonical()
@@ -407,6 +409,31 @@ class TestCrossings:
         assert [kind for _, kind in brentq_crossings(med, sched)] == ["off", "on"]
         with pytest.raises(ThresholdChatter, match="2 times"):
             power_crossings(med, sched)
+
+
+class TestRegimeWindows:
+    def test_stop_and_store(self):
+        config = parse_config(get_preset("stop_and_store"))
+        med, sched = config.medium, config.schedule
+        (t_off, off), (t_on, on) = power_crossings(med, sched)
+        assert (off, on) == ("off", "on")
+        assert regime_windows(med, sched, sched.t_end) == [
+            (sched.t_start, t_off, True), (t_off, t_on, False),
+            (t_on, sched.t_end, True)]
+        # a window ends at t; crossings at or after t are left out
+        assert regime_windows(med, sched, t_on) == [
+            (sched.t_start, t_off, True), (t_off, t_on, False)]
+
+    def test_schedule_opening_dark(self):
+        med = canonical(1e-5)
+        sched = build_schedule([Segment(0.0, 1000.0, 0.0, 0.0),
+                                Segment(1000.0, 2000.0, OM0, 0.0, ramp=100.0)])
+        [(t_on, kind)] = power_crossings(med, sched)
+        assert kind == "on" and 1000.0 < t_on < 1100.0
+        assert regime_windows(med, sched, 2000.0) == [
+            (0.0, t_on, False), (t_on, 2000.0, True)]
+        assert regime_windows(med, sched, 500.0) == [(0.0, 500.0, False)]
+        assert regime_windows(med, sched, 0.0) == []
 
 
 def test_validity_report_smoke():

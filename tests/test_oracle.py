@@ -113,7 +113,7 @@ class TestDrift:
         for t in (1e3, 5e3, 1e4):
             beta_p, beta_m = drift_beta(med, sched, t)
             assert beta_p == pytest.approx(1e-3 * t, rel=1e-9)
-            assert beta_m == pytest.approx(beta_p - med.z_offset, rel=1e-12)
+            assert beta_m == pytest.approx(beta_p - med.xi_sum_inv, rel=1e-12)
 
     def test_balanced_hold_is_pinned(self):
         med = medium_for(gamma2=1e-4)
@@ -366,7 +366,7 @@ class TestEnvelope:
         am = gaussian_envelope(med, sched, self.pulse(), "-", 5e3, z)
         cp = float(np.sum(z * np.abs(ap) ** 2) / np.sum(np.abs(ap) ** 2))
         cm = float(np.sum(z * np.abs(am) ** 2) / np.sum(np.abs(am) ** 2))
-        assert cp - cm == pytest.approx(med.z_offset, abs=1e-3)
+        assert cp - cm == pytest.approx(med.xi_sum_inv, abs=1e-3)
 
     def test_control_phase_carries_to_envelope(self):
         med = medium_for(gamma2=1e-4)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statlight.diagnostics import energy_fraction
 from statlight.errors import (
     CFLViolation,
     GuardBandOverflow,
@@ -23,7 +24,6 @@ from statlight.spectral import (
     check_guard_band,
     dispersion_omega,
     fields_from_state,
-    guard_band_fraction,
     k_grid,
     omega_from_determinant,
     propagate,
@@ -252,7 +252,8 @@ class TestGuardBand:
         med = medium_for(n=2048)
         psi_p, psi_m = self.fields(med)
         # 3 sigma of intensity leaves erfc(3) ~ 2e-5 outside: over budget
-        assert guard_band_fraction(med, psi_p, psi_m, 100.0, 30.0) > 1e-6
+        outside = np.abs(med.grid() - 100.0) > 30.0
+        assert energy_fraction(psi_p, psi_m, outside) > 1e-6
         with pytest.raises(GuardBandOverflow):
             check_guard_band(med, psi_p, psi_m, 100.0, 30.0)
 
@@ -265,7 +266,8 @@ class TestGuardBand:
     def test_empty_field_fraction_is_zero(self):
         med = medium_for(n=256)
         zero = np.zeros(256, complex)
-        assert guard_band_fraction(med, zero, zero, 100.0, 50.0) == 0.0
+        outside = np.abs(med.grid() - 100.0) > 50.0
+        assert energy_fraction(zero, zero, outside) == 0.0
 
 
 def test_k_grid_matches_fft_convention():
