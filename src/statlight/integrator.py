@@ -10,6 +10,15 @@ and factors it once per constant-control window (once per step on ramps), and
 those factors and verifies the residual against a fixed tolerance. The
 polariton time derivative is discretized so that the weighted field sum is
 carried exactly through control rotations.
+
+The pinned inflow row 0 is scaled to the smallest power of two at least as
+large as the column-0 entries below it, so partial pivoting keeps that row in
+place; its right-hand side is scaled by the same power of two, so the pinned
+value still comes out exact. When `dgbtrf` then swaps no rows at all, as at
+r_g = 1, the factors have no fill-in and each step is two triangular `dtbsv`
+sweeps per real column. Those give the same numbers as `dgbtrs`, without its
+one or two BLAS calls per matrix column. Other inputs, r_g = 0.5 or 2 for
+instance, still pivot inside the band, so the `dgbtrs` solve stays for them.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import dataclasses
 import math
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import (
@@ -150,8 +160,12 @@ class StepPlan:
     """What every step of length dt shares within one constant-control window.
 
     `bands` holds the rows diag, sub1 (A[j, j-1]), sub2 (A[j, j-2]),
-    sup1 (A[j, j+1]) and sup2 (A[j, j+2]) of the real implicit matrix, kept
-    for the residual check; `lu` and `piv` are its `dgbtrf` factors. `split`
+    sup1 (A[j, j+1]) and sup2 (A[j, j+2]) of the real implicit matrix, with
+    the inflow row pinned at its power-of-two scale, kept for the residual
+    check. When `dgbtrf` swapped no rows, `piv` is None and `factors` holds
+    the unit-lower and upper band factors for `dtbsv`, as two views into the
+    one buffer `dgbtrf` factored in place; otherwise `factors` holds that
+    7-row `dgbtrf` output, whose pivots `piv` go with it to `dgbtrs`. `split`
     is the perturber's per-step factor on psi_plus, or None without one.
     """
 
@@ -159,8 +173,8 @@ class StepPlan:
     dtau: float
     co_old: Coefficients
     bands: np.ndarray
-    lu: np.ndarray
-    piv: np.ndarray
+    factors: tuple[np.ndarray, ...]
+    piv: np.ndarray | None
     split: np.ndarray | None
 
 
@@ -209,16 +223,21 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     sub1[1::2] = -xm_ap + rho * co.alpha_plus * inv_dtau
     sup2[1::2] = -inv_dz
 
-    # boundary rows: inflow values pinned
-    diag[0] = 1.0
+    # boundary rows: inflow values pinned. Row 0 is scaled to the smallest
+    # power of two no smaller than the entries below it in column 0, so it
+    # stays the pivot row and rhs pin * source gives the source exactly
+    mantissa, exponent = math.frexp(max(abs(sub1[1]), abs(sub2[2])))
+    diag[0] = math.ldexp(1.0, exponent - 1 if mantissa == 0.5 else exponent)
     sup1[0] = 0.0
     sup2[0] = 0.0
     diag[m - 1] = 1.0
     sub1[m - 1] = 0.0
     sub2[m - 1] = 0.0
 
-    # LAPACK band storage, A[i, j] at row 4 + i - j; rows 0-1 take the fill-in
-    ab = np.zeros((7, m), order="F")
+    # LAPACK band storage, A[i, j] at row 4 + i - j; rows 0-1 take the fill-in.
+    # Four spare values after it let the dtbsv views below start at row 4.
+    buf = np.zeros(7 * m + 4)
+    ab = buf[:7 * m].reshape((7, m), order="F")
     ab[2, 2:] = sup2[:-2]
     ab[3, 1:] = sup1[:-1]
     ab[4, :] = diag
@@ -227,12 +246,22 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=True)
     if info != 0:
         raise SweepDivergence(f"implicit step matrix is singular (dgbtrf info {info})")
+    if np.array_equal(piv, np.arange(m)):
+        # no swaps, so rows 0-1 took no fill-in: U sits in rows 2-4 and L's
+        # multipliers under the (unreferenced) diagonal in rows 4-6. dtbsv
+        # reads the top three rows of each 7-row column, so views of the
+        # factored buffer that start at rows 2 and 4 pass U and L in place
+        factors = (buf[4:7 * m + 4].reshape((7, m), order="F"),
+                   buf[2:7 * m + 2].reshape((7, m), order="F"))
+        piv = None
+    else:
+        factors = (lu,)
 
     split = None
     if perturber is not None:
         density, rate = perturber
         split = np.exp(rate * density * dtau)
-    return StepPlan(dt, dtau, co_old, bands, lu, piv, split)
+    return StepPlan(dt, dtau, co_old, bands, factors, piv, split)
 
 
 def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
@@ -247,20 +276,27 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
     co_old = plan.co_old
     phi_old = state.polariton(co_old.alpha_plus, co_old.alpha_minus)
 
-    # real and imaginary parts as rows; rhs.T is the two-column right-hand
-    # side of one dgbtrs call
+    # real and imaginary parts as rows, the two real right-hand sides
     parts = np.stack((phi_old.real, phi_old.imag))
     rhs = np.empty((2, m))
     rhs[:, 0::2] = parts * inv_dtau
     rhs[:, 1::2] = med.rho * parts * inv_dtau
     source = source_amplitude(med, schedule, pulse, t1)
-    rhs[:, 0] = source.real, source.imag
+    pin = plan.bands[0, 0]
+    rhs[:, 0] = pin * source.real, pin * source.imag
     rhs[:, m - 1] = 0.0
 
-    x, info = dgbtrs(plan.lu, 2, 2, rhs.T, plan.piv)
-    if info != 0:
-        raise SweepDivergence(f"implicit step solve failed (dgbtrs info {info})")
-    u = x.T
+    if plan.piv is None:
+        lower, upper = plan.factors
+        u = np.empty_like(rhs)
+        for part, out in zip(rhs, u):
+            out[:] = dtbsv(2, upper, dtbsv(2, lower, part, lower=1, diag=1),
+                           overwrite_x=1)
+    else:
+        x, info = dgbtrs(plan.factors[0], 2, 2, rhs.T, plan.piv)
+        if info != 0:
+            raise SweepDivergence(f"implicit step solve failed (dgbtrs info {info})")
+        u = x.T
 
     # explicit residual of the solved system; the off-diagonal products share
     # one buffer, since a fresh temporary per band left the heap fragmented

@@ -83,6 +83,12 @@ class MediumModel:
         return HYSTERESIS * self.storage_threshold
 
 
+# Largest plateau rate dtau/dt a config may set. The ramp coefficients of the
+# clock are bounded by four times the larger plateau rate, and their threshold
+# crossings square them, so this keeps every such square a finite float.
+MAX_CLOCK_RATE = 1e150
+
+
 def _square_finite(x: float) -> bool:
     """Whether x^2 and x^-2 are both finite positive floats."""
     try:

@@ -323,13 +323,17 @@ class TestCli:
         assert len(sorted(out_dir.glob("snap_*.npy"))) == 3
 
 
-def _stationary(**changes) -> str:
-    """The stationary preset's text with some keys set to other values."""
-    text = get_preset("stationary")
+def _preset_with(name: str, **changes) -> str:
+    """A preset's text with some keys set to other values."""
+    text = get_preset(name)
     for key, value in changes.items():
         lines = [l for l in text.splitlines() if not l.startswith(key + " ")]
         text = "\n".join(lines) + f"\n{key} = {value}\n"
     return text
+
+
+def _stationary(**changes) -> str:
+    return _preset_with("stationary", **changes)
 
 
 class TestPreflight:
@@ -412,6 +416,7 @@ class TestPreflight:
         ("schedule.segment", f"0 1e4 1e200 {OM0!r} 50", "schedule.segment"),
         ("medium.domain_length", "1e-310", "medium.domain_length"),
         ("run.dt_safety", "1e-320", "run.dt_safety"),
+        ("medium.gamma", "1e-200", "medium.gamma"),
     ])
     def test_check_refuses_extreme_finite_values(self, tmp_path, capsys, key,
                                                  value, named):
@@ -422,6 +427,18 @@ class TestPreflight:
         captured = capsys.readouterr()
         assert "config ok" not in captured.out
         assert named in captured.err
+
+    @pytest.mark.parametrize("value", ["1e-200", "1e-310"])
+    def test_check_refuses_tiny_gamma_before_ramp_crossings(self, tmp_path,
+                                                            capsys, value):
+        # the clock rate scales as 1/gamma, and the storage threshold crossings
+        # on stop_and_store's ramps square it
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(_preset_with("stop_and_store", **{"medium.gamma": value}))
+        assert main(["run", str(cfg), "--check"]) == 2
+        captured = capsys.readouterr()
+        assert "config ok" not in captured.out
+        assert "medium.gamma" in captured.err
 
     def test_presets_and_benchmark_configs_pass(self):
         texts = [get_preset(name) for name, _ in list_presets()]
@@ -436,11 +453,15 @@ class TestPreflight:
             preflight(parse_config(text))
 
 
-def _fresh_python(code: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, env=env)
+                          text=True, timeout=120, env=_src_env())
 
 
 class TestImportGraph:
@@ -496,6 +517,7 @@ def test_snapshot_npy_round_trip(tmp_path):
 
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "statlight", "presets"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          env=_src_env())
     assert proc.returncode == 0
     assert "stationary" in proc.stdout

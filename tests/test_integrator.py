@@ -1,14 +1,19 @@
 """Direct integrator unit tests: setup guards, stepping, storage."""
 
 import copy
+import dataclasses
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.sparse import lil_array
 
 import statlight.integrator as integrator
 import statlight.scenario as scenario
+from statlight import get_preset, list_presets, parse_config
 from statlight.errors import (
     CFLViolation,
     GridTooCoarse,
@@ -18,6 +23,7 @@ from statlight.errors import (
 from statlight.integrator import (
     MODE_PDE,
     MODE_STORAGE,
+    FieldState,
     advective_cap,
     build_absorbers,
     init_state,
@@ -35,10 +41,12 @@ from statlight.medium import (
     build_pulse,
     build_schedule,
     coefficients,
+    regime_windows,
     tau_of_t,
 )
 
 OM0 = math.sqrt(1e-3)
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def medium_for(r_g=1.0, gamma2=0.0, n=2048, length=200.0):
@@ -173,7 +181,7 @@ def reference_step(state, sched, dt, pulse, w_plus, w_minus):
     phi_old = co_old.alpha_plus * state.psi_plus + co_old.alpha_minus * state.psi_minus
     xp_am, xm_ap = med.xi_plus * co.alpha_minus, med.xi_minus * co.alpha_plus
     rho, g2p, inv_dz = med.rho, co.gamma2_prime, 1.0 / med.dz
-    a = np.zeros((m, m), dtype=complex)
+    a = lil_array((m, m), dtype=complex)
     rhs = np.empty(m, dtype=complex)
     for i in range(n):
         j = 2 * i
@@ -196,7 +204,7 @@ def reference_step(state, sched, dt, pulse, w_plus, w_minus):
     rhs[m - 1] = 0.0
     ab = np.zeros((5, m), dtype=complex)
     for d in range(-2, 3):
-        ab[2 - d, max(d, 0):m + min(d, 0)] = np.diagonal(a, d)
+        ab[2 - d, max(d, 0):m + min(d, 0)] = a.diagonal(d)
     u = solve_banded((2, 2), ab, rhs)
     return u[0::2], u[1::2], dtau
 
@@ -246,6 +254,19 @@ class TestStep:
         area1 = np.sum(state.polariton(co.alpha_plus, co.alpha_minus))
         assert abs(area1 - area0) / abs(area0) < 1e-9
 
+    @pytest.mark.parametrize("nan", [complex(math.nan, 0.0), complex(0.0, math.nan)],
+                             ids=["real", "imag"])
+    def test_nan_in_one_column_fails_on_the_dtbsv_path(self, nan):
+        med = medium_for(n=256, length=25.0)
+        sched = hold(OM0, OM0)
+        state = init_state(med, sched, prepared(center=12.5))
+        state.psi_minus[100] = nan
+        zeros = np.zeros(med.grid_points)
+        plan = plan_steps(med, sched, state.t, 0.5, zeros, zeros)
+        assert plan.piv is None
+        with pytest.raises(SweepDivergence):
+            step(state, plan, sched, prepared())
+
     def test_nan_field_fails_residual_check(self):
         med = medium_for(n=256, length=25.0)
         sched = hold(OM0, OM0)
@@ -286,10 +307,29 @@ RAMPED = build_schedule([Segment(0.0, 1e4, OM0, OM0),
                          Segment(1e4, 2e4, 0.5 * OM0, 2.0 * OM0, 500.0)])
 
 
+def config_texts() -> dict:
+    """Config text of every preset and of the three benchmark workloads."""
+    texts = {name: get_preset(name) for name, _ in list_presets()}
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    for name in ("transit", "hold_dense", "gate"):
+        texts[name] = WORKLOADS[name].config_text(1)
+    return texts
+
+
 class TestPlan:
-    @pytest.mark.parametrize("t0", [5e3, 1e4 + 100.0])  # plateau, ramp
-    def test_matches_complex_reference(self, t0):
-        med = medium_for(gamma2=1e-5, n=256, length=25.0)
+    # plateau and ramp; r_g = 2 pivots inside the band, r_g = 1 does not
+    @pytest.mark.parametrize("r_g,n,t0", [
+        pytest.param(1.0, 256, 5e3, id="5000.0"),
+        pytest.param(1.0, 256, 1e4 + 100.0, id="10100.0"),
+        pytest.param(2.0, 1024, 5e3, id="r_g2-5000.0"),
+        pytest.param(2.0, 1024, 1e4 + 100.0, id="r_g2-10100.0"),
+    ])
+    def test_matches_complex_reference(self, r_g, n, t0):
+        med = medium_for(r_g=r_g, gamma2=1e-5, n=n, length=25.0)
         w_plus, w_minus = build_absorbers(med)
         assert np.any(w_plus) and np.any(w_minus)
         rng = np.random.default_rng(7)
@@ -304,10 +344,16 @@ class TestPlan:
         assert abs(source_amplitude(med, RAMPED, pulse, t0 + dt)) > 1.0
         ref_plus, ref_minus, ref_dtau = reference_step(
             copy.deepcopy(state), RAMPED, dt, pulse, w_plus, w_minus)
-        dtau = advance(state, RAMPED, dt, pulse, w_plus, w_minus)
+        plan = plan_steps(med, RAMPED, t0, dt, w_plus, w_minus)
+        assert (plan.piv is None) == (r_g == 1.0)
+        dtau = step(state, plan, RAMPED, pulse)
         assert dtau == pytest.approx(ref_dtau, rel=1e-15)
-        np.testing.assert_allclose(state.psi_plus, ref_plus, rtol=1e-12)
-        np.testing.assert_allclose(state.psi_minus, ref_minus, rtol=1e-12)
+        # the pivoting eliminations at r_g = 2 differ from the complex ones by
+        # roundoff of the field's peak, which exceeds 1e-12 of its smallest
+        # entries; r_g = 1 matches entry by entry
+        for got, ref in ((state.psi_plus, ref_plus), (state.psi_minus, ref_minus)):
+            atol = 0.0 if r_g == 1.0 else 1e-12 * np.abs(ref).max()
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=atol)
 
     @pytest.mark.parametrize("t0", [5e3, 1e4 - 0.25, 1e4 + 100.0, 1e4 + 499.75])
     def test_dtau_is_the_exact_clock(self, t0):
@@ -315,6 +361,37 @@ class TestPlan:
         zeros = np.zeros(med.grid_points)
         plan = plan_steps(med, RAMPED, t0, 0.5, zeros, zeros)
         assert plan.dtau == tau_of_t(med, RAMPED, t0 + 0.5, t0)
+
+    @pytest.mark.parametrize("name", sorted(config_texts()))
+    def test_first_window_is_pivot_free_and_pins_the_source(self, name):
+        config = parse_config(config_texts()[name])
+        med, sched = config.medium, config.schedule
+        lo, hi, _ = next(w for w in regime_windows(med, sched, config.run.t_end)
+                         if w[2])
+        a, b, i, ramping = sched.pieces(lo, hi)[0]
+        dt = (b - a) / scenario._piece_steps(med, sched, a, b, i, ramping,
+                                             config.run.dt_safety)
+        w_plus, w_minus = build_absorbers(med)
+        plan = plan_steps(med, sched, a, dt, w_plus, w_minus)
+        assert plan.piv is None
+        # row 0 is pinned at the smallest power of two covering column 0
+        pin = plan.bands[0, 0]
+        _, sub1, sub2, _, _ = plan.bands
+        below = max(abs(sub1[1]), abs(sub2[2]))
+        assert math.frexp(pin)[0] == 0.5
+        assert below <= pin < 2.0 * below
+        # a pulse peaking at the end of the step feeds a nonzero inflow value
+        pulse = dataclasses.replace(config.pulse, prepared=False,
+                                    injection_time=a + dt)
+        source = source_amplitude(med, sched, pulse, a + dt)
+        assert source != 0.0
+        rng = np.random.default_rng(3)
+        n = med.grid_points
+        state = FieldState(med, med.grid(),
+                           rng.normal(size=n) + 1j * rng.normal(size=n),
+                           rng.normal(size=n) + 1j * rng.normal(size=n), a, 0.0)
+        step(state, plan, sched, pulse)
+        assert state.psi_plus[0] == source
 
     def counted_advance(self, monkeypatch, a, b):
         """Run `_pde_advance` over [a, b]; (dgbtrf calls, step calls)."""
