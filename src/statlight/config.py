@@ -14,7 +14,6 @@ import math
 from .errors import ParseError, ValidationError
 from .medium import (
     DEFAULT_RAMP,
-    MAX_CLOCK_RATE,
     ControlSchedule,
     MediumModel,
     PulseSpec,
@@ -22,7 +21,7 @@ from .medium import (
     build_medium,
     build_pulse,
     build_schedule,
-    tau_rate_at,
+    check_clock_rate,
 )
 from .perturber import PerturberSpec, build_perturber
 
@@ -180,14 +179,7 @@ def _assemble(values: dict, segments: list[Segment]) -> RunConfig:
 
     medium = build_medium(**sections["medium"])
     schedule = build_schedule(segments, **sections["schedule"])
-    for k, seg in enumerate(schedule.segments, 1):
-        # the rate at a segment's end is its plateau rate
-        rate = tau_rate_at(medium, schedule, seg.t_end)
-        if not rate <= MAX_CLOCK_RATE:
-            raise ValidationError(
-                f"medium.gamma = {medium.gamma:g} with medium.gamma2 = "
-                f"{medium.gamma2:g} and the controls of schedule.segment {k} "
-                f"puts the stretched-time rate at {rate:g}, above {MAX_CLOCK_RATE:g}")
+    check_clock_rate(medium, schedule)
     pulse = build_pulse(**sections["pulse"])
 
     engine = sections[""]["engine"]

@@ -4,21 +4,27 @@ Backward Euler in stretched time with per-channel upwind differences in z;
 each step's increment dtau comes from the exact clock `medium.tau_of_t`.
 Interleaving the unknowns as u[2i] = psi_plus(z_i), u[2i+1] = psi_minus(z_i)
 makes the implicit system pentadiagonal. Its matrix is real and depends only
-on dt and the controls, so `plan_steps` checks dt against `advective_cap`
-and factors it once per constant-control window (once per step on ramps), and
-`step` solves the real and imaginary parts of each right-hand side against
-those factors and verifies the residual against a fixed tolerance. The
-polariton time derivative is discretized so that the weighted field sum is
-carried exactly through control rotations.
+on dt, dtau and the controls, so `plan_steps` checks dt against
+`advective_cap` and factors it once per constant-control window (once per
+step on ramps), and `step` solves each complex right-hand side against those
+factors and verifies the residual against a fixed tolerance. A plan also
+serves later windows: `plan_steps` hands back the last plan when dt, dtau and
+the controls at both ends of the new window's first step are bit-identical to
+the ones it was built from, so a run factors each distinct matrix once
+between matrix changes. The polariton time derivative is discretized so that
+the weighted field sum is carried exactly through control rotations.
 
 The pinned inflow row 0 is scaled to the smallest power of two at least as
 large as the column-0 entries below it, so partial pivoting keeps that row in
 place; its right-hand side is scaled by the same power of two, so the pinned
 value still comes out exact. When `dgbtrf` then swaps no rows at all, as at
-r_g = 1, the factors have no fill-in and each step is two triangular `dtbsv`
-sweeps per real column. Those give the same numbers as `dgbtrs`, without its
-one or two BLAS calls per matrix column. Other inputs, r_g = 0.5 or 2 for
-instance, still pivot inside the band, so the `dgbtrs` solve stays for them.
+r_g = 1, the factors have no fill-in, and each step solves the complex
+right-hand side in place with two triangular `ztbsv` sweeps against complex
+copies of the real factors: one BLAS call per sweep for both the real and the
+imaginary part, where two real `dtbsv` sweeps per part paid the per-row cost
+twice. Other inputs, r_g = 0.5 or 2 for instance, still pivot inside the
+band, and `ztbsv` cannot apply row swaps, so the `dgbtrs` solve stays for
+them, on the real and imaginary parts as two columns.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
+from scipy.linalg.blas import ztbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import (
@@ -163,23 +169,34 @@ class StepPlan:
     sup1 (A[j, j+1]) and sup2 (A[j, j+2]) of the real implicit matrix, with
     the inflow row pinned at its power-of-two scale, kept for the residual
     check. When `dgbtrf` swapped no rows, `piv` is None and `factors` holds
-    the unit-lower and upper band factors for `dtbsv`, as two views into the
-    one buffer `dgbtrf` factored in place; otherwise `factors` holds that
-    7-row `dgbtrf` output, whose pivots `piv` go with it to `dgbtrs`. `split`
-    is the perturber's per-step factor on psi_plus, or None without one.
+    the unit-lower and upper band factors as complex Fortran (3, m) arrays,
+    the layout `ztbsv` reads. `ztbsv` applies no row swaps, so otherwise
+    `factors` holds the 7-row `dgbtrf` output, whose pivots `piv` go with it
+    to `dgbtrs`. `split` is the perturber's per-step factor on psi_plus, or
+    None without one.
+
+    `inputs` records dt, dtau and the controls at both ends of the step the
+    plan was built for, bit for bit: they fix the matrix, so `plan_steps`
+    hands the plan back for any step with the same inputs. `work` holds the
+    complex right-hand side, solution, residual and product rows that each
+    step overwrites; the fields `step` leaves in the state are views of the
+    solution row, so a field kept past the next step must be copied.
     """
 
     dt: float
     dtau: float
     co_old: Coefficients
+    inputs: bytes
     bands: np.ndarray
     factors: tuple[np.ndarray, ...]
     piv: np.ndarray | None
     split: np.ndarray | None
+    work: np.ndarray
 
 
 def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
-               dt: float, w_plus, w_minus, perturber=None) -> StepPlan:
+               dt: float, w_plus, w_minus, perturber=None,
+               last: StepPlan | None = None) -> StepPlan:
     """Check dt against `advective_cap` and factor the implicit operator of a
     step of length dt from t0.
 
@@ -187,7 +204,11 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     all of them see the same matrix; on a ramp build one per step.
     `perturber` is an optional (density_array, exponent_scale) pair applied
     by operator splitting after the solve, with exponent_scale the complex
-    per-atom-density rate divided by dtau.
+    per-atom-density rate divided by dtau. `last`, a plan built for the same
+    medium, absorbers and perturber, is returned as it is when dt, dtau and
+    the controls at t0 and t0 + dt are bit-identical to its own inputs, since
+    the matrix would be too. dtau is compared, not assumed: on a plateau it
+    is (t1 - t0) times the rate, whose rounding depends on t0.
     """
     n = medium.grid_points
     dz = medium.dz
@@ -198,9 +219,13 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
         raise CFLViolation(f"dt = {dt:g} exceeds advective bound {cap:g}")
 
     dtau = tau_of_t(medium, schedule, t1, t0)
+    controls_old, controls = schedule.values(t0), schedule.values(t1)
+    inputs = np.array((dt, dtau, *controls_old, *controls)).tobytes()
+    if last is not None and last.inputs == inputs:
+        return last
 
-    co_old = coefficients(medium, *schedule.values(t0))
-    co = coefficients(medium, *schedule.values(t1))
+    co_old = coefficients(medium, *controls_old)
+    co = coefficients(medium, *controls)
 
     xp_am = medium.xi_plus * co.alpha_minus
     xm_ap = medium.xi_minus * co.alpha_plus
@@ -234,10 +259,8 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     sub1[m - 1] = 0.0
     sub2[m - 1] = 0.0
 
-    # LAPACK band storage, A[i, j] at row 4 + i - j; rows 0-1 take the fill-in.
-    # Four spare values after it let the dtbsv views below start at row 4.
-    buf = np.zeros(7 * m + 4)
-    ab = buf[:7 * m].reshape((7, m), order="F")
+    # LAPACK band storage, A[i, j] at row 4 + i - j; rows 0-1 take the fill-in
+    ab = np.zeros((7, m), order="F")
     ab[2, 2:] = sup2[:-2]
     ab[3, 1:] = sup1[:-1]
     ab[4, :] = diag
@@ -248,11 +271,10 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
         raise SweepDivergence(f"implicit step matrix is singular (dgbtrf info {info})")
     if np.array_equal(piv, np.arange(m)):
         # no swaps, so rows 0-1 took no fill-in: U sits in rows 2-4 and L's
-        # multipliers under the (unreferenced) diagonal in rows 4-6. dtbsv
-        # reads the top three rows of each 7-row column, so views of the
-        # factored buffer that start at rows 2 and 4 pass U and L in place
-        factors = (buf[4:7 * m + 4].reshape((7, m), order="F"),
-                   buf[2:7 * m + 2].reshape((7, m), order="F"))
+        # multipliers under the (unreferenced) unit diagonal in rows 4-6,
+        # the upper and lower band layouts ztbsv reads
+        factors = (np.asfortranarray(lu[4:7], dtype=complex),
+                   np.asfortranarray(lu[2:5], dtype=complex))
         piv = None
     else:
         factors = (lu,)
@@ -261,7 +283,8 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     if perturber is not None:
         density, rate = perturber
         split = np.exp(rate * density * dtau)
-    return StepPlan(dt, dtau, co_old, bands, factors, piv, split)
+    return StepPlan(dt, dtau, co_old, inputs, bands, factors, piv, split,
+                    np.empty((4, m), dtype=complex))
 
 
 def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
@@ -274,60 +297,53 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
     t1 = state.t + plan.dt
     inv_dtau = 1.0 / plan.dtau
     co_old = plan.co_old
-    phi_old = state.polariton(co_old.alpha_plus, co_old.alpha_minus)
+    rhs, u, res, prod = plan.work
 
-    # real and imaginary parts as rows, the two real right-hand sides
-    parts = np.stack((phi_old.real, phi_old.imag))
-    rhs = np.empty((2, m))
-    rhs[:, 0::2] = parts * inv_dtau
-    rhs[:, 1::2] = med.rho * parts * inv_dtau
-    source = source_amplitude(med, schedule, pulse, t1)
-    pin = plan.bands[0, 0]
-    rhs[:, 0] = pin * source.real, pin * source.imag
-    rhs[:, m - 1] = 0.0
+    # rows phi_old / dtau and rho phi_old / dtau, interleaved
+    phi_old = state.polariton(co_old.alpha_plus, co_old.alpha_minus)
+    np.multiply(phi_old, inv_dtau, out=rhs[0::2])
+    np.multiply(phi_old, med.rho, out=rhs[1::2])
+    rhs[1::2] *= inv_dtau
+    rhs[0] = plan.bands[0, 0] * source_amplitude(med, schedule, pulse, t1)
+    rhs[m - 1] = 0.0
 
     if plan.piv is None:
         lower, upper = plan.factors
-        u = np.empty_like(rhs)
-        for part, out in zip(rhs, u):
-            out[:] = dtbsv(2, upper, dtbsv(2, lower, part, lower=1, diag=1),
-                           overwrite_x=1)
+        u[:] = rhs
+        ztbsv(2, lower, u, lower=1, diag=1, overwrite_x=1)
+        ztbsv(2, upper, u, overwrite_x=1)
     else:
-        x, info = dgbtrs(plan.factors[0], 2, 2, rhs.T, plan.piv)
+        # dgbtrs is real: solve the real and imaginary parts as two columns
+        x, info = dgbtrs(plan.factors[0], 2, 2, rhs.view(float).reshape(m, 2),
+                         plan.piv)
         if info != 0:
             raise SweepDivergence(f"implicit step solve failed (dgbtrs info {info})")
-        u = x.T
+        u.view(float).reshape(m, 2)[:] = x
 
-    # explicit residual of the solved system; the off-diagonal products share
-    # one buffer, since a fresh temporary per band left the heap fragmented
-    # and peak resident memory about 5% higher
+    # explicit residual of the solved system, in the plan's work rows
     diag, sub1, sub2, sup1, sup2 = plan.bands
-    res = diag * u - rhs
-    prod = np.empty_like(res)
+    np.multiply(diag, u, out=res)
+    res -= rhs
     for band, k in ((sub1, 1), (sub2, 2)):
-        np.multiply(band[k:], u[:, :-k], out=prod[:, k:])
-        res[:, k:] += prod[:, k:]
+        np.multiply(band[k:], u[:-k], out=prod[k:])
+        res[k:] += prod[k:]
     for band, k in ((sup1, 1), (sup2, 2)):
-        np.multiply(band[:-k], u[:, k:], out=prod[:, :-k])
-        res[:, :-k] += prod[:, :-k]
+        np.multiply(band[:-k], u[k:], out=prod[:-k])
+        res[:-k] += prod[:-k]
     # written so that a NaN anywhere fails the check; all-zero fields pass.
     # einsum sums in this thread: np.linalg.norm's BLAS dot would wake a pool
-    scale = (math.sqrt(np.einsum("ij,ij->", rhs, rhs))
-             + math.sqrt(np.einsum("ij,ij->", u, u)))
-    err = math.sqrt(np.einsum("ij,ij->", res, res))
+    r, x, e = rhs.view(float), u.view(float), res.view(float)
+    scale = math.sqrt(np.einsum("i,i->", r, r)) + math.sqrt(np.einsum("i,i->", x, x))
+    err = math.sqrt(np.einsum("i,i->", e, e))
     if not err <= RESIDUAL_TOL * scale:
         raise SweepDivergence(
             f"implicit step residual {err:.3g} exceeds {RESIDUAL_TOL:g} "
             f"times the solution scale {scale:.3g}")
 
-    fields = np.empty(m, dtype=complex)
-    fields.real = u[0]
-    fields.imag = u[1]
-    state.psi_plus = fields[0::2]
-    state.psi_minus = fields[1::2]
-
+    state.psi_plus = u[0::2]
+    state.psi_minus = u[1::2]
     if plan.split is not None:
-        state.psi_plus = state.psi_plus * plan.split
+        state.psi_plus *= plan.split
 
     state.t = t1
     state.tau += plan.dtau

@@ -83,9 +83,10 @@ class MediumModel:
         return HYSTERESIS * self.storage_threshold
 
 
-# Largest plateau rate dtau/dt a config may set. The ramp coefficients of the
-# clock are bounded by four times the larger plateau rate, and their threshold
-# crossings square them, so this keeps every such square a finite float.
+# Largest plateau rate dtau/dt a schedule may set. The ramp coefficients of
+# the clock are bounded by four times the larger plateau rate, and their
+# threshold crossings square them, so this keeps every such square a finite
+# float.
 MAX_CLOCK_RATE = 1e150
 
 
@@ -425,6 +426,19 @@ def _ramp_crossing(piece: _ClockPiece, rate: float, rising: bool) -> float | Non
     return hi if rising else lo
 
 
+def check_clock_rate(medium: MediumModel, schedule: ControlSchedule) -> None:
+    """Refuse a segment whose plateau clock rate exceeds MAX_CLOCK_RATE,
+    naming the medium keys and the segment, before any ramp arithmetic."""
+    for k, seg in enumerate(schedule.segments, 1):
+        # the rate at a segment's end is its plateau rate
+        rate = tau_rate_at(medium, schedule, seg.t_end)
+        if not rate <= MAX_CLOCK_RATE:
+            raise NonPhysicalParameter(
+                f"medium.gamma = {medium.gamma:g} with medium.gamma2 = "
+                f"{medium.gamma2:g} and the controls of schedule.segment {k} "
+                f"puts the stretched-time rate at {rate:g}, above {MAX_CLOCK_RATE:g}")
+
+
 def power_crossings(medium: MediumModel, schedule: ControlSchedule):
     """Chronological storage threshold crossings as (time, kind) pairs.
 
@@ -432,8 +446,10 @@ def power_crossings(medium: MediumModel, schedule: ControlSchedule):
     or "on" (power recovered above the hysteresis level). On a ramp the power
     is a quadratic in the smoothstep s, so each crossing is a root in s mapped
     back through the smoothstep inverse. Raises ThresholdChatter when a single
-    ramp produces more than one crossing.
+    ramp produces more than one crossing, and refuses a clock rate that would
+    overflow those roots (`check_clock_rate`).
     """
+    check_clock_rate(medium, schedule)
     gg2 = medium.gamma * medium.gamma2
     active = not opens_stored(medium, schedule)
     events: list[tuple[float, str]] = []

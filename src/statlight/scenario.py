@@ -157,19 +157,23 @@ def _piece_steps(med, schedule, lo: float, hi: float, i: int, ramping: bool,
 
 
 def _pde_advance(state, schedule, a: float, b: float, safety: float,
-                 pulse, w_plus, w_minus, perturber) -> None:
+                 pulse, w_plus, w_minus, perturber, plan):
+    """Advance the fields over the transport window [a, b]. `plan` is the
+    run's last plan, or None; a plateau piece passes it to `plan_steps`,
+    which keeps it when the piece's first step has bit-identical inputs, and
+    a ramp refactors every step, since the matrix follows the controls.
+    Returns the last plan, for the run's next window."""
     med = state.medium
     for lo, hi, i, ramping in schedule.pieces(a, b):
         n = _piece_steps(med, schedule, lo, hi, i, ramping, safety)
         dt = (hi - lo) / n
-        plan = None
-        for _ in range(n):
-            if plan is None or ramping:
-                # the matrix follows the controls, so a ramp refactors each step
+        for k in range(n):
+            if k == 0 or ramping:
                 plan = plan_steps(med, schedule, state.t, dt, w_plus, w_minus,
-                                  perturber)
+                                  perturber, None if ramping else plan)
             step(state, plan, schedule, pulse)
         state.t = hi
+    return plan
 
 
 def resource_estimate(config: RunConfig) -> tuple[int, int]:
@@ -295,10 +299,12 @@ def _run_direct(config: RunConfig, include_perturber: bool) -> EngineRun:
                     f"edges at t = {state.t:g} while the controls hold the pulse")
 
     record()
+    # the last plan of this run only: the reference twin's split differs
+    plan = None
     for ev in events[1:]:
         if state.mode == MODE_PDE:
-            _pde_advance(state, sched, state.t, ev.t, run.dt_safety,
-                         pulse, w_plus, w_minus, pert)
+            plan = _pde_advance(state, sched, state.t, ev.t, run.dt_safety,
+                                pulse, w_plus, w_minus, pert, plan)
         else:
             storage_advance(state, ev.t - state.t)
         if ev.kind == "off" and state.mode == MODE_PDE:

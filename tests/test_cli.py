@@ -1,12 +1,15 @@
 """Config parsing, canonical rendering and the command line front end."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -231,25 +234,44 @@ class TestRender:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_fuzzed_values_fail_as_simulation_errors(self, data):
-        text = data.draw(st.sampled_from(
-            [get_preset(name) for name, _ in list_presets()]))
-        value = st.one_of(
-            st.floats(allow_nan=True, allow_infinity=True).map(repr),
-            st.integers(-10 ** 20, 10 ** 20).map(str),
-            st.sampled_from(["true", "no", "maybe", "", "1e400", "-0", "0x10",
-                             "1 2 3", "0 2e4 0.03 0.03 50", "0 1 2 3 4 5",
-                             "both", "spectral", "=", "#"]),
-            st.text(max_size=12))
-        for _ in range(data.draw(st.integers(1, 4))):
-            name = data.draw(st.sampled_from([n for n, _, _ in KEYS]))
-            if name != "schedule.segment" or data.draw(st.booleans()):
-                text = "\n".join(l for l in text.splitlines()
-                                 if not l.startswith(name + " "))
-            text += f"\n{name} = {data.draw(value)}\n"
         try:
-            parse_config(text)
+            parse_config(_fuzzed_config(data))
         except SimulationError:
             pass
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_values_fail_check_as_simulation_errors(self, data):
+        # parse, build and preflight, with no simulation: main turns a
+        # SimulationError into exit 2 and lets any other exception through
+        text = _fuzzed_config(data)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = pathlib.Path(tmp) / "scenario.cfg"
+            cfg.write_text(text, encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["run", str(cfg), "--check"])
+        assert code in (0, 2)
+
+
+def _fuzzed_config(data) -> str:
+    """A preset with one to four keys replaced by arbitrary values."""
+    text = data.draw(st.sampled_from(
+        [get_preset(name) for name, _ in list_presets()]))
+    value = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.integers(-10 ** 20, 10 ** 20).map(str),
+        st.sampled_from(["true", "no", "maybe", "", "1e400", "-0", "0x10",
+                         "1 2 3", "0 2e4 0.03 0.03 50", "0 1 2 3 4 5",
+                         "both", "spectral", "=", "#"]),
+        st.text(max_size=12))
+    for _ in range(data.draw(st.integers(1, 4))):
+        name = data.draw(st.sampled_from([n for n, _, _ in KEYS]))
+        if name != "schedule.segment" or data.draw(st.booleans()):
+            text = "\n".join(l for l in text.splitlines()
+                             if not l.startswith(name + " "))
+        text += f"\n{name} = {data.draw(value)}\n"
+    return text
 
 
 class TestCli:

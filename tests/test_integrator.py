@@ -256,7 +256,7 @@ class TestStep:
 
     @pytest.mark.parametrize("nan", [complex(math.nan, 0.0), complex(0.0, math.nan)],
                              ids=["real", "imag"])
-    def test_nan_in_one_column_fails_on_the_dtbsv_path(self, nan):
+    def test_nan_in_real_or_imaginary_part_fails_on_the_ztbsv_path(self, nan):
         med = medium_for(n=256, length=25.0)
         sched = hold(OM0, OM0)
         state = init_state(med, sched, prepared(center=12.5))
@@ -393,12 +393,13 @@ class TestPlan:
         step(state, plan, sched, pulse)
         assert state.psi_plus[0] == source
 
-    def counted_advance(self, monkeypatch, a, b):
-        """Run `_pde_advance` over [a, b]; (dgbtrf calls, step calls)."""
+    def counted_advance(self, monkeypatch, edges, carry=True):
+        """Run `_pde_advance` window by window over `edges`, passing each
+        window the last plan when `carry`; (dgbtrf calls, step calls, state)."""
         med = medium_for(n=2048)
         w_plus, w_minus = build_absorbers(med)
         state = init_state(med, RAMPED, prepared())
-        state.t = a
+        state.t = edges[0]
         calls = {"dgbtrf": 0, "step": 0}
 
         def counting(name, fn):
@@ -409,20 +410,85 @@ class TestPlan:
 
         monkeypatch.setattr(integrator, "dgbtrf", counting("dgbtrf", integrator.dgbtrf))
         monkeypatch.setattr(scenario, "step", counting("step", scenario.step))
-        scenario._pde_advance(state, RAMPED, a, b, 0.9, prepared(),
-                              w_plus, w_minus, None)
-        assert state.t == b
-        return calls["dgbtrf"], calls["step"]
+        plan = None
+        for a, b in zip(edges, edges[1:]):
+            plan = scenario._pde_advance(state, RAMPED, a, b, 0.9, prepared(),
+                                         w_plus, w_minus, None,
+                                         plan if carry else None)
+            assert state.t == b
+        return calls["dgbtrf"], calls["step"], state
 
     def test_constant_window_factors_once(self, monkeypatch):
-        factors, steps = self.counted_advance(monkeypatch, 0.0, 2e3)
+        factors, steps, _ = self.counted_advance(monkeypatch, [0.0, 2e3])
         assert steps > 1
         assert factors == 1
 
     def test_ramp_window_factors_every_step(self, monkeypatch):
-        factors, steps = self.counted_advance(monkeypatch, 1e4, 1e4 + 500.0)
+        factors, steps, _ = self.counted_advance(monkeypatch, [1e4, 1e4 + 500.0])
         assert steps >= 64
         assert factors == steps
+
+    def test_plateau_windows_share_one_factorization(self, monkeypatch):
+        # 32-unit windows of two 16-unit steps: every window's first step
+        # has the same dt, dtau and controls, so one matrix serves them all
+        edges = [32.0 * k for k in range(9)]
+        factors, steps, state = self.counted_advance(monkeypatch, edges)
+        assert steps > len(edges)
+        assert factors == 1
+        monkeypatch.undo()
+        again, _, fresh = self.counted_advance(monkeypatch, edges, carry=False)
+        assert again == len(edges) - 1
+        for got, ref in ((state.psi_plus, fresh.psi_plus),
+                         (state.psi_minus, fresh.psi_minus)):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_plan_is_not_reused_when_dtau_differs_in_its_last_bit(self):
+        med = medium_for(n=256, length=25.0)
+        sched = hold(OM0, OM0)
+        zeros = np.zeros(med.grid_points)
+        dt = 0.3
+        # dtau = (t0 + dt - t0) * rate: from t0 = 0 that is one ulp below its
+        # value from t0 = 0.25 or 0.5
+        plan = plan_steps(med, sched, 0.25, dt, zeros, zeros)
+        assert tau_of_t(med, sched, 0.5 + dt, 0.5) == plan.dtau
+        assert tau_of_t(med, sched, dt, 0.0) == math.nextafter(plan.dtau, 0.0)
+        assert plan_steps(med, sched, 0.5, dt, zeros, zeros, last=plan) is plan
+        rebuilt = plan_steps(med, sched, 0.0, dt, zeros, zeros, last=plan)
+        assert rebuilt is not plan
+        assert rebuilt.dtau == math.nextafter(plan.dtau, 0.0)
+
+    def test_ztbsv_solve_matches_dgbtrs_on_the_same_factors(self):
+        med = medium_for(gamma2=1e-5, n=256, length=25.0)
+        w_plus, w_minus = build_absorbers(med)
+        plan = plan_steps(med, RAMPED, 5e3, 0.5, w_plus, w_minus)
+        assert plan.piv is None
+        lower, upper = plan.factors
+        m = 2 * med.grid_points
+        # the same factors in dgbtrf's 7-row layout with identity pivots
+        lu = np.zeros((7, m), order="F")
+        lu[2:5] = upper.real
+        lu[5:7] = lower[1:].real
+        assert not np.any(upper.imag) and not np.any(lower.imag)
+        pivoted = dataclasses.replace(plan, factors=(lu,),
+                                      piv=np.arange(m, dtype=np.int32),
+                                      work=np.empty_like(plan.work))
+        rng = np.random.default_rng(11)
+        n = med.grid_points
+        pulse = build_pulse(amplitude=1.0, duration=1e3, injection_time=5e3 + 0.5,
+                            prepared=False, center=0.0)
+        state = init_state(med, RAMPED, prepared(center=12.5))
+        state.t = 5e3
+        state.psi_plus = rng.normal(size=n) + 1j * rng.normal(size=n)
+        state.psi_minus = rng.normal(size=n) + 1j * rng.normal(size=n)
+        other = copy.deepcopy(state)
+        step(state, plan, RAMPED, pulse)
+        step(other, pivoted, RAMPED, pulse)
+        # ztbsv divides by the diagonal as a complex number, with its own
+        # rounding, so entries that cancel can differ by more than 1e-13 of
+        # themselves; the fields agree to 1e-13 in norm
+        for got, ref in ((state.psi_plus, other.psi_plus),
+                         (state.psi_minus, other.psi_minus)):
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 class TestStorage:

@@ -410,6 +410,16 @@ class TestCrossings:
         with pytest.raises(ThresholdChatter, match="2 times"):
             power_crossings(med, sched)
 
+    @pytest.mark.parametrize("gamma", [1e-200, 1e-310])
+    def test_tiny_gamma_is_refused_before_ramp_arithmetic(self, gamma):
+        # the clock's ramp coefficients scale as 1/gamma and the crossings
+        # square them; a library call skips the config parser's check
+        med = build_medium(r_g=1.0, gamma=gamma, gamma2=1e-5, u_g0=1e-3,
+                           domain_length=120.0, grid_points=2048)
+        sched = parse_config(get_preset("stop_and_store")).schedule
+        with pytest.raises(NonPhysicalParameter, match="medium.gamma"):
+            power_crossings(med, sched)
+
 
 class TestRegimeWindows:
     def test_stop_and_store(self):
