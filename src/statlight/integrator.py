@@ -14,17 +14,19 @@ the ones it was built from, so a run factors each distinct matrix once
 between matrix changes. The polariton time derivative is discretized so that
 the weighted field sum is carried exactly through control rotations.
 
-The pinned inflow row 0 is scaled to the smallest power of two at least as
-large as the column-0 entries below it, so partial pivoting keeps that row in
-place; its right-hand side is scaled by the same power of two, so the pinned
-value still comes out exact. When `dgbtrf` then swaps no rows at all, as at
-r_g = 1, the factors have no fill-in, and each step solves the complex
-right-hand side in place with two triangular `ztbsv` sweeps against complex
-copies of the real factors: one BLAS call per sweep for both the real and the
-imaginary part, where two real `dtbsv` sweeps per part paid the per-row cost
-twice. Other inputs, r_g = 0.5 or 2 for instance, still pivot inside the
-band, and `ztbsv` cannot apply row swaps, so the `dgbtrs` solve stays for
-them, on the real and imaginary parts as two columns.
+Each backward-channel row is divided by rho = r_g^2, which makes the matrix
+column diagonally dominant for every r_g. alpha_+ + alpha_- + gamma2' = 1,
+since the three share one denominator, so for dtau <= 1 each column 1..m-2
+exceeds the sum of its off-diagonal magnitudes by 1 plus its sponge term;
+the CFL cap and the grid bound keep dtau near dz / 2 <= 1/16. The pinned
+inflow row 0 has no off-diagonals and is scaled to the smallest power of two
+at least as large as the column-0 entries below it, and the last column has
+no rows below its pivot. Partial pivoting then swaps no rows (Golub and Van
+Loan, Matrix Computations), so `dgbtrf`'s factors have no fill-in and each
+step solves the complex right-hand side in place with two triangular `ztbsv`
+sweeps against complex copies of the real factors. A factorization that
+swaps rows anyway is refused. The residual check runs on the scaled system,
+which at r_g = 1 is bit for bit the unscaled one.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import math
 
 import numpy as np
 from scipy.linalg.blas import ztbsv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf
 
 from .errors import (
     CFLViolation,
@@ -167,13 +169,11 @@ class StepPlan:
 
     `bands` holds the rows diag, sub1 (A[j, j-1]), sub2 (A[j, j-2]),
     sup1 (A[j, j+1]) and sup2 (A[j, j+2]) of the real implicit matrix, with
-    the inflow row pinned at its power-of-two scale, kept for the residual
-    check. When `dgbtrf` swapped no rows, `piv` is None and `factors` holds
-    the unit-lower and upper band factors as complex Fortran (3, m) arrays,
-    the layout `ztbsv` reads. `ztbsv` applies no row swaps, so otherwise
-    `factors` holds the 7-row `dgbtrf` output, whose pivots `piv` go with it
-    to `dgbtrs`. `split` is the perturber's per-step factor on psi_plus, or
-    None without one.
+    the backward rows divided by rho and the inflow row pinned at its
+    power-of-two scale, kept for the residual check. `factors` holds the
+    unit-lower and upper band factors of that matrix as complex Fortran
+    (3, m) arrays, the layout `ztbsv` reads. `split` is the perturber's
+    per-step factor on psi_plus, or None without one.
 
     `inputs` records dt, dtau and the controls at both ends of the step the
     plan was built for, bit for bit: they fix the matrix, so `plan_steps`
@@ -188,8 +188,7 @@ class StepPlan:
     co_old: Coefficients
     inputs: bytes
     bands: np.ndarray
-    factors: tuple[np.ndarray, ...]
-    piv: np.ndarray | None
+    factors: tuple[np.ndarray, np.ndarray]
     split: np.ndarray | None
     work: np.ndarray
 
@@ -219,6 +218,9 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
         raise CFLViolation(f"dt = {dt:g} exceeds advective bound {cap:g}")
 
     dtau = tau_of_t(medium, schedule, t1, t0)
+    if not dtau > 0.0:
+        raise NonPhysicalParameter(
+            f"a step of dt = {dt:g} from t0 = {t0:g} advances no stretched time")
     controls_old, controls = schedule.values(t0), schedule.values(t1)
     inputs = np.array((dt, dtau, *controls_old, *controls)).tobytes()
     if last is not None and last.inputs == inputs:
@@ -228,7 +230,7 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     co = coefficients(medium, *controls)
 
     xp_am = medium.xi_plus * co.alpha_minus
-    xm_ap = medium.xi_minus * co.alpha_plus
+    xp_ap = medium.xi_plus * co.alpha_plus
     rho = medium.rho
     g2p = co.gamma2_prime
     inv_dz = 1.0 / dz
@@ -243,10 +245,12 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     sup1[0::2] = -xp_am + co.alpha_minus * inv_dtau
     sub2[0::2] = -inv_dz
 
-    # backward-channel rows j = 2i+1 (sign-flipped so the diagonal is positive)
-    diag[1::2] = inv_dz + xm_ap + rho * co.alpha_minus * inv_dtau + rho * g2p + w_minus
-    sub1[1::2] = -xm_ap + rho * co.alpha_plus * inv_dtau
-    sup2[1::2] = -inv_dz
+    # backward-channel rows j = 2i+1, sign-flipped so the diagonal is
+    # positive and divided by rho (xi_minus = rho xi_plus): the right-hand
+    # side is then phi_old / dtau, as on the forward rows
+    diag[1::2] = inv_dz / rho + xp_ap + co.alpha_minus * inv_dtau + g2p + w_minus / rho
+    sub1[1::2] = -xp_ap + co.alpha_plus * inv_dtau
+    sup2[1::2] = -inv_dz / rho
 
     # boundary rows: inflow values pinned. Row 0 is scaled to the smallest
     # power of two no smaller than the entries below it in column 0, so it
@@ -259,7 +263,8 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     sub1[m - 1] = 0.0
     sub2[m - 1] = 0.0
 
-    # LAPACK band storage, A[i, j] at row 4 + i - j; rows 0-1 take the fill-in
+    # LAPACK band storage, A[i, j] at row 4 + i - j; rows 0-1 are dgbtrf's
+    # room for fill-in
     ab = np.zeros((7, m), order="F")
     ab[2, 2:] = sup2[:-2]
     ab[3, 1:] = sup1[:-1]
@@ -269,21 +274,23 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=True)
     if info != 0:
         raise SweepDivergence(f"implicit step matrix is singular (dgbtrf info {info})")
-    if np.array_equal(piv, np.arange(m)):
-        # no swaps, so rows 0-1 took no fill-in: U sits in rows 2-4 and L's
-        # multipliers under the (unreferenced) unit diagonal in rows 4-6,
-        # the upper and lower band layouts ztbsv reads
-        factors = (np.asfortranarray(lu[4:7], dtype=complex),
-                   np.asfortranarray(lu[2:5], dtype=complex))
-        piv = None
-    else:
-        factors = (lu,)
+    if not np.array_equal(piv, np.arange(m)):
+        raise SweepDivergence(
+            f"dgbtrf swapped rows of the step matrix at dt = {dt:g}, "
+            f"dtau = {dtau:g}, controls ({controls_old[0]:g}, "
+            f"{controls_old[1]:g}) -> ({controls[0]:g}, {controls[1]:g}): "
+            f"it is not column diagonally dominant")
+    # no swaps, so rows 0-1 took no fill-in: U sits in rows 2-4 and L's
+    # multipliers under the (unreferenced) unit diagonal in rows 4-6, the
+    # upper and lower band layouts ztbsv reads
+    factors = (np.asfortranarray(lu[4:7], dtype=complex),
+               np.asfortranarray(lu[2:5], dtype=complex))
 
     split = None
     if perturber is not None:
         density, rate = perturber
         split = np.exp(rate * density * dtau)
-    return StepPlan(dt, dtau, co_old, inputs, bands, factors, piv, split,
+    return StepPlan(dt, dtau, co_old, inputs, bands, factors, split,
                     np.empty((4, m), dtype=complex))
 
 
@@ -299,26 +306,17 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
     co_old = plan.co_old
     rhs, u, res, prod = plan.work
 
-    # rows phi_old / dtau and rho phi_old / dtau, interleaved
+    # every row's right-hand side is phi_old / dtau
     phi_old = state.polariton(co_old.alpha_plus, co_old.alpha_minus)
     np.multiply(phi_old, inv_dtau, out=rhs[0::2])
-    np.multiply(phi_old, med.rho, out=rhs[1::2])
-    rhs[1::2] *= inv_dtau
+    rhs[1::2] = rhs[0::2]
     rhs[0] = plan.bands[0, 0] * source_amplitude(med, schedule, pulse, t1)
     rhs[m - 1] = 0.0
 
-    if plan.piv is None:
-        lower, upper = plan.factors
-        u[:] = rhs
-        ztbsv(2, lower, u, lower=1, diag=1, overwrite_x=1)
-        ztbsv(2, upper, u, overwrite_x=1)
-    else:
-        # dgbtrs is real: solve the real and imaginary parts as two columns
-        x, info = dgbtrs(plan.factors[0], 2, 2, rhs.view(float).reshape(m, 2),
-                         plan.piv)
-        if info != 0:
-            raise SweepDivergence(f"implicit step solve failed (dgbtrs info {info})")
-        u.view(float).reshape(m, 2)[:] = x
+    lower, upper = plan.factors
+    u[:] = rhs
+    ztbsv(2, lower, u, lower=1, diag=1, overwrite_x=1)
+    ztbsv(2, upper, u, overwrite_x=1)
 
     # explicit residual of the solved system, in the plan's work rows
     diag, sub1, sub2, sup1, sup2 = plan.bands

@@ -263,7 +263,7 @@ def _fuzzed_config(data) -> str:
         st.integers(-10 ** 20, 10 ** 20).map(str),
         st.sampled_from(["true", "no", "maybe", "", "1e400", "-0", "0x10",
                          "1 2 3", "0 2e4 0.03 0.03 50", "0 1 2 3 4 5",
-                         "both", "spectral", "=", "#"]),
+                         "both", "spectral", "=", "#", "1e-3", "30"]),
         st.text(max_size=12))
     for _ in range(data.draw(st.integers(1, 4))):
         name = data.draw(st.sampled_from([n for n, _, _ in KEYS]))

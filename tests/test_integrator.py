@@ -263,7 +263,6 @@ class TestStep:
         state.psi_minus[100] = nan
         zeros = np.zeros(med.grid_points)
         plan = plan_steps(med, sched, state.t, 0.5, zeros, zeros)
-        assert plan.piv is None
         with pytest.raises(SweepDivergence):
             step(state, plan, sched, prepared())
 
@@ -321,7 +320,8 @@ def config_texts() -> dict:
 
 
 class TestPlan:
-    # plateau and ramp; r_g = 2 pivots inside the band, r_g = 1 does not
+    # plateau and ramp; at r_g = 2 the plan solves the system with its
+    # backward rows divided by rho, the reference the unscaled one
     @pytest.mark.parametrize("r_g,n,t0", [
         pytest.param(1.0, 256, 5e3, id="5000.0"),
         pytest.param(1.0, 256, 1e4 + 100.0, id="10100.0"),
@@ -345,10 +345,9 @@ class TestPlan:
         ref_plus, ref_minus, ref_dtau = reference_step(
             copy.deepcopy(state), RAMPED, dt, pulse, w_plus, w_minus)
         plan = plan_steps(med, RAMPED, t0, dt, w_plus, w_minus)
-        assert (plan.piv is None) == (r_g == 1.0)
         dtau = step(state, plan, RAMPED, pulse)
         assert dtau == pytest.approx(ref_dtau, rel=1e-15)
-        # the pivoting eliminations at r_g = 2 differ from the complex ones by
+        # at r_g = 2 the scaled eliminations differ from the reference's by
         # roundoff of the field's peak, which exceeds 1e-12 of its smallest
         # entries; r_g = 1 matches entry by entry
         for got, ref in ((state.psi_plus, ref_plus), (state.psi_minus, ref_minus)):
@@ -373,7 +372,6 @@ class TestPlan:
                                              config.run.dt_safety)
         w_plus, w_minus = build_absorbers(med)
         plan = plan_steps(med, sched, a, dt, w_plus, w_minus)
-        assert plan.piv is None
         # row 0 is pinned at the smallest power of two covering column 0
         pin = plan.bands[0, 0]
         _, sub1, sub2, _, _ = plan.bands
@@ -457,38 +455,62 @@ class TestPlan:
         assert rebuilt is not plan
         assert rebuilt.dtau == math.nextafter(plan.dtau, 0.0)
 
-    def test_ztbsv_solve_matches_dgbtrs_on_the_same_factors(self):
-        med = medium_for(gamma2=1e-5, n=256, length=25.0)
+    @pytest.mark.parametrize("r_g", [1e-3, 0.05, 0.25, 0.5, 0.7, 1.0, 2.0, 4.0, 20.0])
+    def test_every_plan_is_column_diagonally_dominant(self, r_g):
+        # the grid at its absorption-length bound; controls balanced, near
+        # one-sided either way, and off on one side; a plateau up to t = 1e3,
+        # then a ramp to the swapped pair
+        med = medium_for(r_g=r_g, n=64,
+                         length=64 * min(1.0, 1.0 / r_g ** 2) / 8.0)
         w_plus, w_minus = build_absorbers(med)
-        plan = plan_steps(med, RAMPED, 5e3, 0.5, w_plus, w_minus)
-        assert plan.piv is None
-        lower, upper = plan.factors
         m = 2 * med.grid_points
-        # the same factors in dgbtrf's 7-row layout with identity pivots
-        lu = np.zeros((7, m), order="F")
-        lu[2:5] = upper.real
-        lu[5:7] = lower[1:].real
-        assert not np.any(upper.imag) and not np.any(lower.imag)
-        pivoted = dataclasses.replace(plan, factors=(lu,),
-                                      piv=np.arange(m, dtype=np.int32),
-                                      work=np.empty_like(plan.work))
-        rng = np.random.default_rng(11)
-        n = med.grid_points
-        pulse = build_pulse(amplitude=1.0, duration=1e3, injection_time=5e3 + 0.5,
-                            prepared=False, center=0.0)
-        state = init_state(med, RAMPED, prepared(center=12.5))
-        state.t = 5e3
-        state.psi_plus = rng.normal(size=n) + 1j * rng.normal(size=n)
-        state.psi_minus = rng.normal(size=n) + 1j * rng.normal(size=n)
-        other = copy.deepcopy(state)
-        step(state, plan, RAMPED, pulse)
-        step(other, pivoted, RAMPED, pulse)
-        # ztbsv divides by the diagonal as a complex number, with its own
-        # rounding, so entries that cancel can differ by more than 1e-13 of
-        # themselves; the fields agree to 1e-13 in norm
-        for got, ref in ((state.psi_plus, other.psi_plus),
-                         (state.psi_minus, other.psi_minus)):
-            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        pairs = [(OM0, OM0 * r_g), (OM0, 1e-6 * OM0), (1e-6 * OM0, OM0),
+                 (OM0, 0.0), (0.0, OM0)]
+        for gamma2 in (0.0, 1e-4):
+            med = dataclasses.replace(med, gamma2=gamma2)
+            for om_plus, om_minus in pairs:
+                sched = build_schedule([Segment(0.0, 1e3, om_plus, om_minus),
+                                        Segment(1e3, 2e3, om_minus, om_plus, 500.0)])
+                for lo, hi in ((0.0, 1e3), (1e3, 1.5e3)):
+                    cap = advective_cap(med, sched, np.linspace(lo, hi, 65))
+                    for frac in (0.999, 0.1, 1e-3):
+                        plan = plan_steps(med, sched, 0.5 * (lo + hi) - cap,
+                                          frac * cap, w_plus, w_minus)
+                        diag, sub1, sub2, sup1, sup2 = plan.bands
+                        a = (np.diag(diag) + np.diag(sub1[1:], -1)
+                             + np.diag(sub2[2:], -2) + np.diag(sup1[:-1], 1)
+                             + np.diag(sup2[:-2], 2))
+                        margin = 2.0 * np.abs(diag) - np.abs(a).sum(axis=0)
+                        slack = 16.0 * np.finfo(float).eps * np.abs(a).max()
+                        assert margin[1:-1].min() >= 1.0 - slack
+                        lower, upper = plan.factors
+                        assert lower.shape == upper.shape == (3, m)
+
+    @pytest.mark.parametrize("t0,dt", [(1e4, 1e-13), (0.0, 0.0)])
+    def test_step_that_advances_no_stretched_time_is_refused(self, t0, dt):
+        med = medium_for(n=256, length=25.0)
+        zeros = np.zeros(med.grid_points)
+        with pytest.raises(NonPhysicalParameter) as err:
+            plan_steps(med, hold(OM0, OM0), t0, dt, zeros, zeros)
+        assert f"dt = {dt:g} from t0 = {t0:g}" in str(err.value)
+
+    def test_factorization_that_swaps_rows_is_refused(self, monkeypatch):
+        dgbtrf = integrator.dgbtrf
+
+        def swapping(*args, **kwargs):
+            lu, piv, info = dgbtrf(*args, **kwargs)
+            piv[0] = 1
+            return lu, piv, info
+
+        monkeypatch.setattr(integrator, "dgbtrf", swapping)
+        med = medium_for(n=256, length=25.0)
+        zeros = np.zeros(med.grid_points)
+        with pytest.raises(SweepDivergence) as err:
+            plan_steps(med, RAMPED, 1e4 + 100.0, 0.5, zeros, zeros)
+        dtau = tau_of_t(med, RAMPED, 1e4 + 100.5, 1e4 + 100.0)
+        old, new = RAMPED.values(1e4 + 100.0), RAMPED.values(1e4 + 100.5)
+        assert (f"dt = 0.5, dtau = {dtau:g}, controls ({old[0]:g}, {old[1]:g})"
+                f" -> ({new[0]:g}, {new[1]:g})") in str(err.value)
 
 
 class TestStorage:
