@@ -27,6 +27,13 @@ step solves the complex right-hand side in place with two triangular `ztbsv`
 sweeps against complex copies of the real factors. A factorization that
 swaps rows anyway is refused. The residual check runs on the scaled system,
 which at r_g = 1 is bit for bit the unscaled one.
+
+`dgbtrf` and `ztbsv` are the only LAPACK/BLAS routines used. `_kernels`
+takes them as function pointers from scipy's Cython BLAS/LAPACK modules,
+loaded by file so that `scipy.linalg` is never imported: its package import
+pulls in numpy.f2py, numpy.testing, numpy.ma and numpy.random, about half of
+the CLI's start-up. `plan_steps` builds the two sweeps' `ztbsv` arguments
+once, so a step's solve is two bare calls.
 """
 
 from __future__ import annotations
@@ -35,9 +42,8 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.linalg.blas import ztbsv
-from scipy.linalg.lapack import dgbtrf
 
+from ._kernels import dgbtrf, ztbsv, ztbsv_args
 from .errors import (
     CFLViolation,
     GridTooCoarse,
@@ -181,6 +187,10 @@ class StepPlan:
     complex right-hand side, solution, residual and product rows that each
     step overwrites; the fields `step` leaves in the state are views of the
     solution row, so a field kept past the next step must be copied.
+    `sweeps` holds the `ztbsv` argument tuples of the lower and the upper
+    sweep, which solve the solution row in place against `factors`;
+    `plan_steps` builds them once, since building them costs more than a
+    call.
     """
 
     dt: float
@@ -191,6 +201,7 @@ class StepPlan:
     factors: tuple[np.ndarray, np.ndarray]
     split: np.ndarray | None
     work: np.ndarray
+    sweeps: tuple[tuple, tuple]
 
 
 def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
@@ -283,15 +294,17 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     # no swaps, so rows 0-1 took no fill-in: U sits in rows 2-4 and L's
     # multipliers under the (unreferenced) unit diagonal in rows 4-6, the
     # upper and lower band layouts ztbsv reads
-    factors = (np.asfortranarray(lu[4:7], dtype=complex),
-               np.asfortranarray(lu[2:5], dtype=complex))
+    l_factor = np.asfortranarray(lu[4:7], dtype=complex)
+    u_factor = np.asfortranarray(lu[2:5], dtype=complex)
+    work = np.empty((4, m), dtype=complex)
 
     split = None
     if perturber is not None:
         density, rate = perturber
         split = np.exp(rate * density * dtau)
-    return StepPlan(dt, dtau, co_old, inputs, bands, factors, split,
-                    np.empty((4, m), dtype=complex))
+    return StepPlan(dt, dtau, co_old, inputs, bands, (l_factor, u_factor),
+                    split, work, (ztbsv_args(l_factor, work[1], lower=True),
+                                  ztbsv_args(u_factor, work[1], lower=False)))
 
 
 def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
@@ -313,10 +326,10 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
     rhs[0] = plan.bands[0, 0] * source_amplitude(med, schedule, pulse, t1)
     rhs[m - 1] = 0.0
 
-    lower, upper = plan.factors
+    lower, upper = plan.sweeps
     u[:] = rhs
-    ztbsv(2, lower, u, lower=1, diag=1, overwrite_x=1)
-    ztbsv(2, upper, u, overwrite_x=1)
+    ztbsv(*lower)
+    ztbsv(*upper)
 
     # explicit residual of the solved system, in the plan's work rows
     diag, sub1, sub2, sup1, sup2 = plan.bands

@@ -27,6 +27,7 @@ from statlight.errors import (
     SimulationError,
     ValidationError,
 )
+from statlight.integrator import RESIDUAL_TOL
 from statlight.medium import Segment
 from statlight.presets import get_preset, list_presets
 from statlight.scenario import (MAX_POINT_STEPS, MAX_SNAPSHOT_BYTES,
@@ -345,6 +346,19 @@ class TestCli:
         assert len(sorted(out_dir.glob("snap_*.npy"))) == 3
 
 
+def test_velocity_r2_is_null_only_below_the_centroid_resolution(preset_run):
+    """The stationary hold's centroid moves by round-off alone, far below the
+    RESIDUAL_TOL N dz resolution, so its line fit reports no r2; a transit
+    keeps it."""
+    hold = preset_run("stationary")
+    vel = hold.summary["measurements"]["velocity"]
+    moved = abs(vel["measured"]) * (vel["window"][1] - vel["window"][0])
+    assert moved < RESIDUAL_TOL * hold.config.medium.domain_length
+    assert vel["r2"] is None
+    transit = preset_run("slow_light").summary["measurements"]["velocity"]
+    assert transit["r2"] > 0.999
+
+
 def _preset_with(name: str, **changes) -> str:
     """A preset's text with some keys set to other values."""
     text = get_preset(name)
@@ -487,13 +501,18 @@ def _fresh_python(code: str) -> subprocess.CompletedProcess:
 
 
 class TestImportGraph:
-    """The CLI stays clear of scipy's quadrature and root finders, which
-    would make up most of its start-up cost."""
+    """The CLI stays clear of scipy's quadrature and root finders, and of the
+    `scipy.linalg` package, whose import pulls in numpy.f2py, numpy.testing,
+    numpy.ma and numpy.random: together they would make up most of its
+    start-up cost and about 23 MB of a run's peak memory. The solver's two
+    LAPACK/BLAS routines come from scipy's Cython modules, loaded by file."""
 
     PROBE = ("import sys\n"
              "def heavy():\n"
-             "    return sorted(m for m in sys.modules\n"
-             "                  if m.startswith(('scipy.integrate', 'scipy.optimize')))\n")
+             "    return sorted(m for m in sys.modules if m == 'scipy.linalg'\n"
+             "                  or m.startswith(('scipy.integrate', 'scipy.optimize'))\n"
+             "                  or m.split('.')[:2] in (['numpy', 'f2py'], ['numpy', 'testing'],\n"
+             "                                          ['numpy', 'ma'], ['numpy', 'random']))\n")
 
     def test_cli_import_skips_integrate_and_optimize(self):
         proc = _fresh_python(self.PROBE + "import statlight.cli\nprint(heavy())")
@@ -508,6 +527,15 @@ class TestImportGraph:
             "print(codes, heavy())")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0] []"
+
+    def test_direct_run_runs_without_them(self, tmp_path):
+        proc = _fresh_python(
+            self.PROBE + "from statlight.cli import main\n"
+            f"code = main(['run', '--preset', 'stop_and_store', '--out-dir', {str(tmp_path)!r}])\n"
+            "print(code, heavy())")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "0 []"
+        assert (tmp_path / "summary.json").is_file()
 
 
 def test_snapshot_npy_round_trip(tmp_path):
@@ -543,3 +571,29 @@ def test_module_entry_point():
                           env=_src_env())
     assert proc.returncode == 0
     assert "stationary" in proc.stdout
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_entry_point_pins_blas_threads_only_when_unset(preset):
+    """`python -m statlight` and the console script set OPENBLAS_NUM_THREADS=1
+    before numpy loads, unless it is set; a library import leaves it alone."""
+    env = {k: v for k, v in _src_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import os\n"
+            "import statlight, statlight.scenario\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(preset)]
+    code = ("import os, sys\n"
+            "sys.argv = ['statlight', 'presets']\n"
+            "from statlight.__main__ import main\n"
+            "numpy_before = 'numpy' in sys.modules\n"
+            "code = main()\n"
+            "print(numpy_before, code, os.environ['OPENBLAS_NUM_THREADS'])\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["False", "0", preset or "1"]
