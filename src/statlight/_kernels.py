@@ -55,17 +55,25 @@ class _SubmoduleAttributes(importlib.abc.MetaPathFinder):
     """Finds no module itself. When `scipy.linalg` is imported after its
     Cython modules were loaded by path, its loader first sets every
     registered `scipy.linalg.*` module as an attribute of the package, as
-    the import system does for each submodule it loads itself."""
+    the import system does for each submodule it loads itself. The finder
+    leaves `sys.meta_path` when that loader runs, so a `find_spec` that
+    imports nothing does not use it up."""
 
     def find_spec(self, fullname, path=None, target=None):
         if fullname != "scipy.linalg":
             return None
-        sys.meta_path.remove(self)
-        spec = importlib.util.find_spec(fullname)
+        spec = None
+        for finder in sys.meta_path:
+            if finder is not self and hasattr(finder, "find_spec"):
+                spec = finder.find_spec(fullname, path, target)
+                if spec is not None:
+                    break
         if spec is not None and spec.loader is not None:
             exec_module = spec.loader.exec_module
 
             def exec_with_submodules(module):
+                if self in sys.meta_path:
+                    sys.meta_path.remove(self)
                 for dotted, submodule in list(sys.modules.items()):
                     parent, _, child = dotted.rpartition(".")
                     if parent == fullname:
@@ -132,14 +140,13 @@ def ztbsv_args(a: np.ndarray, x: np.ndarray, lower: bool) -> tuple:
             _pointer(ctypes.c_int(1)))
 
 
-def dgbtrf(ab: np.ndarray, kl: int, ku: int, overwrite_ab: bool = True):
+def dgbtrf(ab: np.ndarray, kl: int, ku: int):
     """LU-factor with partial pivoting the square band matrix held in LAPACK
     band storage in `ab` ((2 kl + ku + 1, n) float64), as
     `scipy.linalg.lapack.dgbtrf` does: returns (lu, piv, info) with piv
-    0-based. `ab` itself is overwritten when `overwrite_ab` and it is a
-    Fortran float64 array."""
-    lu = np.array(ab, dtype=np.float64, order="F",
-                  copy=None if overwrite_ab else True)
+    0-based. `ab` itself is overwritten when it is a Fortran float64 array;
+    any other array is copied first."""
+    lu = np.asfortranarray(ab, dtype=np.float64)
     if lu.ndim != 2 or lu.shape[0] < 2 * kl + ku + 1 or min(kl, ku) < 0:
         raise ValueError(f"band storage of shape {lu.shape} cannot hold "
                          f"kl = {kl}, ku = {ku}")

@@ -282,7 +282,7 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     ab[4, :] = diag
     ab[5, :-1] = sub1[1:]
     ab[6, :-2] = sub2[2:]
-    lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=True)
+    lu, piv, info = dgbtrf(ab, 2, 2)
     if info != 0:
         raise SweepDivergence(f"implicit step matrix is singular (dgbtrf info {info})")
     if not np.array_equal(piv, np.arange(m)):

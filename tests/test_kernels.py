@@ -123,3 +123,31 @@ def test_ztbsv_args_refuses_what_it_cannot_point_at():
 def test_dgbtrf_refuses_a_band_too_narrow():
     with pytest.raises(ValueError):
         _kernels.dgbtrf(np.zeros((5, 8), order="F"), 2, 2)
+
+
+def test_find_spec_before_the_import_keeps_the_submodule_attributes():
+    proc = _fresh_python(
+        "import importlib.util, sys\n"
+        "import statlight._kernels\n"
+        "registered = sys.modules['scipy.linalg.cython_blas']\n"
+        "assert importlib.util.find_spec('scipy.linalg') is not None\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "import scipy.linalg\n"
+        "print(scipy.linalg.cython_blas is registered,\n"
+        "      scipy.linalg.cython_lapack is sys.modules['scipy.linalg.cython_lapack'])\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
+
+
+def test_dgbtrf_factors_a_fortran_band_in_place_and_copies_any_other():
+    rng = np.random.default_rng(3)
+    ab = np.zeros((7, 12), order="F")
+    ab[2:] = rng.normal(size=(5, 12))
+    ab[4] += 8.0
+    in_place, _, info = _kernels.dgbtrf(ab, 2, 2)
+    assert info == 0 and in_place is ab
+    c_order = np.ascontiguousarray(ab)
+    kept = c_order.copy()
+    lu, _, info = _kernels.dgbtrf(c_order, 2, 2)
+    assert info == 0 and lu is not c_order
+    np.testing.assert_array_equal(c_order, kept)
