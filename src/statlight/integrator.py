@@ -28,22 +28,24 @@ sweeps against complex copies of the real factors. A factorization that
 swaps rows anyway is refused. The residual check runs on the scaled system,
 which at r_g = 1 is bit for bit the unscaled one.
 
-`dgbtrf` and `ztbsv` are the only LAPACK/BLAS routines used. `_kernels`
-takes them as function pointers from scipy's Cython BLAS/LAPACK modules,
-loaded by file so that `scipy.linalg` is never imported: its package import
-pulls in numpy.f2py, numpy.testing, numpy.ma and numpy.random, about half of
-the CLI's start-up. `plan_steps` builds the two sweeps' `ztbsv` arguments
-once, so a step's solve is two bare calls.
+`dgbtrf` and `ztbsv` are the only LAPACK/BLAS routines used. They are
+scipy's f2py wrappers, taken from its `_flapack` and `_fblas` extension files
+loaded by path, so that the `scipy.linalg` package is never imported: its
+import pulls in numpy.f2py, numpy.testing, numpy.ma and numpy.random, about
+half of the CLI's start-up.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
 
-from ._kernels import dgbtrf, ztbsv, ztbsv_args
 from .errors import (
     CFLViolation,
     GridTooCoarse,
@@ -63,6 +65,32 @@ from .medium import (
     tau_rate_at,
 )
 from .spectral import release_projection
+
+
+def _linalg_extension(name: str):
+    """The extension module scipy.linalg.<name>, without importing the
+    scipy.linalg package. Loading the file registers the module in
+    `sys.modules`, so a later `import scipy.linalg` reuses it; an install
+    without the file takes the ordinary import."""
+    dotted = f"scipy.linalg.{name}"
+    if dotted in sys.modules:
+        return sys.modules[dotted]
+    # find_spec("scipy.linalg...") would import scipy.linalg itself
+    scipy = importlib.util.find_spec("scipy")
+    for root in (scipy.submodule_search_locations or ()) if scipy else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", name + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(dotted, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[dotted] = module
+                return module
+    return importlib.import_module(dotted)
+
+
+ztbsv = _linalg_extension("_fblas").ztbsv
+dgbtrf = _linalg_extension("_flapack").dgbtrf
 
 RESIDUAL_TOL = 1e-10
 SPONGE_FRACTION = 0.05
@@ -187,10 +215,6 @@ class StepPlan:
     complex right-hand side, solution, residual and product rows that each
     step overwrites; the fields `step` leaves in the state are views of the
     solution row, so a field kept past the next step must be copied.
-    `sweeps` holds the `ztbsv` argument tuples of the lower and the upper
-    sweep, which solve the solution row in place against `factors`;
-    `plan_steps` builds them once, since building them costs more than a
-    call.
     """
 
     dt: float
@@ -201,7 +225,6 @@ class StepPlan:
     factors: tuple[np.ndarray, np.ndarray]
     split: np.ndarray | None
     work: np.ndarray
-    sweeps: tuple[tuple, tuple]
 
 
 def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
@@ -282,7 +305,7 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     ab[4, :] = diag
     ab[5, :-1] = sub1[1:]
     ab[6, :-2] = sub2[2:]
-    lu, piv, info = dgbtrf(ab, 2, 2)
+    lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
     if info != 0:
         raise SweepDivergence(f"implicit step matrix is singular (dgbtrf info {info})")
     if not np.array_equal(piv, np.arange(m)):
@@ -303,8 +326,7 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
         density, rate = perturber
         split = np.exp(rate * density * dtau)
     return StepPlan(dt, dtau, co_old, inputs, bands, (l_factor, u_factor),
-                    split, work, (ztbsv_args(l_factor, work[1], lower=True),
-                                  ztbsv_args(u_factor, work[1], lower=False)))
+                    split, work)
 
 
 def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
@@ -326,10 +348,10 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
     rhs[0] = plan.bands[0, 0] * source_amplitude(med, schedule, pulse, t1)
     rhs[m - 1] = 0.0
 
-    lower, upper = plan.sweeps
+    lower, upper = plan.factors
     u[:] = rhs
-    ztbsv(*lower)
-    ztbsv(*upper)
+    ztbsv(2, lower, u, lower=1, diag=1, overwrite_x=1)
+    ztbsv(2, upper, u, overwrite_x=1)
 
     # explicit residual of the solved system, in the plan's work rows
     diag, sub1, sub2, sup1, sup2 = plan.bands

@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from .errors import (
     DegenerateCoefficients,
@@ -41,7 +41,8 @@ class MediumModel:
     domain_length: float
     grid_points: int
 
-    xi_plus: float = 1.0
+    # the length unit, so not a parameter
+    xi_plus: ClassVar[float] = 1.0
 
     @property
     def xi_minus(self) -> float:

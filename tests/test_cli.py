@@ -501,15 +501,16 @@ def _fresh_python(code: str) -> subprocess.CompletedProcess:
 
 
 class TestImportGraph:
-    """The CLI stays clear of scipy's quadrature and root finders, and of the
-    `scipy.linalg` package, whose import pulls in numpy.f2py, numpy.testing,
-    numpy.ma and numpy.random: together they would make up most of its
-    start-up cost and about 23 MB of a run's peak memory. The solver's two
-    LAPACK/BLAS routines come from scipy's Cython modules, loaded by file."""
+    """The CLI imports neither the `scipy` package nor its quadrature and
+    root finders, nor the `scipy.linalg` package, whose import pulls in
+    numpy.f2py, numpy.testing, numpy.ma and numpy.random: together they would
+    make up most of its start-up cost and about 23 MB of a run's peak memory.
+    The solver's two LAPACK/BLAS routines come from scipy's f2py extension
+    modules, loaded by file."""
 
     PROBE = ("import sys\n"
              "def heavy():\n"
-             "    return sorted(m for m in sys.modules if m == 'scipy.linalg'\n"
+             "    return sorted(m for m in sys.modules if m in ('scipy', 'scipy.linalg')\n"
              "                  or m.startswith(('scipy.integrate', 'scipy.optimize'))\n"
              "                  or m.split('.')[:2] in (['numpy', 'f2py'], ['numpy', 'testing'],\n"
              "                                          ['numpy', 'ma'], ['numpy', 'random']))\n")

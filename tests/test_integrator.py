@@ -285,6 +285,32 @@ class TestStep:
         advance(state, sched, 0.5, prepared(), zeros, zeros)
         assert not np.any(state.psi_plus) and not np.any(state.psi_minus)
 
+    def test_a_solve_on_a_copy_fails_the_residual_check(self, monkeypatch):
+        """With overwrite_x, f2py still solves a copy, silently, when x is not
+        a contiguous complex128 array, and `step` ignores the return value:
+        the residual check must catch an unsolved work row."""
+        med, sched, state, zeros = self.run_setup()
+        plan = plan_steps(med, sched, state.t, 10.0, zeros, zeros)
+        ztbsv = integrator.ztbsv
+        monkeypatch.setattr(integrator, "ztbsv",
+                            lambda k, a, x, **kw: ztbsv(k, a, x.copy(), **kw))
+        with pytest.raises(SweepDivergence):
+            step(state, plan, sched, prepared())
+
+    def test_the_sweeps_solve_the_work_row_in_place(self, monkeypatch):
+        med, sched, state, zeros = self.run_setup()
+        plan = plan_steps(med, sched, state.t, 10.0, zeros, zeros)
+        ztbsv, returned = integrator.ztbsv, []
+
+        def recording(*args, **kwargs):
+            returned.append(ztbsv(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(integrator, "ztbsv", recording)
+        step(state, plan, sched, prepared())
+        assert len(returned) == 2
+        assert all(np.shares_memory(x, plan.work[1]) for x in returned)
+
     def test_perturber_split_rotates_forward_field(self):
         med, sched, state, zeros = self.run_setup()
         density = np.ones(med.grid_points)

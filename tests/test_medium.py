@@ -1,5 +1,6 @@
 """Medium, coefficients, pulse and control schedule unit tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -61,6 +62,11 @@ class TestMediumModel:
         # harmonic sum of the two attenuation lengths
         assert med.xi_sum_inv == pytest.approx(1.25)
         assert canonical().xi_sum_inv == pytest.approx(2.0)
+
+    def test_xi_plus_is_the_unit_not_a_field(self):
+        names = [field.name for field in dataclasses.fields(MediumModel)]
+        assert "xi_plus" not in names
+        assert canonical().xi_plus == MediumModel.xi_plus == 1.0
 
     def test_grid(self):
         med = canonical()
