@@ -63,12 +63,16 @@ class Snapshot:
     tau: float
     mode: str
     psi_plus: np.ndarray
-    psi_minus: np.ndarray
-    phi: np.ndarray
+    # None in a snapshot held while streaming to an out-dir (`_snapshot_sink`)
+    psi_minus: np.ndarray | None
+    phi: np.ndarray | None
 
 
 @dataclasses.dataclass
 class EngineRun:
+    """`snapshots` holds every snapshot of a run without an out-dir, only
+    what the measurements read when the run streams to one
+    (`_snapshot_sink`), and none for the perturber's reference twin."""
     snapshots: list
     trajectory: list
     storage_windows: list
@@ -180,8 +184,9 @@ def resource_estimate(config: RunConfig) -> tuple[int, int]:
     """(transport steps, snapshot bytes held) that a run will need, from
     arithmetic alone. Steps are `_piece_steps` over the transport windows of
     `regime_windows` (the events of a run split pieces and add at most one
-    step each); snapshots hold three complex grid arrays each, and the
-    perturber's reference twin doubles both figures."""
+    step each), and the perturber's reference twin doubles them. The bytes
+    are the primary run's full list, three complex grid arrays a snapshot:
+    the most a run holds, streamed or not (the twin holds none)."""
     med, sched, run = config.medium, config.schedule, config.run
     runs = 1 if config.perturber is None else 2
     steps = 0
@@ -193,7 +198,7 @@ def resource_estimate(config: RunConfig) -> tuple[int, int]:
     # start, end and the two ends of the fit window ride on top of the interval
     snapshots = math.ceil((run.t_end - sched.t_start) / run.snapshot_interval) + 3
     # psi_plus, psi_minus and phi, 16-byte complex values
-    return steps, runs * snapshots * med.grid_points * 3 * 16
+    return steps, snapshots * med.grid_points * 3 * 16
 
 
 def preflight(config: RunConfig) -> None:
@@ -261,7 +266,32 @@ def _record(config: RunConfig, t: float, tau: float, mode: str,
     return snap, row
 
 
-def _run_direct(config: RunConfig, include_perturber: bool) -> EngineRun:
+def _snapshot_sink(config: RunConfig, out_dir, snapshots: list):
+    """The callable an engine run hands each snapshot it records. Without an
+    out-dir it appends the snapshot to `snapshots`. With one, it saves
+    snap_NNNNN.npy if `output.snapshots` (the first save makes the directory
+    and unlinks a stale summary.json, which only a finished run writes) and
+    holds only what the measurements read: psi_plus of the fit window's
+    transport snapshots, and psi_minus for the cross-engine replay."""
+    if out_dir is None:
+        return snapshots.append
+    out = pathlib.Path(out_dir)
+    window, tol = _fit_window(config), _tol(config)
+    both = config.engine == "both"
+
+    def sink(snap: Snapshot):
+        if config.output.snapshots:
+            if snap.index == 0:
+                out.mkdir(parents=True, exist_ok=True)
+                (out / "summary.json").unlink(missing_ok=True)
+            _write_snapshot(out / f"snap_{snap.index:05d}.npy", config, snap)
+        if _in_window(snap, window, tol):
+            snapshots.append(dataclasses.replace(
+                snap, psi_minus=snap.psi_minus if both else None, phi=None))
+    return sink
+
+
+def _run_direct(config: RunConfig, include_perturber: bool, out_dir=None) -> EngineRun:
     med, sched, pulse, run = (config.medium, config.schedule,
                               config.pulse, config.run)
     state = init_state(med, sched, pulse)
@@ -275,6 +305,9 @@ def _run_direct(config: RunConfig, include_perturber: bool) -> EngineRun:
 
     events = _build_events(config)
     snapshots: list[Snapshot] = []
+    # the reference twin keeps its rows only, all `_perturber_measurement` reads
+    sink = (_snapshot_sink(config, out_dir, snapshots) if include_perturber
+            else lambda snap: None)
     traj: list[dict] = []
     storage_windows: list[list] = []
     storage_open = sched.t_start if state.mode == MODE_STORAGE else None
@@ -287,8 +320,8 @@ def _run_direct(config: RunConfig, include_perturber: bool) -> EngineRun:
         sponge_max = max(sponge_max, sponge)
         snap, row = _record(config, state.t, state.tau, state.mode,
                             state.psi_plus, state.psi_minus, state.spin,
-                            sponge, probe_idx, len(snapshots))
-        snapshots.append(snap)
+                            sponge, probe_idx, len(traj))
+        sink(snap)
         traj.append(row)
         if state.mode == MODE_PDE and sponge > SPONGE_ABORT_FRACTION:
             op, om = sched.values(state.t)
@@ -322,7 +355,7 @@ def _run_direct(config: RunConfig, include_perturber: bool) -> EngineRun:
                      state.tau, state.mode)
 
 
-def _run_spectral(config: RunConfig) -> EngineRun:
+def _run_spectral(config: RunConfig, out_dir=None) -> EngineRun:
     med, sched, pulse = config.medium, config.schedule, config.pulse
     state0 = init_state(med, sched, pulse)
     if state0.mode != MODE_PDE:
@@ -336,12 +369,13 @@ def _run_spectral(config: RunConfig) -> EngineRun:
 
     times = _snapshot_times(config)
     snapshots: list[Snapshot] = []
+    sink = _snapshot_sink(config, out_dir, snapshots)
     traj: list[dict] = []
 
     def record(pp, pm):
         snap, row = _record(config, sstate.t, sstate.tau, MODE_PDE,
-                            pp, pm, None, 0.0, probe_idx, len(snapshots))
-        snapshots.append(snap)
+                            pp, pm, None, 0.0, probe_idx, len(traj))
+        sink(snap)
         traj.append(row)
         if math.isfinite(row["phi_centroid"]):
             check_guard_band(med, pp, pm, row["phi_centroid"], half)
@@ -371,14 +405,20 @@ def _fit_window(config: RunConfig):
     return best
 
 
+def _in_window(snap: Snapshot, window, tol: float) -> bool:
+    """A transport snapshot inside the fit window: the snapshots that
+    `_measurements` and `_cross_engine` read."""
+    return (window is not None and snap.mode == MODE_PDE
+            and window[0] - tol <= snap.t <= window[1] + tol)
+
+
 def _cross_engine(config: RunConfig, primary: EngineRun):
     window = _fit_window(config)
     if window is None:
         return None, ["cross-engine replay skipped: no suitable constant window"]
     lo, hi = window
     tol = _tol(config)
-    snaps = [s for s in primary.snapshots
-             if lo - tol <= s.t <= hi + tol and s.mode == MODE_PDE]
+    snaps = [s for s in primary.snapshots if _in_window(s, window, tol)]
     if len(snaps) < 2:
         return None, ["cross-engine replay skipped: too few snapshots in window"]
     med, sched = config.medium, config.schedule
@@ -516,8 +556,7 @@ def _measurements(config: RunConfig, primary: EngineRun,
                     "rel_err": abs(a1 / a0 - predd) / predd}
 
             if pulse.prepared:
-                snaps = [s for s in primary.snapshots
-                         if lo - tol <= s.t <= hi + tol and s.mode == MODE_PDE]
+                snaps = [s for s in primary.snapshots if _in_window(s, window, tol)]
                 if len(snaps) >= 2:
                     try:
                         times = [s.t for s in snaps]
@@ -597,9 +636,9 @@ def run_scenario(config: RunConfig, out_dir=None) -> RunResult:
     preflight(config)
     reference = None
     if config.engine == "spectral":
-        primary = _run_spectral(config)
+        primary = _run_spectral(config, out_dir)
     else:
-        primary = _run_direct(config, include_perturber=True)
+        primary = _run_direct(config, include_perturber=True, out_dir=out_dir)
         if config.perturber is not None:
             reference = _run_direct(config, include_perturber=False)
 
@@ -642,12 +681,10 @@ def _write_trajectory(path: pathlib.Path, trajectory: list):
 
 
 def write_outputs(result: RunResult, out_dir) -> None:
+    """The files of a finished run beside the snapshots its engine streamed;
+    summary.json comes last, so that it marks a complete run."""
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if result.config.output.snapshots:
-        for snap in result.snapshots:
-            _write_snapshot(out / f"snap_{snap.index:05d}.npy",
-                            result.config, snap)
     _write_trajectory(out / "trajectory.tsv", result.trajectory)
-    (out / "summary.json").write_text(render_summary(result.summary))
     (out / "config.txt").write_text(render_config(result.config))
+    (out / "summary.json").write_text(render_summary(result.summary))

@@ -21,17 +21,20 @@ import statlight
 from statlight.cli import main
 from statlight.config import (ENGINES, KEYS, config_echo, parse_config,
                               render_config)
+from statlight import scenario
 from statlight.errors import (
     NonPhysicalParameter,
     ParseError,
     SimulationError,
+    SweepDivergence,
     ValidationError,
 )
 from statlight.integrator import RESIDUAL_TOL
 from statlight.medium import Segment
 from statlight.presets import get_preset, list_presets
 from statlight.scenario import (MAX_POINT_STEPS, MAX_SNAPSHOT_BYTES,
-                                preflight, resource_estimate, run_scenario)
+                                preflight, render_summary, resource_estimate,
+                                run_scenario)
 
 OM0 = math.sqrt(1e-3)
 SRC = pathlib.Path(statlight.__file__).resolve().parents[1]
@@ -389,11 +392,12 @@ class TestPreflight:
         # three 16-byte complex arrays per snapshot
         assert held == pytest.approx((1e7 + 3) * 1e9 * 3 * 16, rel=1e-9)
 
-    def test_reference_twin_doubles_the_estimate(self):
+    def test_reference_twin_doubles_the_steps_not_the_bytes(self):
+        # the twin records trajectory rows only
         config = parse_config(get_preset("phase_gate"))
         steps, held = resource_estimate(config)
         alone = resource_estimate(dataclasses.replace(config, perturber=None))
-        assert (steps, held) == (2 * alone[0], 2 * alone[1])
+        assert (steps, held) == (2 * alone[0], alone[1])
 
     def test_snapshot_budget_names_the_key(self):
         config = parse_config(_stationary(**{"run.snapshot_interval": "1e-3"}))
@@ -539,18 +543,21 @@ class TestImportGraph:
         assert (tmp_path / "summary.json").is_file()
 
 
-def test_snapshot_npy_round_trip(tmp_path):
+def test_snapshot_npy_round_trip(tmp_path, preset_run):
     """Each snap_NNNNN.npy holds snapshot NNNNN's nine columns bit for bit
     (so -0.0 and NaN count), and its t, tau and mode are row NNNNN of
-    trajectory.tsv."""
-    config = parse_config(get_preset("stop_and_store"))
-    result = run_scenario(config, tmp_path)
+    trajectory.tsv. A run streaming to an out-dir holds only the snapshots
+    its measurements read, so the expected arrays come from a run of the same
+    config without one, which holds them all."""
+    full = preset_run("stop_and_store")
+    config = full.config
+    run_scenario(config, tmp_path)
     med, sched = config.medium, config.schedule
     rows = [line.split("\t") for line in
             (tmp_path / "trajectory.tsv").read_text().splitlines()[1:]]
-    assert len(rows) == len(result.snapshots)
-    assert {snap.mode for snap in result.snapshots} == {"pde", "storage"}
-    for snap, row in zip(result.snapshots, rows):
+    assert len(rows) == len(full.snapshots) == len(list(tmp_path.glob("snap_*.npy")))
+    assert {snap.mode for snap in full.snapshots} == {"pde", "storage"}
+    for snap, row in zip(full.snapshots, rows):
         op, om = sched.values(snap.t)
         expect = np.column_stack([
             med.grid(),
@@ -564,6 +571,76 @@ def test_snapshot_npy_round_trip(tmp_path):
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
         mode = "0" if snap.mode == "pde" else "1"
         assert row[:3] == [f"{snap.t:.12g}", f"{snap.tau:.12g}", mode]
+
+
+class TestStreaming:
+    """With an out-dir, each snap_NNNNN.npy is written as the run records it,
+    and only the snapshots the measurements read stay in memory."""
+
+    @pytest.mark.parametrize("name", ["phase_gate", "stationary"])
+    def test_holds_only_what_the_measurements_read(self, tmp_path, preset_run,
+                                                   name):
+        full = preset_run(name)
+        config = full.config
+        out = tmp_path / "out"
+        result = run_scenario(config, out)
+        (lo, hi), tol = scenario._fit_window(config), scenario._tol(config)
+        expect = [s for s in full.snapshots
+                  if s.mode == "pde" and lo - tol <= s.t <= hi + tol]
+        assert [s.index for s in result.snapshots] == [s.index for s in expect]
+        for held, snap in zip(result.snapshots, expect):
+            assert held.phi is None
+            assert np.array_equal(held.psi_plus, snap.psi_plus)
+            if config.engine == "both":
+                assert np.array_equal(held.psi_minus, snap.psi_minus)
+            else:
+                assert held.psi_minus is None
+        if config.perturber is not None:
+            assert result.reference.snapshots == []
+            assert full.reference.snapshots == []
+        # measurements, and the whole summary, are those of the full list
+        assert (out / "summary.json").read_text() == render_summary(full.summary)
+        # and each file holds the bytes the full list's snapshot gives
+        assert len(list(out.glob("snap_*.npy"))) == len(full.snapshots)
+        for snap in full.snapshots:
+            scenario._write_snapshot(tmp_path / "expect.npy", config, snap)
+            assert ((out / f"snap_{snap.index:05d}.npy").read_bytes()
+                    == (tmp_path / "expect.npy").read_bytes())
+
+    def test_no_snapshot_files_holds_the_fit_window(self, tmp_path):
+        # the fit window is the retrieval plateau: snapshots 22 to 26 of 27
+        config = parse_config(_preset_with("stop_and_store",
+                                           **{"output.snapshots": "false"}))
+        result = run_scenario(config, tmp_path)
+        assert not list(tmp_path.glob("snap_*.npy"))
+        assert len(result.trajectory) == 27
+        assert [s.index for s in result.snapshots] == [22, 23, 24, 25, 26]
+        assert all(s.phi is None and s.psi_minus is None for s in result.snapshots)
+
+    def test_failed_run_leaves_no_summary(self, tmp_path, capsys, monkeypatch):
+        """A run that fails midway in a reused out-dir leaves its snapshots
+        but not an earlier run's summary.json: a summary marks a finished
+        run."""
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(MINIMAL)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.json").write_text("{}\n")
+        advance, calls = scenario._pde_advance, []
+
+        def fail_on_third_window(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise SweepDivergence("injected on the third window")
+            return advance(*args)
+
+        monkeypatch.setattr(scenario, "_pde_advance", fail_on_third_window)
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+        assert "error: injected on the third window" in capsys.readouterr().err
+        assert len(calls) == 3
+        assert not (out / "summary.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"snap_{i:05d}.npy" for i in range(3)]
 
 
 def test_module_entry_point():
