@@ -80,8 +80,6 @@ KEYS = (
     ("pulse.prepared", bool, False),
     ("pulse.center", float, 0.0),
     ("schedule.segment", Segment, None),
-    ("schedule.phi_plus", float, 0.0),
-    ("schedule.phi_minus", float, 0.0),
     ("engine", str, "both"),
     ("run.t_end", float, None),
     ("run.snapshot_interval", float, None),
@@ -178,7 +176,7 @@ def _assemble(values: dict, segments: list[Segment]) -> RunConfig:
             sections.setdefault(section, {})[key] = values.get(name, default)
 
     medium = build_medium(**sections["medium"])
-    schedule = build_schedule(segments, **sections["schedule"])
+    schedule = build_schedule(segments)
     check_clock_rate(medium, schedule)
     pulse = build_pulse(**sections["pulse"])
 
@@ -217,11 +215,10 @@ def _assemble(values: dict, segments: list[Segment]) -> RunConfig:
             raise ValidationError("the spectral engine cannot carry a perturber")
         if not pulse.prepared:
             raise ValidationError("the spectral engine needs a prepared pulse")
-        first = schedule.segments[0]
-        if t_end > first.t_end * (1.0 + 1e-12):
+        if schedule.varies(schedule.t_start, t_end):
             raise ValidationError(
-                "the spectral engine requires constant controls: run.t_end "
-                "must stay within the first schedule segment")
+                f"the spectral engine requires constant controls, but they "
+                f"change before run.t_end = {t_end:g}")
 
     return RunConfig(medium=medium, schedule=schedule, pulse=pulse, run=run,
                      output=OutputSettings(**sections["output"]),

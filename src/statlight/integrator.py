@@ -109,7 +109,6 @@ class FieldState:
     """Grid fields plus clock; `spin` holds the coherence while stored."""
 
     medium: MediumModel
-    z: np.ndarray
     psi_plus: np.ndarray
     psi_minus: np.ndarray
     t: float
@@ -140,7 +139,6 @@ def init_state(medium: MediumModel, schedule: ControlSchedule,
     polariton for prepared ones. Either kind opens in storage, as the spin,
     when the controls start below the storage threshold."""
     _check_grid(medium, pulse)
-    z = medium.grid()
     t0 = schedule.t_start
     zero = np.zeros(medium.grid_points, dtype=complex)
     phi = zero
@@ -149,16 +147,17 @@ def init_state(medium: MediumModel, schedule: ControlSchedule,
         if not (0.0 < pulse.center < medium.domain_length):
             raise NonPhysicalParameter(
                 f"prepared pulse center {pulse.center:g} outside the domain")
-        phi = pulse.amplitude * np.exp(-((z - pulse.center) ** 2) / (2.0 * l_o ** 2))
+        phi = pulse.amplitude * np.exp(
+            -((medium.grid() - pulse.center) ** 2) / (2.0 * l_o ** 2))
         phi = phi.astype(complex)
     if opens_stored(medium, schedule):
-        return FieldState(medium, z, zero.copy(), zero.copy(), t0, 0.0,
+        return FieldState(medium, zero.copy(), zero.copy(), t0, 0.0,
                           mode=MODE_STORAGE, spin=phi)
     if not pulse.prepared:
-        return FieldState(medium, z, zero.copy(), zero.copy(), t0, 0.0)
+        return FieldState(medium, zero.copy(), zero.copy(), t0, 0.0)
     co = coefficients(medium, *schedule.values(t0))
     pp, pm = release_projection(medium, co, phi)
-    return FieldState(medium, z, pp, pm, t0, 0.0)
+    return FieldState(medium, pp, pm, t0, 0.0)
 
 
 def source_amplitude(medium: MediumModel, schedule: ControlSchedule,
@@ -174,10 +173,10 @@ def source_amplitude(medium: MediumModel, schedule: ControlSchedule,
     return complex(math.sqrt(medium.gamma) * envelope / op)
 
 
-def build_absorbers(medium: MediumModel, fraction: float = SPONGE_FRACTION):
+def build_absorbers(medium: MediumModel):
     """(w_plus, w_minus) sponge profiles on the two outflow edges."""
     z = medium.grid()
-    width = fraction * medium.domain_length
+    width = SPONGE_FRACTION * medium.domain_length
     strength = 20.0 / width
     w_plus = np.zeros(medium.grid_points)
     w_minus = np.zeros(medium.grid_points)

@@ -132,8 +132,6 @@ class Segment:
 @dataclasses.dataclass(frozen=True)
 class ControlSchedule:
     segments: tuple[Segment, ...]
-    phi_plus: float = 0.0
-    phi_minus: float = 0.0
 
     @property
     def t_start(self) -> float:
@@ -200,6 +198,13 @@ class ControlSchedule:
                 out.append((a, b, i, i > 0 and 0.5 * (a + b) < seg.t_start + seg.ramp))
         return out
 
+    def varies(self, lo: float, hi: float) -> bool:
+        """Whether the controls change anywhere in [lo, hi]. A smoothstep
+        blend is monotone, so they change exactly where some piece's two
+        ends differ."""
+        return any(self.values(a) != self.values(b)
+                   for a, b, _, _ in self.pieces(lo, hi))
+
     def constant_windows(self) -> list[tuple[float, float]]:
         """Maximal intervals with both controls constant."""
         return [(a, b) for a, b, _, ramping in self.pieces(self.t_start, self.t_end)
@@ -220,7 +225,7 @@ def _smoothstep_rate(x: float) -> float:
     return 6.0 * x * (1.0 - x)
 
 
-def build_schedule(segments, phi_plus=0.0, phi_minus=0.0) -> ControlSchedule:
+def build_schedule(segments) -> ControlSchedule:
     if not segments:
         raise NonPhysicalParameter("schedule needs at least one segment")
     segs = []
@@ -245,7 +250,7 @@ def build_schedule(segments, phi_plus=0.0, phi_minus=0.0) -> ControlSchedule:
         if abs(a.t_end - b.t_start) > 1e-9 * max(1.0, abs(a.t_end)):
             raise NonPhysicalParameter(
                 f"segments not contiguous at t = {a.t_end:g} vs {b.t_start:g}")
-    return ControlSchedule(tuple(segs), float(phi_plus), float(phi_minus))
+    return ControlSchedule(tuple(segs))
 
 
 @dataclasses.dataclass(frozen=True)

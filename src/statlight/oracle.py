@@ -7,7 +7,7 @@ plateau exactly, as value times length, and each smoothstep ramp by adaptive
 Gauss-Legendre quadrature.
 The drift/width pair (`drift_beta`, `width_b`) describes a Gaussian envelope
 carried by the two-channel medium; `gaussian_envelope` assembles the full
-complex envelope including the common decay and the channel prefactors.
+envelope including the common decay and the channel prefactors.
 """
 
 from __future__ import annotations
@@ -199,11 +199,12 @@ def decay_factor(medium: MediumModel, schedule: ControlSchedule, t: float,
 
 def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
                       pulse: PulseSpec, channel: str, t: float, z):
-    """Predicted complex field envelope A_channel(t, z) at lab time t.
+    """Predicted field envelope A_channel(t, z) at lab time t.
 
     channel is "+" or "-". z may be an array. Width and drift both use the
     reconciled ordering, so that the prediction tracks real fields (a single
-    constant control then gives pure translation).
+    constant control then gives pure translation). The envelope is real:
+    the model normalises the control phases out of the transport equations.
     """
     if channel not in ("+", "-"):
         raise NonPhysicalParameter(f"channel must be '+' or '-', got {channel!r}")
@@ -213,9 +214,9 @@ def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
     co0 = coefficients(medium, *schedule.values(t0))
     co1 = coefficients(medium, op1, om1)
     if channel == "+":
-        om_here, g_ratio, phi = op1, 1.0, schedule.phi_plus
+        om_here, g_ratio = op1, 1.0
     else:
-        om_here, g_ratio, phi = om1, 1.0 / medium.r_g, schedule.phi_minus
+        om_here, g_ratio = om1, 1.0 / medium.r_g
     if om_here == 0.0:
         raise ChannelOff(f"channel {channel} has no control field at t = {t:g}")
     if op0 == 0.0:
@@ -233,7 +234,7 @@ def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
     pref *= math.exp(-decay_exponent(medium, schedule, t, include_storage=False))
     zz = np.asarray(z, dtype=float)
     body = np.exp(-((zz - anchor - beta) ** 2) / (2.0 * b ** 2))
-    return pref * body * complex(math.cos(phi), math.sin(phi))
+    return pref * body
 
 
 def spreading_velocity(medium: MediumModel, omega_plus: float, omega_minus: float) -> float:

@@ -75,10 +75,8 @@ class EngineRun:
     (`_snapshot_sink`), and none for the perturber's reference twin."""
     snapshots: list
     trajectory: list
-    storage_windows: list
     sponge_max: float
     tau_end: float
-    mode_end: str
 
 
 @dataclasses.dataclass
@@ -135,15 +133,17 @@ def _build_events(config: RunConfig) -> list[_Event]:
     for t, tag in tagged:
         if events and t - events[-1].t <= tol:
             ev = events[-1]
-            if tag == "snap":
-                ev.snap = True
-            elif tag in ("off", "on"):
-                # the threshold crossing is the physically exact event time
-                ev.kind = tag
+            # a threshold crossing is the physically exact event time, and a
+            # breakpoint beats the snapshot grid, so that no snapshot falls
+            # just short of the plateau after a ramp
+            if tag in ("off", "on") or (tag == "break" and ev.kind is None):
                 ev.t = t
         else:
-            events.append(_Event(t, snap=(tag == "snap"),
-                                 kind=tag if tag in ("off", "on") else None))
+            ev = _Event(t)
+            events.append(ev)
+        ev.snap |= tag == "snap"
+        if tag in ("off", "on"):
+            ev.kind = tag
     return events
 
 
@@ -268,11 +268,13 @@ def _record(config: RunConfig, t: float, tau: float, mode: str,
 
 def _snapshot_sink(config: RunConfig, out_dir, snapshots: list):
     """The callable an engine run hands each snapshot it records. Without an
-    out-dir it appends the snapshot to `snapshots`. With one, it saves
-    snap_NNNNN.npy if `output.snapshots` (the first save makes the directory
-    and unlinks a stale summary.json, which only a finished run writes) and
-    holds only what the measurements read: psi_plus of the fit window's
-    transport snapshots, and psi_minus for the cross-engine replay."""
+    out-dir it appends the snapshot to `snapshots`. With one, the first
+    record makes the directory and unlinks what an earlier run left there:
+    summary.json, which only a finished run writes, and every snap_*.npy.
+    Each record then saves snap_NNNNN.npy if `output.snapshots`, and the
+    sink holds only what the measurements read: psi_plus of the fit
+    window's transport snapshots, and psi_minus for the cross-engine
+    replay."""
     if out_dir is None:
         return snapshots.append
     out = pathlib.Path(out_dir)
@@ -280,10 +282,11 @@ def _snapshot_sink(config: RunConfig, out_dir, snapshots: list):
     both = config.engine == "both"
 
     def sink(snap: Snapshot):
+        if snap.index == 0:
+            out.mkdir(parents=True, exist_ok=True)
+            for stale in [out / "summary.json", *out.glob("snap_*.npy")]:
+                stale.unlink(missing_ok=True)
         if config.output.snapshots:
-            if snap.index == 0:
-                out.mkdir(parents=True, exist_ok=True)
-                (out / "summary.json").unlink(missing_ok=True)
             _write_snapshot(out / f"snap_{snap.index:05d}.npy", config, snap)
         if _in_window(snap, window, tol):
             snapshots.append(dataclasses.replace(
@@ -309,8 +312,6 @@ def _run_direct(config: RunConfig, include_perturber: bool, out_dir=None) -> Eng
     sink = (_snapshot_sink(config, out_dir, snapshots) if include_perturber
             else lambda snap: None)
     traj: list[dict] = []
-    storage_windows: list[list] = []
-    storage_open = sched.t_start if state.mode == MODE_STORAGE else None
     sponge_max = 0.0
 
     def record():
@@ -342,17 +343,11 @@ def _run_direct(config: RunConfig, include_perturber: bool, out_dir=None) -> Eng
             storage_advance(state, ev.t - state.t)
         if ev.kind == "off" and state.mode == MODE_PDE:
             store(state, sched)
-            storage_open = ev.t
         elif ev.kind == "on" and state.mode == MODE_STORAGE:
             release(state, sched)
-            storage_windows.append([storage_open, ev.t])
-            storage_open = None
         if ev.snap:
             record()
-    if storage_open is not None:
-        storage_windows.append([storage_open, None])
-    return EngineRun(snapshots, traj, storage_windows, sponge_max,
-                     state.tau, state.mode)
+    return EngineRun(snapshots, traj, sponge_max, state.tau)
 
 
 def _run_spectral(config: RunConfig, out_dir=None) -> EngineRun:
@@ -384,7 +379,7 @@ def _run_spectral(config: RunConfig, out_dir=None) -> EngineRun:
     for ta, tb in zip(times, times[1:]):
         propagate(sstate, sched, tb)
         record(*fields_from_state(sstate))
-    return EngineRun(snapshots, traj, [], 0.0, sstate.tau, MODE_PDE)
+    return EngineRun(snapshots, traj, 0.0, sstate.tau)
 
 
 def _fit_window(config: RunConfig):
@@ -609,6 +604,8 @@ def render_summary(summary: dict) -> str:
 def _summary(config: RunConfig, primary: EngineRun, measurements: dict,
              warnings: list) -> dict:
     med, sched, pulse = config.medium, config.schedule, config.pulse
+    t_end = config.run.t_end
+    windows = regime_windows(med, sched, t_end)
     return {
         "config": config_echo(config),
         "derived": {
@@ -620,12 +617,14 @@ def _summary(config: RunConfig, primary: EngineRun, measurements: dict,
             "z_offset": med.xi_sum_inv,
             "storage_threshold": med.storage_threshold,
             "tau_end": primary.tau_end,
-            "final_mode": primary.mode_end,
+            "final_mode": MODE_PDE if windows[-1][2] else MODE_STORAGE,
         },
         "validity": [c.to_dict() for c in validity_report(med, pulse, sched)],
         "crossings": [[t, kind] for t, kind in power_crossings(med, sched)
-                      if t <= config.run.t_end],
-        "storage_windows": primary.storage_windows,
+                      if t <= t_end],
+        # a storage window still open when the run ends has no end time
+        "storage_windows": [[lo, None if hi == t_end else hi]
+                            for lo, hi, transport in windows if not transport],
         "sponge_max_fraction": primary.sponge_max,
         "measurements": measurements,
         "warnings": list(dict.fromkeys(warnings)),

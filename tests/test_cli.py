@@ -125,7 +125,7 @@ class TestParse:
 
     @pytest.mark.parametrize("line", [
         "schedule.segment = 0 8e4 nan 0 50",
-        "schedule.phi_plus = nan",
+        "pulse.center = nan",
         "medium.r_g = -inf",
     ])
     def test_non_finite_number_rejected(self, line):
@@ -157,6 +157,16 @@ class TestParse:
         text = text.replace("pulse.prepared = true", "pulse.prepared = false")
         with pytest.raises(ValidationError):
             parse_config(text)
+
+    def test_spectral_engine_needs_constant_controls(self):
+        text = MINIMAL.replace("engine = direct", "engine = spectral")
+        text = text.replace(f"schedule.segment = 0 500 {OM0!r} {OM0!r} 50",
+                            f"schedule.segment = 0 100 {OM0!r} 0 50\n"
+                            f"schedule.segment = 100 500 {OM0!r} {OM0!r} 50")
+        with pytest.raises(ValidationError, match="change before run.t_end = 200"):
+            parse_config(text)
+        # the controls are still those of the first segment at t = 100
+        parse_config(text.replace("run.t_end = 200", "run.t_end = 100"))
 
     def test_spectral_engine_rejects_perturber(self):
         text = MINIMAL.replace("engine = direct", "engine = spectral")
@@ -316,6 +326,14 @@ class TestCli:
     def test_missing_config_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize("key", ["schedule.phi_plus", "schedule.phi_minus"])
+    def test_control_phase_keys_are_unknown(self, tmp_path, capsys, key):
+        # the model normalises the control phases out of transport
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(MINIMAL + f"{key} = 0.7\n")
+        assert main(["run", str(cfg), "--check"]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
     def test_run_writes_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(MINIMAL)
@@ -360,6 +378,53 @@ def test_velocity_r2_is_null_only_below_the_centroid_resolution(preset_run):
     assert vel["r2"] is None
     transit = preset_run("slow_light").summary["measurements"]["velocity"]
     assert transit["r2"] > 0.999
+
+
+STORED = """
+medium.gamma2 = 1e-5
+medium.domain_length = 120
+medium.grid_points = 1024
+pulse.prepared = true
+pulse.duration = 1e4
+pulse.center = 70
+engine = direct
+run.snapshot_interval = 1000
+"""
+
+
+@pytest.mark.parametrize("segments,windows,final", [
+    (["0 3000 0 0 50"], lambda c: [[0.0, None]], "storage"),
+    ([f"0 500 {OM0!r} 0 50", "500 3000 0 0 50"], lambda c: [[c[0], None]],
+     "storage"),
+    # the forward control alone clears the release threshold 1.2 * 10 gamma gamma2
+    (["0 500 0 0 50", f"500 3000 {OM0!r} 0 50"], lambda c: [[0.0, c[0]]], "pde"),
+], ids=["opens_stored", "ends_stored", "opens_stored_then_released"])
+def test_storage_windows_at_the_ends_of_a_run(segments, windows, final):
+    text = STORED + "".join(f"schedule.segment = {seg}\n" for seg in segments)
+    result = run_scenario(parse_config(text))
+    crossings = [t for t, _ in result.summary["crossings"]]
+    assert result.summary["storage_windows"] == windows(crossings)
+    assert result.summary["derived"]["final_mode"] == final
+    assert result.trajectory[-1]["mode"] == (1.0 if final == "storage" else 0.0)
+
+
+def test_snapshot_next_to_a_ramp_end_moves_onto_the_plateau():
+    """A grid snapshot just short of the ramp end that opens the fit window
+    is taken at the ramp end, where the cross-engine replay can start."""
+    interval = (150.0 - 1e-7) / 3.0  # the third snapshot lies 1e-7 early
+    text = MINIMAL.replace(
+        f"schedule.segment = 0 500 {OM0!r} {OM0!r} 50",
+        f"schedule.segment = 0 100 {OM0!r} 0 50\n"
+        f"schedule.segment = 100 500 {OM0!r} {OM0!r} 50")
+    text = text.replace("engine = direct", "engine = both").replace(
+        "run.t_end = 200", "run.t_end = 380").replace(
+        "run.snapshot_interval = 50", f"run.snapshot_interval = {interval!r}")
+    config = parse_config(text)
+    assert scenario._fit_window(config) == (150.0, 380.0)
+    times = [ev.t for ev in scenario._build_events(config) if ev.snap]
+    assert 150.0 in times and 3 * interval not in times
+    cross = run_scenario(config).summary["measurements"]["cross_engine"]
+    assert cross["window"] == [150.0, 380.0] and cross["steps"] == 5
 
 
 def _preset_with(name: str, **changes) -> str:
@@ -618,14 +683,9 @@ class TestStreaming:
         assert all(s.phi is None and s.psi_minus is None for s in result.snapshots)
 
     def test_failed_run_leaves_no_summary(self, tmp_path, capsys, monkeypatch):
-        """A run that fails midway in a reused out-dir leaves its snapshots
-        but not an earlier run's summary.json: a summary marks a finished
-        run."""
-        cfg = tmp_path / "scenario.cfg"
-        cfg.write_text(MINIMAL)
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "summary.json").write_text("{}\n")
+        """A run that fails midway in a reused out-dir leaves its own
+        snapshots, if it writes any, but not an earlier run's summary.json or
+        snapshots: a summary marks a finished run."""
         advance, calls = scenario._pde_advance, []
 
         def fail_on_third_window(*args):
@@ -635,12 +695,30 @@ class TestStreaming:
             return advance(*args)
 
         monkeypatch.setattr(scenario, "_pde_advance", fail_on_third_window)
-        assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
-        assert "error: injected on the third window" in capsys.readouterr().err
-        assert len(calls) == 3
-        assert not (out / "summary.json").exists()
-        assert sorted(p.name for p in out.iterdir()) == [
-            f"snap_{i:05d}.npy" for i in range(3)]
+        for snapshots, written in (("true", 3), ("false", 0)):
+            cfg = tmp_path / "scenario.cfg"
+            cfg.write_text(MINIMAL + f"output.snapshots = {snapshots}\n")
+            out = tmp_path / snapshots
+            out.mkdir()
+            (out / "summary.json").write_text("{}\n")
+            (out / "snap_00009.npy").write_text("")
+            calls.clear()
+            assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+            assert "error: injected on the third window" in capsys.readouterr().err
+            assert len(calls) == 3
+            assert sorted(p.name for p in out.iterdir()) == [
+                f"snap_{i:05d}.npy" for i in range(written)]
+
+    def test_rerun_leaves_only_its_own_snapshots(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert main(["run", "--preset", "stop_and_store", "--out-dir", out]) == 0
+        assert len(list(tmp_path.glob("snap_*.npy"))) == 27
+        assert main(["run", "--preset", "stop_and_store", "--out-dir", out,
+                     "--snapshot-every", "4000"]) == 0
+        rows = (tmp_path / "trajectory.tsv").read_text().splitlines()[1:]
+        assert sorted(p.name for p in tmp_path.glob("snap_*.npy")) == [
+            f"snap_{i:05d}.npy" for i in range(len(rows))]
+        assert len(rows) == 8
 
 
 def test_module_entry_point():

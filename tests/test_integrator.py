@@ -411,8 +411,7 @@ class TestPlan:
         assert source != 0.0
         rng = np.random.default_rng(3)
         n = med.grid_points
-        state = FieldState(med, med.grid(),
-                           rng.normal(size=n) + 1j * rng.normal(size=n),
+        state = FieldState(med, rng.normal(size=n) + 1j * rng.normal(size=n),
                            rng.normal(size=n) + 1j * rng.normal(size=n), a, 0.0)
         step(state, plan, sched, pulse)
         assert state.psi_plus[0] == source

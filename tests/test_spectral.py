@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from statlight.diagnostics import energy_fraction
 from statlight.errors import (
-    CFLViolation,
     GuardBandOverflow,
     NonPhysicalParameter,
 )
@@ -213,16 +212,26 @@ class TestPropagate:
         assert state.t == pytest.approx(2000.0, rel=1e-9)
         assert centroid == pytest.approx(102.0, abs=1e-6)
 
-    def test_ramp_needs_resolved_steps(self):
-        med = medium_for(gamma2=1e-4, n=256)
-        sched = build_schedule([
-            Segment(0.0, 1e4, OM0, 0.0),
-            Segment(1e4, 2e4, OM0, OM0, ramp=1000.0),
-        ])
-        state = self.initial(med)
-        state.t = 10500.0  # mid-ramp
-        with pytest.raises(CFLViolation):
-            propagate(state, sched, 11000.0)  # dtau about 0.8
+    RAMPED = build_schedule([
+        Segment(0.0, 1e4, OM0, 0.0),
+        Segment(1e4, 2e4, OM0, OM0, ramp=1000.0),
+    ])
+
+    @pytest.mark.parametrize("t,t_next", [(9000.0, 10400.0), (10500.0, 11000.0)],
+                             ids=["into_ramp", "mid_ramp"])
+    def test_refuses_step_over_changing_controls(self, t, t_next):
+        state = self.initial(medium_for(gamma2=1e-4, n=256))
+        state.t = t
+        with pytest.raises(NonPhysicalParameter,
+                           match=f"between t = {t:g} and t_next = {t_next:g}"):
+            propagate(state, self.RAMPED, t_next)
+
+    def test_steps_from_one_ulp_before_the_plateau(self):
+        # the ramp's controls are bit-equal to the plateau's there
+        state = self.initial(medium_for(gamma2=1e-4, n=256))
+        state.t = math.nextafter(11000.0, 0.0)
+        propagate(state, self.RAMPED, 12000.0)
+        assert state.t == 12000.0
 
     def test_dtau_must_be_positive(self):
         # the step ends at a lab time, which must follow the state's
