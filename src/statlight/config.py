@@ -9,6 +9,7 @@ control plateau: `t_start t_end omega_plus omega_minus [ramp]`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 from .errors import ParseError, ValidationError
@@ -22,6 +23,8 @@ from .medium import (
     build_pulse,
     build_schedule,
     check_clock_rate,
+    power_crossings,
+    regime_windows,
 )
 from .perturber import PerturberSpec, build_perturber
 
@@ -60,6 +63,19 @@ class RunConfig:
     output: OutputSettings
     engine: str
     perturber: PerturberSpec | None
+
+    # each run reads these several times: at preflight, for its events and
+    # for its summary
+    @functools.cached_property
+    def crossings(self) -> tuple[tuple[float, str], ...]:
+        """The schedule's storage threshold crossings (`power_crossings`)."""
+        return tuple(power_crossings(self.medium, self.schedule))
+
+    @functools.cached_property
+    def windows(self) -> tuple[tuple[float, float, bool], ...]:
+        """The transport and storage windows up to run.t_end
+        (`regime_windows`)."""
+        return tuple(regime_windows(self.medium, self.schedule, self.run.t_end))
 
 
 # Every config key in canonical order as (name, kind, default). A key's value

@@ -46,7 +46,7 @@ class SweepDivergence(SimulationError):
 
 
 class CFLViolation(SimulationError):
-    """Requested time step exceeds the advective stability bound."""
+    """Requested time step exceeds the advective accuracy bound."""
 
 
 class ThresholdChatter(SimulationError):

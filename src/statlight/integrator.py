@@ -1,27 +1,36 @@
 """Direct grid integrator for the coupled two-channel transport pair.
 
-Backward Euler in stretched time with per-channel upwind differences in z;
-each step's increment dtau comes from the exact clock `medium.tau_of_t`.
+BDF2 in stretched time, started by one Backward Euler (BE) step, with
+per-channel upwind differences in z; each step's increment dtau comes from
+the exact clock `medium.tau_of_t`. In every row the only time derivative is
+that of the polariton phi, so both schemes share one matrix form: BE takes
+(phi - phi_n) / dtau and BDF2 (3 phi - 4 phi_n + phi_{n-1}) / (2 dtau),
+which is a mass factor c (1 or 3/2) on the alpha/dtau terms and the
+right-hand side phi_n / dtau or (2 phi_n - phi_{n-1} / 2) / dtau.
 Interleaving the unknowns as u[2i] = psi_plus(z_i), u[2i+1] = psi_minus(z_i)
 makes the implicit system pentadiagonal. Its matrix is real and depends only
-on dt, dtau and the controls, so `plan_steps` checks dt against
+on c, dt, dtau and the controls, so `plan_steps` checks dt against
 `advective_cap` and factors it once per constant-control window (once per
-step on ramps), and `step` solves each complex right-hand side against those
-factors and verifies the residual against a fixed tolerance. A plan also
-serves later windows: `plan_steps` hands back the last plan when dt, dtau and
-the controls at both ends of the new window's first step are bit-identical to
-the ones it was built from, so a run factors each distinct matrix once
-between matrix changes. The polariton time derivative is discretized so that
-the weighted field sum is carried exactly through control rotations.
+step on ramps, which stay BE), and `step` solves each complex right-hand side
+against those factors and verifies the residual against a fixed tolerance.
+A plan also serves later windows: `plan_steps` hands back the last plan when
+c, dt, dtau and the controls at both ends of the new window's first step are
+bit-identical to the ones it was built from, so a run factors each distinct
+matrix once between matrix changes. The polariton time derivative is
+discretized so that the weighted field sum is carried exactly through
+control rotations. Both schemes are stable at any dt; `advective_cap`, one
+grid cell per step, bounds the time error, which second order keeps below
+BE's at half that step.
 
 Each backward-channel row is divided by rho = r_g^2, which makes the matrix
 column diagonally dominant for every r_g. alpha_+ + alpha_- + gamma2' = 1,
-since the three share one denominator, so for dtau <= 1 each column 1..m-2
-exceeds the sum of its off-diagonal magnitudes by 1 plus its sponge term;
-the CFL cap and the grid bound keep dtau near dz / 2 <= 1/16. The pinned
-inflow row 0 has no off-diagonals and is scaled to the smallest power of two
-at least as large as the column-0 entries below it, and the last column has
-no rows below its pivot. Partial pivoting then swaps no rows (Golub and Van
+since the three share one denominator, so whenever c alpha / dtau >= xi alpha,
+that is for dtau <= c, each column 1..m-2 exceeds the sum of its off-diagonal
+magnitudes by 1 plus its sponge term. Both c are at least 1, and the cap and
+the grid bound keep dtau at most dz <= 1/8. The pinned inflow row 0 has no
+off-diagonals and is scaled to the smallest power of two at least as large
+as the column-0 entries below it, and the last column has no rows below its
+pivot. Partial pivoting then swaps no rows (Golub and Van
 Loan, Matrix Computations), so `dgbtrf`'s factors have no fill-in and each
 step solves the complex right-hand side in place with two triangular `ztbsv`
 sweeps against complex copies of the real factors. A factorization that
@@ -98,6 +107,10 @@ SPONGE_FRACTION = 0.05
 MODE_PDE = "pde"
 MODE_STORAGE = "storage"
 
+# mass factors c of the two time schemes
+BE = 1.0
+BDF2 = 1.5
+
 
 def polariton_field(alpha_plus: float, alpha_minus: float, psi_plus, psi_minus):
     """The polariton carried in transport by the two channel fields."""
@@ -106,7 +119,12 @@ def polariton_field(alpha_plus: float, alpha_minus: float, psi_plus, psi_minus):
 
 @dataclasses.dataclass
 class FieldState:
-    """Grid fields plus clock; `spin` holds the coherence while stored."""
+    """Grid fields plus clock; `spin` holds the coherence while stored.
+
+    `history` is the polariton one step back, phi_{n-1}, that a BDF2 step
+    reads, rotated by the perturber's split like the fields it goes with;
+    each step leaves it, and `store`, `release` and a new state have none.
+    """
 
     medium: MediumModel
     psi_plus: np.ndarray
@@ -115,6 +133,7 @@ class FieldState:
     tau: float
     mode: str = MODE_PDE
     spin: np.ndarray | None = None
+    history: np.ndarray | None = None
 
     def polariton(self, alpha_plus: float, alpha_minus: float) -> np.ndarray:
         if self.mode == MODE_STORAGE:
@@ -189,11 +208,13 @@ def build_absorbers(medium: MediumModel):
 
 
 def advective_cap(medium: MediumModel, schedule: ControlSchedule, times) -> float:
-    """Largest stable dt at the given times: half a grid cell per step at the
-    fastest of the group velocity and dtau/dt."""
+    """Longest dt at the given times: one grid cell per step at the fastest
+    of the group velocity and dtau/dt. Both time schemes are stable at any
+    dt, so this is an accuracy cap, the step at which BDF2's time error
+    stays below the first-order upwind error in z."""
     vmax = max(abs(group_velocity(medium, *schedule.values(t))) for t in times)
     rmax = max(tau_rate_at(medium, schedule, t) for t in times)
-    return 0.5 * medium.dz / max(vmax, rmax, 1e-300)
+    return medium.dz / max(vmax, rmax, 1e-300)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -206,19 +227,23 @@ class StepPlan:
     power-of-two scale, kept for the residual check. `factors` holds the
     unit-lower and upper band factors of that matrix as complex Fortran
     (3, m) arrays, the layout `ztbsv` reads. `split` is the perturber's
-    per-step factor on psi_plus, or None without one.
+    per-step factor on psi_plus, or None without one. `mass` is the time
+    scheme's factor c, `BE` or `BDF2`.
 
-    `inputs` records dt, dtau and the controls at both ends of the step the
-    plan was built for, bit for bit: they fix the matrix, so `plan_steps`
-    hands the plan back for any step with the same inputs. `work` holds the
-    complex right-hand side, solution, residual and product rows that each
-    step overwrites; the fields `step` leaves in the state are views of the
-    solution row, so a field kept past the next step must be copied.
+    `controls` holds the controls at both ends of the step the plan was
+    built for, and `inputs` records c, dt, dtau and those controls bit for
+    bit: they fix the matrix, so `plan_steps` hands the plan back for any
+    step with the same inputs. `work` holds the complex right-hand side,
+    solution, residual and product rows that each step overwrites; the
+    fields `step` leaves in the state are views of the solution row, so a
+    field kept past the next step must be copied.
     """
 
     dt: float
     dtau: float
+    mass: float
     co_old: Coefficients
+    controls: tuple[float, float, float, float]
     inputs: bytes
     bands: np.ndarray
     factors: tuple[np.ndarray, np.ndarray]
@@ -228,19 +253,20 @@ class StepPlan:
 
 def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
                dt: float, w_plus, w_minus, perturber=None,
-               last: StepPlan | None = None) -> StepPlan:
+               last: StepPlan | None = None, mass: float = BE) -> StepPlan:
     """Check dt against `advective_cap` and factor the implicit operator of a
-    step of length dt from t0.
+    step of length dt from t0 under the time scheme of mass factor `mass`.
 
     The plan serves every step of a window whose controls are constant, since
     all of them see the same matrix; on a ramp build one per step.
     `perturber` is an optional (density_array, exponent_scale) pair applied
     by operator splitting after the solve, with exponent_scale the complex
     per-atom-density rate divided by dtau. `last`, a plan built for the same
-    medium, absorbers and perturber, is returned as it is when dt, dtau and
-    the controls at t0 and t0 + dt are bit-identical to its own inputs, since
-    the matrix would be too. dtau is compared, not assumed: on a plateau it
-    is (t1 - t0) times the rate, whose rounding depends on t0.
+    medium, absorbers and perturber, is returned as it is when mass, dt, dtau
+    and the controls at t0 and t0 + dt are bit-identical to its own inputs,
+    since the matrix would be too; otherwise the new plan takes over its work
+    rows. dtau is compared, not assumed: on a plateau it is (t1 - t0) times
+    the rate, whose rounding depends on t0.
     """
     n = medium.grid_points
     dz = medium.dz
@@ -255,7 +281,7 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
         raise NonPhysicalParameter(
             f"a step of dt = {dt:g} from t0 = {t0:g} advances no stretched time")
     controls_old, controls = schedule.values(t0), schedule.values(t1)
-    inputs = np.array((dt, dtau, *controls_old, *controls)).tobytes()
+    inputs = np.array((mass, dt, dtau, *controls_old, *controls)).tobytes()
     if last is not None and last.inputs == inputs:
         return last
 
@@ -267,7 +293,7 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     rho = medium.rho
     g2p = co.gamma2_prime
     inv_dz = 1.0 / dz
-    inv_dtau = 1.0 / dtau
+    inv_dtau = mass / dtau
 
     m = 2 * n
     bands = np.zeros((5, m))
@@ -280,7 +306,7 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
 
     # backward-channel rows j = 2i+1, sign-flipped so the diagonal is
     # positive and divided by rho (xi_minus = rho xi_plus): the right-hand
-    # side is then phi_old / dtau, as on the forward rows
+    # side is then the forward rows' one, a multiple of phi
     diag[1::2] = inv_dz / rho + xp_ap + co.alpha_minus * inv_dtau + g2p + w_minus / rho
     sub1[1::2] = -xp_ap + co.alpha_plus * inv_dtau
     sup2[1::2] = -inv_dz / rho
@@ -318,14 +344,14 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     # upper and lower band layouts ztbsv reads
     l_factor = np.asfortranarray(lu[4:7], dtype=complex)
     u_factor = np.asfortranarray(lu[2:5], dtype=complex)
-    work = np.empty((4, m), dtype=complex)
+    work = np.empty((4, m), dtype=complex) if last is None else last.work
 
     split = None
     if perturber is not None:
         density, rate = perturber
         split = np.exp(rate * density * dtau)
-    return StepPlan(dt, dtau, co_old, inputs, bands, (l_factor, u_factor),
-                    split, work)
+    return StepPlan(dt, dtau, mass, co_old, (*controls_old, *controls), inputs,
+                    bands, (l_factor, u_factor), split, work)
 
 
 def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
@@ -337,15 +363,30 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
     m = 2 * med.grid_points
     t1 = state.t + plan.dt
     inv_dtau = 1.0 / plan.dtau
-    co_old = plan.co_old
+    a_plus, a_minus = plan.co_old.alpha_plus, plan.co_old.alpha_minus
     rhs, u, res, prod = plan.work
 
-    # every row's right-hand side is phi_old / dtau
-    phi_old = state.polariton(co_old.alpha_plus, co_old.alpha_minus)
-    np.multiply(phi_old, inv_dtau, out=rhs[0::2])
-    rhs[1::2] = rhs[0::2]
+    # every row's right-hand side is phi_n / dtau (BE) or
+    # (2 phi_n - phi_{n-1} / 2) / dtau (BDF2)
+    phi = state.polariton(a_plus, a_minus)
+    if plan.mass == BE:
+        terms, scale = phi, inv_dtau
+    elif state.history is None:
+        raise NonPhysicalParameter("a BDF2 step needs the field one step back")
+    else:
+        terms = state.history * -0.25
+        terms += phi
+        scale = 2.0 * inv_dtau
+    # two strided products cost less than one and a strided copy
+    np.multiply(terms, scale, out=rhs[0::2])
+    np.multiply(terms, scale, out=rhs[1::2])
     rhs[0] = plan.bands[0, 0] * source_amplitude(med, schedule, pulse, t1)
     rhs[m - 1] = 0.0
+    # the next step's phi_{n-1}: phi_n carried through this step's split,
+    # so that BDF2 does not extrapolate the imprinted phase a second time
+    history = (phi if plan.split is None else
+               polariton_field(a_plus, a_minus, state.psi_plus * plan.split,
+                               state.psi_minus))
 
     lower, upper = plan.factors
     u[:] = rhs
@@ -374,6 +415,7 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
 
     state.psi_plus = u[0::2]
     state.psi_minus = u[1::2]
+    state.history = history
     if plan.split is not None:
         state.psi_plus *= plan.split
 
@@ -388,6 +430,7 @@ def store(state: FieldState, schedule: ControlSchedule) -> None:
     state.spin = state.polariton(co.alpha_plus, co.alpha_minus)
     state.psi_plus = np.zeros_like(state.psi_plus)
     state.psi_minus = np.zeros_like(state.psi_minus)
+    state.history = None
     state.mode = MODE_STORAGE
 
 
@@ -409,5 +452,6 @@ def release(state: FieldState, schedule: ControlSchedule) -> None:
     state.psi_plus = pp
     state.psi_minus = pm
     state.spin = None
+    state.history = None
     state.mode = MODE_PDE
 

@@ -21,12 +21,11 @@ from .diagnostics import (channel_energies, compare_to_oracle, energy_fraction,
                           linear_fit, moments, relative_phase)
 from .errors import (EmptyField, GuardBandOverflow, NonPhysicalParameter,
                      SimulationError, ValidationError)
-from .integrator import (MODE_PDE, MODE_STORAGE, RESIDUAL_TOL, advective_cap,
-                         build_absorbers, init_state, plan_steps,
+from .integrator import (BDF2, MODE_PDE, MODE_STORAGE, RESIDUAL_TOL,
+                         advective_cap, build_absorbers, init_state, plan_steps,
                          polariton_field, release, step, storage_advance, store)
 from .medium import (coefficients, envelope_scales, group_velocity,
-                     power_crossings, pulse_length, regime_windows,
-                     stationarity_residual, validity_report)
+                     pulse_length, stationarity_residual, validity_report)
 from .oracle import decay_exponent, width_b, width_growth_rate
 from .perturber import (interaction_rate, perturber_density,
                         phase_rate_stationary, phase_shift_traveling,
@@ -126,7 +125,7 @@ def _build_events(config: RunConfig) -> list[_Event]:
         tagged += [(float(t), "snap") for t in _fit_window(config) or ()
                    if t0 - tol <= t <= t_end + tol]
     tagged += [(b, "break") for b in sched.breakpoints() if t0 + tol < b < t_end - tol]
-    tagged += [(t, kind) for t, kind in power_crossings(config.medium, sched)
+    tagged += [(t, kind) for t, kind in config.crossings
                if t0 + tol < t <= t_end - tol]
     tagged.sort(key=lambda p: p[0])
     events: list[_Event] = []
@@ -163,19 +162,36 @@ def _piece_steps(med, schedule, lo: float, hi: float, i: int, ramping: bool,
 def _pde_advance(state, schedule, a: float, b: float, safety: float,
                  pulse, w_plus, w_minus, perturber, plan):
     """Advance the fields over the transport window [a, b]. `plan` is the
-    run's last plan, or None; a plateau piece passes it to `plan_steps`,
-    which keeps it when the piece's first step has bit-identical inputs, and
-    a ramp refactors every step, since the matrix follows the controls.
-    Returns the last plan, for the run's next window."""
+    run's last plan, or None. A ramp takes BE steps, one plan each, since the
+    matrix follows the controls, and leaves no history. A plateau piece
+    takes BDF2 steps from one plan, which `plan_steps` keeps when the
+    piece's first step has bit-identical inputs; it starts with one BE step,
+    from a transient plan, unless the state's history comes from a step of
+    the same dt and controls. Returns the last plan, for the run's next
+    window."""
     med = state.medium
     for lo, hi, i, ramping in schedule.pieces(a, b):
         n = _piece_steps(med, schedule, lo, hi, i, ramping, safety)
         dt = (hi - lo) / n
-        for k in range(n):
-            if k == 0 or ramping:
+        if ramping:
+            for _ in range(n):
                 plan = plan_steps(med, schedule, state.t, dt, w_plus, w_minus,
-                                  perturber, None if ramping else plan)
-            step(state, plan, schedule, pulse)
+                                  perturber, plan)
+                step(state, plan, schedule, pulse)
+            state.history = None
+        else:
+            # a plateau step has the same controls at both ends
+            if (state.history is None or plan is None or plan.dt != dt
+                    or plan.controls != 2 * schedule.values(lo)):
+                plan = plan_steps(med, schedule, state.t, dt, w_plus, w_minus,
+                                  perturber, plan)
+                step(state, plan, schedule, pulse)
+                n -= 1
+            if n:
+                plan = plan_steps(med, schedule, state.t, dt, w_plus, w_minus,
+                                  perturber, plan, BDF2)
+                for _ in range(n):
+                    step(state, plan, schedule, pulse)
         state.t = hi
     return plan
 
@@ -183,7 +199,7 @@ def _pde_advance(state, schedule, a: float, b: float, safety: float,
 def resource_estimate(config: RunConfig) -> tuple[int, int]:
     """(transport steps, snapshot bytes held) that a run will need, from
     arithmetic alone. Steps are `_piece_steps` over the transport windows of
-    `regime_windows` (the events of a run split pieces and add at most one
+    `config.windows` (the events of a run split pieces and add at most one
     step each), and the perturber's reference twin doubles them. The bytes
     are the primary run's full list, three complex grid arrays a snapshot:
     the most a run holds, streamed or not (the twin holds none)."""
@@ -192,7 +208,7 @@ def resource_estimate(config: RunConfig) -> tuple[int, int]:
     steps = 0
     if config.engine != "spectral":
         steps = runs * sum(_piece_steps(med, sched, a, b, i, ramping, run.dt_safety)
-                           for lo, hi, transport in regime_windows(med, sched, run.t_end)
+                           for lo, hi, transport in config.windows
                            if transport
                            for a, b, i, ramping in sched.pieces(lo, hi))
     # start, end and the two ends of the fit window ride on top of the interval
@@ -270,7 +286,8 @@ def _snapshot_sink(config: RunConfig, out_dir, snapshots: list):
     """The callable an engine run hands each snapshot it records. Without an
     out-dir it appends the snapshot to `snapshots`. With one, the first
     record makes the directory and unlinks what an earlier run left there:
-    summary.json, which only a finished run writes, and every snap_*.npy.
+    the files that only a finished run writes (summary.json, trajectory.tsv
+    and config.txt) and every snap_*.npy.
     Each record then saves snap_NNNNN.npy if `output.snapshots`, and the
     sink holds only what the measurements read: psi_plus of the fit
     window's transport snapshots, and psi_minus for the cross-engine
@@ -284,7 +301,8 @@ def _snapshot_sink(config: RunConfig, out_dir, snapshots: list):
     def sink(snap: Snapshot):
         if snap.index == 0:
             out.mkdir(parents=True, exist_ok=True)
-            for stale in [out / "summary.json", *out.glob("snap_*.npy")]:
+            for stale in [out / "summary.json", out / "trajectory.tsv",
+                          out / "config.txt", *out.glob("snap_*.npy")]:
                 stale.unlink(missing_ok=True)
         if config.output.snapshots:
             _write_snapshot(out / f"snap_{snap.index:05d}.npy", config, snap)
@@ -605,7 +623,6 @@ def _summary(config: RunConfig, primary: EngineRun, measurements: dict,
              warnings: list) -> dict:
     med, sched, pulse = config.medium, config.schedule, config.pulse
     t_end = config.run.t_end
-    windows = regime_windows(med, sched, t_end)
     return {
         "config": config_echo(config),
         "derived": {
@@ -617,14 +634,13 @@ def _summary(config: RunConfig, primary: EngineRun, measurements: dict,
             "z_offset": med.xi_sum_inv,
             "storage_threshold": med.storage_threshold,
             "tau_end": primary.tau_end,
-            "final_mode": MODE_PDE if windows[-1][2] else MODE_STORAGE,
+            "final_mode": MODE_PDE if config.windows[-1][2] else MODE_STORAGE,
         },
         "validity": [c.to_dict() for c in validity_report(med, pulse, sched)],
-        "crossings": [[t, kind] for t, kind in power_crossings(med, sched)
-                      if t <= t_end],
+        "crossings": [[t, kind] for t, kind in config.crossings if t <= t_end],
         # a storage window still open when the run ends has no end time
         "storage_windows": [[lo, None if hi == t_end else hi]
-                            for lo, hi, transport in windows if not transport],
+                            for lo, hi, transport in config.windows if not transport],
         "sponge_max_fraction": primary.sponge_max,
         "measurements": measurements,
         "warnings": list(dict.fromkeys(warnings)),

@@ -449,9 +449,9 @@ class TestPreflight:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 2 ** 20
-        # balanced hold: v = 0, so the CFL cap comes from dtau/dt
+        # balanced hold: v = 0, so the one-cell cap comes from dtau/dt
         rate = 2e-3 + 1e-4
-        cap = 0.5 * (200.0 / 1e9) / rate * 0.9
+        cap = (200.0 / 1e9) / rate * 0.9
         assert 0 <= steps - 1e4 / cap < 1.0 + 1e-6 * steps
         # t = 0 and 1e4, the fit window's two ends, 1e7 - 1 in between;
         # three 16-byte complex arrays per snapshot
@@ -484,7 +484,7 @@ class TestPreflight:
         config = parse_config(_stationary(**{"medium.grid_points": "400000",
                                              "run.snapshot_interval": "5000"}))
         steps, held = resource_estimate(config)
-        assert steps == 93_334
+        assert steps == 46_667
         assert held <= MAX_SNAPSHOT_BYTES
         assert steps * 4096 <= MAX_POINT_STEPS < steps * 400_000
         with pytest.raises(ValidationError, match="medium.grid_points = 400000"):
@@ -684,8 +684,9 @@ class TestStreaming:
 
     def test_failed_run_leaves_no_summary(self, tmp_path, capsys, monkeypatch):
         """A run that fails midway in a reused out-dir leaves its own
-        snapshots, if it writes any, but not an earlier run's summary.json or
-        snapshots: a summary marks a finished run."""
+        snapshots, if it writes any, but none of an earlier run's files:
+        summary.json marks a finished run, and trajectory.tsv and config.txt
+        beside this run's snapshots would describe another run."""
         advance, calls = scenario._pde_advance, []
 
         def fail_on_third_window(*args):
@@ -700,8 +701,9 @@ class TestStreaming:
             cfg.write_text(MINIMAL + f"output.snapshots = {snapshots}\n")
             out = tmp_path / snapshots
             out.mkdir()
-            (out / "summary.json").write_text("{}\n")
-            (out / "snap_00009.npy").write_text("")
+            for stale in ("summary.json", "trajectory.tsv", "config.txt",
+                          "snap_00009.npy"):
+                (out / stale).write_text("")
             calls.clear()
             assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
             assert "error: injected on the third window" in capsys.readouterr().err

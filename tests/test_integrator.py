@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import math
 import pathlib
 import sys
@@ -21,6 +22,8 @@ from statlight.errors import (
     SweepDivergence,
 )
 from statlight.integrator import (
+    BDF2,
+    BE,
     MODE_PDE,
     MODE_STORAGE,
     FieldState,
@@ -169,16 +172,21 @@ def advance(state, sched, dt, pulse, w_plus, w_minus, perturber=None):
     return step(state, plan, sched, pulse)
 
 
-def reference_step(state, sched, dt, pulse, w_plus, w_minus):
-    """Backward-Euler step assembled as a complex band matrix and solved with
+def reference_step(state, sched, dt, pulse, w_plus, w_minus, mass=BE):
+    """Backward-Euler step, or with mass = BDF2 a BDF2 step from the state's
+    history, assembled as a complex band matrix and solved with
     `solve_banded`: the direct form the factored plan must reproduce."""
     med = state.medium
     n, m = med.grid_points, 2 * med.grid_points
     t0, t1 = state.t, state.t + dt
-    dtau = tau_of_t(med, sched, t1, t0)
+    dtau = tau_of_t(med, sched, t1, t0) / mass
     co_old = coefficients(med, *sched.values(t0))
     co = coefficients(med, *sched.values(t1))
     phi_old = co_old.alpha_plus * state.psi_plus + co_old.alpha_minus * state.psi_minus
+    if mass == BDF2:
+        # (3 phi - 4 phi_n + phi_{n-1}) / (2 dtau): the BE form at dtau / c
+        # from (4 phi_n - phi_{n-1}) / 3
+        phi_old = (4.0 * phi_old - state.history) / 3.0
     xp_am, xm_ap = med.xi_plus * co.alpha_minus, med.xi_minus * co.alpha_plus
     rho, g2p, inv_dz = med.rho, co.gamma2_prime, 1.0 / med.dz
     a = lil_array((m, m), dtype=complex)
@@ -206,7 +214,7 @@ def reference_step(state, sched, dt, pulse, w_plus, w_minus):
     for d in range(-2, 3):
         ab[2 - d, max(d, 0):m + min(d, 0)] = a.diagonal(d)
     u = solve_banded((2, 2), ab, rhs)
-    return u[0::2], u[1::2], dtau
+    return u[0::2], u[1::2], dtau * mass
 
 
 class TestStep:
@@ -355,6 +363,13 @@ class TestPlan:
         pytest.param(2.0, 1024, 1e4 + 100.0, id="r_g2-10100.0"),
     ])
     def test_matches_complex_reference(self, r_g, n, t0):
+        self.check_against_reference(r_g, n, t0, BE)
+
+    @pytest.mark.parametrize("r_g,n", [(1.0, 256), (2.0, 1024)], ids=["r_g1", "r_g2"])
+    def test_bdf2_step_matches_complex_reference(self, r_g, n):
+        self.check_against_reference(r_g, n, 5e3, BDF2)
+
+    def check_against_reference(self, r_g, n, t0, mass):
         med = medium_for(r_g=r_g, gamma2=1e-5, n=n, length=25.0)
         w_plus, w_minus = build_absorbers(med)
         assert np.any(w_plus) and np.any(w_minus)
@@ -364,13 +379,14 @@ class TestPlan:
         state.t = t0
         state.psi_plus = rng.normal(size=n) + 1j * rng.normal(size=n)
         state.psi_minus = rng.normal(size=n) + 1j * rng.normal(size=n)
+        state.history = rng.normal(size=n) + 1j * rng.normal(size=n)
         dt = 0.5
         pulse = build_pulse(amplitude=1.0, duration=1e3, injection_time=t0 + dt,
                             prepared=False, center=0.0)
         assert abs(source_amplitude(med, RAMPED, pulse, t0 + dt)) > 1.0
         ref_plus, ref_minus, ref_dtau = reference_step(
-            copy.deepcopy(state), RAMPED, dt, pulse, w_plus, w_minus)
-        plan = plan_steps(med, RAMPED, t0, dt, w_plus, w_minus)
+            copy.deepcopy(state), RAMPED, dt, pulse, w_plus, w_minus, mass)
+        plan = plan_steps(med, RAMPED, t0, dt, w_plus, w_minus, mass=mass)
         dtau = step(state, plan, RAMPED, pulse)
         assert dtau == pytest.approx(ref_dtau, rel=1e-15)
         # at r_g = 2 the scaled eliminations differ from the reference's by
@@ -416,54 +432,159 @@ class TestPlan:
         step(state, plan, sched, pulse)
         assert state.psi_plus[0] == source
 
-    def counted_advance(self, monkeypatch, edges, carry=True):
+    def counted_advance(self, monkeypatch, edges, reuse=True):
         """Run `_pde_advance` window by window over `edges`, passing each
-        window the last plan when `carry`; (dgbtrf calls, step calls, state)."""
+        window the last plan, or when not `reuse` a copy of it whose inputs
+        match no step, so that every window refactors its matrix but keeps
+        the BDF2 history; (matrices factored, step calls, state)."""
         med = medium_for(n=2048)
         w_plus, w_minus = build_absorbers(med)
         state = init_state(med, RAMPED, prepared())
         state.t = edges[0]
-        calls = {"dgbtrf": 0, "step": 0}
+        factored, steps = [], []
+        dgbtrf, step_ = integrator.dgbtrf, scenario.step
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def factoring(ab, *args, **kwargs):
+            factored.append(ab.tobytes())
+            return dgbtrf(ab, *args, **kwargs)
 
-        monkeypatch.setattr(integrator, "dgbtrf", counting("dgbtrf", integrator.dgbtrf))
-        monkeypatch.setattr(scenario, "step", counting("step", scenario.step))
+        def stepping(*args):
+            steps.append(1)
+            return step_(*args)
+
+        monkeypatch.setattr(integrator, "dgbtrf", factoring)
+        monkeypatch.setattr(scenario, "step", stepping)
         plan = None
         for a, b in zip(edges, edges[1:]):
+            if plan is not None and not reuse:
+                plan = dataclasses.replace(plan, inputs=b"")
             plan = scenario._pde_advance(state, RAMPED, a, b, 0.9, prepared(),
-                                         w_plus, w_minus, None,
-                                         plan if carry else None)
+                                         w_plus, w_minus, None, plan)
             assert state.t == b
-        return calls["dgbtrf"], calls["step"], state
+        return factored, len(steps), state
 
     def test_constant_window_factors_once(self, monkeypatch):
-        factors, steps, _ = self.counted_advance(monkeypatch, [0.0, 2e3])
-        assert steps > 1
-        assert factors == 1
+        # two distinct matrices, the BE start's and the BDF2 steps', each
+        # factored once
+        factored, steps, _ = self.counted_advance(monkeypatch, [0.0, 2e3])
+        assert steps > 2
+        assert len(factored) == len(set(factored)) == 2
 
     def test_ramp_window_factors_every_step(self, monkeypatch):
-        factors, steps, _ = self.counted_advance(monkeypatch, [1e4, 1e4 + 500.0])
+        factored, steps, _ = self.counted_advance(monkeypatch, [1e4, 1e4 + 500.0])
         assert steps >= 64
-        assert factors == steps
+        assert len(factored) == steps
 
     def test_plateau_windows_share_one_factorization(self, monkeypatch):
-        # 32-unit windows of two 16-unit steps: every window's first step
-        # has the same dt, dtau and controls, so one matrix serves them all
-        edges = [32.0 * k for k in range(9)]
-        factors, steps, state = self.counted_advance(monkeypatch, edges)
-        assert steps > len(edges)
-        assert factors == 1
+        # 64-unit windows of two 32-unit steps: every window's first step
+        # has the same dt, dtau and controls, so after the first window's BE
+        # start one BDF2 matrix serves them all
+        edges = [64.0 * k for k in range(9)]
+        factored, steps, state = self.counted_advance(monkeypatch, edges)
+        assert steps == 2 * (len(edges) - 1)
+        assert len(factored) == len(set(factored)) == 2
         monkeypatch.undo()
-        again, _, fresh = self.counted_advance(monkeypatch, edges, carry=False)
-        assert again == len(edges) - 1
+        again, _, fresh = self.counted_advance(monkeypatch, edges, reuse=False)
+        assert len(again) == len(edges)
+        assert set(again) == set(factored)
         for got, ref in ((state.psi_plus, fresh.psi_plus),
                          (state.psi_minus, fresh.psi_minus)):
             assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("interval", [100, 500])
+    def test_stationary_run_takes_one_be_start(self, monkeypatch, interval):
+        """The stationary preset's direct run factors one BE start matrix and
+        otherwise BDF2 ones. With a snapshot every 100 (as in the hold_dense
+        workload) every window's first step has the same dtau, and the run
+        factors two matrices. With the preset's 500, dtau's last bits move
+        with t0 at some windows: the plan is rebuilt there, keeps the
+        history, and builds no BE plan."""
+        built, make = [], integrator.StepPlan
+        monkeypatch.setattr(integrator, "StepPlan",
+                            lambda *args: built.append(make(*args)) or built[-1])
+        factored, dgbtrf = [], integrator.dgbtrf
+        monkeypatch.setattr(integrator, "dgbtrf",
+                            lambda *args, **kw: factored.append(1) or dgbtrf(*args, **kw))
+        text = get_preset("stationary").replace(
+            "run.snapshot_interval = 500", f"run.snapshot_interval = {interval}")
+        scenario._run_direct(parse_config(text), include_perturber=True)
+        assert len(factored) == len(built)
+        assert len(built) == 2 if interval == 100 else len(built) > 2
+        assert [p.mass for p in built] == [BE] + [BDF2] * (len(built) - 1)
+        assert {(p.dt, p.controls) for p in built} == {(built[0].dt, built[0].controls)}
+        for old, new in zip(built[1:], built[2:]):
+            assert new.dtau != old.dtau
+            assert new.dtau == pytest.approx(old.dtau, rel=1e-12, abs=0.0)
+
+    def test_bdf2_step_needs_a_history(self):
+        med = medium_for(n=256, length=25.0)
+        sched = hold(OM0, OM0)
+        state = init_state(med, sched, prepared(center=12.5))
+        zeros = np.zeros(med.grid_points)
+        plan = plan_steps(med, sched, state.t, 0.5, zeros, zeros, mass=BDF2)
+        with pytest.raises(NonPhysicalParameter, match="one step back"):
+            step(state, plan, sched, prepared(center=12.5))
+        advance(state, sched, 0.5, prepared(center=12.5), zeros, zeros)
+        step(state, plan, sched, prepared(center=12.5))
+        store(state, sched)
+        release(state, sched)
+        with pytest.raises(NonPhysicalParameter, match="one step back"):
+            step(state, plan, sched, prepared(center=12.5))
+
+    @pytest.mark.parametrize("om_minus", [OM0, 0.5 * OM0], ids=["balanced", "moving"])
+    def test_plateau_steps_are_second_order_in_time(self, om_minus):
+        # halving dt cuts the error against a run at 1/64 of the step about
+        # 4x; Backward Euler steps would cut it 2x
+        med = medium_for(gamma2=1e-4, n=256, length=25.0)
+        sched = hold(OM0, om_minus)
+        w_plus, w_minus = build_absorbers(med)
+        pulse = prepared(center=12.5)
+        # eight steps at half the cap, sixteen at a quarter
+        end = 4.0 * advective_cap(med, sched, [0.0]) * (1.0 - 1e-12)
+
+        def psi_plus(safety):
+            state = init_state(med, sched, pulse)
+            scenario._pde_advance(state, sched, 0.0, end, safety, pulse,
+                                  w_plus, w_minus, None, None)
+            return state.psi_plus
+
+        ref = psi_plus(0.5 / 64)
+        coarse, fine = (np.linalg.norm(psi_plus(s) - ref) for s in (0.5, 0.25))
+        assert coarse / fine >= 3.5
+
+    @pytest.mark.parametrize("om_minus", [OM0, 0.5 * OM0], ids=["balanced", "moving"])
+    def test_perturber_rotates_the_history(self, om_minus):
+        """BDF2 steps imprint the perturber's phase as Backward Euler steps
+        of the same dt do. A history that missed the split would carry the
+        last step's imprint into the extrapolation 2 phi_n - phi_{n-1}
+        and imprint it again: about a third more phase here."""
+        med = medium_for(gamma2=1e-4, n=256, length=25.0)
+        sched = hold(OM0, om_minus)
+        w_plus, w_minus = build_absorbers(med)
+        pulse = prepared(center=12.5)
+        perturber = (np.ones(med.grid_points), 5j)
+        n = 8
+        end = n * 0.5 * advective_cap(med, sched, [0.0]) * (1.0 - 1e-12)
+
+        def bdf2(pert):
+            state = init_state(med, sched, pulse)
+            scenario._pde_advance(state, sched, 0.0, end, 0.5, pulse,
+                                  w_plus, w_minus, pert, None)
+            return state.psi_plus
+
+        def backward_euler(pert):
+            state = init_state(med, sched, pulse)
+            plan = None
+            for _ in range(n):
+                plan = plan_steps(med, sched, state.t, end / n, w_plus, w_minus,
+                                  pert, plan)
+                step(state, plan, sched, pulse)
+            return state.psi_plus
+
+        phases = [np.angle(np.vdot(run(None), run(perturber)))
+                  for run in (bdf2, backward_euler)]
+        assert 1.0 < phases[1] < 2.0
+        assert phases[0] == pytest.approx(phases[1], rel=0.01)
 
     def test_plan_is_not_reused_when_dtau_differs_in_its_last_bit(self):
         med = medium_for(n=256, length=25.0)
@@ -484,7 +605,8 @@ class TestPlan:
     def test_every_plan_is_column_diagonally_dominant(self, r_g):
         # the grid at its absorption-length bound; controls balanced, near
         # one-sided either way, and off on one side; a plateau up to t = 1e3,
-        # then a ramp to the swapped pair
+        # then a ramp to the swapped pair; both time schemes, whose margin is
+        # 1 + w for dtau <= c
         med = medium_for(r_g=r_g, n=64,
                          length=64 * min(1.0, 1.0 / r_g ** 2) / 8.0)
         w_plus, w_minus = build_absorbers(med)
@@ -498,9 +620,10 @@ class TestPlan:
                                         Segment(1e3, 2e3, om_minus, om_plus, 500.0)])
                 for lo, hi in ((0.0, 1e3), (1e3, 1.5e3)):
                     cap = advective_cap(med, sched, np.linspace(lo, hi, 65))
-                    for frac in (0.999, 0.1, 1e-3):
+                    for frac, mass in itertools.product((0.999, 0.1, 1e-3),
+                                                        (BE, BDF2)):
                         plan = plan_steps(med, sched, 0.5 * (lo + hi) - cap,
-                                          frac * cap, w_plus, w_minus)
+                                          frac * cap, w_plus, w_minus, mass=mass)
                         diag, sub1, sub2, sup1, sup2 = plan.bands
                         a = (np.diag(diag) + np.diag(sub1[1:], -1)
                              + np.diag(sub2[2:], -2) + np.diag(sup1[:-1], 1)
