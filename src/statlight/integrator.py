@@ -11,8 +11,12 @@ Interleaving the unknowns as u[2i] = psi_plus(z_i), u[2i+1] = psi_minus(z_i)
 makes the implicit system pentadiagonal. Its matrix is real and depends only
 on c, dt, dtau and the controls, so `plan_steps` checks dt against
 `advective_cap` and factors it once per constant-control window (once per
-step on ramps, which stay BE), and `step` solves each complex right-hand side
+step on ramps, which stay BE), and `step` solves each right-hand side
 against those factors and verifies the residual against a fixed tolerance.
+The control phases are normalised out of the equations, and the prepared
+pulse and the injected source are real, so the fields stay real unless a
+perturber's split imprints a phase: a plan without a perturber steps in
+float64, one with a perturber in complex128.
 A plan also serves later windows: `plan_steps` hands back the last plan when
 c, dt, dtau and the controls at both ends of the new window's first step are
 bit-identical to the ones it was built from, so a run factors each distinct
@@ -32,12 +36,13 @@ off-diagonals and is scaled to the smallest power of two at least as large
 as the column-0 entries below it, and the last column has no rows below its
 pivot. Partial pivoting then swaps no rows (Golub and Van
 Loan, Matrix Computations), so `dgbtrf`'s factors have no fill-in and each
-step solves the complex right-hand side in place with two triangular `ztbsv`
-sweeps against complex copies of the real factors. A factorization that
-swaps rows anyway is refused. The residual check runs on the scaled system,
-which at r_g = 1 is bit for bit the unscaled one.
+step solves the right-hand side in place with two triangular band sweeps:
+`dtbsv` against the real factors without a perturber, `ztbsv` against
+complex copies of them with one. A factorization that swaps rows anyway is
+refused. The residual check runs on the scaled system, which at r_g = 1 is
+bit for bit the unscaled one.
 
-`dgbtrf` and `ztbsv` are the only LAPACK/BLAS routines used. They are
+`dgbtrf`, `dtbsv` and `ztbsv` are the only LAPACK/BLAS routines used. They are
 scipy's f2py wrappers, taken from its `_flapack` and `_fblas` extension files
 loaded by path, so that the `scipy.linalg` package is never imported: its
 import pulls in numpy.f2py, numpy.testing, numpy.ma and numpy.random, about
@@ -98,7 +103,8 @@ def _linalg_extension(name: str):
     return importlib.import_module(dotted)
 
 
-ztbsv = _linalg_extension("_fblas").ztbsv
+_fblas = _linalg_extension("_fblas")
+dtbsv, ztbsv = _fblas.dtbsv, _fblas.ztbsv
 dgbtrf = _linalg_extension("_flapack").dgbtrf
 
 RESIDUAL_TOL = 1e-10
@@ -154,12 +160,12 @@ def _check_grid(medium: MediumModel, pulse: PulseSpec):
 
 def init_state(medium: MediumModel, schedule: ControlSchedule,
                pulse: PulseSpec) -> FieldState:
-    """Starting fields: empty grid for injected pulses, on-branch Gaussian
-    polariton for prepared ones. Either kind opens in storage, as the spin,
-    when the controls start below the storage threshold."""
+    """Starting fields, real: empty grid for injected pulses, on-branch
+    Gaussian polariton for prepared ones. Either kind opens in storage, as
+    the spin, when the controls start below the storage threshold."""
     _check_grid(medium, pulse)
     t0 = schedule.t_start
-    zero = np.zeros(medium.grid_points, dtype=complex)
+    zero = np.zeros(medium.grid_points)
     phi = zero
     if pulse.prepared:
         l_o = pulse_length(medium, pulse)
@@ -168,7 +174,6 @@ def init_state(medium: MediumModel, schedule: ControlSchedule,
                 f"prepared pulse center {pulse.center:g} outside the domain")
         phi = pulse.amplitude * np.exp(
             -((medium.grid() - pulse.center) ** 2) / (2.0 * l_o ** 2))
-        phi = phi.astype(complex)
     if opens_stored(medium, schedule):
         return FieldState(medium, zero.copy(), zero.copy(), t0, 0.0,
                           mode=MODE_STORAGE, spin=phi)
@@ -180,16 +185,16 @@ def init_state(medium: MediumModel, schedule: ControlSchedule,
 
 
 def source_amplitude(medium: MediumModel, schedule: ControlSchedule,
-                     pulse: PulseSpec, t: float) -> complex:
+                     pulse: PulseSpec, t: float) -> float:
     """Boundary value of psi_plus at z = 0 feeding an injected pulse."""
     if pulse.prepared:
-        return 0.0 + 0.0j
+        return 0.0
     op, _ = schedule.values(t)
     if op ** 2 < medium.storage_threshold:
-        return 0.0 + 0.0j
+        return 0.0
     envelope = pulse.amplitude * math.exp(
         -((t - pulse.injection_time) ** 2) / (2.0 * pulse.duration ** 2))
-    return complex(math.sqrt(medium.gamma) * envelope / op)
+    return math.sqrt(medium.gamma) * envelope / op
 
 
 def build_absorbers(medium: MediumModel):
@@ -225,18 +230,21 @@ class StepPlan:
     sup1 (A[j, j+1]) and sup2 (A[j, j+2]) of the real implicit matrix, with
     the backward rows divided by rho and the inflow row pinned at its
     power-of-two scale, kept for the residual check. `factors` holds the
-    unit-lower and upper band factors of that matrix as complex Fortran
-    (3, m) arrays, the layout `ztbsv` reads. `split` is the perturber's
-    per-step factor on psi_plus, or None without one. `mass` is the time
-    scheme's factor c, `BE` or `BDF2`.
+    unit-lower and upper band factors of that matrix as Fortran (3, m)
+    arrays, the layout `dtbsv` and `ztbsv` read: real without a perturber,
+    complex with one. `split` is the perturber's per-step factor on
+    psi_plus, or None without one. `mass` is the time scheme's factor c,
+    `BE` or `BDF2`.
 
     `controls` holds the controls at both ends of the step the plan was
     built for, and `inputs` records c, dt, dtau and those controls bit for
     bit: they fix the matrix, so `plan_steps` hands the plan back for any
-    step with the same inputs. `work` holds the complex right-hand side,
-    solution, residual and product rows that each step overwrites; the
-    fields `step` leaves in the state are views of the solution row, so a
-    field kept past the next step must be copied.
+    step with the same inputs. `work` holds the right-hand side, solution,
+    residual and product rows that each step overwrites, of the factors'
+    dtype, which picks the sweep: `dtbsv` in float64 without a perturber,
+    `ztbsv` in complex128 with one. The fields `step` leaves in the state
+    are views of the solution row, so a field kept past the next step must
+    be copied.
     """
 
     dt: float
@@ -341,10 +349,12 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
             f"it is not column diagonally dominant")
     # no swaps, so rows 0-1 took no fill-in: U sits in rows 2-4 and L's
     # multipliers under the (unreferenced) unit diagonal in rows 4-6, the
-    # upper and lower band layouts ztbsv reads
-    l_factor = np.asfortranarray(lu[4:7], dtype=complex)
-    u_factor = np.asfortranarray(lu[2:5], dtype=complex)
-    work = np.empty((4, m), dtype=complex) if last is None else last.work
+    # upper and lower band layouts dtbsv and ztbsv read. Only a perturber's
+    # split makes the fields complex
+    dtype = float if perturber is None else complex
+    l_factor = np.asfortranarray(lu[4:7], dtype=dtype)
+    u_factor = np.asfortranarray(lu[2:5], dtype=dtype)
+    work = np.empty((4, m), dtype=dtype) if last is None else last.work
 
     split = None
     if perturber is not None:
@@ -365,10 +375,26 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
     inv_dtau = 1.0 / plan.dtau
     a_plus, a_minus = plan.co_old.alpha_plus, plan.co_old.alpha_minus
     rhs, u, res, prod = plan.work
+    if plan.split is None and any(np.iscomplexobj(field) for field in (
+            state.psi_plus, state.psi_minus, state.history)):
+        raise NonPhysicalParameter(
+            "a step without a perturber takes real fields, and this state's "
+            "are complex: only a perturber's split imprints a phase")
 
+    # phi_n, and the next step's phi_{n-1}: phi_n itself, or with a
+    # perturber phi_n carried through this step's split, so that BDF2 does
+    # not extrapolate the imprinted phase a second time
+    if plan.split is None:
+        phi = history = state.polariton(a_plus, a_minus)
+    else:
+        minus = a_minus * state.psi_minus
+        phi = a_plus * state.psi_plus
+        phi += minus
+        history = state.psi_plus * plan.split
+        history *= a_plus
+        history += minus
     # every row's right-hand side is phi_n / dtau (BE) or
     # (2 phi_n - phi_{n-1} / 2) / dtau (BDF2)
-    phi = state.polariton(a_plus, a_minus)
     if plan.mass == BE:
         terms, scale = phi, inv_dtau
     elif state.history is None:
@@ -382,16 +408,12 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
     np.multiply(terms, scale, out=rhs[1::2])
     rhs[0] = plan.bands[0, 0] * source_amplitude(med, schedule, pulse, t1)
     rhs[m - 1] = 0.0
-    # the next step's phi_{n-1}: phi_n carried through this step's split,
-    # so that BDF2 does not extrapolate the imprinted phase a second time
-    history = (phi if plan.split is None else
-               polariton_field(a_plus, a_minus, state.psi_plus * plan.split,
-                               state.psi_minus))
 
     lower, upper = plan.factors
+    sweep = ztbsv if u.dtype == complex else dtbsv
     u[:] = rhs
-    ztbsv(2, lower, u, lower=1, diag=1, overwrite_x=1)
-    ztbsv(2, upper, u, overwrite_x=1)
+    sweep(2, lower, u, lower=1, diag=1, overwrite_x=1)
+    sweep(2, upper, u, overwrite_x=1)
 
     # explicit residual of the solved system, in the plan's work rows
     diag, sub1, sub2, sup1, sup2 = plan.bands

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import math
 from typing import ClassVar, NamedTuple
 
@@ -141,14 +142,18 @@ class ControlSchedule:
     def t_end(self) -> float:
         return self.segments[-1].t_end
 
+    @functools.cached_property
+    def _starts(self) -> tuple[float, ...]:
+        """Each segment's t_start, the keys `_locate` bisects."""
+        return tuple(seg.t_start for seg in self.segments)
+
     def _locate(self, t: float) -> int:
         t0, t1 = self.segments[0].t_start, self.segments[-1].t_end
         slack = 1e-9 * max(1.0, abs(t1))
         if t < t0 - slack or t > t1 + slack:
             raise OutOfScheduleRange(
                 f"t = {t:g} outside schedule span [{t0:g}, {t1:g}]")
-        i = bisect.bisect_right(self.segments, t, key=lambda s: s.t_start) - 1
-        return max(0, min(i, len(self.segments) - 1))
+        return max(0, bisect.bisect_right(self._starts, t) - 1)
 
     def values(self, t: float) -> tuple[float, float]:
         """Control amplitudes (omega_plus, omega_minus) at time t."""
@@ -172,15 +177,19 @@ class ControlSchedule:
         return ((seg.omega_plus - prev.omega_plus) * ds,
                 (seg.omega_minus - prev.omega_minus) * ds)
 
-    def breakpoints(self) -> list[float]:
-        """Times where the control law changes analytic form."""
+    @functools.cached_property
+    def _breakpoints(self) -> tuple[float, ...]:
         pts = []
         for i, seg in enumerate(self.segments):
             pts.append(seg.t_start)
             if i > 0 and seg.t_start + seg.ramp < seg.t_end:
                 pts.append(seg.t_start + seg.ramp)
         pts.append(self.t_end)
-        return sorted(set(pts))
+        return tuple(sorted(set(pts)))
+
+    def breakpoints(self) -> list[float]:
+        """Times where the control law changes analytic form."""
+        return list(self._breakpoints)
 
     def pieces(self, lo: float, hi: float) -> list[tuple[float, float, int, bool]]:
         """(a, b, i, ramping) pieces of [lo, hi] between breakpoints: segment

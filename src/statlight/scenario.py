@@ -202,7 +202,8 @@ def resource_estimate(config: RunConfig) -> tuple[int, int]:
     `config.windows` (the events of a run split pieces and add at most one
     step each), and the perturber's reference twin doubles them. The bytes
     are the primary run's full list, three complex grid arrays a snapshot:
-    the most a run holds, streamed or not (the twin holds none)."""
+    the most a run holds, streamed or not (the twin holds none). A direct
+    run without a perturber holds real arrays, half that."""
     med, sched, run = config.medium, config.schedule, config.run
     runs = 1 if config.perturber is None else 2
     steps = 0

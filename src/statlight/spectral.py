@@ -85,13 +85,20 @@ def release_projection(medium: MediumModel, co: Coefficients, phi: np.ndarray):
     The forward k-component is phi(k)/(alpha_+ + alpha_- f(k)) and the
     backward one follows from slaving, so the weighted sum reconstructs phi
     exactly and a same-controls store/release round trip is lossless.
+    A real phi gives real fields: f(-k) is the conjugate of f(k), so the
+    only imaginary content is that of an even grid's Nyquist bin, whose k
+    has no partner, and the real parts still sum to phi since the alphas
+    are real.
     """
     k = k_grid(medium)
     f = slaving_kernel(medium, k)
-    phi_k = np.fft.fft(np.asarray(phi, dtype=complex))
+    phi_k = np.fft.fft(phi)
     denom = co.alpha_plus + co.alpha_minus * f
     psi_p_k = phi_k / denom
-    return np.fft.ifft(psi_p_k), np.fft.ifft(f * psi_p_k)
+    pp, pm = np.fft.ifft(psi_p_k), np.fft.ifft(f * psi_p_k)
+    if np.iscomplexobj(phi):
+        return pp, pm
+    return pp.real.copy(), pm.real.copy()
 
 
 @dataclasses.dataclass

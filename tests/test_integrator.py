@@ -19,6 +19,7 @@ from statlight.errors import (
     CFLViolation,
     GridTooCoarse,
     NonPhysicalParameter,
+    SimulationError,
     SweepDivergence,
 )
 from statlight.integrator import (
@@ -265,23 +266,30 @@ class TestStep:
     @pytest.mark.parametrize("nan", [complex(math.nan, 0.0), complex(0.0, math.nan)],
                              ids=["real", "imag"])
     def test_nan_in_real_or_imaginary_part_fails_on_the_ztbsv_path(self, nan):
+        # only a perturbed plan steps complex fields; its split here is 1
         med = medium_for(n=256, length=25.0)
         sched = hold(OM0, OM0)
         state = init_state(med, sched, prepared(center=12.5))
+        state.psi_plus = state.psi_plus.astype(complex)
+        state.psi_minus = state.psi_minus.astype(complex)
         state.psi_minus[100] = nan
         zeros = np.zeros(med.grid_points)
-        plan = plan_steps(med, sched, state.t, 0.5, zeros, zeros)
+        plan = plan_steps(med, sched, state.t, 0.5, zeros, zeros,
+                          perturber=(zeros, 0j))
+        assert plan.work.dtype == complex
         with pytest.raises(SweepDivergence):
             step(state, plan, sched, prepared())
 
     def test_nan_field_fails_residual_check(self):
+        # on the dtbsv path, and on the ztbsv path with a split of 1
         med = medium_for(n=256, length=25.0)
         sched = hold(OM0, OM0)
-        state = init_state(med, sched, prepared(center=12.5))
-        state.psi_plus[100] = np.nan
         zeros = np.zeros(med.grid_points)
-        with pytest.raises(SweepDivergence):
-            advance(state, sched, 0.5, prepared(), zeros, zeros)
+        for perturber in (None, (zeros, 0j)):
+            state = init_state(med, sched, prepared(center=12.5))
+            state.psi_plus[100] = np.nan
+            with pytest.raises(SweepDivergence):
+                advance(state, sched, 0.5, prepared(), zeros, zeros, perturber)
 
     def test_zero_fields_pass_residual_check(self):
         med = medium_for(n=256, length=25.0)
@@ -293,31 +301,62 @@ class TestStep:
         advance(state, sched, 0.5, prepared(), zeros, zeros)
         assert not np.any(state.psi_plus) and not np.any(state.psi_minus)
 
+    # the sweep each plan takes: dtbsv without a perturber, ztbsv with one
+    # (its split is 1 here)
+    SWEEPS = (("dtbsv", None, float), ("ztbsv", 0j, complex))
+
     def test_a_solve_on_a_copy_fails_the_residual_check(self, monkeypatch):
         """With overwrite_x, f2py still solves a copy, silently, when x is not
-        a contiguous complex128 array, and `step` ignores the return value:
-        the residual check must catch an unsolved work row."""
-        med, sched, state, zeros = self.run_setup()
-        plan = plan_steps(med, sched, state.t, 10.0, zeros, zeros)
-        ztbsv = integrator.ztbsv
-        monkeypatch.setattr(integrator, "ztbsv",
-                            lambda k, a, x, **kw: ztbsv(k, a, x.copy(), **kw))
-        with pytest.raises(SweepDivergence):
-            step(state, plan, sched, prepared())
+        a contiguous array of the routine's dtype, and `step` ignores the
+        return value: the residual check must catch an unsolved work row."""
+        med, sched, _, zeros = self.run_setup()
+        for name, rate, dtype in self.SWEEPS:
+            state = init_state(med, sched, prepared())
+            plan = plan_steps(med, sched, state.t, 10.0, zeros, zeros,
+                              None if rate is None else (zeros, rate))
+            assert plan.work.dtype == dtype
+            sweep = getattr(integrator, name)
+            monkeypatch.setattr(integrator, name,
+                                lambda k, a, x, sweep=sweep, **kw:
+                                sweep(k, a, x.copy(), **kw))
+            with pytest.raises(SweepDivergence):
+                step(state, plan, sched, prepared())
+            monkeypatch.undo()
 
     def test_the_sweeps_solve_the_work_row_in_place(self, monkeypatch):
+        med, sched, _, zeros = self.run_setup()
+        for name, rate, dtype in self.SWEEPS:
+            state = init_state(med, sched, prepared())
+            plan = plan_steps(med, sched, state.t, 10.0, zeros, zeros,
+                              None if rate is None else (zeros, rate))
+            returned = {"dtbsv": [], "ztbsv": []}
+            for kernel, calls in returned.items():
+                def recording(*args, sweep=getattr(integrator, kernel),
+                              calls=calls, **kwargs):
+                    calls.append(sweep(*args, **kwargs))
+                    return calls[-1]
+                monkeypatch.setattr(integrator, kernel, recording)
+            step(state, plan, sched, prepared())
+            monkeypatch.undo()
+            assert [len(calls) for kernel, calls in returned.items()
+                    if kernel != name] == [0]
+            assert len(returned[name]) == 2
+            assert all(x.dtype == dtype and np.shares_memory(x, plan.work[1])
+                       for x in returned[name])
+
+    def test_complex_fields_are_refused_without_a_perturber(self):
         med, sched, state, zeros = self.run_setup()
         plan = plan_steps(med, sched, state.t, 10.0, zeros, zeros)
-        ztbsv, returned = integrator.ztbsv, []
-
-        def recording(*args, **kwargs):
-            returned.append(ztbsv(*args, **kwargs))
-            return returned[-1]
-
-        monkeypatch.setattr(integrator, "ztbsv", recording)
+        for field in ("psi_plus", "psi_minus"):
+            bad = copy.deepcopy(state)
+            setattr(bad, field, getattr(bad, field) * (1.0 + 0.0j))
+            with pytest.raises(SimulationError, match="complex"):
+                step(bad, plan, sched, prepared())
         step(state, plan, sched, prepared())
-        assert len(returned) == 2
-        assert all(np.shares_memory(x, plan.work[1]) for x in returned)
+        bdf2 = plan_steps(med, sched, state.t, 10.0, zeros, zeros, mass=BDF2)
+        state.history = state.history.astype(complex)
+        with pytest.raises(SimulationError, match="complex"):
+            step(state, bdf2, sched, prepared())
 
     def test_perturber_split_rotates_forward_field(self):
         med, sched, state, zeros = self.run_setup()
@@ -370,31 +409,40 @@ class TestPlan:
         self.check_against_reference(r_g, n, 5e3, BDF2)
 
     def check_against_reference(self, r_g, n, t0, mass):
+        """Real fields through a plan without a perturber (dtbsv), and
+        complex ones through a plan whose perturber's split is 1 (ztbsv),
+        each against the complex reference."""
         med = medium_for(r_g=r_g, gamma2=1e-5, n=n, length=25.0)
         w_plus, w_minus = build_absorbers(med)
         assert np.any(w_plus) and np.any(w_minus)
-        rng = np.random.default_rng(7)
         n = med.grid_points
-        state = init_state(med, RAMPED, prepared(center=12.5))
-        state.t = t0
-        state.psi_plus = rng.normal(size=n) + 1j * rng.normal(size=n)
-        state.psi_minus = rng.normal(size=n) + 1j * rng.normal(size=n)
-        state.history = rng.normal(size=n) + 1j * rng.normal(size=n)
         dt = 0.5
         pulse = build_pulse(amplitude=1.0, duration=1e3, injection_time=t0 + dt,
                             prepared=False, center=0.0)
         assert abs(source_amplitude(med, RAMPED, pulse, t0 + dt)) > 1.0
-        ref_plus, ref_minus, ref_dtau = reference_step(
-            copy.deepcopy(state), RAMPED, dt, pulse, w_plus, w_minus, mass)
-        plan = plan_steps(med, RAMPED, t0, dt, w_plus, w_minus, mass=mass)
-        dtau = step(state, plan, RAMPED, pulse)
-        assert dtau == pytest.approx(ref_dtau, rel=1e-15)
-        # at r_g = 2 the scaled eliminations differ from the reference's by
-        # roundoff of the field's peak, which exceeds 1e-12 of its smallest
-        # entries; r_g = 1 matches entry by entry
-        for got, ref in ((state.psi_plus, ref_plus), (state.psi_minus, ref_minus)):
-            atol = 0.0 if r_g == 1.0 else 1e-12 * np.abs(ref).max()
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=atol)
+        for perturber, imag in ((None, 0.0), ((np.zeros(n), 0j), 1j)):
+            rng = np.random.default_rng(7)
+            state = init_state(med, RAMPED, prepared(center=12.5))
+            state.t = t0
+            state.psi_plus = rng.normal(size=n) + imag * rng.normal(size=n)
+            state.psi_minus = rng.normal(size=n) + imag * rng.normal(size=n)
+            state.history = rng.normal(size=n) + imag * rng.normal(size=n)
+            ref_plus, ref_minus, ref_dtau = reference_step(
+                copy.deepcopy(state), RAMPED, dt, pulse, w_plus, w_minus, mass)
+            plan = plan_steps(med, RAMPED, t0, dt, w_plus, w_minus, perturber,
+                              mass=mass)
+            dtau = step(state, plan, RAMPED, pulse)
+            assert dtau == pytest.approx(ref_dtau, rel=1e-15)
+            # at r_g = 2 the scaled eliminations, and at any r_g the real
+            # ones, differ from the reference's complex eliminations by
+            # roundoff of the field's peak, which exceeds 1e-12 of its
+            # smallest entries; complex ones at r_g = 1 match entry by entry
+            exact = r_g == 1.0 and perturber is not None
+            for got, ref in ((state.psi_plus, ref_plus),
+                             (state.psi_minus, ref_minus)):
+                assert got.dtype == (float if perturber is None else complex)
+                atol = 0.0 if exact else 1e-12 * np.abs(ref).max()
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=atol)
 
     @pytest.mark.parametrize("t0", [5e3, 1e4 - 0.25, 1e4 + 100.0, 1e4 + 499.75])
     def test_dtau_is_the_exact_clock(self, t0):
@@ -427,8 +475,7 @@ class TestPlan:
         assert source != 0.0
         rng = np.random.default_rng(3)
         n = med.grid_points
-        state = FieldState(med, rng.normal(size=n) + 1j * rng.normal(size=n),
-                           rng.normal(size=n) + 1j * rng.normal(size=n), a, 0.0)
+        state = FieldState(med, rng.normal(size=n), rng.normal(size=n), a, 0.0)
         step(state, plan, sched, pulse)
         assert state.psi_plus[0] == source
 
@@ -659,6 +706,51 @@ class TestPlan:
         old, new = RAMPED.values(1e4 + 100.0), RAMPED.values(1e4 + 100.5)
         assert (f"dt = 0.5, dtau = {dtau:g}, controls ({old[0]:g}, {old[1]:g})"
                 f" -> ({new[0]:g}, {new[1]:g})") in str(err.value)
+
+
+class TestArithmetic:
+    """Fields stay float64 unless a perturber's split imprints a phase."""
+
+    def run(self, monkeypatch, name, include_perturber):
+        """(dtypes of the fields and history each step leaves, dtypes of the
+        fields of every snapshot after the first) of a preset's direct run."""
+        stepped, step_ = set(), scenario.step
+
+        def stepping(state, *args):
+            dtau = step_(state, *args)
+            stepped.update(a.dtype for a in (state.psi_plus, state.psi_minus,
+                                             state.history))
+            return dtau
+
+        monkeypatch.setattr(scenario, "step", stepping)
+        run = scenario._run_direct(parse_config(get_preset(name)),
+                                   include_perturber)
+        recorded = {a.dtype for snap in run.snapshots[1:]
+                    for a in (snap.psi_plus, snap.psi_minus, snap.phi)}
+        return stepped, recorded
+
+    # an injected pulse, a prepared one, and one through store and release
+    @pytest.mark.parametrize("name", ["slow_light", "stationary", "stop_and_store"])
+    def test_unperturbed_runs_are_real(self, monkeypatch, name):
+        stepped, recorded = self.run(monkeypatch, name, True)
+        assert stepped == recorded == {np.dtype(np.float64)}
+
+    def test_only_the_perturbed_run_is_complex(self, monkeypatch):
+        stepped, recorded = self.run(monkeypatch, "phase_gate", True)
+        assert stepped == recorded == {np.dtype(np.complex128)}
+        monkeypatch.undo()
+        twin, _ = self.run(monkeypatch, "phase_gate", False)
+        assert twin == {np.dtype(np.float64)}
+
+    def test_store_and_release_keep_a_real_polariton_real(self):
+        med = medium_for(gamma2=1e-5, n=2048)
+        sched = hold(OM0, OM0)
+        state = init_state(med, sched, prepared())
+        store(state, sched)
+        storage_advance(state, 5e3)
+        assert state.spin.dtype == np.float64
+        release(state, sched)
+        assert state.psi_plus.dtype == state.psi_minus.dtype == np.float64
 
 
 class TestStorage:

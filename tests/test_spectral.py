@@ -157,6 +157,25 @@ class TestProjection:
         back = co.alpha_plus * psi_p + co.alpha_minus * psi_m
         np.testing.assert_allclose(back, phi, atol=1e-12)
 
+    def test_real_polariton_projects_onto_real_fields(self):
+        # a profile with Nyquist content on an even grid: that bin's k has
+        # no partner, so the complex projection's imaginary part is the
+        # Nyquist mode alone, and the real parts still sum to phi
+        med = medium_for(gamma2=1e-4, n=2048)
+        co = coefficients(med, OM0, OM0)
+        nyquist = (-1.0) ** np.arange(med.grid_points)
+        phi = self.gaussian_phi(med).real * (1.0 + 0.1 * nyquist)
+        psi_p, psi_m = release_projection(med, co, phi)
+        assert psi_p.dtype == psi_m.dtype == np.float64
+        back = co.alpha_plus * psi_p + co.alpha_minus * psi_m
+        np.testing.assert_allclose(back, phi, rtol=0.0, atol=1e-15)
+        for real, full in zip((psi_p, psi_m),
+                              release_projection(med, co, phi.astype(complex))):
+            assert np.abs(full.imag).max() > 0.1
+            np.testing.assert_allclose(full.imag, full.imag[0] * nyquist,
+                                       rtol=0.0, atol=1e-14)
+            np.testing.assert_array_equal(real, full.real)
+
     def test_projection_lands_on_slaving_branch(self):
         med = medium_for(gamma2=1e-4, n=2048)
         co = coefficients(med, OM0, OM0)

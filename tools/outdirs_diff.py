@@ -7,21 +7,40 @@ PARENT_CHECKOUT is a second checkout of the parent commit (a clone or an
 exported tree with its own src/). For each preset, both checkouts run
 `python -m statlight run --preset NAME --out-dir DIR` with their own src/ on
 PYTHONPATH, each into a fresh temporary directory. The script prints, per
-preset, the files whose bytes differ and the files that only one side wrote,
-and exits 1 if there are any (or if a run fails), else 0.
+preset, the files whose bytes differ (the snapshots as a count) and the files
+that only one side wrote, and exits 1 if there are any (or if a run fails),
+else 0.
+
+Under a preset whose files differ it prints how far the values moved: for
+each column of the snap_*.npy files and of trajectory.tsv, and for each
+numeric field of summary.json, whose values differ, the largest relative
+change. A column's change is relative to its largest magnitude on either
+side (over all of a preset's differing snapshots, for the .npy columns),
+with the largest absolute change beside it; a field's is relative to the
+larger of its two values. Bytes that differ with equal values (signed zeros) print no
+change. Non-numeric summary fields that differ are named.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
+import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 CHANGE = pathlib.Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+# the columns of snap_NNNNN.npy, as the README lists them
+SNAPSHOT_COLUMNS = ("z", "re_psi_plus", "im_psi_plus", "re_psi_minus",
+                    "im_psi_minus", "abs_a_plus", "abs_a_minus", "re_phi",
+                    "im_phi")
 
 
 def presets(checkout: pathlib.Path) -> list[str]:
@@ -37,6 +56,70 @@ def statlight(checkout: pathlib.Path, *args: str) -> str:
         raise SystemExit(f"{checkout}: statlight {' '.join(args)} failed:\n"
                          f"{proc.stderr}")
     return proc.stdout
+
+
+def column_changes(old: np.ndarray, new: np.ndarray, names, changes: dict):
+    """Fold into `changes` {column: (largest absolute change, largest
+    magnitude on either side)} the columns of two equally shaped 2-D tables;
+    NaN against NaN is no change, NaN against a number an infinite one."""
+    if old.shape != new.shape:
+        changes["shape"] = (math.inf, 0.0)
+        return
+    both_nan = np.isnan(old) & np.isnan(new)
+    delta = np.where(both_nan, 0.0, np.abs(old - new))
+    delta[np.isnan(delta)] = math.inf
+    scale = np.fmax(np.nanmax(np.abs(old), axis=0, initial=0.0),
+                    np.nanmax(np.abs(new), axis=0, initial=0.0))
+    for name, d, top in zip(names, delta.max(axis=0), scale):
+        ab, mag = changes.get(name, (0.0, 0.0))
+        changes[name] = (max(ab, d), max(mag, top))
+
+
+def summary_changes(old, new, path: str, changes: dict):
+    """Fold into `changes` {field path: relative change, or None for a
+    non-numeric change} every field of two summary.json trees that differs."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            summary_changes(old.get(key), new.get(key), f"{path}.{key}".lstrip("."),
+                            changes)
+    elif (isinstance(old, list) and isinstance(new, list)
+          and len(old) == len(new)):
+        for i, (a, b) in enumerate(zip(old, new)):
+            summary_changes(a, b, f"{path}[{i}]", changes)
+    elif old != new:
+        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      for v in (old, new))
+        changes[path] = (abs(old - new) / max(abs(old), abs(new))
+                         if numeric else None)
+
+
+def value_changes(parent: dict, change: dict, changed: list[str]) -> list[str]:
+    """Report lines on how far the values of the changed files moved."""
+    snapshots, tables = {}, {}
+    fields: dict = {}
+    for name in changed:
+        if name.endswith(".npy"):
+            column_changes(*(np.load(io.BytesIO(side[name]), allow_pickle=False)
+                             for side in (parent, change)),
+                           SNAPSHOT_COLUMNS, snapshots)
+        elif name == "trajectory.tsv":
+            header = change[name].decode().splitlines()[0].lstrip("# ").split("\t")
+            column_changes(*(np.loadtxt(io.BytesIO(side[name]), ndmin=2)
+                             for side in (parent, change)), header, tables)
+        elif name == "summary.json":
+            summary_changes(*(json.loads(side[name]) for side in (parent, change)),
+                            "", fields)
+    lines = []
+    for label, changes in (("snap_*.npy", snapshots), ("trajectory.tsv", tables)):
+        moved = [f"{col} {ab / mag if mag > 0.0 else math.inf:.2g} (abs {ab:.2g})"
+                 for col, (ab, mag) in changes.items() if ab > 0.0]
+        if moved:
+            lines.append(f"  {label}: " + ", ".join(moved))
+    if fields:
+        lines.append("  summary.json: " + ", ".join(
+            f"{path} changed" if rel is None else f"{path} {rel:.2g}"
+            for path, rel in fields.items()))
+    return lines
 
 
 def main(argv=None) -> int:
@@ -58,7 +141,11 @@ def main(argv=None) -> int:
             changed = sorted(f for f in parent.keys() & change.keys()
                              if parent[f] != change[f])
             if changed:
-                report.append(f"differ: {' '.join(changed)}")
+                snaps = [f for f in changed if f.endswith(".npy")]
+                others = [f for f in changed if not f.endswith(".npy")]
+                report.append("differ: " + " ".join(
+                    ([f"{len(snaps)} of {sum(f.endswith('.npy') for f in change)} "
+                      f"snap_*.npy"] if snaps else []) + others))
             for side, mine, other in (("parent", parent, change),
                                       ("change", change, parent)):
                 if mine.keys() - other.keys():
@@ -67,6 +154,8 @@ def main(argv=None) -> int:
             differ |= bool(report)
             print(f"{name}: " + ("; ".join(report) if report
                                  else f"{len(change)} files identical"))
+            for line in value_changes(parent, change, changed):
+                print(line)
     return 1 if differ else 0
 
 
