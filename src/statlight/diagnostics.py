@@ -82,63 +82,37 @@ def relative_phase(perturbed, reference) -> np.ndarray:
     return np.asarray(out)
 
 
-@dataclasses.dataclass(frozen=True)
-class OracleComparison:
-    times: tuple
-    envelope_l2: tuple
-    width_rel: tuple
-    decay_rel: tuple
-
-    @property
-    def max_envelope_l2(self) -> float:
-        return max(self.envelope_l2)
-
-    @property
-    def max_width_rel(self) -> float:
-        return max(self.width_rel)
-
-    @property
-    def max_decay_rel(self) -> float:
-        return max(self.decay_rel)
-
-
 def compare_to_oracle(medium: MediumModel, schedule: ControlSchedule,
-                      pulse: PulseSpec, times, a_plus_list) -> OracleComparison:
-    """Relative errors of measured forward envelopes against the closed form.
+                      pulse: PulseSpec, t: float, a_plus, anchor=None):
+    """Relative errors (envelope l2, width, decay) of one measured forward
+    envelope at time t against the closed form, and the anchor to score the
+    next snapshot of the same series with.
 
-    The amplitude scale is anchored on the first snapshot, so only evolution
-    (drift, spreading, decay) is scored, not the injection normalization.
+    The anchor (scale, peak, B0, decay factor) comes from the series' first
+    snapshot, scored with anchor=None, so only evolution (drift, spreading,
+    decay) is scored, not the injection normalization.
     """
     z = medium.grid()
-    env_err, width_err, decay_err = [], [], []
-    scale = None
-    peak0 = None
-    b0 = None
-    df0 = None
-    for t, a_plus in zip(times, a_plus_list):
-        pred = np.abs(gaussian_envelope(medium, schedule, pulse, "+", t, z))
-        meas = np.abs(np.asarray(a_plus))
-        if scale is None:
-            pk = float(np.max(meas))
-            if pk <= 0.0:
-                raise EmptyField("first snapshot has no forward field")
-            scale = pk / float(np.max(pred))
-            peak0 = pk
-            b0 = width_b(medium, schedule, pulse, t)
-            df0 = decay_factor(medium, schedule, t)
-        pred = pred * scale
-        env_err.append(float(np.linalg.norm(meas - pred) / np.linalg.norm(pred)))
+    pred = np.abs(gaussian_envelope(medium, schedule, pulse, "+", t, z))
+    meas = np.abs(np.asarray(a_plus))
+    if anchor is None:
+        pk = float(np.max(meas))
+        if pk <= 0.0:
+            raise EmptyField("first snapshot has no forward field")
+        anchor = (pk / float(np.max(pred)), pk, width_b(medium, schedule, pulse, t),
+                  decay_factor(medium, schedule, t))
+    scale, peak0, b0, df0 = anchor
+    pred = pred * scale
+    env_err = float(np.linalg.norm(meas - pred) / np.linalg.norm(pred))
 
-        m = moments(z, a_plus, medium.dz)
-        b = width_b(medium, schedule, pulse, t)
-        width_err.append(abs(m.rms - b / math.sqrt(2.0)) / (b / math.sqrt(2.0)))
+    m = moments(z, a_plus, medium.dz)
+    b = width_b(medium, schedule, pulse, t)
+    width_err = abs(m.rms - b / math.sqrt(2.0)) / (b / math.sqrt(2.0))
 
-        predicted_ratio = (decay_factor(medium, schedule, t) / df0) * (b0 / b)
-        measured_ratio = float(np.max(meas)) / peak0
-        decay_err.append(abs(measured_ratio - predicted_ratio)
-                         / max(predicted_ratio, 1e-300))
-    return OracleComparison(tuple(times), tuple(env_err),
-                            tuple(width_err), tuple(decay_err))
+    predicted_ratio = (decay_factor(medium, schedule, t) / df0) * (b0 / b)
+    measured_ratio = float(np.max(meas)) / peak0
+    decay_err = abs(measured_ratio - predicted_ratio) / max(predicted_ratio, 1e-300)
+    return (env_err, width_err, decay_err), anchor
 
 
 def channel_energies(medium: MediumModel, psi_plus, psi_minus,

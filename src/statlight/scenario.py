@@ -62,20 +62,21 @@ class Snapshot:
     tau: float
     mode: str
     psi_plus: np.ndarray
-    # None in a snapshot held while streaming to an out-dir (`_snapshot_sink`)
-    psi_minus: np.ndarray | None
-    phi: np.ndarray | None
+    psi_minus: np.ndarray
+    phi: np.ndarray
 
 
 @dataclasses.dataclass
 class EngineRun:
-    """`snapshots` holds every snapshot of a run without an out-dir, only
-    what the measurements read when the run streams to one
-    (`_snapshot_sink`), and none for the perturber's reference twin."""
+    """`snapshots` holds every snapshot of a run without an out-dir, and
+    none of a run that streams to one or of the perturber's reference twin;
+    `fit` is what the measurements read of the run's fit window, gathered
+    as the run records it (`_snapshot_sink`)."""
     snapshots: list
     trajectory: list
     sponge_max: float
     tau_end: float
+    fit: "_FitWindow"
 
 
 @dataclasses.dataclass
@@ -201,9 +202,11 @@ def resource_estimate(config: RunConfig) -> tuple[int, int]:
     arithmetic alone. Steps are `_piece_steps` over the transport windows of
     `config.windows` (the events of a run split pieces and add at most one
     step each), and the perturber's reference twin doubles them. The bytes
-    are the primary run's full list, three complex grid arrays a snapshot:
-    the most a run holds, streamed or not (the twin holds none). A direct
-    run without a perturber holds real arrays, half that."""
+    are what a run without an out-dir holds, the primary run's full list:
+    three grid arrays a snapshot, of 8-byte values in a direct run without
+    a perturber and of 16-byte complex values otherwise. The twin holds
+    none, and a run that streams to an out-dir holds at most two: the ends
+    of its cross-engine replay."""
     med, sched, run = config.medium, config.schedule, config.run
     runs = 1 if config.perturber is None else 2
     steps = 0
@@ -214,8 +217,10 @@ def resource_estimate(config: RunConfig) -> tuple[int, int]:
                            for a, b, i, ramping in sched.pieces(lo, hi))
     # start, end and the two ends of the fit window ride on top of the interval
     snapshots = math.ceil((run.t_end - sched.t_start) / run.snapshot_interval) + 3
-    # psi_plus, psi_minus and phi, 16-byte complex values
-    return steps, snapshots * med.grid_points * 3 * 16
+    # psi_plus, psi_minus and phi; only a perturber or the spectral engine
+    # makes the fields complex
+    value = 8 if config.engine != "spectral" and config.perturber is None else 16
+    return steps, snapshots * med.grid_points * 3 * value
 
 
 def preflight(config: RunConfig) -> None:
@@ -283,33 +288,29 @@ def _record(config: RunConfig, t: float, tau: float, mode: str,
     return snap, row
 
 
-def _snapshot_sink(config: RunConfig, out_dir, snapshots: list):
+def _snapshot_sink(config: RunConfig, out_dir, snapshots: list,
+                   fit: "_FitWindow"):
     """The callable an engine run hands each snapshot it records. Without an
     out-dir it appends the snapshot to `snapshots`. With one, the first
     record makes the directory and unlinks what an earlier run left there:
     the files that only a finished run writes (summary.json, trajectory.tsv
-    and config.txt) and every snap_*.npy.
-    Each record then saves snap_NNNNN.npy if `output.snapshots`, and the
-    sink holds only what the measurements read: psi_plus of the fit
-    window's transport snapshots, and psi_minus for the cross-engine
-    replay."""
-    if out_dir is None:
-        return snapshots.append
-    out = pathlib.Path(out_dir)
-    window, tol = _fit_window(config), _tol(config)
-    both = config.engine == "both"
+    and config.txt) and every snap_*.npy; each record then saves
+    snap_NNNNN.npy if `output.snapshots`, and holds nothing. Either way it
+    then feeds the snapshot to `fit`, the run's fit-window accumulator."""
+    out = None if out_dir is None else pathlib.Path(out_dir)
 
     def sink(snap: Snapshot):
-        if snap.index == 0:
-            out.mkdir(parents=True, exist_ok=True)
-            for stale in [out / "summary.json", out / "trajectory.tsv",
-                          out / "config.txt", *out.glob("snap_*.npy")]:
-                stale.unlink(missing_ok=True)
-        if config.output.snapshots:
-            _write_snapshot(out / f"snap_{snap.index:05d}.npy", config, snap)
-        if _in_window(snap, window, tol):
-            snapshots.append(dataclasses.replace(
-                snap, psi_minus=snap.psi_minus if both else None, phi=None))
+        if out is None:
+            snapshots.append(snap)
+        else:
+            if snap.index == 0:
+                out.mkdir(parents=True, exist_ok=True)
+                for stale in [out / "summary.json", out / "trajectory.tsv",
+                              out / "config.txt", *out.glob("snap_*.npy")]:
+                    stale.unlink(missing_ok=True)
+            if config.output.snapshots:
+                _write_snapshot(out / f"snap_{snap.index:05d}.npy", config, snap)
+        fit.add(snap)
     return sink
 
 
@@ -327,8 +328,9 @@ def _run_direct(config: RunConfig, include_perturber: bool, out_dir=None) -> Eng
 
     events = _build_events(config)
     snapshots: list[Snapshot] = []
+    fit = _FitWindow(config)
     # the reference twin keeps its rows only, all `_perturber_measurement` reads
-    sink = (_snapshot_sink(config, out_dir, snapshots) if include_perturber
+    sink = (_snapshot_sink(config, out_dir, snapshots, fit) if include_perturber
             else lambda snap: None)
     traj: list[dict] = []
     sponge_max = 0.0
@@ -366,7 +368,7 @@ def _run_direct(config: RunConfig, include_perturber: bool, out_dir=None) -> Eng
             release(state, sched)
         if ev.snap:
             record()
-    return EngineRun(snapshots, traj, sponge_max, state.tau)
+    return EngineRun(snapshots, traj, sponge_max, state.tau, fit)
 
 
 def _run_spectral(config: RunConfig, out_dir=None) -> EngineRun:
@@ -383,7 +385,8 @@ def _run_spectral(config: RunConfig, out_dir=None) -> EngineRun:
 
     times = _snapshot_times(config)
     snapshots: list[Snapshot] = []
-    sink = _snapshot_sink(config, out_dir, snapshots)
+    fit = _FitWindow(config)
+    sink = _snapshot_sink(config, out_dir, snapshots, fit)
     traj: list[dict] = []
 
     def record(pp, pm):
@@ -398,7 +401,7 @@ def _run_spectral(config: RunConfig, out_dir=None) -> EngineRun:
     for ta, tb in zip(times, times[1:]):
         propagate(sstate, sched, tb)
         record(*fields_from_state(sstate))
-    return EngineRun(snapshots, traj, 0.0, sstate.tau)
+    return EngineRun(snapshots, traj, 0.0, sstate.tau, fit)
 
 
 def _fit_window(config: RunConfig):
@@ -419,36 +422,65 @@ def _fit_window(config: RunConfig):
     return best
 
 
-def _in_window(snap: Snapshot, window, tol: float) -> bool:
-    """A transport snapshot inside the fit window: the snapshots that
-    `_measurements` and `_cross_engine` read."""
-    return (window is not None and snap.mode == MODE_PDE
-            and window[0] - tol <= snap.t <= window[1] + tol)
+class _FitWindow:
+    """The transport snapshots of the fit window, measured as the run
+    records them: their times, under `engine = both` the first and the
+    latest snapshot (the ends of the cross-engine replay) and, for a
+    prepared pulse, each one's errors against the oracle, until the oracle
+    refuses one (`refusal`)."""
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.window, self.tol = _fit_window(config), _tol(config)
+        self.times: list[float] = []
+        self.first = self.last = None
+        # (envelope l2, width rel, decay rel) of each scored snapshot
+        self.errors: list[tuple] = []
+        self.anchor = self.refusal = None
+        self.replay = config.engine == "both"
+
+    def add(self, snap: Snapshot):
+        window, tol = self.window, self.tol
+        if (window is None or snap.mode != MODE_PDE
+                or not window[0] - tol <= snap.t <= window[1] + tol):
+            return
+        self.times.append(snap.t)
+        if self.replay:
+            self.first = self.first or snap
+            self.last = snap
+        med, sched, pulse = self.config.medium, self.config.schedule, self.config.pulse
+        if not pulse.prepared or self.refusal is not None:
+            return
+        try:
+            a_plus = snap.psi_plus * envelope_scales(med, *sched.values(snap.t))[0]
+            errors, self.anchor = compare_to_oracle(med, sched, pulse, snap.t,
+                                                    a_plus, self.anchor)
+        except SimulationError as exc:
+            self.refusal = str(exc)
+        else:
+            self.errors.append(errors)
 
 
 def _cross_engine(config: RunConfig, primary: EngineRun):
-    window = _fit_window(config)
-    if window is None:
+    fit = primary.fit
+    if fit.window is None:
         return None, ["cross-engine replay skipped: no suitable constant window"]
-    lo, hi = window
-    tol = _tol(config)
-    snaps = [s for s in primary.snapshots if _in_window(s, window, tol)]
-    if len(snaps) < 2:
+    if len(fit.times) < 2:
         return None, ["cross-engine replay skipped: too few snapshots in window"]
     med, sched = config.medium, config.schedule
-    s0 = snaps[0]
+    s0 = fit.first
     sstate = spectral_state_from_fields(med, s0.psi_plus, t=s0.t, tau=s0.tau)
-    for sa, sb in zip(snaps, snaps[1:]):
-        propagate(sstate, sched, sb.t)
+    for t in fit.times[1:]:
+        propagate(sstate, sched, t)
     pp, pm = fields_from_state(sstate)
-    ref = snaps[-1]
+    ref = fit.last
     den = (float(np.linalg.norm(ref.psi_plus)) ** 2
            + float(np.linalg.norm(ref.psi_minus)) ** 2)
     if den == 0.0:
         return None, ["cross-engine replay skipped: empty window"]
     num = (float(np.linalg.norm(pp - ref.psi_plus)) ** 2
            + float(np.linalg.norm(pm - ref.psi_minus)) ** 2)
-    return {"window": [lo, hi], "steps": len(snaps) - 1,
+    return {"window": list(fit.window), "steps": len(fit.times) - 1,
             "l2": math.sqrt(num / den)}, []
 
 
@@ -524,12 +556,12 @@ def _measurements(config: RunConfig, primary: EngineRun,
     warnings: list[str] = []
     out: dict = {"velocity": None, "width_rate": None, "area_decay": None,
                  "oracle": None, "conversion": None, "perturber": None}
-    tol = _tol(config)
-    window = _fit_window(config)
-    if window is None:
+    fit = primary.fit
+    tol = fit.tol
+    if fit.window is None:
         warnings.append("no constant-control window available for fits")
     else:
-        lo, hi = window
+        lo, hi = fit.window
         rows = [r for r in primary.trajectory
                 if lo - tol <= r["t"] <= hi + tol and r["mode"] == 0.0
                 and math.isfinite(r["phi_centroid"])]
@@ -569,22 +601,14 @@ def _measurements(config: RunConfig, primary: EngineRun,
                     "predicted_ratio": predd,
                     "rel_err": abs(a1 / a0 - predd) / predd}
 
-            if pulse.prepared:
-                snaps = [s for s in primary.snapshots if _in_window(s, window, tol)]
-                if len(snaps) >= 2:
-                    try:
-                        times = [s.t for s in snaps]
-                        aps = [s.psi_plus
-                               * envelope_scales(med, *sched.values(s.t))[0]
-                               for s in snaps]
-                        comp = compare_to_oracle(med, sched, pulse, times, aps)
-                        out["oracle"] = {
-                            "times": list(comp.times),
-                            "max_envelope_l2": comp.max_envelope_l2,
-                            "max_width_rel": comp.max_width_rel,
-                            "max_decay_rel": comp.max_decay_rel}
-                    except SimulationError as exc:
-                        warnings.append(f"oracle comparison skipped: {exc}")
+            if pulse.prepared and len(fit.times) >= 2:
+                if fit.refusal is not None:
+                    warnings.append(f"oracle comparison skipped: {fit.refusal}")
+                else:
+                    env, width, decay = (max(col) for col in zip(*fit.errors))
+                    out["oracle"] = {
+                        "times": list(fit.times), "max_envelope_l2": env,
+                        "max_width_rel": width, "max_decay_rel": decay}
 
     pde_rows = [r for r in primary.trajectory
                 if r["mode"] == 0.0 and (r["e_plus"] + r["e_minus"]) > 0.0]

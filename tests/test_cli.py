@@ -380,6 +380,26 @@ def test_velocity_r2_is_null_only_below_the_centroid_resolution(preset_run):
     assert transit["r2"] > 0.999
 
 
+def test_oracle_refusal_stops_scoring(monkeypatch):
+    """stop_and_store's fit window is the retrieval plateau, where the
+    forward channel has no control: the oracle refuses the window's first
+    snapshot, no later one is scored, and the summary says why."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[3])
+        return compare(*args)
+
+    compare = scenario.compare_to_oracle
+    monkeypatch.setattr(scenario, "compare_to_oracle", counting)
+    result = run_scenario(parse_config(get_preset("stop_and_store")))
+    assert calls == [22000.0]
+    meas = result.summary["measurements"]
+    assert meas["oracle"] is None and meas["velocity"] is not None
+    assert result.summary["warnings"] == [
+        "oracle comparison skipped: channel + has no control field at t = 22000"]
+
+
 STORED = """
 medium.gamma2 = 1e-5
 medium.domain_length = 120
@@ -454,15 +474,17 @@ class TestPreflight:
         cap = (200.0 / 1e9) / rate * 0.9
         assert 0 <= steps - 1e4 / cap < 1.0 + 1e-6 * steps
         # t = 0 and 1e4, the fit window's two ends, 1e7 - 1 in between;
-        # three 16-byte complex arrays per snapshot
-        assert held == pytest.approx((1e7 + 3) * 1e9 * 3 * 16, rel=1e-9)
+        # three arrays per snapshot, of 8-byte values in a direct run
+        # without a perturber (stationary runs both engines, direct first)
+        assert held == pytest.approx((1e7 + 3) * 1e9 * 3 * 8, rel=1e-9)
 
     def test_reference_twin_doubles_the_steps_not_the_bytes(self):
-        # the twin records trajectory rows only
+        # the twin records trajectory rows only; the bytes double because
+        # the perturbed run's fields are complex, 16 bytes a value against 8
         config = parse_config(get_preset("phase_gate"))
         steps, held = resource_estimate(config)
         alone = resource_estimate(dataclasses.replace(config, perturber=None))
-        assert (steps, held) == (2 * alone[0], alone[1])
+        assert (steps, held) == (2 * alone[0], 2 * alone[1])
 
     def test_snapshot_budget_names_the_key(self):
         config = parse_config(_stationary(**{"run.snapshot_interval": "1e-3"}))
@@ -470,12 +492,24 @@ class TestPreflight:
         with pytest.raises(ValidationError, match="run.snapshot_interval"):
             preflight(config)
 
+    def test_snapshot_bytes_follow_the_engine(self):
+        # 8,003 snapshots of 4096 points: the 8-byte values of a direct run
+        # fit the budget, the 16-byte complex values of a spectral run do not
+        config = parse_config(_stationary(**{"run.snapshot_interval": "1.25"}))
+        assert resource_estimate(config)[1] == 8003 * 4096 * 3 * 8
+        preflight(config)
+        spectral = parse_config(_stationary(**{"run.snapshot_interval": "1.25",
+                                               "engine": "spectral"}))
+        assert resource_estimate(spectral)[1] == 8003 * 4096 * 3 * 16
+        with pytest.raises(ValidationError, match="run.snapshot_interval"):
+            preflight(spectral)
+
     def test_step_budget_names_the_key(self):
-        config = parse_config(_stationary(**{"medium.grid_points": "5e6",
+        config = parse_config(_stationary(**{"medium.grid_points": "1e7",
                                              "run.snapshot_interval": "1e4"}))
         steps, held = resource_estimate(config)
         assert held <= MAX_SNAPSHOT_BYTES < 2 * held
-        assert steps * 5_000_000 > MAX_POINT_STEPS
+        assert steps * 10_000_000 > MAX_POINT_STEPS
         with pytest.raises(ValidationError, match="medium.grid_points .* steps"):
             preflight(config)
 
@@ -611,9 +645,9 @@ class TestImportGraph:
 def test_snapshot_npy_round_trip(tmp_path, preset_run):
     """Each snap_NNNNN.npy holds snapshot NNNNN's nine columns bit for bit
     (so -0.0 and NaN count), and its t, tau and mode are row NNNNN of
-    trajectory.tsv. A run streaming to an out-dir holds only the snapshots
-    its measurements read, so the expected arrays come from a run of the same
-    config without one, which holds them all."""
+    trajectory.tsv. A run streaming to an out-dir holds no snapshots, so the
+    expected arrays come from a run of the same config without one, which
+    holds them all."""
     full = preset_run("stop_and_store")
     config = full.config
     run_scenario(config, tmp_path)
@@ -640,47 +674,39 @@ def test_snapshot_npy_round_trip(tmp_path, preset_run):
 
 class TestStreaming:
     """With an out-dir, each snap_NNNNN.npy is written as the run records it,
-    and only the snapshots the measurements read stay in memory."""
+    and no snapshot stays in memory: the measurements read the fit window
+    as the run records it."""
 
-    @pytest.mark.parametrize("name", ["phase_gate", "stationary"])
-    def test_holds_only_what_the_measurements_read(self, tmp_path, preset_run,
-                                                   name):
-        full = preset_run(name)
+    @pytest.mark.parametrize("name,changes", [
+        ("phase_gate", {}),
+        ("stationary", {}),
+        ("stop_and_store", {"output.snapshots": "false"}),
+        ("stationary", {"engine": "spectral"}),
+    ], ids=["phase_gate", "stationary", "stop_and_store-no-files",
+            "stationary-spectral"])
+    def test_streamed_run_holds_no_snapshots(self, tmp_path, run_text, name,
+                                             changes):
+        full = run_text(_preset_with(name, **changes))
         config = full.config
         out = tmp_path / "out"
         result = run_scenario(config, out)
-        (lo, hi), tol = scenario._fit_window(config), scenario._tol(config)
-        expect = [s for s in full.snapshots
-                  if s.mode == "pde" and lo - tol <= s.t <= hi + tol]
-        assert [s.index for s in result.snapshots] == [s.index for s in expect]
-        for held, snap in zip(result.snapshots, expect):
-            assert held.phi is None
-            assert np.array_equal(held.psi_plus, snap.psi_plus)
-            if config.engine == "both":
-                assert np.array_equal(held.psi_minus, snap.psi_minus)
-            else:
-                assert held.psi_minus is None
+        assert result.snapshots == []
         if config.perturber is not None:
             assert result.reference.snapshots == []
             assert full.reference.snapshots == []
-        # measurements, and the whole summary, are those of the full list
+        # a run without an out-dir holds every snapshot, whole
+        assert len(full.snapshots) == len(full.trajectory)
+        assert all(value is not None for snap in full.snapshots
+                   for value in vars(snap).values())
+        # measurements, and the whole summary, are those of the in-memory run
         assert (out / "summary.json").read_text() == render_summary(full.summary)
-        # and each file holds the bytes the full list's snapshot gives
-        assert len(list(out.glob("snap_*.npy"))) == len(full.snapshots)
-        for snap in full.snapshots:
+        # and each file holds the bytes of the in-memory run's snapshot
+        written = full.snapshots if config.output.snapshots else []
+        assert len(list(out.glob("snap_*.npy"))) == len(written)
+        for snap in written:
             scenario._write_snapshot(tmp_path / "expect.npy", config, snap)
             assert ((out / f"snap_{snap.index:05d}.npy").read_bytes()
                     == (tmp_path / "expect.npy").read_bytes())
-
-    def test_no_snapshot_files_holds_the_fit_window(self, tmp_path):
-        # the fit window is the retrieval plateau: snapshots 22 to 26 of 27
-        config = parse_config(_preset_with("stop_and_store",
-                                           **{"output.snapshots": "false"}))
-        result = run_scenario(config, tmp_path)
-        assert not list(tmp_path.glob("snap_*.npy"))
-        assert len(result.trajectory) == 27
-        assert [s.index for s in result.snapshots] == [22, 23, 24, 25, 26]
-        assert all(s.phi is None and s.psi_minus is None for s in result.snapshots)
 
     def test_failed_run_leaves_no_summary(self, tmp_path, capsys, monkeypatch):
         """A run that fails midway in a reused out-dir leaves its own

@@ -114,16 +114,19 @@ class TestOracleComparison:
         pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
                             prepared=True, center=100.0)
         z = med.grid()
-        times = [0.0, 2.5e3, 5e3, 1e4]
-        snaps = []
-        for t in times:
-            snaps.append(gaussian_envelope(med, sched, pulse, "+", t, z))
-        cmp = compare_to_oracle(med, sched, pulse, times, snaps)
-        assert cmp.max_envelope_l2 < 1e-9
-        assert cmp.max_width_rel < 1e-6
+        anchor, errors = None, []
+        for t in [0.0, 2.5e3, 5e3, 1e4]:
+            snap = gaussian_envelope(med, sched, pulse, "+", t, z)
+            errs, anchor = compare_to_oracle(med, sched, pulse, t, snap, anchor)
+            errors.append(errs)
+        env, width, decay = (max(col) for col in zip(*errors))
+        assert env < 1e-9
+        assert width < 1e-6
         # grid-sampled peaks track the continuum maximum to ~1e-7
-        assert cmp.max_decay_rel < 1e-6
-        assert cmp.times == tuple(times)
+        assert decay < 1e-6
+        # the anchor passed along is the first snapshot's peak, not the last's
+        assert anchor[1] == float(np.max(np.abs(
+            gaussian_envelope(med, sched, pulse, "+", 0.0, z))))
 
     def test_empty_first_snapshot_rejected(self):
         med = build_medium(r_g=1.0, gamma=1.0, gamma2=0.0, u_g0=1e-3,
@@ -132,8 +135,7 @@ class TestOracleComparison:
         pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
                             prepared=True, center=100.0)
         with pytest.raises(EmptyField):
-            compare_to_oracle(med, sched, pulse, [0.0],
-                              [np.zeros(256, complex)])
+            compare_to_oracle(med, sched, pulse, 0.0, np.zeros(256, complex))
 
 
 class TestChannelEnergies:
