@@ -26,7 +26,6 @@ class Moments:
     centroid: float
     rms: float
     peak: float
-    peak_z: float
 
 
 def moments(z: np.ndarray, field: np.ndarray, dz: float) -> Moments:
@@ -40,7 +39,7 @@ def moments(z: np.ndarray, field: np.ndarray, dz: float) -> Moments:
     rms = max(math.sqrt(max(var, 0.0)), dz)
     i = int(np.argmax(np.abs(field)))
     return Moments(energy=energy, centroid=centroid, rms=rms,
-                   peak=float(np.abs(field[i])), peak_z=float(z[i]))
+                   peak=float(np.abs(field[i])))
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:

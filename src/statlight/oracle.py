@@ -25,34 +25,23 @@ from .medium import (
     PulseSpec,
     alpha_tilde_rate,
     coefficients,
+    group_velocity,
     power_crossings,
     pulse_length,
     regime_windows,
     tau_rate_at,
 )
 
-ORDERINGS = ("reconciled", "as_printed")
 QUAD_TOL = 1e-10
 # panel bisections allowed per ramp before the quadrature gives up
 QUAD_LIMIT = 400
 _GL_NODES, _GL_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(10))
 
 
-def _check_ordering(ordering: str):
-    if ordering not in ORDERINGS:
-        raise NonPhysicalParameter(f"unknown ordering {ordering!r}, use one of {ORDERINGS}")
-
-
-def delta_weighted(medium: MediumModel, co: Coefficients, ordering="reconciled") -> float:
-    """Absorption-weighted channel imbalance driving the drift.
-
-    The reconciled index ordering reproduces the slow-light limit; the
-    as-printed variant is kept as a negative control.
-    """
-    _check_ordering(ordering)
-    if ordering == "reconciled":
-        return medium.xi_minus * co.alpha_plus - medium.xi_plus * co.alpha_minus
-    return medium.xi_plus * co.alpha_plus - medium.xi_minus * co.alpha_minus
+def delta_weighted(medium: MediumModel, co: Coefficients) -> float:
+    """Absorption-weighted channel imbalance driving the drift; with it the
+    branch reproduces the slow-light limit."""
+    return medium.xi_minus * co.alpha_plus - medium.xi_plus * co.alpha_minus
 
 
 def taylor_c012(medium: MediumModel, co: Coefficients) -> tuple[complex, complex, complex]:
@@ -111,15 +100,15 @@ def _quad(f, schedule: ControlSchedule, lo: float, hi: float) -> float:
                 for a, b, _, ramping in schedule.pieces(lo, hi)), 0.0)
 
 
-def drift_beta(medium: MediumModel, schedule: ControlSchedule, t: float,
-               ordering="reconciled") -> tuple[float, float]:
+def drift_beta(medium: MediumModel, schedule: ControlSchedule,
+               t: float) -> tuple[float, float]:
     """Envelope center drift (beta_plus, beta_minus) at lab time t.
 
-    The rate contains an exact time derivative; it is integrated as a
-    boundary difference rather than numerically. It diverges in dark
-    storage, so a t past an "off" crossing is refused before any quadrature.
+    The rate is the polariton group velocity (`group_velocity`) plus an
+    exact time derivative, which is taken as a boundary difference rather
+    than integrated. The drift is undefined in dark storage, so a t past an
+    "off" crossing is refused before any quadrature.
     """
-    _check_ordering(ordering)
     for tc, kind in power_crossings(medium, schedule):
         if kind == "off" and tc <= t:
             raise DegenerateCoefficients(
@@ -127,12 +116,7 @@ def drift_beta(medium: MediumModel, schedule: ControlSchedule, t: float,
                 f"the storage threshold at t = {tc:g}")
     t0 = schedule.t_start
     xm = medium.xi_minus
-
-    def rate(s):
-        co = coefficients(medium, *schedule.values(s))
-        return co.eta ** 2 * delta_weighted(medium, co, ordering) / xm * co.tau_rate
-
-    main = _quad(rate, schedule, t0, t)
+    main = _quad(lambda s: group_velocity(medium, *schedule.values(s)), schedule, t0, t)
 
     def eta_alpha_tilde(s):
         co = coefficients(medium, *schedule.values(s))
@@ -142,27 +126,22 @@ def drift_beta(medium: MediumModel, schedule: ControlSchedule, t: float,
     return beta_plus, beta_plus - medium.xi_sum_inv
 
 
-def m2_rate(medium: MediumModel, schedule: ControlSchedule, t: float,
-            ordering="reconciled") -> float:
+def m2_rate(medium: MediumModel, schedule: ControlSchedule, t: float) -> float:
     """Width-growth integrand of the envelope law at lab time t."""
-    _check_ordering(ordering)
     op, om = schedule.values(t)
     co = coefficients(medium, op, om)
     xm = medium.xi_minus
-    imbalance = delta_weighted(medium, co, ordering)
-    if ordering == "as_printed":
-        imbalance = -imbalance  # the as-printed law also flips its sign
     rate = alpha_tilde_rate(medium, schedule, t)
     dat2_dtau = 2.0 * co.alpha_tilde * rate / co.tau_rate
-    return co.eta * (xm - co.eta * co.alpha_tilde * imbalance
+    return co.eta * (xm - co.eta * co.alpha_tilde * delta_weighted(medium, co)
                      + co.eta * dat2_dtau) / xm ** 2
 
 
 def width_b(medium: MediumModel, schedule: ControlSchedule, pulse: PulseSpec,
-            t: float, ordering="reconciled") -> float:
+            t: float) -> float:
     """Envelope Gaussian width B at lab time t (time units, c = 1)."""
     l_o = pulse_length(medium, pulse)
-    grow = _quad(lambda s: m2_rate(medium, schedule, s, ordering)
+    grow = _quad(lambda s: m2_rate(medium, schedule, s)
                  * tau_rate_at(medium, schedule, s),
                  schedule, schedule.t_start, t)
     radicand = l_o ** 2 + 2.0 * grow
@@ -191,19 +170,17 @@ def decay_exponent(medium: MediumModel, schedule: ControlSchedule, t: float,
     return total
 
 
-def decay_factor(medium: MediumModel, schedule: ControlSchedule, t: float,
-                 include_storage=True) -> float:
+def decay_factor(medium: MediumModel, schedule: ControlSchedule, t: float) -> float:
     """Predicted amplitude attenuation between schedule start and t."""
-    return math.exp(-decay_exponent(medium, schedule, t, include_storage))
+    return math.exp(-decay_exponent(medium, schedule, t))
 
 
 def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
                       pulse: PulseSpec, channel: str, t: float, z):
     """Predicted field envelope A_channel(t, z) at lab time t.
 
-    channel is "+" or "-". z may be an array. Width and drift both use the
-    reconciled ordering, so that the prediction tracks real fields (a single
-    constant control then gives pure translation). The envelope is real:
+    channel is "+" or "-". z may be an array. A single constant control
+    gives pure translation at the group velocity. The envelope is real:
     the model normalises the control phases out of the transport equations.
     """
     if channel not in ("+", "-"):

@@ -3,8 +3,7 @@
 Plane-wave modes e^{ikz} of the two-channel transport pair evolve by
 e^{+i omega(k) dtau}. The branch root is obtained from the 2x2 transport
 determinant, which is linear in omega, so there is no quadratic-branch
-ambiguity; the closed-form quadratic-in-k expression is also provided for
-cross-checks. The backward field is slaved to the forward one through a
+ambiguity. The backward field is slaved to the forward one through a
 control-independent transfer function f(k).
 """
 
@@ -32,24 +31,6 @@ from .oracle import delta_weighted
 
 BLOWUP_TOL = 1e-9
 GUARD_ENERGY_FRACTION = 1e-6
-
-
-def dispersion_omega(medium: MediumModel, co: Coefficients, k,
-                     ordering="reconciled"):
-    """Closed-form branch frequency omega(k), quadratic-in-k form.
-
-    The `as_printed` ordering of the channel imbalance is retained as a
-    negative control; it mispredicts the drift velocity off r_g = 1.
-    """
-    karr = np.asarray(k, dtype=complex)
-    xm = medium.xi_minus
-    delta = delta_weighted(medium, co, ordering)
-    num = karr * (co.eta * delta - 1j * karr)
-    den = xm / co.eta - 1j * karr * co.alpha_tilde
-    out = 1j * co.eta * co.gamma2_prime - num / den
-    if not np.all(np.isfinite(out)):
-        raise BranchSelectionFailure("closed-form branch evaluation not finite")
-    return out if out.shape else complex(out)
 
 
 def omega_from_determinant(medium: MediumModel, co: Coefficients, k):

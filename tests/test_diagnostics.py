@@ -41,7 +41,6 @@ class TestMoments:
         assert m.energy == pytest.approx(10.0 * math.sqrt(math.pi),
                                          rel=1e-9)
         assert m.peak == pytest.approx(1.0)
-        assert m.peak_z == pytest.approx(80.0, abs=dz)
 
     def test_rms_floored_at_grid_spacing(self):
         z = np.linspace(0.0, 200.0, 4096)

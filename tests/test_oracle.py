@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from _as_printed import as_printed_delta, drift_rate
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
@@ -18,11 +19,11 @@ from statlight.medium import (
     build_pulse,
     build_schedule,
     coefficients,
+    group_velocity,
     pulse_length,
     tau_rate_at,
 )
 from statlight.oracle import (
-    ORDERINGS,
     conversion_probability,
     decay_exponent,
     decay_factor,
@@ -52,21 +53,14 @@ class TestDeltaWeighted:
     def test_orderings_coincide_at_unit_ratio(self):
         med = medium_for(r_g=1.0)
         co = coefficients(med, OM0, 0.0)
-        assert delta_weighted(med, co, "reconciled") == pytest.approx(1.0)
-        assert delta_weighted(med, co, "as_printed") == pytest.approx(1.0)
+        assert delta_weighted(med, co) == pytest.approx(1.0)
+        assert as_printed_delta(med, co) == pytest.approx(1.0)
 
     def test_orderings_split_at_strong_coupling_ratio(self):
         med = medium_for(r_g=2.0)
         co = coefficients(med, OM0, 0.0)
-        assert delta_weighted(med, co, "reconciled") == pytest.approx(4.0)
-        assert delta_weighted(med, co, "as_printed") == pytest.approx(1.0)
-
-    def test_unknown_ordering_rejected(self):
-        med = medium_for()
-        co = coefficients(med, OM0, OM0)
-        with pytest.raises(NonPhysicalParameter):
-            delta_weighted(med, co, "bogus")
-        assert set(ORDERINGS) == {"reconciled", "as_printed"}
+        assert delta_weighted(med, co) == pytest.approx(4.0)
+        assert as_printed_delta(med, co) == pytest.approx(1.0)
 
 
 class TestTaylor:
@@ -125,10 +119,29 @@ class TestDrift:
     def test_as_printed_ordering_underpredicts_slow_light(self):
         med = medium_for(r_g=2.0, gamma2=0.0)
         sched = hold(OM0, 0.0)
-        beta_good, _ = drift_beta(med, sched, 1e4, ordering="reconciled")
-        beta_bad, _ = drift_beta(med, sched, 1e4, ordering="as_printed")
+        beta_good, _ = drift_beta(med, sched, 1e4)
+        # on a constant hold the drift is its rate times t
+        co = coefficients(med, OM0, 0.0)
+        beta_bad = drift_rate(med, co, as_printed_delta(med, co)) * 1e4
         assert beta_good == pytest.approx(10.0, rel=1e-9)
         assert beta_bad == pytest.approx(2.5, rel=1e-9)
+
+    @given(r_g=st.floats(0.25, 4.0), gamma2=st.floats(0.0, 1e-2),
+           frac_plus=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+           frac_minus=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_rate_is_the_group_velocity(self, r_g, gamma2, frac_plus,
+                                        frac_minus):
+        # drift_beta integrates group_velocity in place of the envelope
+        # law's rate
+        op, om = frac_plus * OM0, frac_minus * r_g * OM0
+        assume(op > 0.0 or om > 0.0)
+        med = medium_for(r_g=r_g, gamma2=gamma2)
+        co = coefficients(med, op, om)
+        # relative to the velocity of either channel alone, since the two
+        # cancel on a balanced hold
+        scale = co.eta ** 2 * (op ** 2 + om ** 2 / r_g ** 2) / med.gamma
+        assert abs(group_velocity(med, op, om) - drift_rate(med, co)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("t", [5000.0, 10800.0])
     def test_refuses_dark_storage_before_integrating(self, t, monkeypatch):
@@ -140,11 +153,16 @@ class TestDrift:
         ])
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return coefficients(*args)
+        def counted(f):
+            def wrapper(*args):
+                calls.append(args)
+                return f(*args)
+            return wrapper
 
-        monkeypatch.setattr(oracle, "coefficients", counted)
+        # the drift rate goes through group_velocity, its boundary term
+        # through coefficients
+        for name in ("group_velocity", "coefficients"):
+            monkeypatch.setattr(oracle, name, counted(getattr(oracle, name)))
         drift_beta(med, sched, 100.0)
         assert calls
         calls.clear()
@@ -168,26 +186,6 @@ class TestWidth:
         pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
                             prepared=True, center=100.0)
         assert width_b(med, sched, pulse, 0.0) == pytest.approx(20.0)
-
-    def test_default_ordering_is_reconciled(self):
-        med = medium_for(r_g=2.0, gamma2=0.0)
-        sched = hold(OM0, OM0 / math.sqrt(2.0))
-        pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
-                            prepared=True, center=100.0)
-        assert width_b(med, sched, pulse, 1e4) == width_b(
-            med, sched, pulse, 1e4, ordering="reconciled")
-        assert m2_rate(med, sched, 5e3) == m2_rate(med, sched, 5e3,
-                                                   ordering="reconciled")
-
-    def test_orderings_split_off_balance(self):
-        med = medium_for(r_g=2.0, gamma2=0.0)
-        # unequal control powers so the weighted imbalances disagree
-        sched = hold(OM0, OM0 / math.sqrt(2.0))
-        pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
-                            prepared=True, center=100.0)
-        b_ap = width_b(med, sched, pulse, 1e4, ordering="as_printed")
-        b_rec = width_b(med, sched, pulse, 1e4, ordering="reconciled")
-        assert b_ap != pytest.approx(b_rec, rel=1e-6)
 
 
 class TestDecay:
@@ -284,15 +282,14 @@ class TestAgainstQuadrature:
         beta, _ = drift_beta(med, sched, t1)
         assert abs(beta - ref) <= 1e-9 * abs(ref)
 
-    @pytest.mark.parametrize("ordering", ORDERINGS)
     @pytest.mark.parametrize("t1", ENDS)
-    def test_width_b(self, t1, ordering):
+    def test_width_b(self, t1):
         med, sched = self.medium(), self.schedule()
         pulse = build_pulse(amplitude=1.0, duration=2e3, injection_time=0.0,
                             prepared=True, center=50.0)
-        grow = quad_ref(lambda t: m2_rate(med, sched, t, ordering)
+        grow = quad_ref(lambda t: m2_rate(med, sched, t)
                         * tau_rate_at(med, sched, t), sched, 0.0, t1)
-        b = width_b(med, sched, pulse, t1, ordering)
+        b = width_b(med, sched, pulse, t1)
         assert abs(b ** 2 - pulse_length(med, pulse) ** 2 - 2.0 * grow) \
             <= 1e-9 * abs(2.0 * grow)
 

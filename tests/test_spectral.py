@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from _as_printed import as_printed_delta, dispersion_omega
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,6 @@ from statlight.medium import (
 from statlight.spectral import (
     GUARD_ENERGY_FRACTION,
     check_guard_band,
-    dispersion_omega,
     fields_from_state,
     k_grid,
     omega_from_determinant,
@@ -87,9 +87,9 @@ class TestDispersion:
         h = 1e-7
         slope = (dispersion_omega(med, co, h).real
                  - dispersion_omega(med, co, -h).real) / (2.0 * h)
-        bad = (dispersion_omega(med, co, h, ordering="as_printed").real
-               - dispersion_omega(med, co, -h, ordering="as_printed").real
-               ) / (2.0 * h)
+        delta = as_printed_delta(med, co)
+        bad = (dispersion_omega(med, co, h, delta).real
+               - dispersion_omega(med, co, -h, delta).real) / (2.0 * h)
         assert slope == pytest.approx(-1.0, rel=1e-6)
         assert bad == pytest.approx(-0.25, rel=1e-6)
 
