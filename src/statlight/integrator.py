@@ -35,12 +35,16 @@ the grid bound keep dtau at most dz <= 1/8. The pinned inflow row 0 has no
 off-diagonals and is scaled to the smallest power of two at least as large
 as the column-0 entries below it, and the last column has no rows below its
 pivot. Partial pivoting then swaps no rows (Golub and Van
-Loan, Matrix Computations), so `dgbtrf`'s factors have no fill-in and each
-step solves the right-hand side in place with two triangular band sweeps:
-`dtbsv` against the real factors without a perturber, `ztbsv` against
-complex copies of them with one. A factorization that swaps rows anyway is
-refused. The residual check runs on the scaled system, which at r_g = 1 is
-bit for bit the unscaled one.
+Loan, Matrix Computations), so `dgbtrf`'s factors A = L U have no fill-in.
+`plan_steps` splits off U's diagonal, the pivots D: A = D L' U~ with
+L' = D^-1 L D and U~ = D^-1 U, both unit triangular (the LDU form, Golub and
+Van Loan). Each step scales the right-hand side by 1/D on its way into the
+solution row and solves it in place with two unit-diagonal band sweeps,
+which divide by nothing: `dtbsv` against the real factors without a
+perturber, `ztbsv` against complex copies of them with one. A factorization
+that swaps rows anyway is refused. The residual check runs on the unfactored
+scaled system, which at r_g = 1 is bit for bit the unscaled one, so it also
+catches a bad factor.
 
 `dgbtrf`, `dtbsv` and `ztbsv` are the only LAPACK/BLAS routines used. They are
 scipy's f2py wrappers, taken from its `_flapack` and `_fblas` extension files
@@ -229,10 +233,12 @@ class StepPlan:
     `bands` holds the rows diag, sub1 (A[j, j-1]), sub2 (A[j, j-2]),
     sup1 (A[j, j+1]) and sup2 (A[j, j+2]) of the real implicit matrix, with
     the backward rows divided by rho and the inflow row pinned at its
-    power-of-two scale, kept for the residual check. `factors` holds the
-    unit-lower and upper band factors of that matrix as Fortran (3, m)
-    arrays, the layout `dtbsv` and `ztbsv` read: real without a perturber,
-    complex with one. `split` is the perturber's per-step factor on
+    power-of-two scale, kept for the residual check. `factors` holds that
+    matrix as D L' U~: the unit-lower L' and unit-upper U~ band factors as
+    Fortran (3, m) arrays, the layout `dtbsv` and `ztbsv` read with diag=1
+    (their diagonal rows hold ones), and the reciprocal pivots 1/D as an
+    (m,) array; all real without a perturber, complex with one. `split` is
+    the perturber's per-step factor on
     psi_plus, or None without one. `mass` is the time scheme's factor c,
     `BE` or `BDF2`.
 
@@ -254,7 +260,7 @@ class StepPlan:
     controls: tuple[float, float, float, float]
     inputs: bytes
     bands: np.ndarray
-    factors: tuple[np.ndarray, np.ndarray]
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray]
     split: np.ndarray | None
     work: np.ndarray
 
@@ -347,13 +353,22 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
             f"dtau = {dtau:g}, controls ({controls_old[0]:g}, "
             f"{controls_old[1]:g}) -> ({controls[0]:g}, {controls[1]:g}): "
             f"it is not column diagonally dominant")
-    # no swaps, so rows 0-1 took no fill-in: U sits in rows 2-4 and L's
-    # multipliers under the (unreferenced) unit diagonal in rows 4-6, the
-    # upper and lower band layouts dtbsv and ztbsv read. Only a perturber's
-    # split makes the fields complex
+    # no swaps, so rows 0-1 took no fill-in: U sits in rows 2-4 with the
+    # pivots d in row 4, and L's multipliers in rows 5-6. A = L U = D L' U~
+    # with L' = D^-1 L D and U~ = D^-1 U, both unit triangular, in the lower
+    # and upper band layouts dtbsv and ztbsv read (A[i, j] at row i - j and
+    # 2 + i - j). L' is L times the pivot ratio, which keeps the solve
+    # closer to the unscaled sweeps than (L d_j) / d_i does. Only a
+    # perturber's split makes the fields complex
     dtype = float if perturber is None else complex
-    l_factor = np.asfortranarray(lu[4:7], dtype=dtype)
-    u_factor = np.asfortranarray(lu[2:5], dtype=dtype)
+    pivots = lu[4]
+    lower = np.zeros((3, m), dtype=dtype, order="F")
+    upper = np.zeros((3, m), dtype=dtype, order="F")
+    lower[0] = upper[2] = 1.0
+    lower[1, :-1] = lu[5, :-1] * (pivots[:-1] / pivots[1:])
+    lower[2, :-2] = lu[6, :-2] * (pivots[:-2] / pivots[2:])
+    upper[1, 1:] = lu[3, 1:] / pivots[:-1]
+    upper[0, 2:] = lu[2, 2:] / pivots[:-2]
     work = np.empty((4, m), dtype=dtype) if last is None else last.work
 
     split = None
@@ -361,7 +376,8 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
         density, rate = perturber
         split = np.exp(rate * density * dtau)
     return StepPlan(dt, dtau, mass, co_old, (*controls_old, *controls), inputs,
-                    bands, (l_factor, u_factor), split, work)
+                    bands, (lower, upper, (1.0 / pivots).astype(dtype)), split,
+                    work)
 
 
 def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
@@ -375,8 +391,9 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
     inv_dtau = 1.0 / plan.dtau
     a_plus, a_minus = plan.co_old.alpha_plus, plan.co_old.alpha_minus
     rhs, u, res, prod = plan.work
-    if plan.split is None and any(np.iscomplexobj(field) for field in (
-            state.psi_plus, state.psi_minus, state.history)):
+    if plan.split is None and "c" in (
+            state.psi_plus.dtype.kind, state.psi_minus.dtype.kind,
+            state.history is not None and state.history.dtype.kind):
         raise NonPhysicalParameter(
             "a step without a perturber takes real fields, and this state's "
             "are complex: only a perturber's split imprints a phase")
@@ -409,11 +426,13 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
     rhs[0] = plan.bands[0, 0] * source_amplitude(med, schedule, pulse, t1)
     rhs[m - 1] = 0.0
 
-    lower, upper = plan.factors
+    # A u = rhs is L' U~ u = D^-1 rhs: scale by the reciprocal pivots on the
+    # way into the solution row, then two unit-diagonal sweeps
+    lower, upper, inv_pivots = plan.factors
     sweep = ztbsv if u.dtype == complex else dtbsv
-    u[:] = rhs
+    np.multiply(rhs, inv_pivots, out=u)
     sweep(2, lower, u, lower=1, diag=1, overwrite_x=1)
-    sweep(2, upper, u, overwrite_x=1)
+    sweep(2, upper, u, diag=1, overwrite_x=1)
 
     # explicit residual of the solved system, in the plan's work rows
     diag, sub1, sub2, sup1, sup2 = plan.bands
@@ -426,10 +445,12 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
         np.multiply(band[:-k], u[k:], out=prod[:-k])
         res[:-k] += prod[:-k]
     # written so that a NaN anywhere fails the check; all-zero fields pass.
-    # einsum sums in this thread: np.linalg.norm's BLAS dot would wake a pool
-    r, x, e = rhs.view(float), u.view(float), res.view(float)
-    scale = math.sqrt(np.einsum("i,i->", r, r)) + math.sqrt(np.einsum("i,i->", x, x))
-    err = math.sqrt(np.einsum("i,i->", e, e))
+    # The squared norms of rhs, u and res come from one call over float
+    # views: BLAS's ddot, in this thread under the CLI's one-thread pin
+    rows = plan.work[:3].view(float)
+    r2, x2, e2 = np.vecdot(rows, rows).tolist()
+    scale = math.sqrt(r2) + math.sqrt(x2)
+    err = math.sqrt(e2)
     if not err <= RESIDUAL_TOL * scale:
         raise SweepDivergence(
             f"implicit step residual {err:.3g} exceeds {RESIDUAL_TOL:g} "

@@ -26,6 +26,7 @@ from .medium import (
     alpha_tilde_rate,
     coefficients,
     group_velocity,
+    opens_stored,
     power_crossings,
     pulse_length,
     regime_windows,
@@ -106,10 +107,18 @@ def drift_beta(medium: MediumModel, schedule: ControlSchedule,
 
     The rate is the polariton group velocity (`group_velocity`) plus an
     exact time derivative, which is taken as a boundary difference rather
-    than integrated. The drift is undefined in dark storage, so a t past an
-    "off" crossing is refused before any quadrature.
+    than integrated. The drift is undefined in dark storage, so a schedule
+    that opens stored, and a t past an "off" crossing, are refused before any
+    quadrature.
     """
-    for tc, kind in power_crossings(medium, schedule):
+    crossings = power_crossings(medium, schedule)
+    if opens_stored(medium, schedule):
+        end = next((f"t = {tc:g}" for tc, kind in crossings if kind == "on"),
+                   "the end of the schedule")
+        raise DegenerateCoefficients(
+            f"drift undefined at t = {t:g}: the schedule opens in dark storage, "
+            f"below the storage threshold from t = {schedule.t_start:g} to {end}")
+    for tc, kind in crossings:
         if kind == "off" and tc <= t:
             raise DegenerateCoefficients(
                 f"drift undefined at t = {t:g}: the control power fell below "

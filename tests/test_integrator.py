@@ -166,6 +166,13 @@ class TestAbsorbers:
         assert energy_fraction(shifted.psi_plus, shifted.psi_minus, sponge) > 1e-3
 
 
+def dense(bands):
+    """The (m, m) matrix of `StepPlan.bands`."""
+    diag, sub1, sub2, sup1, sup2 = bands
+    return (np.diag(diag) + np.diag(sub1[1:], -1) + np.diag(sub2[2:], -2)
+            + np.diag(sup1[:-1], 1) + np.diag(sup2[:-2], 2))
+
+
 def advance(state, sched, dt, pulse, w_plus, w_minus, perturber=None):
     """One step with a plan built for it, as a ramp window takes it."""
     plan = plan_steps(state.medium, sched, state.t, dt, w_plus, w_minus,
@@ -436,12 +443,15 @@ class TestPlan:
             # at r_g = 2 the scaled eliminations, and at any r_g the real
             # ones, differ from the reference's complex eliminations by
             # roundoff of the field's peak, which exceeds 1e-12 of its
-            # smallest entries; complex ones at r_g = 1 match entry by entry
-            exact = r_g == 1.0 and perturber is not None
+            # smallest entries; complex ones at r_g = 1 eliminate as the
+            # reference does but for the split-off pivots, and stay within a
+            # few ulps of the peak
+            ulps = r_g == 1.0 and perturber is not None
             for got, ref in ((state.psi_plus, ref_plus),
                              (state.psi_minus, ref_minus)):
                 assert got.dtype == (float if perturber is None else complex)
-                atol = 0.0 if exact else 1e-12 * np.abs(ref).max()
+                peak = np.abs(ref).max()
+                atol = (8.0 * np.finfo(float).eps if ulps else 1e-12) * peak
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=atol)
 
     @pytest.mark.parametrize("t0", [5e3, 1e4 - 0.25, 1e4 + 100.0, 1e4 + 499.75])
@@ -671,15 +681,53 @@ class TestPlan:
                                                         (BE, BDF2)):
                         plan = plan_steps(med, sched, 0.5 * (lo + hi) - cap,
                                           frac * cap, w_plus, w_minus, mass=mass)
-                        diag, sub1, sub2, sup1, sup2 = plan.bands
-                        a = (np.diag(diag) + np.diag(sub1[1:], -1)
-                             + np.diag(sub2[2:], -2) + np.diag(sup1[:-1], 1)
-                             + np.diag(sup2[:-2], 2))
-                        margin = 2.0 * np.abs(diag) - np.abs(a).sum(axis=0)
+                        a = dense(plan.bands)
+                        margin = 2.0 * np.abs(np.diag(a)) - np.abs(a).sum(axis=0)
                         slack = 16.0 * np.finfo(float).eps * np.abs(a).max()
                         assert margin[1:-1].min() >= 1.0 - slack
-                        lower, upper = plan.factors
+                        lower, upper, inv_pivots = plan.factors
                         assert lower.shape == upper.shape == (3, m)
+                        assert inv_pivots.shape == (m,)
+
+    @pytest.mark.parametrize("mass", [BE, BDF2], ids=["be", "bdf2"])
+    @pytest.mark.parametrize("r_g", [1.0, 2.0])
+    @pytest.mark.parametrize("rate", [None, 0.25j], ids=["real", "perturbed"])
+    def test_factors_rebuild_the_bands(self, rate, r_g, mass):
+        """D (L' U~) is the banded matrix, L' and U~ unit triangular, in the
+        plan's arithmetic."""
+        med = medium_for(r_g=r_g, gamma2=1e-5, n=64, length=8.0 / r_g ** 2)
+        w_plus, w_minus = build_absorbers(med)
+        perturber = None if rate is None else (np.ones(med.grid_points), rate)
+        plan = plan_steps(med, RAMPED, 1e4 + 100.0, 0.05, w_plus, w_minus,
+                          perturber, mass=mass)
+        dtype = float if rate is None else complex
+        assert all(factor.dtype == dtype and not np.any(factor.imag)
+                   for factor in plan.factors)
+        # band layouts: lower[r, j] = L'[j + r, j], upper[r, j] = U~[j + r - 2, j]
+        lower, upper, inv_pivots = (factor.real for factor in plan.factors)
+        assert np.all(lower[0] == 1.0) and np.all(upper[2] == 1.0)
+        m = inv_pivots.size
+        l_unit = np.eye(m) + np.diag(lower[1, :-1], -1) + np.diag(lower[2, :-2], -2)
+        u_unit = np.eye(m) + np.diag(upper[1, 1:], 1) + np.diag(upper[0, 2:], 2)
+        rebuilt = (l_unit @ u_unit) / inv_pivots[:, None]
+        a = dense(plan.bands)
+        np.testing.assert_allclose(rebuilt, a, rtol=0.0,
+                                   atol=4.0 * np.finfo(float).eps * np.abs(a).max())
+
+    @pytest.mark.parametrize("rate", [None, 0j], ids=["dtbsv", "ztbsv"])
+    def test_a_corrupt_reciprocal_pivot_fails_the_residual_check(self, rate):
+        """The residual runs on the unfactored bands, so a wrong factor
+        entry cannot check itself."""
+        med = medium_for(n=256, length=25.0)
+        sched = hold(OM0, OM0)
+        zeros = np.zeros(med.grid_points)
+        perturber = None if rate is None else (zeros, rate)
+        plan = plan_steps(med, sched, 0.0, 0.5, zeros, zeros, perturber)
+        state = init_state(med, sched, prepared(center=12.5))
+        step(copy.deepcopy(state), plan, sched, prepared(center=12.5))
+        plan.factors[2][med.grid_points] *= 1.0 + 1e-6
+        with pytest.raises(SweepDivergence, match="residual"):
+            step(state, plan, sched, prepared(center=12.5))
 
     @pytest.mark.parametrize("t0,dt", [(1e4, 1e-13), (0.0, 0.0)])
     def test_step_that_advances_no_stretched_time_is_refused(self, t0, dt):

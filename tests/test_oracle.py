@@ -151,6 +151,32 @@ class TestDrift:
             Segment(200.0, 10200.0, 0.0, 0.0, ramp=50.0),
             Segment(10200.0, 10800.0, 0.0, OM0, ramp=50.0),
         ])
+        calls = self.count_integrands(monkeypatch)
+        drift_beta(med, sched, 100.0)
+        assert calls
+        calls.clear()
+        with pytest.raises(DegenerateCoefficients, match="storage threshold"):
+            drift_beta(med, sched, t)
+        assert calls == []
+
+    @pytest.mark.parametrize("t", [100.0, 1000.0])
+    def test_refuses_a_schedule_that_opens_stored(self, t, monkeypatch):
+        # dark until a ramp lifts the control over the threshold at t = 239.6;
+        # integrating from the start gave (nan, nan) at t = 100 and a
+        # QuadratureFailure at t = 1000
+        med = medium_for(gamma2=1e-5)
+        sched = build_schedule([Segment(0.0, 200.0, 0.0, 0.0),
+                                Segment(200.0, 2000.0, OM0, 0.0, ramp=100.0)])
+        calls = self.count_integrands(monkeypatch)
+        with pytest.raises(DegenerateCoefficients,
+                           match=r"opens in dark storage, .* from t = 0 to t = 239\.6"):
+            drift_beta(med, sched, t)
+        assert calls == []
+
+    @staticmethod
+    def count_integrands(monkeypatch) -> list:
+        """Record every call of the drift rate (through group_velocity) and of
+        its boundary term (through coefficients)."""
         calls = []
 
         def counted(f):
@@ -159,16 +185,9 @@ class TestDrift:
                 return f(*args)
             return wrapper
 
-        # the drift rate goes through group_velocity, its boundary term
-        # through coefficients
         for name in ("group_velocity", "coefficients"):
             monkeypatch.setattr(oracle, name, counted(getattr(oracle, name)))
-        drift_beta(med, sched, 100.0)
-        assert calls
-        calls.clear()
-        with pytest.raises(DegenerateCoefficients, match="storage threshold"):
-            drift_beta(med, sched, t)
-        assert calls == []
+        return calls
 
 
 class TestWidth:

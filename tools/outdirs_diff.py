@@ -17,8 +17,10 @@ numeric field of summary.json, whose values differ, the largest relative
 change. A column's change is relative to its largest magnitude on either
 side (over all of a preset's differing snapshots, for the .npy columns),
 with the largest absolute change beside it; a field's is relative to the
-larger of its two values. Bytes that differ with equal values (signed zeros) print no
-change. Non-numeric summary fields that differ are named.
+larger of its two values, with its absolute change beside it, so that
+roundoff on a value near zero reads as such. Bytes that differ with equal
+values (signed zeros) print no change. Non-numeric summary fields that
+differ are named.
 """
 
 from __future__ import annotations
@@ -76,8 +78,9 @@ def column_changes(old: np.ndarray, new: np.ndarray, names, changes: dict):
 
 
 def summary_changes(old, new, path: str, changes: dict):
-    """Fold into `changes` {field path: relative change, or None for a
-    non-numeric change} every field of two summary.json trees that differs."""
+    """Fold into `changes` {field path: (relative change, absolute change),
+    or None for a non-numeric change} every field of two summary.json trees
+    that differs."""
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(old.keys() | new.keys()):
             summary_changes(old.get(key), new.get(key), f"{path}.{key}".lstrip("."),
@@ -89,8 +92,8 @@ def summary_changes(old, new, path: str, changes: dict):
     elif old != new:
         numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
                       for v in (old, new))
-        changes[path] = (abs(old - new) / max(abs(old), abs(new))
-                         if numeric else None)
+        changes[path] = ((abs(old - new) / max(abs(old), abs(new)),
+                          abs(old - new)) if numeric else None)
 
 
 def value_changes(parent: dict, change: dict, changed: list[str]) -> list[str]:
@@ -117,8 +120,9 @@ def value_changes(parent: dict, change: dict, changed: list[str]) -> list[str]:
             lines.append(f"  {label}: " + ", ".join(moved))
     if fields:
         lines.append("  summary.json: " + ", ".join(
-            f"{path} changed" if rel is None else f"{path} {rel:.2g}"
-            for path, rel in fields.items()))
+            f"{path} changed" if moved is None
+            else f"{path} {moved[0]:.2g} (abs {moved[1]:.2g})"
+            for path, moved in fields.items()))
     return lines
 
 
