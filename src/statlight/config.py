@@ -22,7 +22,6 @@ from .medium import (
     build_medium,
     build_pulse,
     build_schedule,
-    check_clock_rate,
     power_crossings,
     regime_windows,
 )
@@ -193,7 +192,10 @@ def _assemble(values: dict, segments: list[Segment]) -> RunConfig:
 
     medium = build_medium(**sections["medium"])
     schedule = build_schedule(segments)
-    check_clock_rate(medium, schedule)
+    # the crossings are found here, once per (medium, schedule): a clock
+    # rate that would overflow them, or a ramp that crosses twice, fails
+    # at parse time
+    power_crossings(medium, schedule)
     pulse = build_pulse(**sections["pulse"])
 
     engine = sections[""]["engine"]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EmptyField, PhaseUnwrapAmbiguity, WindowTooShort
 from .medium import ControlSchedule, MediumModel, PulseSpec, envelope_scales
-from .oracle import decay_factor, gaussian_envelope, width_b
+from .oracle import check_channel, decay_exponent, gaussian_envelope, width_b
 
 ENERGY_FLOOR = 1e-30
 MIN_FIT_POINTS = 5
@@ -89,26 +89,32 @@ def compare_to_oracle(medium: MediumModel, schedule: ControlSchedule,
 
     The anchor (scale, peak, B0, decay factor) comes from the series' first
     snapshot, scored with anchor=None, so only evolution (drift, spreading,
-    decay) is scored, not the injection normalization.
+    decay) is scored, not the injection normalization. After
+    `check_channel`'s refusals, each call takes one `width_b` quadrature and
+    one `decay_exponent` pass, and hands both to `gaussian_envelope`.
     """
     z = medium.grid()
-    pred = np.abs(gaussian_envelope(medium, schedule, pulse, "+", t, z))
+    check_channel(medium, schedule, "+", t)
+    b = width_b(medium, schedule, pulse, t)
+    transport, total = decay_exponent(medium, schedule, t)
+    pred = np.abs(gaussian_envelope(medium, schedule, pulse, "+", t, z,
+                                    width=b, decay=transport))
     meas = np.abs(np.asarray(a_plus))
+    df = math.exp(-total)
     if anchor is None:
         pk = float(np.max(meas))
         if pk <= 0.0:
             raise EmptyField("first snapshot has no forward field")
-        anchor = (pk / float(np.max(pred)), pk, width_b(medium, schedule, pulse, t),
-                  decay_factor(medium, schedule, t))
+        anchor = (pk / float(np.max(pred)), pk, b, df)
     scale, peak0, b0, df0 = anchor
     pred = pred * scale
     env_err = float(np.linalg.norm(meas - pred) / np.linalg.norm(pred))
 
-    m = moments(z, a_plus, medium.dz)
-    b = width_b(medium, schedule, pulse, t)
+    # the moments of |a_plus| are those of a_plus
+    m = moments(z, meas, medium.dz)
     width_err = abs(m.rms - b / math.sqrt(2.0)) / (b / math.sqrt(2.0))
 
-    predicted_ratio = (decay_factor(medium, schedule, t) / df0) * (b0 / b)
+    predicted_ratio = (df / df0) * (b0 / b)
     measured_ratio = float(np.max(meas)) / peak0
     decay_err = abs(measured_ratio - predicted_ratio) / max(predicted_ratio, 1e-300)
     return (env_err, width_err, decay_err), anchor

@@ -112,6 +112,9 @@ dtbsv, ztbsv = _fblas.dtbsv, _fblas.ztbsv
 dgbtrf = _linalg_extension("_flapack").dgbtrf
 
 RESIDUAL_TOL = 1e-10
+# float64 values per residual-norm call: OpenBLAS's ddot spreads a vector of
+# more than 10,000 over its worker threads, a cost and no gain to one step
+NORM_PIECE = 8192
 SPONGE_FRACTION = 0.05
 
 MODE_PDE = "pde"
@@ -230,15 +233,18 @@ def advective_cap(medium: MediumModel, schedule: ControlSchedule, times) -> floa
 class StepPlan:
     """What every step of length dt shares within one constant-control window.
 
-    `bands` holds the rows diag, sub1 (A[j, j-1]), sub2 (A[j, j-2]),
-    sup1 (A[j, j+1]) and sup2 (A[j, j+2]) of the real implicit matrix, with
-    the backward rows divided by rho and the inflow row pinned at its
-    power-of-two scale, kept for the residual check. `factors` holds that
-    matrix as D L' U~: the unit-lower L' and unit-upper U~ band factors as
-    Fortran (3, m) arrays, the layout `dtbsv` and `ztbsv` read with diag=1
-    (their diagonal rows hold ones), and the reciprocal pivots 1/D as an
-    (m,) array; all real without a perturber, complex with one. `split` is
-    the perturber's per-step factor on
+    `bands` holds the nonzeros of the real implicit matrix, with the
+    backward rows divided by rho and the inflow row pinned at its
+    power-of-two scale, kept for the residual check: rows diag, sub and
+    sup, where sub[j] and sup[j] are the one entry left and the one entry
+    right of the diagonal in row j, A[j, j-2] and A[j, j+1] in a forward
+    row j = 2i, A[j, j-1] and A[j, j+2] in a backward row j = 2i+1 (zero
+    where the column falls outside the matrix, and in the pinned rows).
+    `factors` holds that matrix as D L' U~: the unit-lower L' and
+    unit-upper U~ band factors as Fortran (3, m) arrays, the layout `dtbsv`
+    and `ztbsv` read with diag=1 (their diagonal rows hold ones), and the
+    reciprocal pivots 1/D as an (m,) array; all real without a perturber,
+    complex with one. `split` is the perturber's per-step factor on
     psi_plus, or None without one. `mass` is the time scheme's factor c,
     `BE` or `BDF2`.
 
@@ -310,40 +316,39 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     inv_dtau = mass / dtau
 
     m = 2 * n
-    bands = np.zeros((5, m))
-    diag, sub1, sub2, sup1, sup2 = bands
+    bands = np.zeros((3, m))
+    diag, sub, sup = bands
 
-    # forward-channel rows j = 2i
+    # forward-channel rows j = 2i: A[j, j-2] and A[j, j+1] off the diagonal
     diag[0::2] = inv_dz + xp_am + co.alpha_plus * inv_dtau + g2p + w_plus
-    sup1[0::2] = -xp_am + co.alpha_minus * inv_dtau
-    sub2[0::2] = -inv_dz
+    sup[0::2] = -xp_am + co.alpha_minus * inv_dtau
+    sub[2::2] = -inv_dz
 
-    # backward-channel rows j = 2i+1, sign-flipped so the diagonal is
-    # positive and divided by rho (xi_minus = rho xi_plus): the right-hand
-    # side is then the forward rows' one, a multiple of phi
+    # backward-channel rows j = 2i+1: A[j, j-1] and A[j, j+2], sign-flipped
+    # so the diagonal is positive and divided by rho (xi_minus = rho
+    # xi_plus): the right-hand side is then the forward rows' one, a
+    # multiple of phi
     diag[1::2] = inv_dz / rho + xp_ap + co.alpha_minus * inv_dtau + g2p + w_minus / rho
-    sub1[1::2] = -xp_ap + co.alpha_plus * inv_dtau
-    sup2[1::2] = -inv_dz / rho
+    sub[1::2] = -xp_ap + co.alpha_plus * inv_dtau
+    sup[1:-2:2] = -inv_dz / rho
 
     # boundary rows: inflow values pinned. Row 0 is scaled to the smallest
     # power of two no smaller than the entries below it in column 0, so it
     # stays the pivot row and rhs pin * source gives the source exactly
-    mantissa, exponent = math.frexp(max(abs(sub1[1]), abs(sub2[2])))
+    mantissa, exponent = math.frexp(max(abs(sub[1]), abs(sub[2])))
     diag[0] = math.ldexp(1.0, exponent - 1 if mantissa == 0.5 else exponent)
-    sup1[0] = 0.0
-    sup2[0] = 0.0
+    sup[0] = 0.0
     diag[m - 1] = 1.0
-    sub1[m - 1] = 0.0
-    sub2[m - 1] = 0.0
+    sub[m - 1] = 0.0
 
     # LAPACK band storage, A[i, j] at row 4 + i - j; rows 0-1 are dgbtrf's
-    # room for fill-in
+    # room for fill-in, and the entries the rows above leave out are zeros
     ab = np.zeros((7, m), order="F")
-    ab[2, 2:] = sup2[:-2]
-    ab[3, 1:] = sup1[:-1]
+    ab[2, 3::2] = sup[1:-2:2]
+    ab[3, 1::2] = sup[0::2]
     ab[4, :] = diag
-    ab[5, :-1] = sub1[1:]
-    ab[6, :-2] = sub2[2:]
+    ab[5, 0::2] = sub[1::2]
+    ab[6, 0:-2:2] = sub[2::2]
     lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
     if info != 0:
         raise SweepDivergence(f"implicit step matrix is singular (dgbtrf info {info})")
@@ -365,24 +370,40 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     lower = np.zeros((3, m), dtype=dtype, order="F")
     upper = np.zeros((3, m), dtype=dtype, order="F")
     lower[0] = upper[2] = 1.0
-    lower[1, :-1] = lu[5, :-1] * (pivots[:-1] / pivots[1:])
-    lower[2, :-2] = lu[6, :-2] * (pivots[:-2] / pivots[2:])
-    upper[1, 1:] = lu[3, 1:] / pivots[:-1]
-    upper[0, 2:] = lu[2, 2:] / pivots[:-2]
+    # each formed in its factor row, with no temporary array
+    for row, k in ((1, 1), (2, 2)):
+        np.divide(pivots[:-k], pivots[k:], out=lower[row, :-k])
+        lower[row, :-k] *= lu[4 + k, :-k]
+    for row, k in ((1, 1), (0, 2)):
+        np.divide(lu[4 - k, k:], pivots[:-k], out=upper[row, k:])
+    inv_pivots = np.empty(m, dtype=dtype)
+    np.divide(1.0, pivots, out=inv_pivots)
+    # the factored band array is spent: free it before the split is made
+    del ab, lu, pivots
     work = np.empty((4, m), dtype=dtype) if last is None else last.work
 
     split = None
     if perturber is not None:
         density, rate = perturber
-        split = np.exp(rate * density * dtau)
+        split = rate * density
+        split *= dtau
+        np.exp(split, out=split)
     return StepPlan(dt, dtau, mass, co_old, (*controls_old, *controls), inputs,
-                    bands, (lower, upper, (1.0 / pivots).astype(dtype)), split,
-                    work)
+                    bands, (lower, upper, inv_pivots), split, work)
 
 
 def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
          pulse: PulseSpec) -> float:
-    """Advance one implicit step of `plan`; returns the stretched-time increment."""
+    """Advance one implicit step of `plan`; returns the stretched-time increment.
+
+    The step solves A u = rhs in the plan's work rows and checks the
+    residual A u - rhs on the unfactored matrix, from the nonzeros
+    `plan.bands` keeps, in the order of the five-band product, whose bits
+    it keeps. The check fails on a residual above RESIDUAL_TOL times
+    |rhs| + |u|, on a NaN and on an infinite norm; all-zero fields pass.
+    The norms are taken in pieces of at most NORM_PIECE values, so that
+    OpenBLAS never spreads one over its worker threads.
+    """
     if state.mode != MODE_PDE:
         raise NonPhysicalParameter("step() requires transport mode, not storage")
     med = state.medium
@@ -434,24 +455,33 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
     sweep(2, lower, u, lower=1, diag=1, overwrite_x=1)
     sweep(2, upper, u, diag=1, overwrite_x=1)
 
-    # explicit residual of the solved system, in the plan's work rows
-    diag, sub1, sub2, sup1, sup2 = plan.bands
+    # explicit residual of the solved system, in the plan's work rows, from
+    # the nonzeros the plan keeps: a forward row 2i reaches u[2i-2] and
+    # u[2i+1], a backward row 2i+1 u[2i] and u[2i+3]. Each row adds its
+    # lower term before its upper one, as a five-band product does, which
+    # only adds exact zeros besides
+    diag, sub, sup = plan.bands
     np.multiply(diag, u, out=res)
     res -= rhs
-    for band, k in ((sub1, 1), (sub2, 2)):
-        np.multiply(band[k:], u[:-k], out=prod[k:])
-        res[k:] += prod[k:]
-    for band, k in ((sup1, 1), (sup2, 2)):
-        np.multiply(band[:-k], u[k:], out=prod[:-k])
-        res[:-k] += prod[:-k]
-    # written so that a NaN anywhere fails the check; all-zero fields pass.
-    # The squared norms of rhs, u and res come from one call over float
-    # views: BLAS's ddot, in this thread under the CLI's one-thread pin
+    np.multiply(sub[2::2], u[:-2:2], out=prod[2::2])
+    np.multiply(sub[1::2], u[0::2], out=prod[1::2])
+    res[1:] += prod[1:]
+    np.multiply(sup[0::2], u[1::2], out=prod[0::2])
+    np.multiply(sup[1:-2:2], u[3::2], out=prod[1:-2:2])
+    res[:-1] += prod[:-1]
+    # written so that a NaN or an inf anywhere fails the check; all-zero
+    # fields pass. The squared norms of rhs, u and res come from vecdot
+    # calls over float views, BLAS's ddot, each on at most NORM_PIECE values
     rows = plan.work[:3].view(float)
-    r2, x2, e2 = np.vecdot(rows, rows).tolist()
+    width = rows.shape[1]
+    sums = np.vecdot(rows[:, :NORM_PIECE], rows[:, :NORM_PIECE])
+    for a in range(NORM_PIECE, width, NORM_PIECE):
+        piece = rows[:, a:a + NORM_PIECE]
+        sums += np.vecdot(piece, piece)
+    r2, x2, e2 = sums.tolist()
     scale = math.sqrt(r2) + math.sqrt(x2)
     err = math.sqrt(e2)
-    if not err <= RESIDUAL_TOL * scale:
+    if not (err <= RESIDUAL_TOL * scale and math.isfinite(scale)):
         raise SweepDivergence(
             f"implicit step residual {err:.3g} exceeds {RESIDUAL_TOL:g} "
             f"times the solution scale {scale:.3g}")

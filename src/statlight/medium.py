@@ -462,8 +462,16 @@ def power_crossings(medium: MediumModel, schedule: ControlSchedule):
     is a quadratic in the smoothstep s, so each crossing is a root in s mapped
     back through the smoothstep inverse. Raises ThresholdChatter when a single
     ramp produces more than one crossing, and refuses a clock rate that would
-    overflow those roots (`check_clock_rate`).
+    overflow those roots (`check_clock_rate`). Both arguments are frozen, so
+    the crossings are found once per (medium, schedule) pair and each call
+    returns a fresh list of them.
     """
+    return list(_power_crossings(medium, schedule))
+
+
+@functools.lru_cache(maxsize=16)
+def _power_crossings(medium: MediumModel,
+                     schedule: ControlSchedule) -> tuple[tuple[float, str], ...]:
     check_clock_rate(medium, schedule)
     gg2 = medium.gamma * medium.gamma2
     active = not opens_stored(medium, schedule)
@@ -486,7 +494,7 @@ def power_crossings(medium: MediumModel, schedule: ControlSchedule):
                 f"control power crossed the storage threshold {len(ramp_events)} "
                 f"times during the ramp at t = {piece.a:g}")
         events.extend(ramp_events)
-    return events
+    return tuple(events)
 
 
 def opens_stored(medium: MediumModel, schedule: ControlSchedule) -> bool:

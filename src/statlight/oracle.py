@@ -160,40 +160,60 @@ def width_b(medium: MediumModel, schedule: ControlSchedule, pulse: PulseSpec,
     return math.sqrt(radicand)
 
 
-def decay_exponent(medium: MediumModel, schedule: ControlSchedule, t: float,
-                   include_storage=True) -> float:
-    """Integral of the common envelope decay rate from schedule start to t."""
+def decay_exponent(medium: MediumModel, schedule: ControlSchedule,
+                   t: float) -> tuple[float, float]:
+    """Integrals of the common envelope decay rate from schedule start to t,
+    in one pass over `regime_windows`: (over the transport windows alone,
+    and with the bare rate gamma2 over the stored time added). The first is
+    the envelope's own decay (`gaussian_envelope`), the second the predicted
+    attenuation of what the run carries through storage."""
     if medium.gamma2 == 0.0:
-        return 0.0
+        return 0.0, 0.0
 
     def rate(s):
         op, om = schedule.values(s)
         return coefficients(medium, op, om).eta * medium.gamma2
 
-    total = 0.0
+    pde = total = 0.0
     for lo, hi, transport in regime_windows(medium, schedule, t):
         if transport:
-            total += _quad(rate, schedule, lo, hi)
-        elif include_storage:
+            part = _quad(rate, schedule, lo, hi)
+            pde += part
+            total += part
+        else:
             total += medium.gamma2 * (hi - lo)
-    return total
+    return pde, total
 
 
-def decay_factor(medium: MediumModel, schedule: ControlSchedule, t: float) -> float:
-    """Predicted amplitude attenuation between schedule start and t."""
-    return math.exp(-decay_exponent(medium, schedule, t))
+def check_channel(medium: MediumModel, schedule: ControlSchedule,
+                  channel: str, t: float) -> None:
+    """Refuse an envelope of `channel` ("+" or "-") at lab time t that the
+    model does not define: one whose control is off at t, or any envelope
+    when the forward control is off at the schedule start, which fixes the
+    normalization. It reads the controls only, so it runs before any
+    quadrature."""
+    if channel not in ("+", "-"):
+        raise NonPhysicalParameter(f"channel must be '+' or '-', got {channel!r}")
+    if schedule.values(t)[0 if channel == "+" else 1] == 0.0:
+        raise ChannelOff(f"channel {channel} has no control field at t = {t:g}")
+    if schedule.values(schedule.t_start)[0] == 0.0:
+        raise ChannelOff("envelope normalization needs the forward control on at start")
 
 
 def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
-                      pulse: PulseSpec, channel: str, t: float, z):
+                      pulse: PulseSpec, channel: str, t: float, z,
+                      width: float | None = None, decay: float | None = None):
     """Predicted field envelope A_channel(t, z) at lab time t.
 
     channel is "+" or "-". z may be an array. A single constant control
     gives pure translation at the group velocity. The envelope is real:
     the model normalises the control phases out of the transport equations.
+    `check_channel` refuses an undefined envelope first. A caller that
+    already holds the width B (`width_b`) and the transport decay exponent
+    (`decay_exponent`'s first value) at the same t passes them as `width`
+    and `decay`, and neither quadrature runs again.
     """
-    if channel not in ("+", "-"):
-        raise NonPhysicalParameter(f"channel must be '+' or '-', got {channel!r}")
+    check_channel(medium, schedule, channel, t)
     t0 = schedule.t_start
     op0, _ = schedule.values(t0)
     op1, om1 = schedule.values(t)
@@ -203,12 +223,10 @@ def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
         om_here, g_ratio = op1, 1.0
     else:
         om_here, g_ratio = om1, 1.0 / medium.r_g
-    if om_here == 0.0:
-        raise ChannelOff(f"channel {channel} has no control field at t = {t:g}")
-    if op0 == 0.0:
-        raise ChannelOff("envelope normalization needs the forward control on at start")
 
-    b = width_b(medium, schedule, pulse, t)
+    b = width_b(medium, schedule, pulse, t) if width is None else width
+    if decay is None:
+        decay, _ = decay_exponent(medium, schedule, t)
     beta_p, beta_m = drift_beta(medium, schedule, t)
     beta = beta_p if channel == "+" else beta_m
     # beta is a displacement from the initial forward-channel center, which
@@ -217,7 +235,7 @@ def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
               + co0.alpha_minus * medium.xi_sum_inv)
     l_o = pulse_length(medium, pulse)
     pref = (l_o / b) * (co1.eta * om_here * g_ratio / (co0.eta * op0)) * pulse.amplitude
-    pref *= math.exp(-decay_exponent(medium, schedule, t, include_storage=False))
+    pref *= math.exp(-decay)
     zz = np.asarray(z, dtype=float)
     body = np.exp(-((zz - anchor - beta) ** 2) / (2.0 * b ** 2))
     return pref * body

@@ -217,10 +217,15 @@ def resource_estimate(config: RunConfig) -> tuple[int, int]:
                            for a, b, i, ramping in sched.pieces(lo, hi))
     # start, end and the two ends of the fit window ride on top of the interval
     snapshots = math.ceil((run.t_end - sched.t_start) / run.snapshot_interval) + 3
-    # psi_plus, psi_minus and phi; only a perturber or the spectral engine
-    # makes the fields complex
-    value = 8 if config.engine != "spectral" and config.perturber is None else 16
+    # psi_plus, psi_minus and phi
+    value = 8 if _real_fields(config) else 16
     return steps, snapshots * med.grid_points * 3 * value
+
+
+def _real_fields(config: RunConfig) -> bool:
+    """Whether every field of the primary run is real: only a perturber or
+    the spectral engine makes them complex."""
+    return config.engine != "spectral" and config.perturber is None
 
 
 def preflight(config: RunConfig) -> None:
@@ -251,21 +256,29 @@ def _probe_index(config: RunConfig):
 
 
 def _record(config: RunConfig, t: float, tau: float, mode: str,
-            psi_plus, psi_minus, spin, sponge: float, probe_idx, index: int):
+            psi_plus, psi_minus, spin, sponge_mask, probe_idx, index: int):
+    """The snapshot of the fields at t, its trajectory row and the channel
+    amplitudes (|psi_plus|, |psi_minus|), taken once for the row, the
+    sponge fraction (in transport, over `sponge_mask` unless it is None)
+    and the snapshot file."""
     med, sched = config.medium, config.schedule
     z = med.grid()
+    amplitudes = np.abs(psi_plus), np.abs(psi_minus)
+    sponge = 0.0
     if mode == MODE_STORAGE:
         phi = np.array(spin, copy=True)
         ep = em = 0.0
         app = apm = 0.0
     else:
+        if sponge_mask is not None:
+            sponge = energy_fraction(*amplitudes, sponge_mask)
         op, om = sched.values(t)
         co = coefficients(med, op, om)
         phi = polariton_field(co.alpha_plus, co.alpha_minus, psi_plus, psi_minus)
-        ep, em = channel_energies(med, psi_plus, psi_minus, op, om)
+        ep, em = channel_energies(med, *amplitudes, op, om)
         scale_p, scale_m = envelope_scales(med, op, om)
-        app = float(np.max(np.abs(psi_plus))) * scale_p
-        apm = float(np.max(np.abs(psi_minus))) * scale_m
+        app = float(np.max(amplitudes[0])) * scale_p
+        apm = float(np.max(amplitudes[1])) * scale_m
     try:
         m = moments(z, phi, med.dz)
         energy, cen, rms, peak = m.energy, m.centroid, m.rms, m.peak
@@ -285,21 +298,29 @@ def _record(config: RunConfig, t: float, tau: float, mode: str,
     snap = Snapshot(index, t, tau, mode,
                     np.array(psi_plus, copy=True),
                     np.array(psi_minus, copy=True), phi)
-    return snap, row
+    return snap, row, amplitudes
 
 
 def _snapshot_sink(config: RunConfig, out_dir, snapshots: list,
                    fit: "_FitWindow"):
-    """The callable an engine run hands each snapshot it records. Without an
-    out-dir it appends the snapshot to `snapshots`. With one, the first
-    record makes the directory and unlinks what an earlier run left there:
-    the files that only a finished run writes (summary.json, trajectory.tsv
-    and config.txt) and every snap_*.npy; each record then saves
-    snap_NNNNN.npy if `output.snapshots`, and holds nothing. Either way it
-    then feeds the snapshot to `fit`, the run's fit-window accumulator."""
+    """The callable an engine run hands each snapshot it records, with the
+    amplitudes `_record` took of it. Without an out-dir it appends the
+    snapshot to `snapshots`. With one, the first record makes the directory
+    and unlinks what an earlier run left there: the files that only a
+    finished run writes (summary.json, trajectory.tsv and config.txt) and
+    every snap_*.npy; each record then saves snap_NNNNN.npy if
+    `output.snapshots`, and holds nothing. The files are filled in one
+    (N, 9) buffer that the sink keeps for the run: its z column is written
+    once, and so are the zero im columns of a run whose fields are real.
+    Either way it then feeds the snapshot to `fit`, the run's fit-window
+    accumulator."""
     out = None if out_dir is None else pathlib.Path(out_dir)
+    buf = None
+    if out is not None and config.output.snapshots:
+        buf = _snapshot_buffer(config)
+    imag = not _real_fields(config)
 
-    def sink(snap: Snapshot):
+    def sink(snap: Snapshot, amplitudes):
         if out is None:
             snapshots.append(snap)
         else:
@@ -308,8 +329,9 @@ def _snapshot_sink(config: RunConfig, out_dir, snapshots: list,
                 for stale in [out / "summary.json", out / "trajectory.tsv",
                               out / "config.txt", *out.glob("snap_*.npy")]:
                     stale.unlink(missing_ok=True)
-            if config.output.snapshots:
-                _write_snapshot(out / f"snap_{snap.index:05d}.npy", config, snap)
+            if buf is not None:
+                _write_snapshot(out / f"snap_{snap.index:05d}.npy", config, snap,
+                                buf, imag, amplitudes)
         fit.add(snap)
     return sink
 
@@ -331,19 +353,19 @@ def _run_direct(config: RunConfig, include_perturber: bool, out_dir=None) -> Eng
     fit = _FitWindow(config)
     # the reference twin keeps its rows only, all `_perturber_measurement` reads
     sink = (_snapshot_sink(config, out_dir, snapshots, fit) if include_perturber
-            else lambda snap: None)
+            else lambda snap, amplitudes: None)
     traj: list[dict] = []
     sponge_max = 0.0
 
     def record():
         nonlocal sponge_max
-        sponge = (energy_fraction(state.psi_plus, state.psi_minus, sponge_mask)
-                  if state.mode == MODE_PDE else 0.0)
+        snap, row, amplitudes = _record(config, state.t, state.tau, state.mode,
+                                        state.psi_plus, state.psi_minus,
+                                        state.spin, sponge_mask, probe_idx,
+                                        len(traj))
+        sponge = row["sponge_fraction"]
         sponge_max = max(sponge_max, sponge)
-        snap, row = _record(config, state.t, state.tau, state.mode,
-                            state.psi_plus, state.psi_minus, state.spin,
-                            sponge, probe_idx, len(traj))
-        sink(snap)
+        sink(snap, amplitudes)
         traj.append(row)
         if state.mode == MODE_PDE and sponge > SPONGE_ABORT_FRACTION:
             op, om = sched.values(state.t)
@@ -390,12 +412,13 @@ def _run_spectral(config: RunConfig, out_dir=None) -> EngineRun:
     traj: list[dict] = []
 
     def record(pp, pm):
-        snap, row = _record(config, sstate.t, sstate.tau, MODE_PDE,
-                            pp, pm, None, 0.0, probe_idx, len(traj))
-        sink(snap)
+        snap, row, amplitudes = _record(config, sstate.t, sstate.tau, MODE_PDE,
+                                        pp, pm, None, None, probe_idx, len(traj))
+        sink(snap, amplitudes)
         traj.append(row)
+        # the guard band weighs |psi|^2 only, so it takes the amplitudes
         if math.isfinite(row["phi_centroid"]):
-            check_guard_band(med, pp, pm, row["phi_centroid"], half)
+            check_guard_band(med, *amplitudes, row["phi_centroid"], half)
 
     record(*fields_from_state(sstate))
     for ta, tb in zip(times, times[1:]):
@@ -462,18 +485,21 @@ class _FitWindow:
 
 
 def _cross_engine(config: RunConfig, primary: EngineRun):
+    """Replay the fit window spectrally from its first snapshot's forward
+    field and score the direct run's last snapshot of the window against
+    it: the relative l2 of both channels together. The controls are constant
+    over the window, so one exact `propagate` spans it; `steps` counts the
+    snapshot intervals it spans."""
     fit = primary.fit
     if fit.window is None:
         return None, ["cross-engine replay skipped: no suitable constant window"]
     if len(fit.times) < 2:
         return None, ["cross-engine replay skipped: too few snapshots in window"]
     med, sched = config.medium, config.schedule
-    s0 = fit.first
+    s0, ref = fit.first, fit.last
     sstate = spectral_state_from_fields(med, s0.psi_plus, t=s0.t, tau=s0.tau)
-    for t in fit.times[1:]:
-        propagate(sstate, sched, t)
+    propagate(sstate, sched, ref.t)
     pp, pm = fields_from_state(sstate)
-    ref = fit.last
     den = (float(np.linalg.norm(ref.psi_plus)) ** 2
            + float(np.linalg.norm(ref.psi_minus)) ** 2)
     if den == 0.0:
@@ -594,8 +620,8 @@ def _measurements(config: RunConfig, primary: EngineRun,
 
             a0, a1 = rows[0]["phi_area"], rows[-1]["phi_area"]
             if a0 > 0.0:
-                predd = math.exp(-(decay_exponent(med, sched, ts[-1])
-                                   - decay_exponent(med, sched, ts[0])))
+                predd = math.exp(-(decay_exponent(med, sched, ts[-1])[1]
+                                   - decay_exponent(med, sched, ts[0])[1]))
                 out["area_decay"] = {
                     "window": [ts[0], ts[-1]], "measured_ratio": a1 / a0,
                     "predicted_ratio": predd,
@@ -697,20 +723,38 @@ def run_scenario(config: RunConfig, out_dir=None) -> RunResult:
     return result
 
 
-def _write_snapshot(path: pathlib.Path, config: RunConfig, snap: Snapshot):
+def _snapshot_buffer(config: RunConfig) -> np.ndarray:
+    """A float64 (N, 9) array for the columns of snap_NNNNN.npy, with its z
+    column filled and every other column zero."""
+    med = config.medium
+    buf = np.zeros((med.grid_points, 9))
+    buf[:, 0] = med.grid()
+    return buf
+
+
+def _write_snapshot(path: pathlib.Path, config: RunConfig, snap: Snapshot,
+                    buf=None, imag=True, amplitudes=None):
     """Save the float64 (N, 9) columns of the README's snap_NNNNN.npy; t, tau
-    and mode of the snapshot are row `snap.index` of trajectory.tsv."""
+    and mode of the snapshot are row `snap.index` of trajectory.tsv.
+
+    The columns are filled into `buf`, a `_snapshot_buffer` that a run's
+    sink keeps from file to file, or a fresh one. Only the field columns
+    are written: the z column stays, and with `imag` false so do the im
+    columns of real fields, which must then be zero already. `amplitudes`
+    is (|psi_plus|, |psi_minus|), if the caller has taken them."""
     med, sched = config.medium, config.schedule
+    if buf is None:
+        buf = _snapshot_buffer(config)
+    for col, values in ((1, snap.psi_plus), (3, snap.psi_minus), (7, snap.phi)):
+        buf[:, col] = values.real
+        if imag or values.dtype.kind == "c":
+            buf[:, col + 1] = values.imag
+    if amplitudes is None:
+        amplitudes = np.abs(snap.psi_plus), np.abs(snap.psi_minus)
     scale_p, scale_m = envelope_scales(med, *sched.values(snap.t))
-    data = np.column_stack([
-        med.grid(),
-        snap.psi_plus.real, snap.psi_plus.imag,
-        snap.psi_minus.real, snap.psi_minus.imag,
-        np.abs(snap.psi_plus) * scale_p,
-        np.abs(snap.psi_minus) * scale_m,
-        snap.phi.real, snap.phi.imag,
-    ])
-    np.save(path, data, allow_pickle=False)
+    np.multiply(amplitudes[0], scale_p, out=buf[:, 5])
+    np.multiply(amplitudes[1], scale_m, out=buf[:, 6])
+    np.save(path, buf, allow_pickle=False)
 
 
 def _write_trajectory(path: pathlib.Path, trajectory: list):

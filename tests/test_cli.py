@@ -27,11 +27,13 @@ from statlight.errors import (
     ParseError,
     SimulationError,
     SweepDivergence,
+    ThresholdChatter,
     ValidationError,
 )
 from statlight.integrator import RESIDUAL_TOL
 from statlight.medium import Segment
 from statlight.presets import get_preset, list_presets
+from statlight.spectral import fields_from_state, spectral_state_from_fields
 from statlight.scenario import (MAX_POINT_STEPS, MAX_SNAPSHOT_BYTES,
                                 preflight, render_summary, resource_estimate,
                                 run_scenario)
@@ -447,6 +449,33 @@ def test_snapshot_next_to_a_ramp_end_moves_onto_the_plateau():
     assert cross["window"] == [150.0, 380.0] and cross["steps"] == 5
 
 
+def test_cross_engine_replay_is_one_exact_step(monkeypatch):
+    """One `propagate` spans the fit window, and its l2 is that of a replay
+    stepped through every snapshot time of the window."""
+    config = parse_config(get_preset("stationary"))
+    med, sched = config.medium, config.schedule
+    fit = scenario._run_direct(config, include_perturber=True).fit
+    primary = scenario.EngineRun([], [], 0.0, 0.0, fit)
+    calls, propagate = [], scenario.propagate
+    monkeypatch.setattr(scenario, "propagate",
+                        lambda state, schedule, t: calls.append(t)
+                        or propagate(state, schedule, t))
+    cross, warnings = scenario._cross_engine(config, primary)
+    assert warnings == [] and calls == [fit.times[-1]]
+    assert cross["steps"] == len(fit.times) - 1 > 1
+    first, last = fit.first, fit.last
+    stepped = spectral_state_from_fields(med, first.psi_plus, t=first.t,
+                                         tau=first.tau)
+    for t in fit.times[1:]:
+        propagate(stepped, sched, t)
+    pp, pm = fields_from_state(stepped)
+    l2 = math.sqrt((np.linalg.norm(pp - last.psi_plus) ** 2
+                    + np.linalg.norm(pm - last.psi_minus) ** 2)
+                   / (np.linalg.norm(last.psi_plus) ** 2
+                      + np.linalg.norm(last.psi_minus) ** 2))
+    assert abs(cross["l2"] - l2) <= 1e-12 * l2
+
+
 def _preset_with(name: str, **changes) -> str:
     """A preset's text with some keys set to other values."""
     text = get_preset(name)
@@ -579,6 +608,16 @@ class TestPreflight:
         assert "config ok" not in captured.out
         assert "medium.gamma" in captured.err
 
+    def test_a_ramp_that_crosses_twice_is_refused_at_parse(self):
+        # (omega, 0) -> (0, omega) dips below the storage threshold and
+        # recovers within one ramp; omega^2 = 1.5 * 10 gamma gamma2
+        omega = math.sqrt(1.5e-4)
+        text = (f"medium.gamma2 = 1e-5\n"
+                f"schedule.segment = 0 500 {omega!r} 0 50\n"
+                f"schedule.segment = 500 1000 0 {omega!r} 200\n")
+        with pytest.raises(ThresholdChatter, match="2 times"):
+            parse_config(text)
+
     def test_presets_and_benchmark_configs_pass(self):
         texts = [get_preset(name) for name, _ in list_presets()]
         sys.path.insert(0, str(PERFBENCH))
@@ -704,6 +743,29 @@ class TestStreaming:
         written = full.snapshots if config.output.snapshots else []
         assert len(list(out.glob("snap_*.npy"))) == len(written)
         for snap in written:
+            scenario._write_snapshot(tmp_path / "expect.npy", config, snap)
+            assert ((out / f"snap_{snap.index:05d}.npy").read_bytes()
+                    == (tmp_path / "expect.npy").read_bytes())
+
+    @pytest.mark.parametrize("name", ["stationary", "phase_gate"])
+    def test_a_kept_buffer_writes_each_snapshot_as_a_fresh_one(self, tmp_path,
+                                                               preset_run, name):
+        """The sink fills one buffer for all of a run's files: each file
+        still holds the bytes `_write_snapshot` gives its own snapshot in a
+        fresh array. phase_gate's run starts real and turns complex, and a
+        real snapshot after a complex one must not keep its im columns."""
+        full = preset_run(name)
+        config, snaps = full.config, full.snapshots
+        later = snaps[len(snaps) // 2]
+        order = [snaps[0], later,
+                 dataclasses.replace(snaps[0], index=later.index + 1)]
+        kinds = [snap.psi_plus.dtype.kind for snap in order]
+        assert kinds == (["f", "f", "f"] if name == "stationary" else ["f", "c", "f"])
+        out = tmp_path / "out"
+        sink = scenario._snapshot_sink(config, out, [], scenario._FitWindow(config))
+        for snap in order:
+            sink(snap, (np.abs(snap.psi_plus), np.abs(snap.psi_minus)))
+        for snap in order:
             scenario._write_snapshot(tmp_path / "expect.npy", config, snap)
             assert ((out / f"snap_{snap.index:05d}.npy").read_bytes()
                     == (tmp_path / "expect.npy").read_bytes())

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import statlight.diagnostics as diagnostics
+import statlight.oracle as oracle
 from statlight.diagnostics import (
     MIN_FIT_POINTS,
     channel_energies,
@@ -14,6 +16,7 @@ from statlight.diagnostics import (
     relative_phase,
 )
 from statlight.errors import (
+    ChannelOff,
     EmptyField,
     PhaseUnwrapAmbiguity,
     WindowTooShort,
@@ -24,7 +27,7 @@ from statlight.medium import (
     build_pulse,
     build_schedule,
 )
-from statlight.oracle import gaussian_envelope
+from statlight.oracle import decay_exponent, gaussian_envelope, width_b
 
 OM0 = math.sqrt(1e-3)
 
@@ -135,6 +138,86 @@ class TestOracleComparison:
                             prepared=True, center=100.0)
         with pytest.raises(EmptyField):
             compare_to_oracle(med, sched, pulse, 0.0, np.zeros(256, complex))
+
+
+    RAMPED = build_schedule([Segment(0.0, 2000.0, OM0, 0.0),
+                             Segment(2000.0, 2e4, OM0, OM0, ramp=500.0)])
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        """Count the calls of oracle function `name` from both modules."""
+        calls = []
+        original = getattr(oracle, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (oracle, diagnostics):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_one_width_and_one_decay_pass_per_snapshot(self, monkeypatch):
+        """Errors and anchor equal, bit for bit, those of the form that let
+        `gaussian_envelope` take its own width and decay and took them again
+        for the width and decay errors (and a third time for the anchor)."""
+        med = build_medium(r_g=1.5, gamma=1.0, gamma2=1e-5, u_g0=1e-3,
+                           domain_length=200.0, grid_points=1024)
+        sched = self.RAMPED
+        pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
+                            prepared=True, center=100.0)
+        z = med.grid()
+
+        def two_call_form(t, a_plus, anchor):
+            pred = np.abs(gaussian_envelope(med, sched, pulse, "+", t, z))
+            meas = np.abs(a_plus)
+            if anchor is None:
+                pk = float(np.max(meas))
+                anchor = (pk / float(np.max(pred)), pk, width_b(med, sched, pulse, t),
+                          math.exp(-decay_exponent(med, sched, t)[1]))
+            scale, peak0, b0, df0 = anchor
+            pred = pred * scale
+            env_err = float(np.linalg.norm(meas - pred) / np.linalg.norm(pred))
+            m = moments(z, a_plus, med.dz)
+            b = width_b(med, sched, pulse, t)
+            width_err = abs(m.rms - b / math.sqrt(2.0)) / (b / math.sqrt(2.0))
+            predicted = ((math.exp(-decay_exponent(med, sched, t)[1]) / df0)
+                         * (b0 / b))
+            decay_err = abs(float(np.max(meas)) / peak0 - predicted) / predicted
+            return (env_err, width_err, decay_err), anchor
+
+        expected, anchor = [], None
+        snapshots = []
+        for k, t in enumerate([1000.0, 2300.0, 5000.0, 2e4]):
+            a = gaussian_envelope(med, sched, pulse, "+", t, z)
+            a = a * (1.0 + 1e-3 * k * np.sin(z)) * np.exp(0.3j * k)
+            snapshots.append((t, a))
+            errors, anchor = two_call_form(t, a, anchor)
+            expected.append((errors, anchor))
+        widths = self.counting(monkeypatch, "width_b")
+        decays = self.counting(monkeypatch, "decay_exponent")
+        anchor = None
+        for (t, a), want in zip(snapshots, expected):
+            widths.clear()
+            decays.clear()
+            errors, anchor = compare_to_oracle(med, sched, pulse, t, a, anchor)
+            assert (errors, anchor) == want
+            assert len(widths) == len(decays) == 1
+
+    def test_channel_off_is_refused_before_any_quadrature(self, monkeypatch):
+        med = build_medium(r_g=1.0, gamma=1.0, gamma2=1e-5, u_g0=1e-3,
+                           domain_length=200.0, grid_points=256)
+        sched = build_schedule([Segment(0.0, 1000.0, OM0, 0.0),
+                                Segment(1000.0, 5000.0, 0.0, OM0, ramp=100.0)])
+        pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
+                            prepared=True, center=100.0)
+        calls = (self.counting(monkeypatch, "width_b")
+                 + self.counting(monkeypatch, "decay_exponent")
+                 + self.counting(monkeypatch, "drift_beta"))
+        with pytest.raises(ChannelOff, match="channel \\+ has no control"):
+            compare_to_oracle(med, sched, pulse, 3000.0, np.ones(256))
+        assert calls == []
 
 
 class TestChannelEnergies:

@@ -166,9 +166,21 @@ class TestAbsorbers:
         assert energy_fraction(shifted.psi_plus, shifted.psi_minus, sponge) > 1e-3
 
 
+def five_bands(bands):
+    """The rows diag, sub1 (A[j, j-1]), sub2 (A[j, j-2]), sup1 (A[j, j+1])
+    and sup2 (A[j, j+2]) of the matrix whose nonzeros `StepPlan.bands`
+    keeps: sub and sup at a forward row 2i are A[2i, 2i-2] and A[2i, 2i+1],
+    at a backward row 2i+1 A[2i+1, 2i] and A[2i+1, 2i+3]."""
+    diag, sub, sup = bands
+    sub1, sub2, sup1, sup2 = (np.zeros_like(diag) for _ in range(4))
+    sub2[2::2], sub1[1::2] = sub[2::2], sub[1::2]
+    sup1[0::2], sup2[1:-2:2] = sup[0::2], sup[1:-2:2]
+    return diag, sub1, sub2, sup1, sup2
+
+
 def dense(bands):
     """The (m, m) matrix of `StepPlan.bands`."""
-    diag, sub1, sub2, sup1, sup2 = bands
+    diag, sub1, sub2, sup1, sup2 = five_bands(bands)
     return (np.diag(diag) + np.diag(sub1[1:], -1) + np.diag(sub2[2:], -2)
             + np.diag(sup1[:-1], 1) + np.diag(sup2[:-2], 2))
 
@@ -351,6 +363,89 @@ class TestStep:
             assert all(x.dtype == dtype and np.shares_memory(x, plan.work[1])
                        for x in returned[name])
 
+    def test_an_inf_in_the_solution_fails_the_residual_check(self, monkeypatch):
+        """The residual skips the bands' zeros, so no 0 * inf product turns an
+        inf into a NaN: a real solution with one inf entry, and no NaN, must
+        fail the check on the finiteness of its norm."""
+        med, sched, _, zeros = self.run_setup()
+        for name, rate, dtype in self.SWEEPS:
+            state = init_state(med, sched, prepared())
+            plan = plan_steps(med, sched, state.t, 10.0, zeros, zeros,
+                              None if rate is None else (zeros, rate))
+
+            def blowing_up(k, a, x, sweep=getattr(integrator, name), **kw):
+                out = sweep(k, a, x, **kw)
+                if "lower" not in kw:
+                    x[1001] = math.inf
+                return out
+
+            monkeypatch.setattr(integrator, name, blowing_up)
+            with (np.errstate(invalid="ignore"),
+                  pytest.raises(SweepDivergence, match="residual")):
+                step(state, plan, sched, prepared())
+            monkeypatch.undo()
+            # complex products make inf + nan j of their own; real ones do not
+            assert dtype == complex or not np.any(np.isnan(plan.work[2]))
+
+    # a split of 1 keeps the solution row as the residual saw it
+    @pytest.mark.parametrize("rate", [None, 0j], ids=["dtbsv", "ztbsv"])
+    def test_the_residual_is_the_full_band_product(self, rate):
+        """The plan keeps one entry left and one right of the diagonal in
+        each row, and the matrix has no other: its nonzeros sit at (2i, 2i-2),
+        (2i, 2i+1), (2i+1, 2i) and (2i+1, 2i+3), the pinned rows 0 and m-1
+        aside. The residual a step leaves is, bit for bit, the product over
+        all five bands in their order."""
+        med = medium_for(r_g=2.0, gamma2=1e-5, n=256, length=8.0)
+        w_plus, w_minus = build_absorbers(med)
+        perturber = None if rate is None else (np.ones(med.grid_points), rate)
+        state = init_state(med, RAMPED, prepared(center=4.0, duration=1e3))
+        m = 2 * med.grid_points
+        j = np.arange(2, m - 2)
+        even, odd = j[j % 2 == 0], j[j % 2 == 1]
+        expected = {(0, 0), (m - 1, m - 1), (1, 0), (1, 1), (1, 3)}
+        expected |= {(r, r + d) for r in even for d in (-2, 0, 1)}
+        expected |= {(r, r + d) for r in odd for d in (-1, 0, 2)}
+        expected |= {(m - 2, m - 4), (m - 2, m - 2), (m - 2, m - 1)}
+        for t0, mass in ((1e4 + 100.0, BE), (5e3, BE), (5e3, BDF2)):
+            plan = plan_steps(med, RAMPED, t0, 0.01, w_plus, w_minus,
+                              perturber, mass=mass)
+            assert set(zip(*np.nonzero(dense(plan.bands)))) == expected
+            state.t, state.history = t0, state.polariton(
+                plan.co_old.alpha_plus, plan.co_old.alpha_minus)
+            step(state, plan, RAMPED, prepared(center=4.0, duration=1e3))
+            rhs, u, res, _ = plan.work
+            diag, sub1, sub2, sup1, sup2 = five_bands(plan.bands)
+            full = diag * u - rhs
+            for band, k in ((sub1, 1), (sub2, 2)):
+                full[k:] += band[k:] * u[:-k]
+            for band, k in ((sup1, 1), (sup2, 2)):
+                full[:-k] += band[:-k] * u[k:]
+            assert np.array_equal(res, full)
+
+    def test_residual_norms_stay_below_the_blas_threading_size(self, monkeypatch):
+        """phase_gate's perturbed rows hold 20,480 float values, its twin's
+        10,240: each norm call takes at most NORM_PIECE of them, and the
+        pieces sum to the whole."""
+        med = medium_for(n=5120, length=320.0)
+        sched = hold(OM0, OM0)
+        zeros = np.zeros(med.grid_points)
+        widths, vecdot = [], np.vecdot
+
+        def recording(a, b):
+            widths.append(a.shape[-1])
+            return vecdot(a, b)
+
+        for perturber in (None, (zeros, 0j)):
+            state = init_state(med, sched, prepared(center=160.0))
+            plan = plan_steps(med, sched, state.t, 0.05, zeros, zeros, perturber)
+            widths.clear()
+            monkeypatch.setattr(integrator.np, "vecdot", recording)
+            step(state, plan, sched, prepared(center=160.0))
+            monkeypatch.undo()
+            rows = plan.work[:3].view(float)
+            assert max(widths) <= integrator.NORM_PIECE < rows.shape[1]
+            assert sum(widths) == rows.shape[1]
+
     def test_complex_fields_are_refused_without_a_perturber(self):
         med, sched, state, zeros = self.run_setup()
         plan = plan_steps(med, sched, state.t, 10.0, zeros, zeros)
@@ -474,8 +569,9 @@ class TestPlan:
         plan = plan_steps(med, sched, a, dt, w_plus, w_minus)
         # row 0 is pinned at the smallest power of two covering column 0
         pin = plan.bands[0, 0]
-        _, sub1, sub2, _, _ = plan.bands
-        below = max(abs(sub1[1]), abs(sub2[2]))
+        # the entries A[1, 0] and A[2, 0] below the pin
+        _, sub, _ = plan.bands
+        below = max(abs(sub[1]), abs(sub[2]))
         assert math.frexp(pin)[0] == 0.5
         assert below <= pin < 2.0 * below
         # a pulse peaking at the end of the step feeds a nonzero inflow value

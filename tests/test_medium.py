@@ -34,6 +34,7 @@ from statlight.medium import (
     tau_rate_at,
     validity_report,
 )
+import statlight.medium as medium_module
 from statlight.presets import get_preset
 
 OM0 = math.sqrt(1e-3)
@@ -381,6 +382,34 @@ class TestCrossings:
     def test_no_crossings_on_steady_hold(self):
         med = canonical(1e-4)
         assert power_crossings(med, hold(OM0, OM0)) == []
+
+    def test_found_once_per_medium_and_schedule(self, monkeypatch):
+        """`drift_beta`, `regime_windows` and every oracle call at each
+        snapshot read the crossings; the roots are solved once per (medium,
+        schedule) pair, and no caller can change what the next one gets."""
+        checked = []
+        check = medium_module.check_clock_rate
+        monkeypatch.setattr(medium_module, "check_clock_rate",
+                            lambda *args: checked.append(args) or check(*args))
+        medium_module._power_crossings.cache_clear()
+        med = canonical(1e-5)
+        sched = build_schedule([
+            Segment(0.0, 200.0, OM0, 0.0),
+            Segment(200.0, 10200.0, 0.0, 0.0, ramp=50.0),
+            Segment(10200.0, 10800.0, 0.0, OM0, ramp=50.0),
+        ])
+        first = power_crossings(med, sched)
+        first.clear()
+        again = power_crossings(med, sched)
+        assert [kind for _, kind in again] == ["off", "on"]
+        for t in (100.0, 5000.0, 10800.0):
+            regime_windows(med, sched, t)
+        # an equal pair is the same key
+        assert power_crossings(dataclasses.replace(med), build_schedule(
+            list(sched.segments))) == again
+        assert len(checked) == 1
+        power_crossings(canonical(2e-5), sched)
+        assert len(checked) == 2
 
     @pytest.mark.parametrize("levels", [
         # (omega_plus, omega_minus) per segment, in units of sqrt(theta)

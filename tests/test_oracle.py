@@ -26,7 +26,6 @@ from statlight.medium import (
 from statlight.oracle import (
     conversion_probability,
     decay_exponent,
-    decay_factor,
     delta_weighted,
     drift_beta,
     gaussian_envelope,
@@ -211,24 +210,22 @@ class TestDecay:
     def test_slow_light_decoherence_frozen(self):
         # gamma2 = 1e-5 keeps the single-control power clear of the
         # storage threshold; eta = 1.01 there, so the exponent is
-        # 1.01 * gamma2 * t
+        # 1.01 * gamma2 * t, all of it in transport
         med = medium_for(gamma2=1e-5)
         sched = hold(OM0, 0.0)
-        assert decay_exponent(med, sched, 1e4) == pytest.approx(0.101,
+        assert decay_exponent(med, sched, 1e4) == pytest.approx((0.101, 0.101),
                                                                 rel=1e-9)
-        assert decay_factor(med, sched, 1e4) == pytest.approx(
-            math.exp(-0.101), rel=1e-9)
 
     def test_balanced_canonical_decoherence(self):
         med = medium_for(gamma2=1e-4)
         sched = hold(OM0, OM0)
         # eta = 1.05 on the canonical hold
-        assert decay_exponent(med, sched, 1e4) == pytest.approx(1.05,
+        assert decay_exponent(med, sched, 1e4) == pytest.approx((1.05, 1.05),
                                                                 rel=1e-9)
 
     def test_lossless_medium_never_decays(self):
         med = medium_for(gamma2=0.0)
-        assert decay_exponent(med, hold(OM0, OM0), 1e4) == 0.0
+        assert decay_exponent(med, hold(OM0, OM0), 1e4) == (0.0, 0.0)
 
     def test_quadrature_matches_riemann_sum(self):
         med = medium_for(gamma2=1e-5)
@@ -243,7 +240,7 @@ class TestDecay:
         ])
         riemann = np.trapezoid(rates, t_grid)
         assert decay_exponent(med, sched, 2000.0) == pytest.approx(
-            riemann, abs=1e-8)
+            (riemann, riemann), abs=1e-8)
 
     def test_storage_window_decays_at_bare_rate(self):
         med = medium_for(gamma2=1e-5)
@@ -252,8 +249,7 @@ class TestDecay:
             Segment(200.0, 10200.0, 0.0, 0.0, ramp=50.0),
             Segment(10200.0, 10800.0, 0.0, OM0, ramp=50.0),
         ])
-        full = decay_exponent(med, sched, 10800.0, include_storage=True)
-        pde_only = decay_exponent(med, sched, 10800.0, include_storage=False)
+        pde_only, full = decay_exponent(med, sched, 10800.0)
         stored = (full - pde_only) / med.gamma2
         assert 9900.0 < stored < 10100.0
 
@@ -319,7 +315,9 @@ class TestAgainstQuadrature:
     def test_decay_exponent(self, t1):
         med, sched = self.medium(), self.schedule()
         ref = quad_ref(self.eta_gamma2(med, sched), sched, 0.0, t1)
-        assert abs(decay_exponent(med, sched, t1) - ref) <= 1e-9 * ref
+        transport, total = decay_exponent(med, sched, t1)
+        assert transport == total
+        assert abs(total - ref) <= 1e-9 * ref
 
     @pytest.mark.parametrize("include_storage", [True, False])
     def test_decay_exponent_across_storage_ramps(self, include_storage):
@@ -343,7 +341,7 @@ class TestAgainstQuadrature:
         ref = quad_ref(rate, sched, 0.0, t_off) + quad_ref(rate, sched, t_on, 1700.0)
         if include_storage:
             ref += med.gamma2 * (t_on - t_off)
-        got = decay_exponent(med, sched, 1700.0, include_storage)
+        got = decay_exponent(med, sched, 1700.0)[include_storage]
         assert abs(got - ref) <= 1e-9 * ref
 
 

@@ -11,9 +11,11 @@ BENCHMARK.json in turn, `python3 perfbench/run.py --workload W --seed i
 --seconds 20 --trace 0` in both checkouts, the parent first in even pairs and
 the change first in odd ones.
 For each end-to-end metric of BENCHMARK.json and for the raw CPU medians the
-JSON holds the median and inclusive quartiles of each side over the pairs and
-the number of pairs the change wins (reads better) or ties. `no_regression`
-compares each median gap with the metric's bound.
+JSON holds the median and inclusive quartiles of each side over the pairs,
+the number of pairs the change wins (reads better) or ties, and `resolved`:
+whether the gap between the two medians exceeds the parent's interquartile
+range, the least a gain must show to stand out of the parent's spread.
+`no_regression` compares each median gap with the metric's bound.
 """
 
 from __future__ import annotations
@@ -54,22 +56,33 @@ def sig(value: float | None) -> float | None:
     return None if value is None else float(f"{value:.4g}")
 
 
-def spread(values: list[float | None]) -> dict:
-    """Median and quartiles of the pairs that gave a value (a workload whose
-    every run failed gives none)."""
+def quartiles(values: list[float | None]) -> list[float] | None:
+    """(q1, median, q3) of the pairs that gave a value, None from fewer
+    than two (a workload whose every run failed gives none)."""
     values = [v for v in values if v is not None]
     if len(values) < 2:
+        return None
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def spread(values: list[float | None]) -> dict:
+    got = quartiles(values)
+    if got is None:
+        values = [v for v in values if v is not None]
         return {"median": sig(values[0]) if values else None}
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = got
     return {"median": sig(median), "q1": sig(q1), "q3": sig(q3), "iqr": sig(q3 - q1)}
 
 
 def compare(parent: list[float], change: list[float], better: str) -> dict:
     sign = 1.0 if better == "lower" else -1.0
     pairs = [(p, c) for p, c in zip(parent, change) if None not in (p, c)]
+    qp, qc = quartiles(parent), quartiles(change)
     return {"parent": spread(parent), "change": spread(change),
             "change_wins": sum(sign * (p - c) > 0 for p, c in pairs),
             "ties": sum(p == c for p, c in pairs),
+            "resolved": (None if qp is None or qc is None
+                         else abs(qc[1] - qp[1]) > qp[2] - qp[0]),
             "parent_runs": [sig(v) for v in parent],
             "change_runs": [sig(v) for v in change]}
 
@@ -123,10 +136,11 @@ def main(argv=None) -> int:
             gap = (c - p) / p if p else 0.0
             ok = (gap if metric["better"] == "lower" else -gap) <= metric["bound"]
             verdicts.append(ok)
+            resolved = "resolved" if entry[name]["resolved"] else "unresolved"
             medians.append(f"{workload} {name} {p:.4g} -> {c:.4g} ({gap:+.1%}, "
                            f"change won {entry[name]['change_wins']} of "
-                           f"{args.pairs}, bound {metric['bound']:.0%}): "
-                           f"{'ok' if ok else 'WORSE'}")
+                           f"{args.pairs}, {resolved}, bound "
+                           f"{metric['bound']:.0%}): {'ok' if ok else 'WORSE'}")
             print(medians[-1])
         workloads[workload] = entry
 
@@ -141,7 +155,9 @@ def main(argv=None) -> int:
                                  "first in odd pairs, each checkout in its own "
                                  "directory, the workloads in turn within a pair",
                       "statistics": "median and inclusive quartiles over the pairs; "
-                                    "a win is a pair where the change reads better",
+                                    "a win is a pair where the change reads better; "
+                                    "resolved: the medians differ by more than "
+                                    "the parent's interquartile range",
                       "tool": "tools/bench_pairs.py"},
            "workloads": workloads,
            "no_regression": {"met": all(verdicts), "medians": medians}}
