@@ -8,7 +8,7 @@ import pathlib
 import sys
 
 from .config import parse_config, render_config
-from .errors import SimulationError
+from .errors import ParseError, SimulationError
 from .presets import get_preset, list_presets
 from .scenario import preflight, run_scenario
 
@@ -50,7 +50,11 @@ def _cmd_run(args) -> int:
     if args.preset is not None:
         text = get_preset(args.preset)
     else:
-        text = pathlib.Path(args.config).read_text()
+        try:
+            text = pathlib.Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.config}: not UTF-8 text ({exc.reason} "
+                             f"at byte {exc.start})") from None
 
     config = parse_config(text)
     if args.snapshot_every is not None:
@@ -92,10 +96,7 @@ def main(argv=None) -> int:
         if args.command == "presets":
             return _cmd_presets()
         return _cmd_run(args)
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,10 +22,12 @@ from .medium import (
     build_medium,
     build_pulse,
     build_schedule,
+    check_grid,
+    opens_stored,
     power_crossings,
     regime_windows,
 )
-from .perturber import PerturberSpec, build_perturber
+from .perturber import PerturberSpec, build_perturber, cloud_rms
 
 ENGINES = ("direct", "spectral", "both")
 
@@ -63,13 +65,7 @@ class RunConfig:
     engine: str
     perturber: PerturberSpec | None
 
-    # each run reads these several times: at preflight, for its events and
-    # for its summary
-    @functools.cached_property
-    def crossings(self) -> tuple[tuple[float, str], ...]:
-        """The schedule's storage threshold crossings (`power_crossings`)."""
-        return tuple(power_crossings(self.medium, self.schedule))
-
+    # each run reads this several times: at preflight and for its summary
     @functools.cached_property
     def windows(self) -> tuple[tuple[float, float, bool], ...]:
         """The transport and storage windows up to run.t_end
@@ -197,6 +193,7 @@ def _assemble(values: dict, segments: list[Segment]) -> RunConfig:
     # at parse time
     power_crossings(medium, schedule)
     pulse = build_pulse(**sections["pulse"])
+    check_grid(medium, pulse)
 
     engine = sections[""]["engine"]
     if engine not in ENGINES:
@@ -227,6 +224,7 @@ def _assemble(values: dict, segments: list[Segment]) -> RunConfig:
             raise ValidationError(
                 f"incomplete perturber block, missing {sorted(missing)}")
         perturber = build_perturber(**block)
+        cloud_rms(medium, perturber)
 
     if engine == "spectral":
         if perturber is not None:
@@ -237,6 +235,11 @@ def _assemble(values: dict, segments: list[Segment]) -> RunConfig:
             raise ValidationError(
                 f"the spectral engine requires constant controls, but they "
                 f"change before run.t_end = {t_end:g}")
+        if opens_stored(medium, schedule):
+            raise ValidationError(
+                "the spectral engine needs a transport-mode start, but the "
+                "controls of the first schedule.segment sit below the storage "
+                "threshold")
 
     return RunConfig(medium=medium, schedule=schedule, pulse=pulse, run=run,
                      output=OutputSettings(**sections["output"]),

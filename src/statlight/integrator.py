@@ -64,17 +64,13 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    CFLViolation,
-    GridTooCoarse,
-    NonPhysicalParameter,
-    SweepDivergence,
-)
+from .errors import CFLViolation, NonPhysicalParameter, SweepDivergence
 from .medium import (
     Coefficients,
     ControlSchedule,
     MediumModel,
     PulseSpec,
+    check_grid,
     coefficients,
     group_velocity,
     opens_stored,
@@ -132,7 +128,8 @@ def polariton_field(alpha_plus: float, alpha_minus: float, psi_plus, psi_minus):
 
 @dataclasses.dataclass
 class FieldState:
-    """Grid fields plus clock; `spin` holds the coherence while stored.
+    """Grid fields at lab time `t`; `spin` holds the coherence while stored.
+    Stretched time has one home, `medium.tau_of_t`, which gives it at any t.
 
     `history` is the polariton one step back, phi_{n-1}, that a BDF2 step
     reads, rotated by the perturber's split like the fields it goes with;
@@ -143,7 +140,6 @@ class FieldState:
     psi_plus: np.ndarray
     psi_minus: np.ndarray
     t: float
-    tau: float
     mode: str = MODE_PDE
     spin: np.ndarray | None = None
     history: np.ndarray | None = None
@@ -154,41 +150,27 @@ class FieldState:
         return polariton_field(alpha_plus, alpha_minus, self.psi_plus, self.psi_minus)
 
 
-def _check_grid(medium: MediumModel, pulse: PulseSpec):
-    finest = min(1.0 / medium.xi_plus, 1.0 / medium.xi_minus) / 8.0
-    if medium.dz > finest * (1.0 + 1e-12):
-        raise GridTooCoarse(
-            f"dz = {medium.dz:g} exceeds absorption-length bound {finest:g}")
-    l_o = pulse_length(medium, pulse)
-    if medium.dz > l_o / 32.0:
-        raise GridTooCoarse(
-            f"dz = {medium.dz:g} exceeds pulse-resolution bound {l_o / 32.0:g}")
-
-
 def init_state(medium: MediumModel, schedule: ControlSchedule,
                pulse: PulseSpec) -> FieldState:
     """Starting fields, real: empty grid for injected pulses, on-branch
     Gaussian polariton for prepared ones. Either kind opens in storage, as
     the spin, when the controls start below the storage threshold."""
-    _check_grid(medium, pulse)
+    check_grid(medium, pulse)
     t0 = schedule.t_start
     zero = np.zeros(medium.grid_points)
     phi = zero
     if pulse.prepared:
         l_o = pulse_length(medium, pulse)
-        if not (0.0 < pulse.center < medium.domain_length):
-            raise NonPhysicalParameter(
-                f"prepared pulse center {pulse.center:g} outside the domain")
         phi = pulse.amplitude * np.exp(
             -((medium.grid() - pulse.center) ** 2) / (2.0 * l_o ** 2))
     if opens_stored(medium, schedule):
-        return FieldState(medium, zero.copy(), zero.copy(), t0, 0.0,
+        return FieldState(medium, zero.copy(), zero.copy(), t0,
                           mode=MODE_STORAGE, spin=phi)
     if not pulse.prepared:
-        return FieldState(medium, zero.copy(), zero.copy(), t0, 0.0)
+        return FieldState(medium, zero.copy(), zero.copy(), t0)
     co = coefficients(medium, *schedule.values(t0))
     pp, pm = release_projection(medium, co, phi)
-    return FieldState(medium, pp, pm, t0, 0.0)
+    return FieldState(medium, pp, pm, t0)
 
 
 def source_amplitude(medium: MediumModel, schedule: ControlSchedule,
@@ -393,8 +375,9 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
 
 
 def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
-         pulse: PulseSpec) -> float:
-    """Advance one implicit step of `plan`; returns the stretched-time increment.
+         pulse: PulseSpec) -> None:
+    """Advance the state by one implicit step of `plan`, to lab time
+    t + plan.dt; the step's stretched-time increment is `plan.dtau`.
 
     The step solves A u = rhs in the plan's work rows and checks the
     residual A u - rhs on the unfactored matrix, from the nonzeros
@@ -493,8 +476,6 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
         state.psi_plus *= plan.split
 
     state.t = t1
-    state.tau += plan.dtau
-    return plan.dtau
 
 
 def store(state: FieldState, schedule: ControlSchedule) -> None:
@@ -508,12 +489,11 @@ def store(state: FieldState, schedule: ControlSchedule) -> None:
 
 
 def storage_advance(state: FieldState, dt: float) -> None:
+    """Decay the stored coherence at gamma2 over lab time dt."""
     if state.mode != MODE_STORAGE:
         raise NonPhysicalParameter("storage_advance() outside storage mode")
-    med = state.medium
-    state.spin = state.spin * math.exp(-med.gamma2 * dt)
+    state.spin = state.spin * math.exp(-state.medium.gamma2 * dt)
     state.t += dt
-    state.tau += med.gamma2 * dt
 
 
 def release(state: FieldState, schedule: ControlSchedule) -> None:

@@ -18,6 +18,7 @@ from typing import ClassVar, NamedTuple
 
 from .errors import (
     DegenerateCoefficients,
+    GridTooCoarse,
     NonPhysicalParameter,
     OutOfScheduleRange,
     ThresholdChatter,
@@ -422,6 +423,25 @@ def build_pulse(amplitude, duration, injection_time, prepared, center) -> PulseS
         raise NonPhysicalParameter(f"pulse duration must be positive, got {duration}")
     return PulseSpec(float(amplitude), float(duration), float(injection_time),
                      bool(prepared), float(center))
+
+
+def check_grid(medium: MediumModel, pulse: PulseSpec) -> None:
+    """Refuse a grid step dz above an eighth of the shorter absorption length
+    or a 32nd of the pulse length, and a prepared pulse centered off the
+    domain."""
+    dz = (f"medium.grid_points = {medium.grid_points} over medium.domain_length "
+          f"= {medium.domain_length:g} gives dz = {medium.dz:g}")
+    finest = min(1.0 / medium.xi_plus, 1.0 / medium.xi_minus) / 8.0
+    if medium.dz > finest * (1.0 + 1e-12):
+        raise GridTooCoarse(f"{dz}, above the bound {finest:g} that medium.r_g sets")
+    l_o = pulse_length(medium, pulse)
+    if medium.dz > l_o / 32.0:
+        raise GridTooCoarse(
+            f"{dz}, above the bound {l_o / 32.0:g} that pulse.duration sets")
+    if pulse.prepared and not 0.0 < pulse.center < medium.domain_length:
+        raise NonPhysicalParameter(
+            f"pulse.center = {pulse.center:g} lies outside the domain "
+            f"(0, medium.domain_length = {medium.domain_length:g})")
 
 
 def _ramp_crossing(piece: _ClockPiece, rate: float, rising: bool) -> float | None:

@@ -62,14 +62,10 @@ def _require_dispersive(spec: PerturberSpec):
             f"{spec.gamma_a:g}")
 
 
-def perturber_density(medium: MediumModel, spec: PerturberSpec):
-    """Atoms-per-length profile on the grid; integrates to m_atoms.
-
-    Peak density is m_atoms/length (Gaussian of rms width length/sqrt(2 pi)),
-    floored at 4 dz when the requested cloud is narrower than the grid can
-    carry; the area is preserved either way. Returns (density, floored flag).
-    """
-    z = medium.grid()
+def cloud_rms(medium: MediumModel, spec: PerturberSpec) -> tuple[float, bool]:
+    """(rms, floored): the rms width of the cloud's Gaussian, length/sqrt(2 pi)
+    floored at 4 dz when the grid cannot carry it, and whether it was.
+    Refuses a cloud whose center lies within 4 rms of a domain edge."""
     rms = spec.length / math.sqrt(2.0 * math.pi)
     floored = rms < 4.0 * medium.dz
     if floored:
@@ -77,8 +73,20 @@ def perturber_density(medium: MediumModel, spec: PerturberSpec):
     margin = 4.0 * rms
     if not (margin < spec.z_center < medium.domain_length - margin):
         raise PerturberOffGrid(
-            f"perturber at z = {spec.z_center:g} (length {spec.length:g}) "
-            f"too close to the domain edge")
+            f"perturber.z_center = {spec.z_center:g} lies within 4 rms "
+            f"({margin:g}, from perturber.length) of a domain edge")
+    return rms, floored
+
+
+def perturber_density(medium: MediumModel, spec: PerturberSpec):
+    """Atoms-per-length profile on the grid; integrates to m_atoms.
+
+    Peak density is m_atoms/length (Gaussian of rms width length/sqrt(2 pi)),
+    floored at 4 dz when the requested cloud is narrower than the grid can
+    carry; the area is preserved either way. Returns (density, floored flag).
+    """
+    rms, floored = cloud_rms(medium, spec)
+    z = medium.grid()
     density = np.exp(-((z - spec.z_center) ** 2) / (2.0 * rms ** 2))
     density *= spec.m_atoms / (math.sqrt(2.0 * math.pi) * rms)
     return density, floored

@@ -19,13 +19,14 @@ import numpy as np
 from .config import RunConfig, config_echo, render_config
 from .diagnostics import (channel_energies, compare_to_oracle, energy_fraction,
                           linear_fit, moments, relative_phase)
-from .errors import (EmptyField, GuardBandOverflow, NonPhysicalParameter,
-                     SimulationError, ValidationError)
+from .errors import (EmptyField, GuardBandOverflow, SimulationError,
+                     ValidationError)
 from .integrator import (BDF2, MODE_PDE, MODE_STORAGE, RESIDUAL_TOL,
                          advective_cap, build_absorbers, init_state, plan_steps,
                          polariton_field, release, step, storage_advance, store)
 from .medium import (coefficients, envelope_scales, group_velocity,
-                     pulse_length, stationarity_residual, validity_report)
+                     power_crossings, pulse_length, stationarity_residual,
+                     tau_of_t, validity_report)
 from .oracle import decay_exponent, width_b, width_growth_rate
 from .perturber import (interaction_rate, perturber_density,
                         phase_rate_stationary, phase_shift_traveling,
@@ -75,7 +76,6 @@ class EngineRun:
     snapshots: list
     trajectory: list
     sponge_max: float
-    tau_end: float
     fit: "_FitWindow"
 
 
@@ -126,7 +126,7 @@ def _build_events(config: RunConfig) -> list[_Event]:
         tagged += [(float(t), "snap") for t in _fit_window(config) or ()
                    if t0 - tol <= t <= t_end + tol]
     tagged += [(b, "break") for b in sched.breakpoints() if t0 + tol < b < t_end - tol]
-    tagged += [(t, kind) for t, kind in config.crossings
+    tagged += [(t, kind) for t, kind in power_crossings(config.medium, sched)
                if t0 + tol < t <= t_end - tol]
     tagged.sort(key=lambda p: p[0])
     events: list[_Event] = []
@@ -255,13 +255,14 @@ def _probe_index(config: RunConfig):
     return int(np.argmin(np.abs(z - config.run.probe_z)))
 
 
-def _record(config: RunConfig, t: float, tau: float, mode: str,
+def _record(config: RunConfig, t: float, mode: str,
             psi_plus, psi_minus, spin, sponge_mask, probe_idx, index: int):
-    """The snapshot of the fields at t, its trajectory row and the channel
-    amplitudes (|psi_plus|, |psi_minus|), taken once for the row, the
-    sponge fraction (in transport, over `sponge_mask` unless it is None)
-    and the snapshot file."""
+    """The snapshot of the fields at lab time t, with tau = `tau_of_t` at t,
+    its trajectory row and the channel amplitudes (|psi_plus|, |psi_minus|),
+    taken once for the row, the sponge fraction (in transport, over
+    `sponge_mask` unless it is None) and the snapshot file."""
     med, sched = config.medium, config.schedule
+    tau = tau_of_t(med, sched, t)
     z = med.grid()
     amplitudes = np.abs(psi_plus), np.abs(psi_minus)
     sponge = 0.0
@@ -317,7 +318,8 @@ def _snapshot_sink(config: RunConfig, out_dir, snapshots: list,
     out = None if out_dir is None else pathlib.Path(out_dir)
     buf = None
     if out is not None and config.output.snapshots:
-        buf = _snapshot_buffer(config)
+        buf = np.zeros((config.medium.grid_points, 9))
+        buf[:, 0] = config.medium.grid()
     imag = not _real_fields(config)
 
     def sink(snap: Snapshot, amplitudes):
@@ -359,7 +361,7 @@ def _run_direct(config: RunConfig, include_perturber: bool, out_dir=None) -> Eng
 
     def record():
         nonlocal sponge_max
-        snap, row, amplitudes = _record(config, state.t, state.tau, state.mode,
+        snap, row, amplitudes = _record(config, state.t, state.mode,
                                         state.psi_plus, state.psi_minus,
                                         state.spin, sponge_mask, probe_idx,
                                         len(traj))
@@ -390,18 +392,14 @@ def _run_direct(config: RunConfig, include_perturber: bool, out_dir=None) -> Eng
             release(state, sched)
         if ev.snap:
             record()
-    return EngineRun(snapshots, traj, sponge_max, state.tau, fit)
+    return EngineRun(snapshots, traj, sponge_max, fit)
 
 
 def _run_spectral(config: RunConfig, out_dir=None) -> EngineRun:
     med, sched, pulse = config.medium, config.schedule, config.pulse
-    state0 = init_state(med, sched, pulse)
-    if state0.mode != MODE_PDE:
-        raise NonPhysicalParameter(
-            "the spectral engine needs a transport-mode start "
-            "(controls above the storage threshold)")
-    sstate = spectral_state_from_fields(med, state0.psi_plus,
-                                        t=sched.t_start, tau=0.0)
+    # `parse_config` refuses a spectral run that opens in storage
+    sstate = spectral_state_from_fields(
+        med, init_state(med, sched, pulse).psi_plus, t=sched.t_start)
     half = GUARD_WIDTHS * width_b(med, sched, pulse, config.run.t_end) / math.sqrt(2.0)
     probe_idx = _probe_index(config)
 
@@ -412,7 +410,7 @@ def _run_spectral(config: RunConfig, out_dir=None) -> EngineRun:
     traj: list[dict] = []
 
     def record(pp, pm):
-        snap, row, amplitudes = _record(config, sstate.t, sstate.tau, MODE_PDE,
+        snap, row, amplitudes = _record(config, sstate.t, MODE_PDE,
                                         pp, pm, None, None, probe_idx, len(traj))
         sink(snap, amplitudes)
         traj.append(row)
@@ -424,7 +422,7 @@ def _run_spectral(config: RunConfig, out_dir=None) -> EngineRun:
     for ta, tb in zip(times, times[1:]):
         propagate(sstate, sched, tb)
         record(*fields_from_state(sstate))
-    return EngineRun(snapshots, traj, 0.0, sstate.tau, fit)
+    return EngineRun(snapshots, traj, 0.0, fit)
 
 
 def _fit_window(config: RunConfig):
@@ -497,7 +495,7 @@ def _cross_engine(config: RunConfig, primary: EngineRun):
         return None, ["cross-engine replay skipped: too few snapshots in window"]
     med, sched = config.medium, config.schedule
     s0, ref = fit.first, fit.last
-    sstate = spectral_state_from_fields(med, s0.psi_plus, t=s0.t, tau=s0.tau)
+    sstate = spectral_state_from_fields(med, s0.psi_plus, t=s0.t)
     propagate(sstate, sched, ref.t)
     pp, pm = fields_from_state(sstate)
     den = (float(np.linalg.norm(ref.psi_plus)) ** 2
@@ -684,11 +682,12 @@ def _summary(config: RunConfig, primary: EngineRun, measurements: dict,
             "dz": med.dz,
             "z_offset": med.xi_sum_inv,
             "storage_threshold": med.storage_threshold,
-            "tau_end": primary.tau_end,
+            # every engine records its last row at run.t_end
+            "tau_end": primary.trajectory[-1]["tau"],
             "final_mode": MODE_PDE if config.windows[-1][2] else MODE_STORAGE,
         },
         "validity": [c.to_dict() for c in validity_report(med, pulse, sched)],
-        "crossings": [[t, kind] for t, kind in config.crossings if t <= t_end],
+        "crossings": [[t, kind] for t, kind in power_crossings(med, sched) if t <= t_end],
         # a storage window still open when the run ends has no end time
         "storage_windows": [[lo, None if hi == t_end else hi]
                             for lo, hi, transport in config.windows if not transport],
@@ -723,34 +722,20 @@ def run_scenario(config: RunConfig, out_dir=None) -> RunResult:
     return result
 
 
-def _snapshot_buffer(config: RunConfig) -> np.ndarray:
-    """A float64 (N, 9) array for the columns of snap_NNNNN.npy, with its z
-    column filled and every other column zero."""
-    med = config.medium
-    buf = np.zeros((med.grid_points, 9))
-    buf[:, 0] = med.grid()
-    return buf
-
-
 def _write_snapshot(path: pathlib.Path, config: RunConfig, snap: Snapshot,
-                    buf=None, imag=True, amplitudes=None):
+                    buf: np.ndarray, imag: bool, amplitudes):
     """Save the float64 (N, 9) columns of the README's snap_NNNNN.npy; t, tau
     and mode of the snapshot are row `snap.index` of trajectory.tsv.
 
-    The columns are filled into `buf`, a `_snapshot_buffer` that a run's
-    sink keeps from file to file, or a fresh one. Only the field columns
-    are written: the z column stays, and with `imag` false so do the im
-    columns of real fields, which must then be zero already. `amplitudes`
-    is (|psi_plus|, |psi_minus|), if the caller has taken them."""
+    The columns are filled into `buf`, the array a run's sink keeps from
+    file to file. Only the field columns are written: the z column stays,
+    and with `imag` false so do the im columns of real fields, which must
+    then be zero already. `amplitudes` is `_record`'s (|psi_plus|, |psi_minus|)."""
     med, sched = config.medium, config.schedule
-    if buf is None:
-        buf = _snapshot_buffer(config)
     for col, values in ((1, snap.psi_plus), (3, snap.psi_minus), (7, snap.phi)):
         buf[:, col] = values.real
         if imag or values.dtype.kind == "c":
             buf[:, col + 1] = values.imag
-    if amplitudes is None:
-        amplitudes = np.abs(snap.psi_plus), np.abs(snap.psi_minus)
     scale_p, scale_m = envelope_scales(med, *sched.values(snap.t))
     np.multiply(amplitudes[0], scale_p, out=buf[:, 5])
     np.multiply(amplitudes[1], scale_m, out=buf[:, 6])

@@ -84,22 +84,22 @@ def release_projection(medium: MediumModel, co: Coefficients, phi: np.ndarray):
 
 @dataclasses.dataclass
 class SpectralState:
-    """Forward-field spectrum evolving on the transport branch."""
+    """Forward-field spectrum at lab time `t`, on the transport branch."""
 
     medium: MediumModel
     k: np.ndarray
     psi_plus_k: np.ndarray
     t: float
-    tau: float
 
 
 def spectral_state_from_fields(medium: MediumModel, psi_plus: np.ndarray,
-                               t: float, tau: float = 0.0) -> SpectralState:
+                               t: float) -> SpectralState:
+    """The spectrum of the forward field `psi_plus` at lab time t."""
     if len(psi_plus) != medium.grid_points:
         raise NonPhysicalParameter("field length does not match the medium grid")
     return SpectralState(medium, k_grid(medium),
                          np.fft.fft(np.asarray(psi_plus, dtype=complex)),
-                         float(t), float(tau))
+                         float(t))
 
 
 def fields_from_state(state: SpectralState):
@@ -132,7 +132,6 @@ def propagate(state: SpectralState, schedule: ControlSchedule, t_next: float) ->
         raise ModeBlowup(f"mode growth factor {worst:.12g} exceeds roundoff tolerance")
     state.psi_plus_k *= factor
     state.t = t_next
-    state.tau += dtau
 
 
 def check_guard_band(medium: MediumModel, psi_plus, psi_minus,

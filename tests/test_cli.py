@@ -30,10 +30,11 @@ from statlight.errors import (
     ThresholdChatter,
     ValidationError,
 )
-from statlight.integrator import RESIDUAL_TOL
-from statlight.medium import Segment
+from statlight.integrator import RESIDUAL_TOL, FieldState
+from statlight.medium import Segment, tau_of_t
 from statlight.presets import get_preset, list_presets
-from statlight.spectral import fields_from_state, spectral_state_from_fields
+from statlight.spectral import (SpectralState, fields_from_state,
+                                spectral_state_from_fields)
 from statlight.scenario import (MAX_POINT_STEPS, MAX_SNAPSHOT_BYTES,
                                 preflight, render_summary, resource_estimate,
                                 run_scenario)
@@ -219,7 +220,8 @@ class TestRender:
     @settings(max_examples=150, deadline=None)
     def test_round_trip_property(self, data):
         # every key of a base config redrawn by kind: floats scaled by a
-        # full-precision factor, which 12 digits cannot carry
+        # full-precision factor, which 12 digits cannot carry, and the grid
+        # size by a factor of 1 to 2, since parsing refuses a coarser grid
         base = data.draw(st.sampled_from(
             [get_preset(name) for name, _ in list_presets()] + [MINIMAL]))
         kinds = {name: kind for name, kind, _ in KEYS}
@@ -235,7 +237,7 @@ class TestRender:
                     nums[i] *= data.draw(st.floats(0.5, 1.0))
                 text = " ".join(map(repr, nums))
             elif kind is int:
-                text = str(data.draw(st.integers(16, 8192)))
+                text = str(data.draw(st.integers(int(text), 2 * int(text))))
             elif kind is bool:
                 text = data.draw(st.sampled_from(["true", "false"]))
             else:
@@ -327,6 +329,16 @@ class TestCli:
 
     def test_missing_config_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_config_that_is_not_utf8_fails_cleanly(self, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"medium.r_g = 1\xff\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "statlight", "run", str(cfg), "--check"],
+            capture_output=True, text=True, timeout=120, env=_src_env())
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {cfg}: not UTF-8 text")
 
     @pytest.mark.parametrize("key", ["schedule.phi_plus", "schedule.phi_minus"])
     def test_control_phase_keys_are_unknown(self, tmp_path, capsys, key):
@@ -455,7 +467,7 @@ def test_cross_engine_replay_is_one_exact_step(monkeypatch):
     config = parse_config(get_preset("stationary"))
     med, sched = config.medium, config.schedule
     fit = scenario._run_direct(config, include_perturber=True).fit
-    primary = scenario.EngineRun([], [], 0.0, 0.0, fit)
+    primary = scenario.EngineRun([], [], 0.0, fit)
     calls, propagate = [], scenario.propagate
     monkeypatch.setattr(scenario, "propagate",
                         lambda state, schedule, t: calls.append(t)
@@ -464,8 +476,7 @@ def test_cross_engine_replay_is_one_exact_step(monkeypatch):
     assert warnings == [] and calls == [fit.times[-1]]
     assert cross["steps"] == len(fit.times) - 1 > 1
     first, last = fit.first, fit.last
-    stepped = spectral_state_from_fields(med, first.psi_plus, t=first.t,
-                                         tau=first.tau)
+    stepped = spectral_state_from_fields(med, first.psi_plus, t=first.t)
     for t in fit.times[1:]:
         propagate(stepped, sched, t)
     pp, pm = fields_from_state(stepped)
@@ -608,6 +619,26 @@ class TestPreflight:
         assert "config ok" not in captured.out
         assert "medium.gamma" in captured.err
 
+    @pytest.mark.parametrize("name,changes,named", [
+        ("stationary", {"medium.grid_points": "512"}, "medium.grid_points"),
+        ("stationary", {"pulse.center": "500"}, "pulse.center"),
+        ("phase_gate", {"perturber.z_center": "5"}, "perturber.z_center"),
+        ("stationary", {"schedule.segment": "0 1e4 1e-4 0 50",
+                        "engine": "spectral"}, "schedule.segment"),
+    ], ids=["coarse-grid", "center-off-domain", "perturber-off-grid",
+            "spectral-opens-stored"])
+    def test_check_refuses_what_a_run_refuses_before_its_first_step(
+            self, tmp_path, capsys, name, changes, named):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(_preset_with(name, **changes))
+        out = tmp_path / "out"
+        for check in (["--check"], []):
+            assert main(["run", str(cfg), "--out-dir", str(out), *check]) == 2
+            captured = capsys.readouterr()
+            assert "config ok" not in captured.out
+            assert named in captured.err
+            assert not out.exists()
+
     def test_a_ramp_that_crosses_twice_is_refused_at_parse(self):
         # (omega, 0) -> (0, omega) dips below the storage threshold and
         # recovers within one ramp; omega^2 = 1.5 * 10 gamma gamma2
@@ -681,6 +712,53 @@ class TestImportGraph:
         assert (tmp_path / "summary.json").is_file()
 
 
+def _snapshot_columns(config, snap) -> np.ndarray:
+    """The nine columns of snap_NNNNN.npy for `snap`, stacked afresh from the
+    README's definitions."""
+    med = config.medium
+    op, om = config.schedule.values(snap.t)
+    return np.column_stack([
+        med.grid(),
+        snap.psi_plus.real, snap.psi_plus.imag,
+        snap.psi_minus.real, snap.psi_minus.imag,
+        np.abs(snap.psi_plus) * (op / math.sqrt(med.gamma)),
+        np.abs(snap.psi_minus) * (om / (math.sqrt(med.gamma) * med.r_g)),
+        snap.phi.real, snap.phi.imag])
+
+
+def _holds_columns(path, config, snap) -> bool:
+    """Whether the .npy file at `path` holds `snap`'s nine columns bit for
+    bit (so -0.0 and NaN count)."""
+    got = np.load(path, allow_pickle=False)
+    expect = _snapshot_columns(config, snap)
+    return (got.dtype == np.float64 and got.shape == expect.shape
+            and np.array_equal(got.view(np.uint64), expect.view(np.uint64)))
+
+
+@pytest.mark.parametrize("text", [get_preset("stop_and_store"), SPECTRAL_TRANSIT],
+                         ids=["stop_and_store", "spectral"])
+def test_every_tau_is_the_clock_at_its_time(run_text, text):
+    """Each trajectory row's and snapshot's tau is `tau_of_t` at its t bit
+    for bit, through stop_and_store's storage windows, whose ramp tails
+    run below the storage threshold with the controls still on; and
+    derived.tau_end is the last row's tau, at run.t_end."""
+    result = run_text(text)
+    med, sched = result.config.medium, result.config.schedule
+    assert len(result.snapshots) == len(result.trajectory)
+    for snap, row in zip(result.snapshots, result.trajectory):
+        assert row["tau"] == tau_of_t(med, sched, row["t"])
+        assert snap.tau == row["tau"] and snap.t == row["t"]
+    last = result.trajectory[-1]
+    assert last["t"] == result.config.run.t_end
+    assert result.summary["derived"]["tau_end"] == last["tau"]
+
+
+def test_field_states_carry_lab_time_only():
+    for state in (FieldState, SpectralState):
+        names = {field.name for field in dataclasses.fields(state)}
+        assert "t" in names and "tau" not in names
+
+
 def test_snapshot_npy_round_trip(tmp_path, preset_run):
     """Each snap_NNNNN.npy holds snapshot NNNNN's nine columns bit for bit
     (so -0.0 and NaN count), and its t, tau and mode are row NNNNN of
@@ -690,23 +768,12 @@ def test_snapshot_npy_round_trip(tmp_path, preset_run):
     full = preset_run("stop_and_store")
     config = full.config
     run_scenario(config, tmp_path)
-    med, sched = config.medium, config.schedule
     rows = [line.split("\t") for line in
             (tmp_path / "trajectory.tsv").read_text().splitlines()[1:]]
     assert len(rows) == len(full.snapshots) == len(list(tmp_path.glob("snap_*.npy")))
     assert {snap.mode for snap in full.snapshots} == {"pde", "storage"}
     for snap, row in zip(full.snapshots, rows):
-        op, om = sched.values(snap.t)
-        expect = np.column_stack([
-            med.grid(),
-            snap.psi_plus.real, snap.psi_plus.imag,
-            snap.psi_minus.real, snap.psi_minus.imag,
-            np.abs(snap.psi_plus) * (op / math.sqrt(med.gamma)),
-            np.abs(snap.psi_minus) * (om / (math.sqrt(med.gamma) * med.r_g)),
-            snap.phi.real, snap.phi.imag])
-        got = np.load(tmp_path / f"snap_{snap.index:05d}.npy", allow_pickle=False)
-        assert got.dtype == np.float64 and got.shape == (med.grid_points, 9)
-        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+        assert _holds_columns(tmp_path / f"snap_{snap.index:05d}.npy", config, snap)
         mode = "0" if snap.mode == "pde" else "1"
         assert row[:3] == [f"{snap.t:.12g}", f"{snap.tau:.12g}", mode]
 
@@ -739,20 +806,18 @@ class TestStreaming:
                    for value in vars(snap).values())
         # measurements, and the whole summary, are those of the in-memory run
         assert (out / "summary.json").read_text() == render_summary(full.summary)
-        # and each file holds the bytes of the in-memory run's snapshot
+        # and each file holds the columns of the in-memory run's snapshot
         written = full.snapshots if config.output.snapshots else []
         assert len(list(out.glob("snap_*.npy"))) == len(written)
         for snap in written:
-            scenario._write_snapshot(tmp_path / "expect.npy", config, snap)
-            assert ((out / f"snap_{snap.index:05d}.npy").read_bytes()
-                    == (tmp_path / "expect.npy").read_bytes())
+            assert _holds_columns(out / f"snap_{snap.index:05d}.npy", config, snap)
 
     @pytest.mark.parametrize("name", ["stationary", "phase_gate"])
     def test_a_kept_buffer_writes_each_snapshot_as_a_fresh_one(self, tmp_path,
                                                                preset_run, name):
         """The sink fills one buffer for all of a run's files: each file
-        still holds the bytes `_write_snapshot` gives its own snapshot in a
-        fresh array. phase_gate's run starts real and turns complex, and a
+        still holds its own snapshot's columns, as a fresh array stacks
+        them. phase_gate's run starts real and turns complex, and a
         real snapshot after a complex one must not keep its im columns."""
         full = preset_run(name)
         config, snaps = full.config, full.snapshots
@@ -766,9 +831,7 @@ class TestStreaming:
         for snap in order:
             sink(snap, (np.abs(snap.psi_plus), np.abs(snap.psi_minus)))
         for snap in order:
-            scenario._write_snapshot(tmp_path / "expect.npy", config, snap)
-            assert ((out / f"snap_{snap.index:05d}.npy").read_bytes()
-                    == (tmp_path / "expect.npy").read_bytes())
+            assert _holds_columns(out / f"snap_{snap.index:05d}.npy", config, snap)
 
     def test_failed_run_leaves_no_summary(self, tmp_path, capsys, monkeypatch):
         """A run that fails midway in a reused out-dir leaves its own

@@ -206,7 +206,6 @@ class TestPropagate:
         propagate(two, sched, 500.0)
         np.testing.assert_allclose(one.psi_plus_k, two.psi_plus_k,
                                    atol=1e-12)
-        assert one.tau == pytest.approx(two.tau)
         assert one.t == pytest.approx(two.t)
 
     def test_slow_light_preserves_energy(self):
