@@ -51,7 +51,7 @@ def _cmd_run(args) -> int:
         text = get_preset(args.preset)
     else:
         try:
-            text = pathlib.Path(args.config).read_text(encoding="utf-8")
+            text = pathlib.Path(args.config).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ParseError(f"{args.config}: not UTF-8 text ({exc.reason} "
                              f"at byte {exc.start})") from None

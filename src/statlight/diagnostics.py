@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import EmptyField, PhaseUnwrapAmbiguity, WindowTooShort
-from .medium import ControlSchedule, MediumModel, PulseSpec, envelope_scales
+from .medium import ControlSchedule, MediumModel, PulseSpec
 from .oracle import check_channel, decay_exponent, gaussian_envelope, width_b
 
 ENERGY_FLOOR = 1e-30
@@ -118,16 +118,6 @@ def compare_to_oracle(medium: MediumModel, schedule: ControlSchedule,
     measured_ratio = float(np.max(meas)) / peak0
     decay_err = abs(measured_ratio - predicted_ratio) / max(predicted_ratio, 1e-300)
     return (env_err, width_err, decay_err), anchor
-
-
-def channel_energies(medium: MediumModel, psi_plus, psi_minus,
-                     omega_plus: float, omega_minus: float) -> tuple[float, float]:
-    """(E_plus, E_minus) of the physical field envelopes on the grid."""
-    scale_p, scale_m = envelope_scales(medium, omega_plus, omega_minus)
-    a_p = np.abs(psi_plus) * scale_p
-    a_m = np.abs(psi_minus) * scale_m
-    dz = medium.dz
-    return float(np.sum(a_p ** 2) * dz), float(np.sum(a_m ** 2) * dz)
 
 
 def energy_fraction(psi_plus, psi_minus, mask) -> float:

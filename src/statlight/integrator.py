@@ -130,6 +130,8 @@ def polariton_field(alpha_plus: float, alpha_minus: float, psi_plus, psi_minus):
 class FieldState:
     """Grid fields at lab time `t`; `spin` holds the coherence while stored.
     Stretched time has one home, `medium.tau_of_t`, which gives it at any t.
+    In transport the polariton is `polariton_field` of the two fields; while
+    stored it is `spin`, and the fields are zeros.
 
     `history` is the polariton one step back, phi_{n-1}, that a BDF2 step
     reads, rotated by the perturber's split like the fields it goes with;
@@ -143,11 +145,6 @@ class FieldState:
     mode: str = MODE_PDE
     spin: np.ndarray | None = None
     history: np.ndarray | None = None
-
-    def polariton(self, alpha_plus: float, alpha_minus: float) -> np.ndarray:
-        if self.mode == MODE_STORAGE:
-            return self.spin
-        return polariton_field(alpha_plus, alpha_minus, self.psi_plus, self.psi_minus)
 
 
 def init_state(medium: MediumModel, schedule: ControlSchedule,
@@ -406,7 +403,8 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
     # perturber phi_n carried through this step's split, so that BDF2 does
     # not extrapolate the imprinted phase a second time
     if plan.split is None:
-        phi = history = state.polariton(a_plus, a_minus)
+        phi = history = polariton_field(a_plus, a_minus, state.psi_plus,
+                                        state.psi_minus)
     else:
         minus = a_minus * state.psi_minus
         phi = a_plus * state.psi_plus
@@ -481,7 +479,8 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
 def store(state: FieldState, schedule: ControlSchedule) -> None:
     """Map the fields onto the stored coherence at the current time."""
     co = coefficients(state.medium, *schedule.values(state.t))
-    state.spin = state.polariton(co.alpha_plus, co.alpha_minus)
+    state.spin = polariton_field(co.alpha_plus, co.alpha_minus,
+                                 state.psi_plus, state.psi_minus)
     state.psi_plus = np.zeros_like(state.psi_plus)
     state.psi_minus = np.zeros_like(state.psi_minus)
     state.history = None

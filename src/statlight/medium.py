@@ -106,16 +106,16 @@ def build_medium(r_g, gamma, gamma2, u_g0, domain_length, grid_points) -> Medium
         raise NonPhysicalParameter(
             f"medium.r_g must be positive with r_g^2 and r_g^-2 finite, got {r_g:g}")
     if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise NonPhysicalParameter(f"polarization decay gamma must be positive, got {gamma}")
+        raise NonPhysicalParameter(f"medium.gamma must be positive, got {gamma}")
     if gamma2 < 0.0 or not math.isfinite(gamma2):
-        raise NonPhysicalParameter(f"decoherence gamma2 must be >= 0, got {gamma2}")
+        raise NonPhysicalParameter(f"medium.gamma2 must be >= 0, got {gamma2}")
     if not (0.0 < u_g0 < 1.0):
-        raise NonPhysicalParameter(
-            f"initial group velocity fraction u_g0 must be in (0, 1), got {u_g0}")
+        raise NonPhysicalParameter(f"medium.u_g0 must be in (0, 1), got {u_g0}")
     if not (domain_length > 0.0 and math.isfinite(domain_length)):
-        raise NonPhysicalParameter(f"domain_length must be positive, got {domain_length}")
+        raise NonPhysicalParameter(f"medium.domain_length must be > 0, got {domain_length}")
     if int(grid_points) != grid_points or grid_points < 16:
-        raise NonPhysicalParameter(f"grid_points must be an integer >= 16, got {grid_points}")
+        raise NonPhysicalParameter(
+            f"medium.grid_points must be an integer >= 16, got {grid_points}")
     return MediumModel(float(r_g), float(gamma), float(gamma2), float(u_g0),
                        float(domain_length), int(grid_points))
 
@@ -237,29 +237,30 @@ def _smoothstep_rate(x: float) -> float:
 
 def build_schedule(segments) -> ControlSchedule:
     if not segments:
-        raise NonPhysicalParameter("schedule needs at least one segment")
+        raise NonPhysicalParameter("the schedule needs at least one schedule.segment")
     segs = []
-    for raw in segments:
+    for k, raw in enumerate(segments, 1):
         seg = raw if isinstance(raw, Segment) else Segment(*raw)
+        key = f"schedule.segment {k}"
         if seg.t_end <= seg.t_start:
             raise NonPhysicalParameter(
-                f"segment [{seg.t_start:g}, {seg.t_end:g}] has non-positive length")
+                f"{key} [{seg.t_start:g}, {seg.t_end:g}] has non-positive length")
         if seg.omega_plus < 0.0 or seg.omega_minus < 0.0:
-            raise NonPhysicalParameter("control amplitudes must be >= 0")
+            raise NonPhysicalParameter(f"{key}: control amplitudes must be >= 0")
         for omega in (seg.omega_plus, seg.omega_minus):
             if omega != 0.0 and not _square_finite(omega):
-                raise NonPhysicalParameter(f"schedule.segment control {omega:g} "
-                                           f"needs its square and inverse square finite")
+                raise NonPhysicalParameter(f"{key}: control {omega:g} needs its "
+                                           f"square and inverse square finite")
         if not seg.ramp > 0.0:
-            raise NonPhysicalParameter("ramp duration must be positive")
+            raise NonPhysicalParameter(f"{key}: ramp duration must be positive")
         if seg.ramp > seg.t_end - seg.t_start:
             raise NonPhysicalParameter(
-                f"ramp {seg.ramp:g} longer than segment [{seg.t_start:g}, {seg.t_end:g}]")
+                f"{key}: ramp {seg.ramp:g} longer than [{seg.t_start:g}, {seg.t_end:g}]")
         segs.append(seg)
-    for a, b in zip(segs, segs[1:]):
+    for k, (a, b) in enumerate(zip(segs, segs[1:]), 2):
         if abs(a.t_end - b.t_start) > 1e-9 * max(1.0, abs(a.t_end)):
             raise NonPhysicalParameter(
-                f"segments not contiguous at t = {a.t_end:g} vs {b.t_start:g}")
+                f"schedule.segment {k} starts at t = {b.t_start:g}, not at {a.t_end:g}")
     return ControlSchedule(tuple(segs))
 
 
@@ -295,6 +296,12 @@ def coefficients(medium: MediumModel, omega_plus: float, omega_minus: float) -> 
         omega_sigma_sq=oss,
         tau_rate=denom / medium.gamma,
     )
+
+
+def delta_weighted(medium: MediumModel, co: Coefficients) -> float:
+    """Absorption-weighted channel imbalance driving the drift; with it the
+    branch reproduces the slow-light limit."""
+    return medium.xi_minus * co.alpha_plus - medium.xi_plus * co.alpha_minus
 
 
 def alpha_tilde_rate(medium: MediumModel, schedule: ControlSchedule, t: float) -> float:
@@ -418,9 +425,9 @@ def pulse_length(medium: MediumModel, pulse: PulseSpec) -> float:
 
 def build_pulse(amplitude, duration, injection_time, prepared, center) -> PulseSpec:
     if amplitude <= 0.0 or not math.isfinite(amplitude):
-        raise NonPhysicalParameter(f"pulse amplitude must be positive, got {amplitude}")
+        raise NonPhysicalParameter(f"pulse.amplitude must be positive, got {amplitude}")
     if duration <= 0.0 or not math.isfinite(duration):
-        raise NonPhysicalParameter(f"pulse duration must be positive, got {duration}")
+        raise NonPhysicalParameter(f"pulse.duration must be positive, got {duration}")
     return PulseSpec(float(amplitude), float(duration), float(injection_time),
                      bool(prepared), float(center))
 

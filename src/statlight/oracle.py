@@ -25,6 +25,7 @@ from .medium import (
     PulseSpec,
     alpha_tilde_rate,
     coefficients,
+    delta_weighted,
     group_velocity,
     opens_stored,
     power_crossings,
@@ -37,12 +38,6 @@ QUAD_TOL = 1e-10
 # panel bisections allowed per ramp before the quadrature gives up
 QUAD_LIMIT = 400
 _GL_NODES, _GL_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(10))
-
-
-def delta_weighted(medium: MediumModel, co: Coefficients) -> float:
-    """Absorption-weighted channel imbalance driving the drift; with it the
-    branch reproduces the slow-light limit."""
-    return medium.xi_minus * co.alpha_plus - medium.xi_plus * co.alpha_minus
 
 
 def taylor_c012(medium: MediumModel, co: Coefficients) -> tuple[complex, complex, complex]:

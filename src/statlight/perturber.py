@@ -19,8 +19,7 @@ from .errors import (
     NonPhysicalParameter,
     PerturberOffGrid,
 )
-from .medium import Coefficients, MediumModel, coefficients
-from .oracle import delta_weighted
+from .medium import Coefficients, MediumModel, coefficients, delta_weighted
 
 
 @dataclasses.dataclass(frozen=True)
@@ -42,13 +41,14 @@ class PerturberSpec:
 
 def build_perturber(m_atoms, z_center, length, sigma_over_s, gamma_a, detuning) -> PerturberSpec:
     if m_atoms <= 0.0:
-        raise NonPhysicalParameter(f"perturber atom number must be positive, got {m_atoms}")
+        raise NonPhysicalParameter(f"perturber.m_atoms must be positive, got {m_atoms}")
     if length <= 0.0:
-        raise NonPhysicalParameter(f"perturber length must be positive, got {length}")
+        raise NonPhysicalParameter(f"perturber.length must be positive, got {length}")
     if sigma_over_s <= 0.0:
-        raise NonPhysicalParameter(f"sigma_over_s must be positive, got {sigma_over_s}")
+        raise NonPhysicalParameter(
+            f"perturber.sigma_over_s must be positive, got {sigma_over_s}")
     if gamma_a <= 0.0:
-        raise NonPhysicalParameter(f"perturber linewidth must be positive, got {gamma_a}")
+        raise NonPhysicalParameter(f"perturber.gamma_a must be positive, got {gamma_a}")
     spec = PerturberSpec(float(m_atoms), float(z_center), float(length),
                          float(sigma_over_s), float(gamma_a), float(detuning))
     _require_dispersive(spec)
@@ -58,8 +58,8 @@ def build_perturber(m_atoms, z_center, length, sigma_over_s, gamma_a, detuning) 
 def _require_dispersive(spec: PerturberSpec):
     if abs(spec.detuning) <= spec.gamma_a:
         raise NonDispersiveRegime(
-            f"|detuning| = {abs(spec.detuning):g} must exceed the linewidth "
-            f"{spec.gamma_a:g}")
+            f"|perturber.detuning| = {abs(spec.detuning):g} must exceed the linewidth "
+            f"perturber.gamma_a = {spec.gamma_a:g}")
 
 
 def cloud_rms(medium: MediumModel, spec: PerturberSpec) -> tuple[float, bool]:

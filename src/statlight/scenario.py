@@ -5,6 +5,10 @@ storage threshold crossings, snapshot times). Transport windows advance the
 banded implicit integrator; storage windows advance the stored coherence
 analytically. With engine "both", the longest constant-control window is
 replayed spectrally and the two engines are scored against each other.
+
+The spectral engine's periodic domain wraps round what reaches an edge, so
+each of its records must keep its energy in a guard band about the pulse
+centroid (`check_guard_band`); `preflight` checks the start's record.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import pathlib
 import numpy as np
 
 from .config import RunConfig, config_echo, render_config
-from .diagnostics import (channel_energies, compare_to_oracle, energy_fraction,
+from .diagnostics import (MIN_FIT_POINTS, compare_to_oracle, energy_fraction,
                           linear_fit, moments, relative_phase)
 from .errors import (EmptyField, GuardBandOverflow, SimulationError,
                      ValidationError)
@@ -31,16 +35,16 @@ from .oracle import decay_exponent, width_b, width_growth_rate
 from .perturber import (interaction_rate, perturber_density,
                         phase_rate_stationary, phase_shift_traveling,
                         stationary_rate_measured_scale)
-from .spectral import (check_guard_band, fields_from_state, propagate,
-                       spectral_state_from_fields)
+from .spectral import fields_from_state, propagate, spectral_state_from_fields
 
 # energy fraction in the sponges that aborts a run meant to stay confined
 SPONGE_ABORT_FRACTION = 1e-4
 # |stationarity residual| above this marks a deliberate transit or release,
 # where outflow through an edge is the point and not an error
 EXIT_RESIDUAL = 0.9
+# the spectral guard band: half-width in oracle rms widths, energy it may leak
 GUARD_WIDTHS = 6.0
-FIT_MIN_POINTS = 5
+GUARD_ENERGY_FRACTION = 1e-6
 PHASE_MASK_LEVEL = 0.5
 # injected runs only: fits start this many pulse durations past the source peak
 SOURCE_CLEAR_FACTOR = 3.5
@@ -230,7 +234,8 @@ def _real_fields(config: RunConfig) -> bool:
 
 def preflight(config: RunConfig) -> None:
     """Refuse a run whose resource estimate exceeds the budget; a step count
-    too large for a float counts as over it."""
+    too large for a float counts as over it. A spectral run is refused, too,
+    when its first record fails the guard band."""
     steps, held = resource_estimate(config)
     med, run = config.medium, config.run
     if held > MAX_SNAPSHOT_BYTES:
@@ -246,6 +251,8 @@ def preflight(config: RunConfig) -> None:
             f"run.t_end = {run.t_end:g} needs about {steps:.4g} transport steps, "
             f"{float(steps) * med.grid_points:.4g} point-steps, above the budget of "
             f"{MAX_POINT_STEPS:.4g}")
+    if config.engine == "spectral":
+        next(_spectral_records(config))
 
 
 def _probe_index(config: RunConfig):
@@ -258,28 +265,27 @@ def _probe_index(config: RunConfig):
 def _record(config: RunConfig, t: float, mode: str,
             psi_plus, psi_minus, spin, sponge_mask, probe_idx, index: int):
     """The snapshot of the fields at lab time t, with tau = `tau_of_t` at t,
-    its trajectory row and the channel amplitudes (|psi_plus|, |psi_minus|),
-    taken once for the row, the sponge fraction (in transport, over
-    `sponge_mask` unless it is None) and the snapshot file."""
+    its trajectory row and the channel envelopes (a_plus, a_minus), formed
+    once for the row, the snapshot file and the fit window: |psi| times
+    `envelope_scales` in transport, zeros in storage. The sponge fraction (in
+    transport, over `sponge_mask` unless it is None) weighs |psi| unscaled."""
     med, sched = config.medium, config.schedule
     tau = tau_of_t(med, sched, t)
     z = med.grid()
-    amplitudes = np.abs(psi_plus), np.abs(psi_minus)
     sponge = 0.0
     if mode == MODE_STORAGE:
         phi = np.array(spin, copy=True)
-        ep = em = 0.0
-        app = apm = 0.0
+        envelopes = (np.zeros(med.grid_points),) * 2
     else:
         if sponge_mask is not None:
-            sponge = energy_fraction(*amplitudes, sponge_mask)
+            sponge = energy_fraction(psi_plus, psi_minus, sponge_mask)
         op, om = sched.values(t)
         co = coefficients(med, op, om)
         phi = polariton_field(co.alpha_plus, co.alpha_minus, psi_plus, psi_minus)
-        ep, em = channel_energies(med, *amplitudes, op, om)
         scale_p, scale_m = envelope_scales(med, op, om)
-        app = float(np.max(amplitudes[0])) * scale_p
-        apm = float(np.max(amplitudes[1])) * scale_m
+        envelopes = np.abs(psi_plus) * scale_p, np.abs(psi_minus) * scale_m
+    ep, em = (float(np.sum(a ** 2) * med.dz) for a in envelopes)
+    app, apm = (float(np.max(a)) for a in envelopes)
     try:
         m = moments(z, phi, med.dz)
         energy, cen, rms, peak = m.energy, m.centroid, m.rms, m.peak
@@ -299,13 +305,13 @@ def _record(config: RunConfig, t: float, mode: str,
     snap = Snapshot(index, t, tau, mode,
                     np.array(psi_plus, copy=True),
                     np.array(psi_minus, copy=True), phi)
-    return snap, row, amplitudes
+    return snap, row, envelopes
 
 
 def _snapshot_sink(config: RunConfig, out_dir, snapshots: list,
                    fit: "_FitWindow"):
     """The callable an engine run hands each snapshot it records, with the
-    amplitudes `_record` took of it. Without an out-dir it appends the
+    channel envelopes `_record` formed of it. Without an out-dir it appends the
     snapshot to `snapshots`. With one, the first record makes the directory
     and unlinks what an earlier run left there: the files that only a
     finished run writes (summary.json, trajectory.tsv and config.txt) and
@@ -322,7 +328,7 @@ def _snapshot_sink(config: RunConfig, out_dir, snapshots: list,
         buf[:, 0] = config.medium.grid()
     imag = not _real_fields(config)
 
-    def sink(snap: Snapshot, amplitudes):
+    def sink(snap: Snapshot, envelopes):
         if out is None:
             snapshots.append(snap)
         else:
@@ -332,9 +338,9 @@ def _snapshot_sink(config: RunConfig, out_dir, snapshots: list,
                               out / "config.txt", *out.glob("snap_*.npy")]:
                     stale.unlink(missing_ok=True)
             if buf is not None:
-                _write_snapshot(out / f"snap_{snap.index:05d}.npy", config, snap,
-                                buf, imag, amplitudes)
-        fit.add(snap)
+                _write_snapshot(out / f"snap_{snap.index:05d}.npy", snap, buf,
+                                imag, envelopes)
+        fit.add(snap, envelopes)
     return sink
 
 
@@ -355,19 +361,19 @@ def _run_direct(config: RunConfig, include_perturber: bool, out_dir=None) -> Eng
     fit = _FitWindow(config)
     # the reference twin keeps its rows only, all `_perturber_measurement` reads
     sink = (_snapshot_sink(config, out_dir, snapshots, fit) if include_perturber
-            else lambda snap, amplitudes: None)
+            else lambda snap, envelopes: None)
     traj: list[dict] = []
     sponge_max = 0.0
 
     def record():
         nonlocal sponge_max
-        snap, row, amplitudes = _record(config, state.t, state.mode,
-                                        state.psi_plus, state.psi_minus,
-                                        state.spin, sponge_mask, probe_idx,
-                                        len(traj))
+        snap, row, envelopes = _record(config, state.t, state.mode,
+                                       state.psi_plus, state.psi_minus,
+                                       state.spin, sponge_mask, probe_idx,
+                                       len(traj))
         sponge = row["sponge_fraction"]
         sponge_max = max(sponge_max, sponge)
-        sink(snap, amplitudes)
+        sink(snap, envelopes)
         traj.append(row)
         if state.mode == MODE_PDE and sponge > SPONGE_ABORT_FRACTION:
             op, om = sched.values(state.t)
@@ -395,33 +401,57 @@ def _run_direct(config: RunConfig, include_perturber: bool, out_dir=None) -> Eng
     return EngineRun(snapshots, traj, sponge_max, fit)
 
 
-def _run_spectral(config: RunConfig, out_dir=None) -> EngineRun:
+def check_guard_band(medium, psi_plus, psi_minus, centroid: float,
+                     half_width: float) -> float:
+    """Energy fraction farther than half_width from the centroid, refused
+    above GUARD_ENERGY_FRACTION and when the band does not fit in the
+    domain, which recycles what drifts off one edge: tail escape and
+    wrapped-around energy both invalidate a run. An empty field passes."""
+    if not math.isfinite(centroid):
+        return 0.0
+    if centroid - half_width < 0.0 or centroid + half_width > medium.domain_length:
+        raise GuardBandOverflow(
+            f"guard band of {half_width:g} around the centroid z = {centroid:g} "
+            f"(from pulse.center) does not fit in medium.domain_length = "
+            f"{medium.domain_length:g}")
+    frac = energy_fraction(psi_plus, psi_minus,
+                           np.abs(medium.grid() - centroid) > half_width)
+    if frac > GUARD_ENERGY_FRACTION:
+        raise GuardBandOverflow(
+            f"{frac:.3g} of the pulse energy sits outside the guard band "
+            f"(limit {GUARD_ENERGY_FRACTION:g})")
+    return frac
+
+
+def _spectral_records(config: RunConfig):
+    """The spectral engine's records, one per snapshot time, from the
+    spectrum of the direct engine's start field. Each is refused by
+    `check_guard_band` about its row's centroid, with the half-width
+    GUARD_WIDTHS times the oracle's rms width at run.t_end."""
     med, sched, pulse = config.medium, config.schedule, config.pulse
     # `parse_config` refuses a spectral run that opens in storage
     sstate = spectral_state_from_fields(
         med, init_state(med, sched, pulse).psi_plus, t=sched.t_start)
     half = GUARD_WIDTHS * width_b(med, sched, pulse, config.run.t_end) / math.sqrt(2.0)
     probe_idx = _probe_index(config)
+    for index, t in enumerate(_snapshot_times(config)):
+        if index:
+            propagate(sstate, sched, t)
+        pp, pm = fields_from_state(sstate)
+        record = _record(config, sstate.t, MODE_PDE, pp, pm, None, None,
+                         probe_idx, index)
+        check_guard_band(med, pp, pm, record[1]["phi_centroid"], half)
+        yield record
 
-    times = _snapshot_times(config)
+
+def _run_spectral(config: RunConfig, out_dir=None) -> EngineRun:
     snapshots: list[Snapshot] = []
     fit = _FitWindow(config)
     sink = _snapshot_sink(config, out_dir, snapshots, fit)
     traj: list[dict] = []
-
-    def record(pp, pm):
-        snap, row, amplitudes = _record(config, sstate.t, MODE_PDE,
-                                        pp, pm, None, None, probe_idx, len(traj))
-        sink(snap, amplitudes)
+    for snap, row, envelopes in _spectral_records(config):
+        sink(snap, envelopes)
         traj.append(row)
-        # the guard band weighs |psi|^2 only, so it takes the amplitudes
-        if math.isfinite(row["phi_centroid"]):
-            check_guard_band(med, *amplitudes, row["phi_centroid"], half)
-
-    record(*fields_from_state(sstate))
-    for ta, tb in zip(times, times[1:]):
-        propagate(sstate, sched, tb)
-        record(*fields_from_state(sstate))
     return EngineRun(snapshots, traj, 0.0, fit)
 
 
@@ -460,7 +490,9 @@ class _FitWindow:
         self.anchor = self.refusal = None
         self.replay = config.engine == "both"
 
-    def add(self, snap: Snapshot):
+    def add(self, snap: Snapshot, envelopes):
+        """Take in a snapshot with `_record`'s channel envelopes of it; a
+        prepared pulse's forward envelope is scored against the oracle."""
         window, tol = self.window, self.tol
         if (window is None or snap.mode != MODE_PDE
                 or not window[0] - tol <= snap.t <= window[1] + tol):
@@ -473,9 +505,8 @@ class _FitWindow:
         if not pulse.prepared or self.refusal is not None:
             return
         try:
-            a_plus = snap.psi_plus * envelope_scales(med, *sched.values(snap.t))[0]
             errors, self.anchor = compare_to_oracle(med, sched, pulse, snap.t,
-                                                    a_plus, self.anchor)
+                                                    envelopes[0], self.anchor)
         except SimulationError as exc:
             self.refusal = str(exc)
         else:
@@ -551,7 +582,7 @@ def _perturber_measurement(config: RunConfig, primary: EngineRun,
               "phase_final": float(phi[-1]),
               "phase_slope": None, "phase_r2": None,
               "pi_crossing_time": None}
-    if len(phi) >= FIT_MIN_POINTS:
+    if len(phi) >= MIN_FIT_POINTS:
         slope, _, r2 = linear_fit(tm, phi)
         result["phase_slope"] = slope
         result["phase_r2"] = r2
@@ -589,7 +620,7 @@ def _measurements(config: RunConfig, primary: EngineRun,
         rows = [r for r in primary.trajectory
                 if lo - tol <= r["t"] <= hi + tol and r["mode"] == 0.0
                 and math.isfinite(r["phi_centroid"])]
-        if len(rows) < FIT_MIN_POINTS:
+        if len(rows) < MIN_FIT_POINTS:
             warnings.append("fit window has too few usable snapshots")
         else:
             ts = [r["t"] for r in rows]
@@ -722,23 +753,20 @@ def run_scenario(config: RunConfig, out_dir=None) -> RunResult:
     return result
 
 
-def _write_snapshot(path: pathlib.Path, config: RunConfig, snap: Snapshot,
-                    buf: np.ndarray, imag: bool, amplitudes):
+def _write_snapshot(path: pathlib.Path, snap: Snapshot, buf: np.ndarray,
+                    imag: bool, envelopes):
     """Save the float64 (N, 9) columns of the README's snap_NNNNN.npy; t, tau
     and mode of the snapshot are row `snap.index` of trajectory.tsv.
 
     The columns are filled into `buf`, the array a run's sink keeps from
     file to file. Only the field columns are written: the z column stays,
     and with `imag` false so do the im columns of real fields, which must
-    then be zero already. `amplitudes` is `_record`'s (|psi_plus|, |psi_minus|)."""
-    med, sched = config.medium, config.schedule
+    then be zero already. `envelopes` holds `_record`'s abs_a columns."""
     for col, values in ((1, snap.psi_plus), (3, snap.psi_minus), (7, snap.phi)):
         buf[:, col] = values.real
         if imag or values.dtype.kind == "c":
             buf[:, col + 1] = values.imag
-    scale_p, scale_m = envelope_scales(med, *sched.values(snap.t))
-    np.multiply(amplitudes[0], scale_p, out=buf[:, 5])
-    np.multiply(amplitudes[1], scale_m, out=buf[:, 6])
+    buf[:, 5], buf[:, 6] = envelopes
     np.save(path, buf, allow_pickle=False)
 
 

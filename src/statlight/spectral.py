@@ -5,6 +5,9 @@ e^{+i omega(k) dtau}. The branch root is obtained from the 2x2 transport
 determinant, which is linear in omega, so there is no quadratic-branch
 ambiguity. The backward field is slaved to the forward one through a
 control-independent transfer function f(k).
+
+The guard band that refuses a pulse wrapping round the periodic domain is
+run policy, in `scenario`: the engine shares no code with what scores it.
 """
 
 from __future__ import annotations
@@ -13,24 +16,17 @@ import dataclasses
 
 import numpy as np
 
-from .diagnostics import energy_fraction
-from .errors import (
-    BranchSelectionFailure,
-    GuardBandOverflow,
-    ModeBlowup,
-    NonPhysicalParameter,
-)
+from .errors import BranchSelectionFailure, ModeBlowup, NonPhysicalParameter
 from .medium import (
     ControlSchedule,
     Coefficients,
     MediumModel,
     coefficients,
+    delta_weighted,
     tau_of_t,
 )
-from .oracle import delta_weighted
 
 BLOWUP_TOL = 1e-9
-GUARD_ENERGY_FRACTION = 1e-6
 
 
 def omega_from_determinant(medium: MediumModel, co: Coefficients, k):
@@ -133,24 +129,3 @@ def propagate(state: SpectralState, schedule: ControlSchedule, t_next: float) ->
     state.psi_plus_k *= factor
     state.t = t_next
 
-
-def check_guard_band(medium: MediumModel, psi_plus, psi_minus,
-                     centroid: float, half_width: float):
-    """Energy fraction sitting farther than half_width from the centroid,
-    refused above GUARD_ENERGY_FRACTION.
-
-    The periodic domain recycles anything that drifts off one edge; energy
-    found outside the half_width ball is either genuine tail escape or
-    wrapped-around contamination, and both invalidate the run.
-    """
-    if centroid - half_width < 0.0 or centroid + half_width > medium.domain_length:
-        raise GuardBandOverflow(
-            f"guard band of {half_width:g} around z = {centroid:g} does not fit "
-            f"in a domain of length {medium.domain_length:g}")
-    frac = energy_fraction(psi_plus, psi_minus,
-                           np.abs(medium.grid() - centroid) > half_width)
-    if frac > GUARD_ENERGY_FRACTION:
-        raise GuardBandOverflow(
-            f"{frac:.3g} of the pulse energy sits outside the guard band "
-            f"(limit {GUARD_ENERGY_FRACTION:g})")
-    return frac

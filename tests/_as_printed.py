@@ -11,7 +11,7 @@ imbalance as an argument, the reconciled `delta_weighted` by default.
 
 import numpy as np
 
-from statlight.oracle import delta_weighted
+from statlight.medium import delta_weighted
 
 
 def as_printed_delta(medium, co) -> float:

@@ -31,7 +31,7 @@ from statlight.errors import (
     ValidationError,
 )
 from statlight.integrator import RESIDUAL_TOL, FieldState
-from statlight.medium import Segment, tau_of_t
+from statlight.medium import Segment, envelope_scales, tau_of_t
 from statlight.presets import get_preset, list_presets
 from statlight.spectral import (SpectralState, fields_from_state,
                                 spectral_state_from_fields)
@@ -340,6 +340,12 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: {cfg}: not UTF-8 text")
 
+    def test_config_behind_a_byte_order_mark_is_read(self, tmp_path, capsys):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf" + get_preset("stationary").encode())
+        assert main(["run", str(cfg), "--check"]) == 0
+        assert capsys.readouterr().out.startswith("config ok")
+
     @pytest.mark.parametrize("key", ["schedule.phi_plus", "schedule.phi_minus"])
     def test_control_phase_keys_are_unknown(self, tmp_path, capsys, key):
         # the model normalises the control phases out of transport
@@ -607,6 +613,51 @@ class TestPreflight:
         assert "config ok" not in captured.out
         assert named in captured.err
 
+    @pytest.mark.parametrize("name,key,value,named", [
+        ("stationary", "medium.gamma", "-1", "medium.gamma must"),
+        ("stationary", "medium.gamma2", "-1e-4", "medium.gamma2"),
+        ("stationary", "medium.u_g0", "2", "medium.u_g0"),
+        ("stationary", "medium.domain_length", "-200", "medium.domain_length"),
+        ("stationary", "medium.grid_points", "8", "medium.grid_points"),
+        ("stationary", "pulse.amplitude", "0", "pulse.amplitude"),
+        ("stationary", "pulse.duration", "-2e4", "pulse.duration"),
+        ("phase_gate", "perturber.m_atoms", "0", "perturber.m_atoms"),
+        ("phase_gate", "perturber.length", "0", "perturber.length"),
+        ("phase_gate", "perturber.sigma_over_s", "0", "perturber.sigma_over_s"),
+        ("phase_gate", "perturber.gamma_a", "0", "perturber.gamma_a"),
+        ("phase_gate", "perturber.detuning", "0.2", "perturber.detuning"),
+        ("stationary", "schedule.segment",
+         f"0 1e4 {OM0!r} {OM0!r} 50\nschedule.segment = 1e4 5e3 {OM0!r} 0 50",
+         "schedule.segment 2"),
+        ("stationary", "schedule.segment",
+         f"0 5e3 {OM0!r} {OM0!r} 50\nschedule.segment = 5e3 1e4 {OM0!r} -0.01 50",
+         "schedule.segment 2"),
+        ("stationary", "schedule.segment",
+         f"0 5e3 {OM0!r} {OM0!r} 50\nschedule.segment = 5e3 1e4 1e200 {OM0!r} 50",
+         "schedule.segment 2"),
+        ("stationary", "schedule.segment",
+         f"0 5e3 {OM0!r} {OM0!r} 50\nschedule.segment = 5e3 1e4 {OM0!r} 0 0",
+         "schedule.segment 2"),
+        ("stationary", "schedule.segment",
+         f"0 5e3 {OM0!r} {OM0!r} 50\nschedule.segment = 5e3 1e4 {OM0!r} 0 6e3",
+         "schedule.segment 2"),
+        ("stationary", "schedule.segment",
+         f"0 5e3 {OM0!r} {OM0!r} 50\nschedule.segment = 6e3 1e4 {OM0!r} 0 50",
+         "schedule.segment 2"),
+    ], ids=["gamma", "gamma2", "u_g0", "domain_length", "grid_points",
+            "amplitude", "duration", "m_atoms", "length", "sigma_over_s",
+            "gamma_a", "detuning", "segment-length", "segment-negative-control",
+            "segment-huge-control", "segment-zero-ramp", "segment-long-ramp",
+            "segment-gap"])
+    def test_check_refusal_names_its_key(self, tmp_path, capsys, name, key,
+                                         value, named):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(_preset_with(name, **{key: value}))
+        assert main(["run", str(cfg), "--check"]) == 2
+        captured = capsys.readouterr()
+        assert "config ok" not in captured.out
+        assert named in captured.err
+
     @pytest.mark.parametrize("value", ["1e-200", "1e-310"])
     def test_check_refuses_tiny_gamma_before_ramp_crossings(self, tmp_path,
                                                             capsys, value):
@@ -625,8 +676,11 @@ class TestPreflight:
         ("phase_gate", {"perturber.z_center": "5"}, "perturber.z_center"),
         ("stationary", {"schedule.segment": "0 1e4 1e-4 0 50",
                         "engine": "spectral"}, "schedule.segment"),
+        # the guard band of 89.4 does not fit around the start at z = 30.6
+        ("stationary", {"engine": "spectral", "pulse.center": "30"},
+         "pulse.center"),
     ], ids=["coarse-grid", "center-off-domain", "perturber-off-grid",
-            "spectral-opens-stored"])
+            "spectral-opens-stored", "spectral-guard-band"])
     def test_check_refuses_what_a_run_refuses_before_its_first_step(
             self, tmp_path, capsys, name, changes, named):
         cfg = tmp_path / "scenario.cfg"
@@ -829,7 +883,10 @@ class TestStreaming:
         out = tmp_path / "out"
         sink = scenario._snapshot_sink(config, out, [], scenario._FitWindow(config))
         for snap in order:
-            sink(snap, (np.abs(snap.psi_plus), np.abs(snap.psi_minus)))
+            scale_p, scale_m = envelope_scales(config.medium,
+                                               *config.schedule.values(snap.t))
+            sink(snap, (np.abs(snap.psi_plus) * scale_p,
+                        np.abs(snap.psi_minus) * scale_m))
         for snap in order:
             assert _holds_columns(out / f"snap_{snap.index:05d}.npy", config, snap)
 

@@ -7,9 +7,9 @@ import pytest
 
 import statlight.diagnostics as diagnostics
 import statlight.oracle as oracle
+from statlight.config import parse_config
 from statlight.diagnostics import (
     MIN_FIT_POINTS,
-    channel_energies,
     compare_to_oracle,
     linear_fit,
     moments,
@@ -21,6 +21,7 @@ from statlight.errors import (
     PhaseUnwrapAmbiguity,
     WindowTooShort,
 )
+from statlight.integrator import MODE_PDE
 from statlight.medium import (
     Segment,
     build_medium,
@@ -28,6 +29,7 @@ from statlight.medium import (
     build_schedule,
 )
 from statlight.oracle import decay_exponent, gaussian_envelope, width_b
+from statlight.scenario import _record
 
 OM0 = math.sqrt(1e-3)
 
@@ -222,10 +224,13 @@ class TestOracleComparison:
 
 class TestChannelEnergies:
     def test_coupling_ratio_scaling(self):
-        med = build_medium(r_g=2.0, gamma=1.0, gamma2=0.0, u_g0=1e-3,
-                           domain_length=200.0, grid_points=512)
-        ones = np.ones(512, complex)
-        e_plus, e_minus = channel_energies(med, ones, ones, OM0, OM0)
+        # r_g = 2 needs dz <= 1/32, so the grid is finer than the default
+        config = parse_config("medium.r_g = 2\nmedium.grid_points = 8192\n"
+                              f"schedule.segment = 0 1e4 {OM0!r} {OM0!r} 50\n")
+        ones = np.ones(8192, complex)
+        _, row, _ = _record(config, 0.0, MODE_PDE, ones, ones, None, None,
+                            None, 0)
+        e_plus, e_minus = row["e_plus"], row["e_minus"]
         # equal transport fields with equal controls: the backward physical
         # field is 1/r_g of the forward one, so energies differ by r_g^2
         assert e_plus / e_minus == pytest.approx(4.0, rel=1e-12)

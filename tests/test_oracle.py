@@ -19,6 +19,7 @@ from statlight.medium import (
     build_pulse,
     build_schedule,
     coefficients,
+    delta_weighted,
     group_velocity,
     pulse_length,
     tau_rate_at,
@@ -26,7 +27,6 @@ from statlight.medium import (
 from statlight.oracle import (
     conversion_probability,
     decay_exponent,
-    delta_weighted,
     drift_beta,
     gaussian_envelope,
     m2_rate,

@@ -19,9 +19,8 @@ from statlight.medium import (
     build_schedule,
     coefficients,
 )
+from statlight.scenario import GUARD_ENERGY_FRACTION, check_guard_band
 from statlight.spectral import (
-    GUARD_ENERGY_FRACTION,
-    check_guard_band,
     fields_from_state,
     k_grid,
     omega_from_determinant,
