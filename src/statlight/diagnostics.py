@@ -1,4 +1,4 @@
-"""Field measurements: moments, velocity/width fits, phase traces.
+"""Field measurements: moments, velocity/width fits, the probe's phase.
 
 All moment integrals weight by intensity |field|^2 on the grid. Fits are
 ordinary least squares; a fit over fewer than five snapshots is refused
@@ -57,19 +57,18 @@ def linear_fit(x, y) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def relative_phase(perturbed, reference) -> np.ndarray:
-    """Unwrapped phase of perturbed relative to reference, snapshot by snapshot.
+def unwrapped_phase(samples) -> np.ndarray:
+    """Unwrapped phase of a series of complex samples, snapshot by snapshot.
 
     Consecutive jumps above pi/2 are refused: the sampling is then too sparse
     to unwrap reliably.
     """
-    a = np.asarray(perturbed, dtype=complex)
-    b = np.asarray(reference, dtype=complex)
-    if len(a) != len(b) or len(a) == 0:
-        raise WindowTooShort("phase trace needs equal-length non-empty series")
-    if np.any(np.abs(a) < ENERGY_FLOOR) or np.any(np.abs(b) < ENERGY_FLOOR):
+    a = np.asarray(samples, dtype=complex)
+    if len(a) == 0:
+        raise WindowTooShort("phase trace needs a non-empty series")
+    if np.any(np.abs(a) < ENERGY_FLOOR):
         raise EmptyField("phase trace contains samples with no amplitude")
-    raw = np.angle(a * np.conj(b))
+    raw = np.angle(a)
     out = [float(raw[0])]
     for i in range(1, len(raw)):
         d = raw[i] - raw[i - 1]
@@ -85,7 +84,8 @@ def compare_to_oracle(medium: MediumModel, schedule: ControlSchedule,
                       pulse: PulseSpec, t: float, a_plus, anchor=None):
     """Relative errors (envelope l2, width, decay) of one measured forward
     envelope at time t against the closed form, and the anchor to score the
-    next snapshot of the same series with.
+    next snapshot of the same series with. `a_plus` is the non-negative
+    envelope |psi_+| times `envelope_scales` that `_record` forms.
 
     The anchor (scale, peak, B0, decay factor) comes from the series' first
     snapshot, scored with anchor=None, so only evolution (drift, spreading,
@@ -97,25 +97,24 @@ def compare_to_oracle(medium: MediumModel, schedule: ControlSchedule,
     check_channel(medium, schedule, "+", t)
     b = width_b(medium, schedule, pulse, t)
     transport, total = decay_exponent(medium, schedule, t)
-    pred = np.abs(gaussian_envelope(medium, schedule, pulse, "+", t, z,
-                                    width=b, decay=transport))
-    meas = np.abs(np.asarray(a_plus))
+    # the closed form is a positive prefactor times a Gaussian
+    pred = gaussian_envelope(medium, schedule, pulse, "+", t, z,
+                             width=b, decay=transport)
     df = math.exp(-total)
     if anchor is None:
-        pk = float(np.max(meas))
+        pk = float(np.max(a_plus))
         if pk <= 0.0:
             raise EmptyField("first snapshot has no forward field")
         anchor = (pk / float(np.max(pred)), pk, b, df)
     scale, peak0, b0, df0 = anchor
     pred = pred * scale
-    env_err = float(np.linalg.norm(meas - pred) / np.linalg.norm(pred))
+    env_err = float(np.linalg.norm(a_plus - pred) / np.linalg.norm(pred))
 
-    # the moments of |a_plus| are those of a_plus
-    m = moments(z, meas, medium.dz)
+    m = moments(z, a_plus, medium.dz)
     width_err = abs(m.rms - b / math.sqrt(2.0)) / (b / math.sqrt(2.0))
 
     predicted_ratio = (df / df0) * (b0 / b)
-    measured_ratio = float(np.max(meas)) / peak0
+    measured_ratio = float(np.max(a_plus)) / peak0
     decay_err = abs(measured_ratio - predicted_ratio) / max(predicted_ratio, 1e-300)
     return (env_err, width_err, decay_err), anchor
 

@@ -277,6 +277,11 @@ class Coefficients:
     tau_rate: float
 
 
+def _clock_rate(medium: MediumModel, omega_plus: float, omega_minus: float) -> float:
+    """dtau/dt at the controls: (gamma gamma2 + omega_+^2 + omega_-^2) / gamma."""
+    return (medium.gamma * medium.gamma2 + omega_plus ** 2 + omega_minus ** 2) / medium.gamma
+
+
 def coefficients(medium: MediumModel, omega_plus: float, omega_minus: float) -> Coefficients:
     gg2 = medium.gamma * medium.gamma2
     oss = omega_plus ** 2 + omega_minus ** 2
@@ -294,7 +299,7 @@ def coefficients(medium: MediumModel, omega_plus: float, omega_minus: float) -> 
         alpha_tilde=a_p - medium.rho * a_m,
         gamma2_prime=medium.xi_plus * gg2 / denom,
         omega_sigma_sq=oss,
-        tau_rate=denom / medium.gamma,
+        tau_rate=_clock_rate(medium, omega_plus, omega_minus),
     )
 
 
@@ -319,8 +324,7 @@ def alpha_tilde_rate(medium: MediumModel, schedule: ControlSchedule, t: float) -
 
 
 def tau_rate_at(medium: MediumModel, schedule: ControlSchedule, t: float) -> float:
-    op, om = schedule.values(t)
-    return (medium.gamma * medium.gamma2 + op ** 2 + om ** 2) / medium.gamma
+    return _clock_rate(medium, *schedule.values(t))
 
 
 class _ClockPiece(NamedTuple):
@@ -362,7 +366,7 @@ def _clock_pieces(medium: MediumModel, schedule: ControlSchedule,
         d_plus, d_minus = seg.omega_plus - p_plus, seg.omega_minus - p_minus
         out.append(_ClockPiece(
             a, b, *((seg.t_start, seg.ramp) if ramping else (a, b - a)),
-            (medium.gamma * medium.gamma2 + p_plus ** 2 + p_minus ** 2) / medium.gamma,
+            _clock_rate(medium, p_plus, p_minus),
             2.0 * (p_plus * d_plus + p_minus * d_minus) / medium.gamma,
             (d_plus ** 2 + d_minus ** 2) / medium.gamma))
     return out

@@ -62,34 +62,31 @@ def _require_dispersive(spec: PerturberSpec):
             f"perturber.gamma_a = {spec.gamma_a:g}")
 
 
-def cloud_rms(medium: MediumModel, spec: PerturberSpec) -> tuple[float, bool]:
-    """(rms, floored): the rms width of the cloud's Gaussian, length/sqrt(2 pi)
-    floored at 4 dz when the grid cannot carry it, and whether it was.
-    Refuses a cloud whose center lies within 4 rms of a domain edge."""
-    rms = spec.length / math.sqrt(2.0 * math.pi)
-    floored = rms < 4.0 * medium.dz
-    if floored:
-        rms = 4.0 * medium.dz
+def cloud_rms(medium: MediumModel, spec: PerturberSpec) -> float:
+    """The rms width of the cloud's Gaussian, length/sqrt(2 pi) floored at
+    4 dz when the grid cannot carry it. Refuses a cloud whose center lies
+    within 4 rms of a domain edge."""
+    rms = max(spec.length / math.sqrt(2.0 * math.pi), 4.0 * medium.dz)
     margin = 4.0 * rms
     if not (margin < spec.z_center < medium.domain_length - margin):
         raise PerturberOffGrid(
             f"perturber.z_center = {spec.z_center:g} lies within 4 rms "
             f"({margin:g}, from perturber.length) of a domain edge")
-    return rms, floored
+    return rms
 
 
-def perturber_density(medium: MediumModel, spec: PerturberSpec):
+def perturber_density(medium: MediumModel, spec: PerturberSpec) -> np.ndarray:
     """Atoms-per-length profile on the grid; integrates to m_atoms.
 
-    Peak density is m_atoms/length (Gaussian of rms width length/sqrt(2 pi)),
-    floored at 4 dz when the requested cloud is narrower than the grid can
-    carry; the area is preserved either way. Returns (density, floored flag).
+    Peak density is m_atoms/length (Gaussian of rms width `cloud_rms`,
+    length/sqrt(2 pi) unless the grid floors it at 4 dz); the area is
+    preserved either way.
     """
-    rms, floored = cloud_rms(medium, spec)
+    rms = cloud_rms(medium, spec)
     z = medium.grid()
     density = np.exp(-((z - spec.z_center) ** 2) / (2.0 * rms ** 2))
     density *= spec.m_atoms / (math.sqrt(2.0 * math.pi) * rms)
-    return density, floored
+    return density
 
 
 def interaction_rate(spec: PerturberSpec) -> complex:

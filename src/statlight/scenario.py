@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import RunConfig, config_echo, render_config
 from .diagnostics import (MIN_FIT_POINTS, compare_to_oracle, energy_fraction,
-                          linear_fit, moments, relative_phase)
+                          linear_fit, moments, unwrapped_phase)
 from .errors import (EmptyField, GuardBandOverflow, SimulationError,
                      ValidationError)
 from .integrator import (BDF2, MODE_PDE, MODE_STORAGE, RESIDUAL_TOL,
@@ -74,9 +74,9 @@ class Snapshot:
 @dataclasses.dataclass
 class EngineRun:
     """`snapshots` holds every snapshot of a run without an out-dir, and
-    none of a run that streams to one or of the perturber's reference twin;
-    `fit` is what the measurements read of the run's fit window, gathered
-    as the run records it (`_snapshot_sink`)."""
+    none of a run that streams to one; `fit` is what the measurements read
+    of the run's fit window, gathered as the run records it
+    (`_snapshot_sink`)."""
     snapshots: list
     trajectory: list
     sponge_max: float
@@ -85,6 +85,9 @@ class EngineRun:
 
 @dataclasses.dataclass
 class RunResult:
+    """A finished run: the primary engine's snapshots and trajectory rows,
+    and the summary. `reference` is always None: a perturbed config runs
+    once. It stays because perfbench/spans.py reads it."""
     config: RunConfig
     snapshots: list
     trajectory: list
@@ -205,20 +208,18 @@ def resource_estimate(config: RunConfig) -> tuple[int, int]:
     """(transport steps, snapshot bytes held) that a run will need, from
     arithmetic alone. Steps are `_piece_steps` over the transport windows of
     `config.windows` (the events of a run split pieces and add at most one
-    step each), and the perturber's reference twin doubles them. The bytes
-    are what a run without an out-dir holds, the primary run's full list:
-    three grid arrays a snapshot, of 8-byte values in a direct run without
-    a perturber and of 16-byte complex values otherwise. The twin holds
-    none, and a run that streams to an out-dir holds at most two: the ends
-    of its cross-engine replay."""
+    step each). The bytes are what a run without an out-dir holds, its full
+    list: three grid arrays a snapshot, of 8-byte values in a direct run
+    without a perturber and of 16-byte complex values otherwise. A run that
+    streams to an out-dir holds at most two: the ends of its cross-engine
+    replay."""
     med, sched, run = config.medium, config.schedule, config.run
-    runs = 1 if config.perturber is None else 2
     steps = 0
     if config.engine != "spectral":
-        steps = runs * sum(_piece_steps(med, sched, a, b, i, ramping, run.dt_safety)
-                           for lo, hi, transport in config.windows
-                           if transport
-                           for a, b, i, ramping in sched.pieces(lo, hi))
+        steps = sum(_piece_steps(med, sched, a, b, i, ramping, run.dt_safety)
+                    for lo, hi, transport in config.windows
+                    if transport
+                    for a, b, i, ramping in sched.pieces(lo, hi))
     # start, end and the two ends of the fit window ride on top of the interval
     snapshots = math.ceil((run.t_end - sched.t_start) / run.snapshot_interval) + 3
     # psi_plus, psi_minus and phi
@@ -227,7 +228,7 @@ def resource_estimate(config: RunConfig) -> tuple[int, int]:
 
 
 def _real_fields(config: RunConfig) -> bool:
-    """Whether every field of the primary run is real: only a perturber or
+    """Whether every field of a run is real: only a perturber or
     the spectral engine makes them complex."""
     return config.engine != "spectral" and config.perturber is None
 
@@ -344,24 +345,22 @@ def _snapshot_sink(config: RunConfig, out_dir, snapshots: list,
     return sink
 
 
-def _run_direct(config: RunConfig, include_perturber: bool, out_dir=None) -> EngineRun:
+def _run_direct(config: RunConfig, out_dir=None) -> EngineRun:
     med, sched, pulse, run = (config.medium, config.schedule,
                               config.pulse, config.run)
     state = init_state(med, sched, pulse)
     w_plus, w_minus = build_absorbers(med)
     sponge_mask = (w_plus > 0.0) | (w_minus > 0.0)
     pert = None
-    if include_perturber and config.perturber is not None:
-        density, _ = perturber_density(med, config.perturber)
-        pert = (density, interaction_rate(config.perturber))
+    if config.perturber is not None:
+        pert = (perturber_density(med, config.perturber),
+                interaction_rate(config.perturber))
     probe_idx = _probe_index(config)
 
     events = _build_events(config)
     snapshots: list[Snapshot] = []
     fit = _FitWindow(config)
-    # the reference twin keeps its rows only, all `_perturber_measurement` reads
-    sink = (_snapshot_sink(config, out_dir, snapshots, fit) if include_perturber
-            else lambda snap, envelopes: None)
+    sink = _snapshot_sink(config, out_dir, snapshots, fit)
     traj: list[dict] = []
     sponge_max = 0.0
 
@@ -384,7 +383,6 @@ def _run_direct(config: RunConfig, include_perturber: bool, out_dir=None) -> Eng
                     f"edges at t = {state.t:g} while the controls hold the pulse")
 
     record()
-    # the last plan of this run only: the reference twin's split differs
     plan = None
     for ev in events[1:]:
         if state.mode == MODE_PDE:
@@ -551,21 +549,18 @@ def _longest_true_run(mask) -> slice:
     return slice(best_start, best_start + best_len)
 
 
-def _perturber_measurement(config: RunConfig, primary: EngineRun,
-                           reference: EngineRun):
+def _perturber_measurement(config: RunConfig, primary: EngineRun):
     med, sched, spec = config.medium, config.schedule, config.perturber
     idx = _probe_index(config)
     if idx is None:
         return None, ["perturber phase needs run.probe_z; measurement skipped"]
     # each transport row of a trajectory carries psi_plus at the probe
-    pairs = [(rp, rr) for rp, rr in zip(primary.trajectory, reference.trajectory)
-             if rp["mode"] == 0.0 and rr["mode"] == 0.0]
-    if len(pairs) < 2:
+    rows = [r for r in primary.trajectory if r["mode"] == 0.0]
+    if len(rows) < 2:
         return None, ["perturber phase skipped: too few transport snapshots"]
-    tseries = np.array([rp["t"] for rp, _ in pairs])
-    p = np.array([complex(rp["probe_re"], rp["probe_im"]) for rp, _ in pairs])
-    r = np.array([complex(rr["probe_re"], rr["probe_im"]) for _, rr in pairs])
-    amp = np.minimum(np.abs(p), np.abs(r))
+    tseries = np.array([r["t"] for r in rows])
+    p = np.array([complex(r["probe_re"], r["probe_im"]) for r in rows])
+    amp = np.abs(p)
     top = float(np.max(amp))
     if top <= 0.0:
         return None, ["perturber phase skipped: probe never sees the pulse"]
@@ -573,7 +568,8 @@ def _perturber_measurement(config: RunConfig, primary: EngineRun,
     if sl.stop - sl.start < 2:
         return None, ["perturber phase skipped: pulse too brief at the probe"]
     try:
-        phi = relative_phase(p[sl], r[sl])
+        # the run without the cloud steps real fields, so its phase is zero
+        phi = unwrapped_phase(p[sl])
     except SimulationError as exc:
         return None, [f"perturber phase skipped: {exc}"]
     tm = tseries[sl]
@@ -605,8 +601,7 @@ def _perturber_measurement(config: RunConfig, primary: EngineRun,
     return result, []
 
 
-def _measurements(config: RunConfig, primary: EngineRun,
-                  reference: "EngineRun | None"):
+def _measurements(config: RunConfig, primary: EngineRun):
     med, sched, pulse = config.medium, config.schedule, config.pulse
     warnings: list[str] = []
     out: dict = {"velocity": None, "width_rate": None, "area_decay": None,
@@ -673,8 +668,8 @@ def _measurements(config: RunConfig, primary: EngineRun,
         out["conversion"] = {"time": last["t"],
                              "fraction_minus": last["e_minus"] / total}
 
-    if config.perturber is not None and reference is not None:
-        pm, pwarn = _perturber_measurement(config, primary, reference)
+    if config.perturber is not None:
+        pm, pwarn = _perturber_measurement(config, primary)
         out["perturber"] = pm
         warnings += pwarn
     return out, warnings
@@ -730,15 +725,12 @@ def _summary(config: RunConfig, primary: EngineRun, measurements: dict,
 
 def run_scenario(config: RunConfig, out_dir=None) -> RunResult:
     preflight(config)
-    reference = None
     if config.engine == "spectral":
         primary = _run_spectral(config, out_dir)
     else:
-        primary = _run_direct(config, include_perturber=True, out_dir=out_dir)
-        if config.perturber is not None:
-            reference = _run_direct(config, include_perturber=False)
+        primary = _run_direct(config, out_dir)
 
-    measurements, warnings = _measurements(config, primary, reference)
+    measurements, warnings = _measurements(config, primary)
     cross = None
     if config.engine == "both":
         cross, cwarn = _cross_engine(config, primary)
@@ -746,8 +738,7 @@ def run_scenario(config: RunConfig, out_dir=None) -> RunResult:
     measurements["cross_engine"] = cross
 
     summary = _summary(config, primary, measurements, warnings)
-    result = RunResult(config, primary.snapshots, primary.trajectory,
-                       summary, reference)
+    result = RunResult(config, primary.snapshots, primary.trajectory, summary)
     if out_dir is not None:
         write_outputs(result, out_dir)
     return result

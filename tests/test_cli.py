@@ -472,7 +472,7 @@ def test_cross_engine_replay_is_one_exact_step(monkeypatch):
     stepped through every snapshot time of the window."""
     config = parse_config(get_preset("stationary"))
     med, sched = config.medium, config.schedule
-    fit = scenario._run_direct(config, include_perturber=True).fit
+    fit = scenario._run_direct(config).fit
     primary = scenario.EngineRun([], [], 0.0, fit)
     calls, propagate = [], scenario.propagate
     monkeypatch.setattr(scenario, "propagate",
@@ -524,13 +524,13 @@ class TestPreflight:
         # without a perturber (stationary runs both engines, direct first)
         assert held == pytest.approx((1e7 + 3) * 1e9 * 3 * 8, rel=1e-9)
 
-    def test_reference_twin_doubles_the_steps_not_the_bytes(self):
-        # the twin records trajectory rows only; the bytes double because
-        # the perturbed run's fields are complex, 16 bytes a value against 8
+    def test_perturber_keeps_the_steps_and_doubles_the_bytes(self):
+        # one run either way; the bytes double because the perturbed run's
+        # fields are complex, 16 bytes a value against 8
         config = parse_config(get_preset("phase_gate"))
         steps, held = resource_estimate(config)
         alone = resource_estimate(dataclasses.replace(config, perturber=None))
-        assert (steps, held) == (2 * alone[0], 2 * alone[1])
+        assert (steps, held) == (alone[0], 2 * alone[1])
 
     def test_snapshot_budget_names_the_key(self):
         config = parse_config(_stationary(**{"run.snapshot_interval": "1e-3"}))
@@ -716,6 +716,45 @@ class TestPreflight:
             preflight(parse_config(text))
 
 
+class TestPerturbedRun:
+    """A perturbed config runs the direct engine once, and its probe phase
+    is that of its own probe values."""
+
+    @staticmethod
+    def counted_run(monkeypatch, config):
+        """(the result, `_run_direct` calls, transport steps) of a run."""
+        runs, steps = [], []
+        run_direct, step = scenario._run_direct, scenario.step
+        monkeypatch.setattr(
+            scenario, "_run_direct",
+            lambda *args, **kw: runs.append(1) or run_direct(*args, **kw))
+        monkeypatch.setattr(scenario, "step",
+                            lambda *args: steps.append(1) or step(*args))
+        result = run_scenario(config)
+        monkeypatch.undo()
+        return result, len(runs), len(steps)
+
+    def test_phase_gate_runs_once(self, monkeypatch):
+        config = parse_config(get_preset("phase_gate"))
+        result, runs, steps = self.counted_run(monkeypatch, config)
+        _, _, bare_steps = self.counted_run(
+            monkeypatch, dataclasses.replace(config, perturber=None))
+        assert runs == 1 and result.reference is None
+        assert steps == bare_steps > 0
+
+    def test_the_run_without_the_cloud_has_no_probe_phase(self, preset_run):
+        """The premise of reading the phase off the perturbed run alone:
+        without the cloud the probe value is real, and positive wherever
+        the measurement's amplitude mask selects it."""
+        perturbed = preset_run("phase_gate")
+        lo, hi = perturbed.summary["measurements"]["perturber"]["window"]
+        bare = run_scenario(dataclasses.replace(perturbed.config, perturber=None))
+        rows = [r for r in bare.trajectory if r["mode"] == 0.0]
+        assert rows and all(r["probe_im"] == 0.0 for r in rows)
+        masked = [r for r in rows if lo <= r["t"] <= hi]
+        assert len(masked) >= 2 and all(r["probe_re"] > 0.0 for r in masked)
+
+
 def _src_env() -> dict:
     """The environment with this checkout's src first on PYTHONPATH."""
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -852,8 +891,8 @@ class TestStreaming:
         result = run_scenario(config, out)
         assert result.snapshots == []
         if config.perturber is not None:
-            assert result.reference.snapshots == []
-            assert full.reference.snapshots == []
+            assert result.reference is None
+            assert full.reference is None
         # a run without an out-dir holds every snapshot, whole
         assert len(full.snapshots) == len(full.trajectory)
         assert all(value is not None for snap in full.snapshots

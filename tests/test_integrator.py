@@ -427,9 +427,9 @@ class TestStep:
             assert np.array_equal(res, full)
 
     def test_residual_norms_stay_below_the_blas_threading_size(self, monkeypatch):
-        """phase_gate's perturbed rows hold 20,480 float values, its twin's
-        10,240: each norm call takes at most NORM_PIECE of them, and the
-        pieces sum to the whole."""
+        """phase_gate's perturbed rows hold 20,480 float values, those of a
+        run without the cloud 10,240: each norm call takes at most
+        NORM_PIECE of them, and the pieces sum to the whole."""
         med = medium_for(n=5120, length=320.0)
         sched = hold(OM0, OM0)
         zeros = np.zeros(med.grid_points)
@@ -664,7 +664,7 @@ class TestPlan:
                             lambda *args, **kw: factored.append(1) or dgbtrf(*args, **kw))
         text = get_preset("stationary").replace(
             "run.snapshot_interval = 500", f"run.snapshot_interval = {interval}")
-        scenario._run_direct(parse_config(text), include_perturber=True)
+        scenario._run_direct(parse_config(text))
         assert len(factored) == len(built)
         assert len(built) == 2 if interval == 100 else len(built) > 2
         assert [p.mass for p in built] == [BE] + [BDF2] * (len(built) - 1)
@@ -859,9 +859,9 @@ class TestPlan:
 class TestArithmetic:
     """Fields stay float64 unless a perturber's split imprints a phase."""
 
-    def run(self, monkeypatch, name, include_perturber):
+    def run(self, monkeypatch, config):
         """(dtypes of the fields and history each step leaves, dtypes of the
-        fields of every snapshot after the first) of a preset's direct run."""
+        fields of every snapshot after the first) of a config's direct run."""
         stepped, step_ = set(), scenario.step
 
         def stepping(state, *args):
@@ -871,8 +871,7 @@ class TestArithmetic:
             return dtau
 
         monkeypatch.setattr(scenario, "step", stepping)
-        run = scenario._run_direct(parse_config(get_preset(name)),
-                                   include_perturber)
+        run = scenario._run_direct(config)
         recorded = {a.dtype for snap in run.snapshots[1:]
                     for a in (snap.psi_plus, snap.psi_minus, snap.phi)}
         return stepped, recorded
@@ -880,15 +879,18 @@ class TestArithmetic:
     # an injected pulse, a prepared one, and one through store and release
     @pytest.mark.parametrize("name", ["slow_light", "stationary", "stop_and_store"])
     def test_unperturbed_runs_are_real(self, monkeypatch, name):
-        stepped, recorded = self.run(monkeypatch, name, True)
+        stepped, recorded = self.run(monkeypatch, parse_config(get_preset(name)))
         assert stepped == recorded == {np.dtype(np.float64)}
 
     def test_only_the_perturbed_run_is_complex(self, monkeypatch):
-        stepped, recorded = self.run(monkeypatch, "phase_gate", True)
+        config = parse_config(get_preset("phase_gate"))
+        stepped, recorded = self.run(monkeypatch, config)
         assert stepped == recorded == {np.dtype(np.complex128)}
         monkeypatch.undo()
-        twin, _ = self.run(monkeypatch, "phase_gate", False)
-        assert twin == {np.dtype(np.float64)}
+        # phase_gate's probe phase is that of its own run: without the
+        # cloud, the same config steps real fields
+        bare, _ = self.run(monkeypatch, dataclasses.replace(config, perturber=None))
+        assert bare == {np.dtype(np.float64)}
 
     def test_store_and_release_keep_a_real_polariton_real(self):
         med = medium_for(gamma2=1e-5, n=2048)

@@ -18,6 +18,7 @@ from statlight.medium import Segment, build_medium, build_schedule, coefficients
 from statlight.perturber import (
     PerturberSpec,
     build_perturber,
+    cloud_rms,
     interaction_rate,
     perturber_density,
     phase_rate_stationary,
@@ -79,8 +80,9 @@ class TestBuild:
 class TestDensity:
     def test_area_and_peak(self):
         med = medium_for()
-        density, floored = perturber_density(med, spec_for())
-        assert not floored
+        spec = spec_for()
+        assert cloud_rms(med, spec) == spec.length / math.sqrt(2.0 * math.pi)
+        density = perturber_density(med, spec)
         area = float(np.sum(density)) * med.dz
         assert area == pytest.approx(6.0, rel=1e-9)
         # peak density is m_atoms/length by construction
@@ -88,8 +90,9 @@ class TestDensity:
 
     def test_narrow_cloud_floored_but_area_kept(self):
         med = medium_for()
-        density, floored = perturber_density(med, spec_for(length=0.01))
-        assert floored
+        spec = spec_for(length=0.01)
+        assert cloud_rms(med, spec) == 4 * med.dz
+        density = perturber_density(med, spec)
         area = float(np.sum(density)) * med.dz
         assert area == pytest.approx(6.0, rel=1e-6)
 
@@ -102,9 +105,9 @@ class TestDensity:
     def test_wide_cloud_margin_uses_rms(self):
         # length 160 has rms 63.8; 4 rms fits a 520 domain centered there
         med = medium_for(n=5120, length=520.0)
-        density, floored = perturber_density(
-            med, spec_for(m_atoms=1122.8, z_center=260.0, length=160.0))
-        assert not floored
+        spec = spec_for(m_atoms=1122.8, z_center=260.0, length=160.0)
+        assert cloud_rms(med, spec) == spec.length / math.sqrt(2.0 * math.pi)
+        density = perturber_density(med, spec)
         area = float(np.sum(density)) * med.dz
         # the 4 rms tails clipped at the edges cost ~5e-5 of the area
         assert area == pytest.approx(1122.8, rel=2e-4)
