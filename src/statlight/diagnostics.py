@@ -101,8 +101,8 @@ def compare_to_oracle(medium: MediumModel, schedule: ControlSchedule,
     pred = gaussian_envelope(medium, schedule, pulse, "+", t, z,
                              width=b, decay=transport)
     df = math.exp(-total)
+    pk = float(np.max(a_plus))
     if anchor is None:
-        pk = float(np.max(a_plus))
         if pk <= 0.0:
             raise EmptyField("first snapshot has no forward field")
         anchor = (pk / float(np.max(pred)), pk, b, df)
@@ -114,7 +114,7 @@ def compare_to_oracle(medium: MediumModel, schedule: ControlSchedule,
     width_err = abs(m.rms - b / math.sqrt(2.0)) / (b / math.sqrt(2.0))
 
     predicted_ratio = (df / df0) * (b0 / b)
-    measured_ratio = float(np.max(a_plus)) / peak0
+    measured_ratio = pk / peak0
     decay_err = abs(measured_ratio - predicted_ratio) / max(predicted_ratio, 1e-300)
     return (env_err, width_err, decay_err), anchor
 

@@ -6,9 +6,11 @@ banded implicit integrator; storage windows advance the stored coherence
 analytically. With engine "both", the longest constant-control window is
 replayed spectrally and the two engines are scored against each other.
 
-The spectral engine's periodic domain wraps round what reaches an edge, so
-each of its records must keep its energy in a guard band about the pulse
-centroid (`check_guard_band`); `preflight` checks the start's record.
+Each engine is a generator of records (`_direct_records`, `_spectral_records`)
+that refuses a bad record before yielding it: a held pulse in the direct
+engine's sponges, or energy outside the spectral engine's guard band. `_run`
+alone collects records into files, rows and the fit window; `preflight` takes
+the first record of the same generator.
 """
 
 from __future__ import annotations
@@ -73,13 +75,12 @@ class Snapshot:
 
 @dataclasses.dataclass
 class EngineRun:
-    """`snapshots` holds every snapshot of a run without an out-dir, and
-    none of a run that streams to one; `fit` is what the measurements read
-    of the run's fit window, gathered as the run records it
-    (`_snapshot_sink`)."""
+    """An engine's records as `_run` collects them: `snapshots` holds every
+    snapshot of a run without an out-dir, and none of a run that streams to
+    one; `trajectory` holds every record's row; `fit` is what the
+    measurements read of the run's fit window."""
     snapshots: list
     trajectory: list
-    sponge_max: float
     fit: "_FitWindow"
 
 
@@ -233,10 +234,9 @@ def _real_fields(config: RunConfig) -> bool:
     return config.engine != "spectral" and config.perturber is None
 
 
-def preflight(config: RunConfig) -> None:
+def check_budget(config: RunConfig) -> None:
     """Refuse a run whose resource estimate exceeds the budget; a step count
-    too large for a float counts as over it. A spectral run is refused, too,
-    when its first record fails the guard band."""
+    too large for a float counts as over it."""
     steps, held = resource_estimate(config)
     med, run = config.medium, config.run
     if held > MAX_SNAPSHOT_BYTES:
@@ -252,8 +252,15 @@ def preflight(config: RunConfig) -> None:
             f"run.t_end = {run.t_end:g} needs about {steps:.4g} transport steps, "
             f"{float(steps) * med.grid_points:.4g} point-steps, above the budget of "
             f"{MAX_POINT_STEPS:.4g}")
-    if config.engine == "spectral":
-        next(_spectral_records(config))
+
+
+def preflight(config: RunConfig) -> None:
+    """Refuse, before any step, what a run of the config refuses before its
+    first step: the budget, then the first record of the config's engine,
+    made and checked by the generator the run takes it from."""
+    check_budget(config)
+    next((_spectral_records if config.engine == "spectral"
+          else _direct_records)(config))
 
 
 def _probe_index(config: RunConfig):
@@ -309,31 +316,28 @@ def _record(config: RunConfig, t: float, mode: str,
     return snap, row, envelopes
 
 
-def _snapshot_sink(config: RunConfig, out_dir, snapshots: list,
-                   fit: "_FitWindow"):
-    """The callable an engine run hands each snapshot it records, with the
-    channel envelopes `_record` formed of it. Without an out-dir it appends the
-    snapshot to `snapshots`. With one, the first record makes the directory
-    and unlinks what an earlier run left there: the files that only a
-    finished run writes (summary.json, trajectory.tsv and config.txt) and
-    every snap_*.npy; each record then saves snap_NNNNN.npy if
-    `output.snapshots`, and holds nothing. The files are filled in one
-    (N, 9) buffer that the sink keeps for the run: its z column is written
-    once, and so are the zero im columns of a run whose fields are real.
-    Either way it then feeds the snapshot to `fit`, the run's fit-window
-    accumulator."""
+def _run(config: RunConfig, out_dir, records) -> EngineRun:
+    """Collect an engine's records, each checked by its engine before it is
+    yielded. Without an out-dir the run keeps every snapshot. With one, the
+    first record makes the directory and unlinks what an earlier run left
+    there: the files only a finished run writes (summary.json,
+    trajectory.tsv, config.txt) and every snap_*.npy; each record then saves
+    snap_NNNNN.npy if `output.snapshots`, from one (N, 9) buffer whose z
+    column, and the zero im columns of real fields, are written once."""
     out = None if out_dir is None else pathlib.Path(out_dir)
     buf = None
     if out is not None and config.output.snapshots:
         buf = np.zeros((config.medium.grid_points, 9))
         buf[:, 0] = config.medium.grid()
     imag = not _real_fields(config)
-
-    def sink(snap: Snapshot, envelopes):
+    snapshots: list[Snapshot] = []
+    traj: list[dict] = []
+    fit = _FitWindow(config)
+    for snap, row, envelopes in records:
         if out is None:
             snapshots.append(snap)
         else:
-            if snap.index == 0:
+            if not traj:
                 out.mkdir(parents=True, exist_ok=True)
                 for stale in [out / "summary.json", out / "trajectory.tsv",
                               out / "config.txt", *out.glob("snap_*.npy")]:
@@ -341,11 +345,33 @@ def _snapshot_sink(config: RunConfig, out_dir, snapshots: list,
             if buf is not None:
                 _write_snapshot(out / f"snap_{snap.index:05d}.npy", snap, buf,
                                 imag, envelopes)
-        fit.add(snap, envelopes)
-    return sink
+        fit.add(snap, row, envelopes)
+        traj.append(row)
+        del snap, envelopes  # a streamed run holds none while the engine advances
+    return EngineRun(snapshots, traj, fit)
 
 
-def _run_direct(config: RunConfig, out_dir=None) -> EngineRun:
+def check_sponges(config: RunConfig, t: float, sponge: float) -> None:
+    """Refuse a record with more than SPONGE_ABORT_FRACTION of its energy in
+    the sponges while the controls hold the pulse; controls far from
+    stationarity (a transit or a release) let it flow out."""
+    if sponge <= SPONGE_ABORT_FRACTION:
+        return
+    med = config.medium
+    op, om = config.schedule.values(t)
+    held = op ** 2 + om ** 2 >= med.release_threshold
+    if held and abs(stationarity_residual(med, op, om)) < EXIT_RESIDUAL:
+        raise GuardBandOverflow(
+            f"{sponge:.3g} of the pulse energy reached the absorbing edges at "
+            f"t = {t:g} while the controls hold the pulse; a shorter "
+            f"pulse.duration, a pulse.center farther from the edges or a "
+            f"longer medium.domain_length keeps it clear")
+
+
+def _direct_records(config: RunConfig):
+    """The direct engine's records, one per snapshot event. Each is refused
+    by `check_sponges` before it is yielded; a storage record has no sponge
+    fraction."""
     med, sched, pulse, run = (config.medium, config.schedule,
                               config.pulse, config.run)
     state = init_state(med, sched, pulse)
@@ -356,47 +382,32 @@ def _run_direct(config: RunConfig, out_dir=None) -> EngineRun:
         pert = (perturber_density(med, config.perturber),
                 interaction_rate(config.perturber))
     probe_idx = _probe_index(config)
-
-    events = _build_events(config)
-    snapshots: list[Snapshot] = []
-    fit = _FitWindow(config)
-    sink = _snapshot_sink(config, out_dir, snapshots, fit)
-    traj: list[dict] = []
-    sponge_max = 0.0
-
-    def record():
-        nonlocal sponge_max
-        snap, row, envelopes = _record(config, state.t, state.mode,
-                                       state.psi_plus, state.psi_minus,
-                                       state.spin, sponge_mask, probe_idx,
-                                       len(traj))
-        sponge = row["sponge_fraction"]
-        sponge_max = max(sponge_max, sponge)
-        sink(snap, envelopes)
-        traj.append(row)
-        if state.mode == MODE_PDE and sponge > SPONGE_ABORT_FRACTION:
-            op, om = sched.values(state.t)
-            held = op ** 2 + om ** 2 >= med.release_threshold
-            if held and abs(stationarity_residual(med, op, om)) < EXIT_RESIDUAL:
-                raise GuardBandOverflow(
-                    f"{sponge:.3g} of the pulse energy reached the absorbing "
-                    f"edges at t = {state.t:g} while the controls hold the pulse")
-
-    record()
-    plan = None
-    for ev in events[1:]:
-        if state.mode == MODE_PDE:
-            plan = _pde_advance(state, sched, state.t, ev.t, run.dt_safety,
-                                pulse, w_plus, w_minus, pert, plan)
-        else:
-            storage_advance(state, ev.t - state.t)
-        if ev.kind == "off" and state.mode == MODE_PDE:
-            store(state, sched)
-        elif ev.kind == "on" and state.mode == MODE_STORAGE:
-            release(state, sched)
+    plan, index = None, 0
+    # the first event is the snapshot at the start
+    for k, ev in enumerate(_build_events(config)):
+        if k:
+            if state.mode == MODE_PDE:
+                plan = _pde_advance(state, sched, state.t, ev.t, run.dt_safety,
+                                    pulse, w_plus, w_minus, pert, plan)
+            else:
+                storage_advance(state, ev.t - state.t)
+            if ev.kind == "off" and state.mode == MODE_PDE:
+                store(state, sched)
+            elif ev.kind == "on" and state.mode == MODE_STORAGE:
+                release(state, sched)
         if ev.snap:
-            record()
-    return EngineRun(snapshots, traj, sponge_max, fit)
+            record = _record(config, state.t, state.mode, state.psi_plus,
+                             state.psi_minus, state.spin, sponge_mask,
+                             probe_idx, index)
+            check_sponges(config, state.t, record[1]["sponge_fraction"])
+            yield record
+            del record  # a streamed run holds no record while the fields advance
+            index += 1
+
+
+def _run_direct(config: RunConfig, out_dir=None) -> EngineRun:
+    """The direct engine's run, a stage that perfbench/spans.py times."""
+    return _run(config, out_dir, _direct_records(config))
 
 
 def check_guard_band(medium, psi_plus, psi_minus, centroid: float,
@@ -424,8 +435,8 @@ def check_guard_band(medium, psi_plus, psi_minus, centroid: float,
 def _spectral_records(config: RunConfig):
     """The spectral engine's records, one per snapshot time, from the
     spectrum of the direct engine's start field. Each is refused by
-    `check_guard_band` about its row's centroid, with the half-width
-    GUARD_WIDTHS times the oracle's rms width at run.t_end."""
+    `check_guard_band` before it is yielded, about its row's centroid, with
+    the half-width GUARD_WIDTHS times the oracle's rms width at run.t_end."""
     med, sched, pulse = config.medium, config.schedule, config.pulse
     # `parse_config` refuses a spectral run that opens in storage
     sstate = spectral_state_from_fields(
@@ -440,17 +451,6 @@ def _spectral_records(config: RunConfig):
                          probe_idx, index)
         check_guard_band(med, pp, pm, record[1]["phi_centroid"], half)
         yield record
-
-
-def _run_spectral(config: RunConfig, out_dir=None) -> EngineRun:
-    snapshots: list[Snapshot] = []
-    fit = _FitWindow(config)
-    sink = _snapshot_sink(config, out_dir, snapshots, fit)
-    traj: list[dict] = []
-    for snap, row, envelopes in _spectral_records(config):
-        sink(snap, envelopes)
-        traj.append(row)
-    return EngineRun(snapshots, traj, 0.0, fit)
 
 
 def _fit_window(config: RunConfig):
@@ -472,30 +472,30 @@ def _fit_window(config: RunConfig):
 
 
 class _FitWindow:
-    """The transport snapshots of the fit window, measured as the run
-    records them: their times, under `engine = both` the first and the
-    latest snapshot (the ends of the cross-engine replay) and, for a
-    prepared pulse, each one's errors against the oracle, until the oracle
-    refuses one (`refusal`)."""
+    """The transport records of the fit window, measured as the run
+    collects them: their trajectory rows, under `engine = both` the first
+    and the latest snapshot (the ends of the cross-engine replay) and, for
+    a prepared pulse, each one's errors against the oracle, until the
+    oracle refuses one (`refusal`)."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.window, self.tol = _fit_window(config), _tol(config)
-        self.times: list[float] = []
+        self.rows: list[dict] = []
         self.first = self.last = None
         # (envelope l2, width rel, decay rel) of each scored snapshot
         self.errors: list[tuple] = []
         self.anchor = self.refusal = None
         self.replay = config.engine == "both"
 
-    def add(self, snap: Snapshot, envelopes):
-        """Take in a snapshot with `_record`'s channel envelopes of it; a
-        prepared pulse's forward envelope is scored against the oracle."""
+    def add(self, snap: Snapshot, row: dict, envelopes):
+        """Take in a record of `_record`; a prepared pulse's forward
+        envelope is scored against the oracle."""
         window, tol = self.window, self.tol
         if (window is None or snap.mode != MODE_PDE
                 or not window[0] - tol <= snap.t <= window[1] + tol):
             return
-        self.times.append(snap.t)
+        self.rows.append(row)
         if self.replay:
             self.first = self.first or snap
             self.last = snap
@@ -520,7 +520,7 @@ def _cross_engine(config: RunConfig, primary: EngineRun):
     fit = primary.fit
     if fit.window is None:
         return None, ["cross-engine replay skipped: no suitable constant window"]
-    if len(fit.times) < 2:
+    if len(fit.rows) < 2:
         return None, ["cross-engine replay skipped: too few snapshots in window"]
     med, sched = config.medium, config.schedule
     s0, ref = fit.first, fit.last
@@ -533,7 +533,7 @@ def _cross_engine(config: RunConfig, primary: EngineRun):
         return None, ["cross-engine replay skipped: empty window"]
     num = (float(np.linalg.norm(pp - ref.psi_plus)) ** 2
            + float(np.linalg.norm(pm - ref.psi_minus)) ** 2)
-    return {"window": list(fit.window), "steps": len(fit.times) - 1,
+    return {"window": list(fit.window), "steps": len(fit.rows) - 1,
             "l2": math.sqrt(num / den)}, []
 
 
@@ -607,14 +607,10 @@ def _measurements(config: RunConfig, primary: EngineRun):
     out: dict = {"velocity": None, "width_rate": None, "area_decay": None,
                  "oracle": None, "conversion": None, "perturber": None}
     fit = primary.fit
-    tol = fit.tol
     if fit.window is None:
         warnings.append("no constant-control window available for fits")
     else:
-        lo, hi = fit.window
-        rows = [r for r in primary.trajectory
-                if lo - tol <= r["t"] <= hi + tol and r["mode"] == 0.0
-                and math.isfinite(r["phi_centroid"])]
+        rows = [r for r in fit.rows if math.isfinite(r["phi_centroid"])]
         if len(rows) < MIN_FIT_POINTS:
             warnings.append("fit window has too few usable snapshots")
         else:
@@ -651,13 +647,13 @@ def _measurements(config: RunConfig, primary: EngineRun):
                     "predicted_ratio": predd,
                     "rel_err": abs(a1 / a0 - predd) / predd}
 
-            if pulse.prepared and len(fit.times) >= 2:
+            if pulse.prepared and len(fit.rows) >= 2:
                 if fit.refusal is not None:
                     warnings.append(f"oracle comparison skipped: {fit.refusal}")
                 else:
                     env, width, decay = (max(col) for col in zip(*fit.errors))
                     out["oracle"] = {
-                        "times": list(fit.times), "max_envelope_l2": env,
+                        "times": [r["t"] for r in fit.rows], "max_envelope_l2": env,
                         "max_width_rel": width, "max_decay_rel": decay}
 
     pde_rows = [r for r in primary.trajectory
@@ -717,16 +713,19 @@ def _summary(config: RunConfig, primary: EngineRun, measurements: dict,
         # a storage window still open when the run ends has no end time
         "storage_windows": [[lo, None if hi == t_end else hi]
                             for lo, hi, transport in config.windows if not transport],
-        "sponge_max_fraction": primary.sponge_max,
+        "sponge_max_fraction": max(r["sponge_fraction"]
+                                   for r in primary.trajectory),
         "measurements": measurements,
         "warnings": list(dict.fromkeys(warnings)),
     }
 
 
 def run_scenario(config: RunConfig, out_dir=None) -> RunResult:
-    preflight(config)
+    """Run the config. Past the budget, the engine's records refuse what
+    `preflight` refuses, from the first one on, so the start is made once."""
+    check_budget(config)
     if config.engine == "spectral":
-        primary = _run_spectral(config, out_dir)
+        primary = _run(config, out_dir, _spectral_records(config))
     else:
         primary = _run_direct(config, out_dir)
 
@@ -749,8 +748,8 @@ def _write_snapshot(path: pathlib.Path, snap: Snapshot, buf: np.ndarray,
     """Save the float64 (N, 9) columns of the README's snap_NNNNN.npy; t, tau
     and mode of the snapshot are row `snap.index` of trajectory.tsv.
 
-    The columns are filled into `buf`, the array a run's sink keeps from
-    file to file. Only the field columns are written: the z column stays,
+    The columns are filled into `buf`, the array `_run` keeps from file to
+    file. Only the field columns are written: the z column stays,
     and with `imag` false so do the im columns of real fields, which must
     then be zero already. `envelopes` holds `_record`'s abs_a columns."""
     for col, values in ((1, snap.psi_plus), (3, snap.psi_minus), (7, snap.phi)):

@@ -473,17 +473,18 @@ def test_cross_engine_replay_is_one_exact_step(monkeypatch):
     config = parse_config(get_preset("stationary"))
     med, sched = config.medium, config.schedule
     fit = scenario._run_direct(config).fit
-    primary = scenario.EngineRun([], [], 0.0, fit)
+    times = [row["t"] for row in fit.rows]
+    primary = scenario.EngineRun([], [], fit)
     calls, propagate = [], scenario.propagate
     monkeypatch.setattr(scenario, "propagate",
                         lambda state, schedule, t: calls.append(t)
                         or propagate(state, schedule, t))
     cross, warnings = scenario._cross_engine(config, primary)
-    assert warnings == [] and calls == [fit.times[-1]]
-    assert cross["steps"] == len(fit.times) - 1 > 1
+    assert warnings == [] and calls == [times[-1]]
+    assert cross["steps"] == len(times) - 1 > 1
     first, last = fit.first, fit.last
     stepped = spectral_state_from_fields(med, first.psi_plus, t=first.t)
-    for t in fit.times[1:]:
+    for t in times[1:]:
         propagate(stepped, sched, t)
     pp, pm = fields_from_state(stepped)
     l2 = math.sqrt((np.linalg.norm(pp - last.psi_plus) ** 2
@@ -679,8 +680,14 @@ class TestPreflight:
         # the guard band of 89.4 does not fit around the start at z = 30.6
         ("stationary", {"engine": "spectral", "pulse.center": "30"},
          "pulse.center"),
+        # a held pulse of l_o = 37.2 already has 4.8e-4 of its energy in the
+        # sponges of the direct engine at t = 0
+        ("stationary", {"medium.r_g": "1.23", "medium.gamma2": "0",
+                        "medium.u_g0": "0.00124", "pulse.duration": "30000",
+                        "schedule.segment": "0 10000 0.02742 0.02696 50"},
+         "pulse.duration pulse.center medium.domain_length"),
     ], ids=["coarse-grid", "center-off-domain", "perturber-off-grid",
-            "spectral-opens-stored", "spectral-guard-band"])
+            "spectral-opens-stored", "spectral-guard-band", "direct-sponges"])
     def test_check_refuses_what_a_run_refuses_before_its_first_step(
             self, tmp_path, capsys, name, changes, named):
         cfg = tmp_path / "scenario.cfg"
@@ -690,8 +697,16 @@ class TestPreflight:
             assert main(["run", str(cfg), "--out-dir", str(out), *check]) == 2
             captured = capsys.readouterr()
             assert "config ok" not in captured.out
-            assert named in captured.err
+            assert all(key in captured.err for key in named.split())
             assert not out.exists()
+
+    def test_a_spectral_run_builds_its_start_once(self, monkeypatch):
+        """The run's own first record is the one its preflight checks."""
+        calls, init_state = [], scenario.init_state
+        monkeypatch.setattr(scenario, "init_state",
+                            lambda *args: calls.append(1) or init_state(*args))
+        run_scenario(parse_config(_stationary(engine="spectral")))
+        assert len(calls) == 1
 
     def test_a_ramp_that_crosses_twice_is_refused_at_parse(self):
         # (omega, 0) -> (0, omega) dips below the storage threshold and
@@ -715,6 +730,35 @@ class TestPreflight:
         for text in texts:
             preflight(parse_config(text))
 
+
+    @given(r_g=st.sampled_from([0.5, 1.0, 1.23, 1.6]),
+           u_g0=st.sampled_from([1e-3, 1.24e-3, 1.5e-3]),
+           gamma2=st.sampled_from([0.0, 1e-5, 1e-4]),
+           forward=st.sampled_from([0.5, 0.508, 0.55, 0.75, 1.0]),
+           duration=st.sampled_from([1e4, 2e4, 3e4]))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_a_checked_hold_writes_its_first_record(self, r_g, u_g0, gamma2,
+                                                    forward, duration):
+        """Constant controls of total power 1.48e-3, split between the
+        channels: a config that `--check` accepts is not refused before its
+        first record is written, and neither command raises."""
+        power = 1.48e-3
+        text = _stationary(**{
+            "medium.r_g": repr(r_g), "medium.u_g0": repr(u_g0),
+            "medium.gamma2": repr(gamma2), "pulse.duration": repr(duration),
+            "schedule.segment": f"0 1e4 {math.sqrt(power * forward)!r} "
+                                f"{math.sqrt(power * (1.0 - forward))!r} 50",
+            "run.snapshot_interval": "2500"})
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = pathlib.Path(tmp) / "scenario.cfg", pathlib.Path(tmp) / "out"
+            cfg.write_text(text)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                checked = main(["run", str(cfg), "--check"])
+                ran = main(["run", str(cfg), "--out-dir", str(out)])
+            assert checked in (0, 2) and ran in (0, 2)
+            if checked == 0:
+                assert (out / "snap_00000.npy").exists()
 
 class TestPerturbedRun:
     """A perturbed config runs the direct engine once, and its probe phase
@@ -908,7 +952,7 @@ class TestStreaming:
     @pytest.mark.parametrize("name", ["stationary", "phase_gate"])
     def test_a_kept_buffer_writes_each_snapshot_as_a_fresh_one(self, tmp_path,
                                                                preset_run, name):
-        """The sink fills one buffer for all of a run's files: each file
+        """A run fills one buffer for all of its files: each file
         still holds its own snapshot's columns, as a fresh array stacks
         them. phase_gate's run starts real and turns complex, and a
         real snapshot after a complex one must not keep its im columns."""
@@ -920,12 +964,15 @@ class TestStreaming:
         kinds = [snap.psi_plus.dtype.kind for snap in order]
         assert kinds == (["f", "f", "f"] if name == "stationary" else ["f", "c", "f"])
         out = tmp_path / "out"
-        sink = scenario._snapshot_sink(config, out, [], scenario._FitWindow(config))
-        for snap in order:
+        # the third snapshot is the first one's, under a new index
+        rows = [full.trajectory[i] for i in (0, later.index, 0)]
+        records = []
+        for snap, row in zip(order, rows):
             scale_p, scale_m = envelope_scales(config.medium,
                                                *config.schedule.values(snap.t))
-            sink(snap, (np.abs(snap.psi_plus) * scale_p,
-                        np.abs(snap.psi_minus) * scale_m))
+            records.append((snap, row, (np.abs(snap.psi_plus) * scale_p,
+                                        np.abs(snap.psi_minus) * scale_m)))
+        scenario._run(config, out, records)
         for snap in order:
             assert _holds_columns(out / f"snap_{snap.index:05d}.npy", config, snap)
 

@@ -6,10 +6,11 @@ usage:
 PARENT_CHECKOUT is a second checkout of the parent commit (a clone or an
 exported tree with its own src/). For each preset, both checkouts run
 `python -m statlight run --preset NAME --out-dir DIR` with their own src/ on
-PYTHONPATH, each into a fresh temporary directory. The script prints, per
-preset, the files whose bytes differ (the snapshots as a count) and the files
-that only one side wrote, and exits 1 if there are any (or if a run fails),
-else 0.
+PYTHONPATH, each into a fresh temporary directory, and
+`python -m statlight run --preset NAME --check`. The script prints, per
+preset, the files whose bytes differ (the snapshots as a count), the files
+that only one side wrote and whether the two `--check` runs differ in exit
+status or stdout, and exits 1 if there are any (or if a run fails), else 0.
 
 Under a preset whose files differ it prints how far the values moved: for
 each column of the snap_*.npy files and of trajectory.tsv, and for each
@@ -50,10 +51,14 @@ def presets(checkout: pathlib.Path) -> list[str]:
     return [line.split()[0] for line in statlight(checkout, "presets").splitlines()]
 
 
-def statlight(checkout: pathlib.Path, *args: str) -> str:
+def statlight_process(checkout: pathlib.Path, *args: str):
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run([sys.executable, "-m", "statlight", *args],
+    return subprocess.run([sys.executable, "-m", "statlight", *args],
                           cwd=checkout, env=env, capture_output=True, text=True)
+
+
+def statlight(checkout: pathlib.Path, *args: str) -> str:
+    proc = statlight_process(checkout, *args)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: statlight {' '.join(args)} failed:\n"
                          f"{proc.stderr}")
@@ -142,6 +147,13 @@ def main(argv=None) -> int:
                 files[side] = {p.name: p.read_bytes() for p in out.iterdir()}
             parent, change = files["parent"], files["change"]
             report = []
+            checks = [statlight_process(checkouts[side], "run", "--preset", name,
+                                        "--check") for side in SIDES]
+            if checks[0].returncode != checks[1].returncode:
+                report.append(f"--check exits {checks[0].returncode} in parent, "
+                              f"{checks[1].returncode} in change")
+            elif checks[0].stdout != checks[1].stdout:
+                report.append("--check stdout differs")
             changed = sorted(f for f in parent.keys() & change.keys()
                              if parent[f] != change[f])
             if changed:
@@ -157,7 +169,7 @@ def main(argv=None) -> int:
                                   f"{' '.join(sorted(mine.keys() - other.keys()))}")
             differ |= bool(report)
             print(f"{name}: " + ("; ".join(report) if report
-                                 else f"{len(change)} files identical"))
+                                 else f"{len(change)} files and --check identical"))
             for line in value_changes(parent, change, changed):
                 print(line)
     return 1 if differ else 0
