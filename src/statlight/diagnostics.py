@@ -81,11 +81,12 @@ def unwrapped_phase(samples) -> np.ndarray:
 
 
 def compare_to_oracle(medium: MediumModel, schedule: ControlSchedule,
-                      pulse: PulseSpec, t: float, a_plus, anchor=None):
-    """Relative errors (envelope l2, width, decay) of one measured forward
+                      pulse: PulseSpec, t: float, envelopes, anchor=None):
+    """Relative errors (envelope l2, width, decay) of one measured channel
     envelope at time t against the closed form, and the anchor to score the
-    next snapshot of the same series with. `a_plus` is the non-negative
-    envelope |psi_+| times `envelope_scales` that `_record` forms.
+    next snapshot of the same series with. `envelopes` is the non-negative
+    pair (a_plus, a_minus) that `_record` forms; the channel scored is the
+    one whose control is on at t, "+" when both or neither are.
 
     The anchor (scale, peak, B0, decay factor) comes from the series' first
     snapshot, scored with anchor=None, so only evolution (drift, spreading,
@@ -94,23 +95,26 @@ def compare_to_oracle(medium: MediumModel, schedule: ControlSchedule,
     one `decay_exponent` pass, and hands both to `gaussian_envelope`.
     """
     z = medium.grid()
-    check_channel(medium, schedule, "+", t)
+    op, om = schedule.values(t)
+    channel = "-" if op == 0.0 and om != 0.0 else "+"
+    check_channel(medium, schedule, channel, t)
+    a = envelopes[0 if channel == "+" else 1]
     b = width_b(medium, schedule, pulse, t)
     transport, total = decay_exponent(medium, schedule, t)
     # the closed form is a positive prefactor times a Gaussian
-    pred = gaussian_envelope(medium, schedule, pulse, "+", t, z,
+    pred = gaussian_envelope(medium, schedule, pulse, channel, t, z,
                              width=b, decay=transport)
     df = math.exp(-total)
-    pk = float(np.max(a_plus))
+    pk = float(np.max(a))
     if anchor is None:
         if pk <= 0.0:
-            raise EmptyField("first snapshot has no forward field")
+            raise EmptyField(f"first snapshot has no field in channel {channel}")
         anchor = (pk / float(np.max(pred)), pk, b, df)
     scale, peak0, b0, df0 = anchor
     pred = pred * scale
-    env_err = float(np.linalg.norm(a_plus - pred) / np.linalg.norm(pred))
+    env_err = float(np.linalg.norm(a - pred) / np.linalg.norm(pred))
 
-    m = moments(z, a_plus, medium.dz)
+    m = moments(z, a, medium.dz)
     width_err = abs(m.rms - b / math.sqrt(2.0)) / (b / math.sqrt(2.0))
 
     predicted_ratio = (df / df0) * (b0 / b)

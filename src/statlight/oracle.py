@@ -1,10 +1,11 @@
 """Closed-form pulse predictions used as ground truth by the tests.
 
 Everything here is an integral over the control schedule plus small-k Taylor
-data of the transport branch, keyed by lab time t; no fields are evolved. The
-integrands depend on t only through the controls, so `_quad` takes each
-plateau exactly, as value times length, and each smoothstep ramp by adaptive
-Gauss-Legendre quadrature.
+data of the transport branch, keyed by lab time t; no fields are evolved.
+Each is a `_quad` over the transport windows alone: a stored pulse does not
+drift, spread or decay. The integrands depend on t only through the controls,
+so `_quad` takes each plateau exactly, as value times length, and each
+smoothstep ramp by adaptive Gauss-Legendre quadrature.
 The drift/width pair (`drift_beta`, `width_b`) describes a Gaussian envelope
 carried by the two-channel medium; `gaussian_envelope` assembles the full
 envelope including the common decay and the channel prefactors.
@@ -27,8 +28,6 @@ from .medium import (
     coefficients,
     delta_weighted,
     group_velocity,
-    opens_stored,
-    power_crossings,
     pulse_length,
     regime_windows,
     tau_rate_at,
@@ -87,40 +86,45 @@ def _ramp_integral(f, a, b):
     return total
 
 
-def _quad(f, schedule: ControlSchedule, lo: float, hi: float) -> float:
-    """Integral over [lo, hi] of an f that depends on t only through the
-    controls: exact on plateaus, where f is constant, adaptive on ramps."""
-    if hi <= lo:
-        return 0.0
-    return sum((_ramp_integral(f, a, b) if ramping else f(0.5 * (a + b)) * (b - a)
-                for a, b, _, ramping in schedule.pieces(lo, hi)), 0.0)
+def _quad(f, medium: MediumModel, schedule: ControlSchedule,
+          lo: float, hi: float) -> float:
+    """Integral over the transport windows of `regime_windows` inside
+    [lo, hi] of an f that depends on t only through the controls: exact on
+    plateaus, where f is constant, adaptive on ramps. Stored time adds
+    nothing, and f is never called there."""
+    total = 0.0
+    for a, b, transport in regime_windows(medium, schedule, hi):
+        if transport and b > max(a, lo):
+            for p, q, _, ramping in schedule.pieces(max(a, lo), b):
+                total += _ramp_integral(f, p, q) if ramping else f(0.5 * (p + q)) * (q - p)
+    return total
 
 
 def drift_beta(medium: MediumModel, schedule: ControlSchedule,
                t: float) -> tuple[float, float]:
     """Envelope center drift (beta_plus, beta_minus) at lab time t.
 
-    The rate is the polariton group velocity (`group_velocity`) plus an
-    exact time derivative, which is taken as a boundary difference rather
-    than integrated. The drift is undefined in dark storage, so a schedule
-    that opens stored, and a t past an "off" crossing, are refused before any
+    The rate is the polariton group velocity, integrated by `_quad`, plus an
+    exact time derivative, taken as the difference of eta alpha_tilde /
+    xi_minus between the run's two ends (not per window: it changes sign
+    across storage). That term is inf * 0 in storage, so a t inside a
+    storage window, and a schedule that opens stored, are refused before any
     quadrature.
     """
-    crossings = power_crossings(medium, schedule)
-    if opens_stored(medium, schedule):
-        end = next((f"t = {tc:g}" for tc, kind in crossings if kind == "on"),
-                   "the end of the schedule")
-        raise DegenerateCoefficients(
-            f"drift undefined at t = {t:g}: the schedule opens in dark storage, "
-            f"below the storage threshold from t = {schedule.t_start:g} to {end}")
-    for tc, kind in crossings:
-        if kind == "off" and tc <= t:
+    t0 = schedule.t_start
+    for lo, hi, transport in regime_windows(medium, schedule, schedule.t_end):
+        if not transport and lo == t0:
+            end = "the end of the schedule" if hi == schedule.t_end else f"t = {hi:g}"
+            raise DegenerateCoefficients(
+                f"drift undefined at t = {t:g}: the schedule opens in dark storage, "
+                f"below the storage threshold from t = {t0:g} to {end}")
+        if not transport and lo < t <= hi:
             raise DegenerateCoefficients(
                 f"drift undefined at t = {t:g}: the control power fell below "
-                f"the storage threshold at t = {tc:g}")
-    t0 = schedule.t_start
+                f"the storage threshold at t = {lo:g}")
     xm = medium.xi_minus
-    main = _quad(lambda s: group_velocity(medium, *schedule.values(s)), schedule, t0, t)
+    main = _quad(lambda s: group_velocity(medium, *schedule.values(s)),
+                 medium, schedule, t0, t)
 
     def eta_alpha_tilde(s):
         co = coefficients(medium, *schedule.values(s))
@@ -143,11 +147,12 @@ def m2_rate(medium: MediumModel, schedule: ControlSchedule, t: float) -> float:
 
 def width_b(medium: MediumModel, schedule: ControlSchedule, pulse: PulseSpec,
             t: float) -> float:
-    """Envelope Gaussian width B at lab time t (time units, c = 1)."""
+    """Envelope Gaussian width B at lab time t (time units, c = 1). A stored
+    pulse does not spread, so B is the same at both ends of a storage window."""
     l_o = pulse_length(medium, pulse)
     grow = _quad(lambda s: m2_rate(medium, schedule, s)
                  * tau_rate_at(medium, schedule, s),
-                 schedule, schedule.t_start, t)
+                 medium, schedule, schedule.t_start, t)
     radicand = l_o ** 2 + 2.0 * grow
     if radicand <= 0.0:
         raise NegativeRadicand(
@@ -157,27 +162,18 @@ def width_b(medium: MediumModel, schedule: ControlSchedule, pulse: PulseSpec,
 
 def decay_exponent(medium: MediumModel, schedule: ControlSchedule,
                    t: float) -> tuple[float, float]:
-    """Integrals of the common envelope decay rate from schedule start to t,
-    in one pass over `regime_windows`: (over the transport windows alone,
-    and with the bare rate gamma2 over the stored time added). The first is
-    the envelope's own decay (`gaussian_envelope`), the second the predicted
-    attenuation of what the run carries through storage."""
+    """Integrals of the common envelope decay rate from schedule start to t:
+    (the `_quad` over the transport windows, and that plus the bare rate
+    gamma2 times the stored time). The first is the envelope's own decay
+    (`gaussian_envelope`), the second the predicted attenuation of what the
+    run carries through storage."""
     if medium.gamma2 == 0.0:
         return 0.0, 0.0
-
-    def rate(s):
-        op, om = schedule.values(s)
-        return coefficients(medium, op, om).eta * medium.gamma2
-
-    pde = total = 0.0
-    for lo, hi, transport in regime_windows(medium, schedule, t):
-        if transport:
-            part = _quad(rate, schedule, lo, hi)
-            pde += part
-            total += part
-        else:
-            total += medium.gamma2 * (hi - lo)
-    return pde, total
+    pde = _quad(lambda s: coefficients(medium, *schedule.values(s)).eta * medium.gamma2,
+                medium, schedule, schedule.t_start, t)
+    stored = sum(hi - lo for lo, hi, transport in regime_windows(medium, schedule, t)
+                 if not transport)
+    return pde, pde + medium.gamma2 * stored
 
 
 def check_channel(medium: MediumModel, schedule: ControlSchedule,
@@ -210,10 +206,9 @@ def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
     """
     check_channel(medium, schedule, channel, t)
     t0 = schedule.t_start
-    op0, _ = schedule.values(t0)
+    op0, om0 = schedule.values(t0)
     op1, om1 = schedule.values(t)
-    co0 = coefficients(medium, *schedule.values(t0))
-    co1 = coefficients(medium, op1, om1)
+    co0, co1 = coefficients(medium, op0, om0), coefficients(medium, op1, om1)
     if channel == "+":
         om_here, g_ratio = op1, 1.0
     else:

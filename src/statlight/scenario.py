@@ -489,8 +489,8 @@ class _FitWindow:
         self.replay = config.engine == "both"
 
     def add(self, snap: Snapshot, row: dict, envelopes):
-        """Take in a record of `_record`; a prepared pulse's forward
-        envelope is scored against the oracle."""
+        """Take in a record of `_record`; a prepared pulse's envelope is
+        scored against the oracle (`compare_to_oracle` picks the channel)."""
         window, tol = self.window, self.tol
         if (window is None or snap.mode != MODE_PDE
                 or not window[0] - tol <= snap.t <= window[1] + tol):
@@ -504,7 +504,7 @@ class _FitWindow:
             return
         try:
             errors, self.anchor = compare_to_oracle(med, sched, pulse, snap.t,
-                                                    envelopes[0], self.anchor)
+                                                    envelopes, self.anchor)
         except SimulationError as exc:
             self.refusal = str(exc)
         else:
@@ -582,9 +582,10 @@ def _perturber_measurement(config: RunConfig, primary: EngineRun):
         slope, _, r2 = linear_fit(tm, phi)
         result["phase_slope"] = slope
         result["phase_r2"] = r2
-    for i in range(1, len(phi)):
-        if phi[i - 1] < math.pi <= phi[i]:
-            frac = (math.pi - phi[i - 1]) / (phi[i] - phi[i - 1])
+    mag = np.abs(phi)  # a negative detuning's phase falls through -pi
+    for i in range(1, len(mag)):
+        if mag[i - 1] < math.pi <= mag[i]:
+            frac = (math.pi - mag[i - 1]) / (mag[i] - mag[i - 1])
             result["pi_crossing_time"] = float(tm[i - 1] + frac * (tm[i] - tm[i - 1]))
             break
     chi, t_pi = phase_rate_stationary(med, spec)

@@ -401,9 +401,10 @@ def test_velocity_r2_is_null_only_below_the_centroid_resolution(preset_run):
 
 
 def test_oracle_refusal_stops_scoring(monkeypatch):
-    """stop_and_store's fit window is the retrieval plateau, where the
-    forward channel has no control: the oracle refuses the window's first
-    snapshot, no later one is scored, and the summary says why."""
+    """A hold on the backward control alone: its channel is the one scored,
+    but the envelope's normalization needs the forward control on at the
+    start, so the oracle refuses the fit window's first snapshot, no later
+    one is scored, and the summary says why."""
     calls = []
 
     def counting(*args):
@@ -412,12 +413,32 @@ def test_oracle_refusal_stops_scoring(monkeypatch):
 
     compare = scenario.compare_to_oracle
     monkeypatch.setattr(scenario, "compare_to_oracle", counting)
-    result = run_scenario(parse_config(get_preset("stop_and_store")))
-    assert calls == [22000.0]
+    result = run_scenario(parse_config(_stationary(**{
+        "medium.gamma2": "1e-5", "schedule.segment": f"0 1e4 0 {OM0!r} 50",
+        "engine": "direct"})))
+    assert calls == [0.0]
     meas = result.summary["measurements"]
     assert meas["oracle"] is None and meas["velocity"] is not None
     assert result.summary["warnings"] == [
-        "oracle comparison skipped: channel + has no control field at t = 22000"]
+        "oracle comparison skipped: envelope normalization needs the forward "
+        "control on at start"]
+
+
+PREPARED = [name for name, _ in list_presets()
+            if parse_config(get_preset(name)).pulse.prepared]
+
+
+@pytest.mark.parametrize("name", PREPARED)
+def test_every_preset_with_a_prepared_pulse_is_scored(name, preset_run):
+    """The oracle integrates over the transport windows only, so a preset
+    whose pulse is stored and retrieved (stop_and_store) is scored like
+    the rest: each preset with a prepared pulse has a fit window, an oracle
+    block over it, and no warning that the comparison was skipped."""
+    result = preset_run(name)
+    assert scenario._fit_window(result.config) is not None
+    block = result.summary["measurements"]["oracle"]
+    assert block is not None and len(block["times"]) >= 2
+    assert not [w for w in result.summary["warnings"] if w.startswith("oracle")]
 
 
 STORED = """
@@ -731,6 +752,13 @@ class TestPreflight:
             preflight(parse_config(text))
 
 
+    # Over the 20 holds, the 10 runs whose sponges never held 1e-5 of the
+    # energy replayed to an l2 of 7.2e-4 to 2.7e-3; the six that held
+    # 2.0e-5 to 6.2e-4 replayed to 4.5e-3 to 3.8e-2, about the square root
+    # of the energy the sponges took, which the spectral replay keeps.
+    SPONGE_CLEAR = 1e-5
+    REPLAY_L2_CLEAR = 5e-3
+
     @given(r_g=st.sampled_from([0.5, 1.0, 1.23, 1.6]),
            u_g0=st.sampled_from([1e-3, 1.24e-3, 1.5e-3]),
            gamma2=st.sampled_from([0.0, 1e-5, 1e-4]),
@@ -741,7 +769,9 @@ class TestPreflight:
                                                     forward, duration):
         """Constant controls of total power 1.48e-3, split between the
         channels: a config that `--check` accepts is not refused before its
-        first record is written, and neither command raises."""
+        first record is written, and neither command raises. A run that
+        finishes with its pulse clear of the sponges matches its spectral
+        replay to REPLAY_L2_CLEAR."""
         power = 1.48e-3
         text = _stationary(**{
             "medium.r_g": repr(r_g), "medium.u_g0": repr(u_g0),
@@ -759,6 +789,11 @@ class TestPreflight:
             assert checked in (0, 2) and ran in (0, 2)
             if checked == 0:
                 assert (out / "snap_00000.npy").exists()
+            if ran == 0:
+                summary = json.loads((out / "summary.json").read_text())
+                if summary["sponge_max_fraction"] < self.SPONGE_CLEAR:
+                    cross = summary["measurements"]["cross_engine"]
+                    assert cross["l2"] <= self.REPLAY_L2_CLEAR
 
 class TestPerturbedRun:
     """A perturbed config runs the direct engine once, and its probe phase
@@ -797,6 +832,18 @@ class TestPerturbedRun:
         assert rows and all(r["probe_im"] == 0.0 for r in rows)
         masked = [r for r in rows if lo <= r["t"] <= hi]
         assert len(masked) >= 2 and all(r["probe_re"] > 0.0 for r in masked)
+
+    def test_a_falling_phase_crosses_pi_at_the_rising_phase_time(self, preset_run):
+        """A cloud detuned below the probe imprints the opposite phase: it
+        falls through -pi when the preset's rises through pi."""
+        rising = preset_run("phase_gate")
+        falling = run_scenario(parse_config(_preset_with(
+            "phase_gate", **{"perturber.detuning": "-10"})))
+        up, down = (r.summary["measurements"]["perturber"] for r in (rising, falling))
+        assert down["phase_final"] == pytest.approx(-up["phase_final"], rel=1e-12)
+        assert up["pi_crossing_time"] is not None
+        assert down["pi_crossing_time"] == pytest.approx(up["pi_crossing_time"],
+                                                         rel=1e-12)
 
 
 def _src_env() -> dict:

@@ -120,7 +120,8 @@ class TestOracleComparison:
         anchor, errors = None, []
         for t in [0.0, 2.5e3, 5e3, 1e4]:
             snap = gaussian_envelope(med, sched, pulse, "+", t, z)
-            errs, anchor = compare_to_oracle(med, sched, pulse, t, snap, anchor)
+            errs, anchor = compare_to_oracle(med, sched, pulse, t,
+                                             (snap, np.zeros_like(snap)), anchor)
             errors.append(errs)
         env, width, decay = (max(col) for col in zip(*errors))
         assert env < 1e-9
@@ -137,8 +138,8 @@ class TestOracleComparison:
         sched = build_schedule([Segment(0.0, 2e4, OM0, OM0)])
         pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
                             prepared=True, center=100.0)
-        with pytest.raises(EmptyField):
-            compare_to_oracle(med, sched, pulse, 0.0, np.zeros(256))
+        with pytest.raises(EmptyField, match="no field in channel \\+"):
+            compare_to_oracle(med, sched, pulse, 0.0, (np.zeros(256), np.ones(256)))
 
 
     RAMPED = build_schedule([Segment(0.0, 2000.0, OM0, 0.0),
@@ -202,25 +203,58 @@ class TestOracleComparison:
         for (t, a), want in zip(snapshots, expected):
             widths.clear()
             decays.clear()
-            # the forward envelope `_record` forms is non-negative
-            errors, anchor = compare_to_oracle(med, sched, pulse, t, np.abs(a),
-                                               anchor)
+            # the envelopes `_record` forms are non-negative; both controls
+            # are on past the ramp, so the forward channel is scored
+            errors, anchor = compare_to_oracle(
+                med, sched, pulse, t, (np.abs(a), np.zeros(len(z))), anchor)
             assert (errors, anchor) == want
             assert len(widths) == len(decays) == 1
 
     def test_channel_off_is_refused_before_any_quadrature(self, monkeypatch):
         med = build_medium(r_g=1.0, gamma=1.0, gamma2=1e-5, u_g0=1e-3,
                            domain_length=200.0, grid_points=256)
-        sched = build_schedule([Segment(0.0, 1000.0, OM0, 0.0),
-                                Segment(1000.0, 5000.0, 0.0, OM0, ramp=100.0)])
         pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
                             prepared=True, center=100.0)
         calls = (self.counting(monkeypatch, "width_b")
                  + self.counting(monkeypatch, "decay_exponent")
                  + self.counting(monkeypatch, "drift_beta"))
-        with pytest.raises(ChannelOff, match="channel \\+ has no control"):
-            compare_to_oracle(med, sched, pulse, 3000.0, np.ones(256))
+        for segments, message in [
+            # both controls off in the middle of a storage window
+            ([Segment(0.0, 1000.0, OM0, 0.0),
+              Segment(1000.0, 5000.0, 0.0, 0.0, ramp=100.0)],
+             "channel \\+ has no control"),
+            # the backward control alone: its channel is the one scored, but
+            # the forward control at the start fixes the normalization
+            ([Segment(0.0, 5000.0, 0.0, OM0)],
+             "normalization needs the forward control on at start"),
+        ]:
+            with pytest.raises(ChannelOff, match=message):
+                compare_to_oracle(med, build_schedule(segments), pulse, 3000.0,
+                                  (np.ones(256), np.ones(256)))
         assert calls == []
+
+    def test_the_backward_channel_is_scored_where_its_control_alone_is_on(self):
+        """Forward transport, storage with both controls off, and retrieval
+        on the backward control: each snapshot of the retrieval is scored
+        against the backward envelope, and a closed-form one scores zero."""
+        med = build_medium(r_g=1.0, gamma=1.0, gamma2=1e-5, u_g0=1e-3,
+                           domain_length=200.0, grid_points=4096)
+        sched = build_schedule([Segment(0.0, 500.0, OM0, 0.0),
+                                Segment(500.0, 5000.0, 0.0, 0.0),
+                                Segment(5000.0, 9000.0, 0.0, OM0)])
+        pulse = build_pulse(amplitude=1.0, duration=1e4, injection_time=0.0,
+                            prepared=True, center=100.0)
+        z = med.grid()
+        anchor, errors = None, []
+        for t in [6000.0, 7000.0, 9000.0]:
+            a_minus = gaussian_envelope(med, sched, pulse, "-", t, z)
+            errs, anchor = compare_to_oracle(med, sched, pulse, t,
+                                             (np.zeros(len(z)), a_minus), anchor)
+            errors.append(errs)
+        env, width, decay = (max(col) for col in zip(*errors))
+        assert env < 1e-9 and width < 1e-6
+        # a peak of l_o = 10 moving over the grid samples its maximum to ~2e-6
+        assert decay < 1e-5
 
 
 class TestChannelEnergies:

@@ -21,6 +21,7 @@ from statlight.medium import (
     coefficients,
     delta_weighted,
     group_velocity,
+    power_crossings,
     pulse_length,
     tau_rate_at,
 )
@@ -46,6 +47,32 @@ def medium_for(r_g=1.0, gamma2=0.0):
 
 def hold(om_plus, om_minus, t_end=2e4):
     return build_schedule([Segment(0.0, t_end, om_plus, om_minus)])
+
+
+def stored(t_store=200.0, t_release=10200.0, t_end=10800.0, ramp=50.0):
+    """Forward transport, dark storage with both controls off, and
+    retrieval on the backward control."""
+    return build_schedule([
+        Segment(0.0, t_store, OM0, 0.0),
+        Segment(t_store, t_release, 0.0, 0.0, ramp=ramp),
+        Segment(t_release, t_end, 0.0, OM0, ramp=ramp),
+    ])
+
+
+def storage_crossings(med, sched, off_ramp, on_ramp):
+    """(t_off, t_on) of the power crossing the storage threshold on the
+    ramp starting at off_ramp, and the release level on the one starting at
+    on_ramp, found by root bracketing of the control power."""
+    theta = med.storage_threshold
+
+    def power(t):
+        op, om = sched.values(t)
+        return op ** 2 + om ** 2
+
+    t_off, t_on = (optimize.brentq(lambda t: power(t) - level, a, a + 100.0,
+                                   xtol=1e-13, rtol=1e-15)
+                   for level, a in ((theta, off_ramp), (HYSTERESIS * theta, on_ramp)))
+    return t_off, t_on
 
 
 class TestDeltaWeighted:
@@ -144,19 +171,52 @@ class TestDrift:
 
     @pytest.mark.parametrize("t", [5000.0, 10800.0])
     def test_refuses_dark_storage_before_integrating(self, t, monkeypatch):
+        """Inside the storage window the drift is refused before any
+        integrand is called. After the release it is the group velocity
+        integrated over the two transport windows, plus the boundary term
+        over the run's two ends."""
         med = medium_for(gamma2=1e-5)
-        sched = build_schedule([
-            Segment(0.0, 200.0, OM0, 0.0),
-            Segment(200.0, 10200.0, 0.0, 0.0, ramp=50.0),
-            Segment(10200.0, 10800.0, 0.0, OM0, ramp=50.0),
-        ])
+        sched = stored()
+        t_off, t_on = storage_crossings(med, sched, 200.0, 10200.0)
         calls = self.count_integrands(monkeypatch)
         drift_beta(med, sched, 100.0)
         assert calls
         calls.clear()
-        with pytest.raises(DegenerateCoefficients, match="storage threshold"):
-            drift_beta(med, sched, t)
-        assert calls == []
+        if t < t_on:
+            with pytest.raises(DegenerateCoefficients, match="storage threshold"):
+                drift_beta(med, sched, t)
+            assert calls == []
+            return
+
+        def velocity(s):
+            return group_velocity(med, *sched.values(s))
+
+        def eta_alpha_tilde(s):
+            co = coefficients(med, *sched.values(s))
+            return co.eta * co.alpha_tilde
+
+        ref = (quad_ref(velocity, sched, 0.0, t_off) + quad_ref(velocity, sched, t_on, t)
+               - (eta_alpha_tilde(t) - eta_alpha_tilde(0.0)) / med.xi_minus)
+        beta, _ = drift_beta(med, sched, t)
+        assert abs(beta - ref) <= 1e-9 * abs(ref)
+
+    def test_storage_is_refused_and_never_nan(self):
+        """Both controls are off on the storage plateau, where eta
+        alpha_tilde is inf * 0: every t from the storage crossing (exclusive)
+        to the release crossing (inclusive) is refused, and every other t
+        gives a finite drift."""
+        med = medium_for(gamma2=1e-5)
+        sched = stored()
+        (t_off, _), (t_on, _) = power_crossings(med, sched)
+        ts = np.concatenate([np.linspace(0.0, 10800.0, 109),
+                             [t_off, np.nextafter(t_off, np.inf), t_on,
+                              np.nextafter(t_on, np.inf)]])
+        for t in ts:
+            if t_off < t <= t_on:
+                with pytest.raises(DegenerateCoefficients, match="storage threshold"):
+                    drift_beta(med, sched, t)
+            else:
+                assert all(map(math.isfinite, drift_beta(med, sched, t)))
 
     @pytest.mark.parametrize("t", [100.0, 1000.0])
     def test_refuses_a_schedule_that_opens_stored(self, t, monkeypatch):
@@ -204,6 +264,19 @@ class TestWidth:
         pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
                             prepared=True, center=100.0)
         assert width_b(med, sched, pulse, 0.0) == pytest.approx(20.0)
+
+    def test_a_stored_pulse_does_not_spread(self):
+        med = medium_for(gamma2=1e-5)
+        sched = stored()
+        pulse = build_pulse(amplitude=1.0, duration=1e4, injection_time=0.0,
+                            prepared=True, center=70.0)
+        (t_off, off), (t_on, on) = power_crossings(med, sched)
+        assert (off, on) == ("off", "on")
+        at_off = width_b(med, sched, pulse, t_off)
+        assert width_b(med, sched, pulse, 5000.0) == at_off
+        assert width_b(med, sched, pulse, t_on) == at_off
+        # the ramps and the retrieval move it again
+        assert width_b(med, sched, pulse, 10800.0) != at_off
 
 
 class TestDecay:
@@ -319,30 +392,33 @@ class TestAgainstQuadrature:
         assert transport == total
         assert abs(total - ref) <= 1e-9 * ref
 
+    def storage_schedule(self):
+        return stored(t_release=1200.0, t_end=2000.0, ramp=100.0)
+
     @pytest.mark.parametrize("include_storage", [True, False])
     def test_decay_exponent_across_storage_ramps(self, include_storage):
-        med = self.medium()
-        sched = build_schedule([
-            Segment(0.0, 200.0, OM0, 0.0),
-            Segment(200.0, 1200.0, 0.0, 0.0, ramp=100.0),
-            Segment(1200.0, 2000.0, 0.0, OM0, ramp=100.0),
-        ])
-        theta = med.storage_threshold
-
-        def power(t):
-            op, om = sched.values(t)
-            return op ** 2 + om ** 2
-
-        t_off = optimize.brentq(lambda t: power(t) - theta, 200.0, 300.0,
-                                xtol=1e-13, rtol=1e-15)
-        t_on = optimize.brentq(lambda t: power(t) - HYSTERESIS * theta,
-                               1200.0, 1300.0, xtol=1e-13, rtol=1e-15)
+        med, sched = self.medium(), self.storage_schedule()
+        t_off, t_on = storage_crossings(med, sched, 200.0, 1200.0)
         rate = self.eta_gamma2(med, sched)
         ref = quad_ref(rate, sched, 0.0, t_off) + quad_ref(rate, sched, t_on, 1700.0)
         if include_storage:
             ref += med.gamma2 * (t_on - t_off)
         got = decay_exponent(med, sched, 1700.0)[include_storage]
         assert abs(got - ref) <= 1e-9 * ref
+
+    def test_width_b_across_storage_ramps(self):
+        med, sched = self.medium(), self.storage_schedule()
+        pulse = build_pulse(amplitude=1.0, duration=2e3, injection_time=0.0,
+                            prepared=True, center=50.0)
+        t_off, t_on = storage_crossings(med, sched, 200.0, 1200.0)
+
+        def rate(t):
+            return m2_rate(med, sched, t) * tau_rate_at(med, sched, t)
+
+        grow = quad_ref(rate, sched, 0.0, t_off) + quad_ref(rate, sched, t_on, 1700.0)
+        b = width_b(med, sched, pulse, 1700.0)
+        assert abs(b ** 2 - pulse_length(med, pulse) ** 2 - 2.0 * grow) \
+            <= 1e-9 * abs(2.0 * grow)
 
 
 class TestEnvelope:

@@ -20,8 +20,12 @@ side (over all of a preset's differing snapshots, for the .npy columns),
 with the largest absolute change beside it; a field's is relative to the
 larger of its two values, with its absolute change beside it, so that
 roundoff on a value near zero reads as such. Bytes that differ with equal
-values (signed zeros) print no change. Non-numeric summary fields that
-differ are named.
+values (signed zeros) print no change. A summary field that only one side
+has (missing or null on the other) prints each leaf under it as added or
+removed, with its value if numeric, e.g.
+`measurements.oracle.max_envelope_l2 added 0.00101`; each warning added or
+removed prints in full. Other non-numeric summary fields that differ are
+named.
 """
 
 from __future__ import annotations
@@ -82,29 +86,56 @@ def column_changes(old: np.ndarray, new: np.ndarray, names, changes: dict):
         changes[name] = (max(ab, d), max(mag, top))
 
 
-def summary_changes(old, new, path: str, changes: dict):
-    """Fold into `changes` {field path: (relative change, absolute change),
-    or None for a non-numeric change} every field of two summary.json trees
-    that differs."""
-    if isinstance(old, dict) and isinstance(new, dict):
+def is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def leaves(tree, path: str):
+    """(path, value) of every leaf of a summary.json subtree."""
+    if isinstance(tree, dict):
+        for key in sorted(tree):
+            yield from leaves(tree[key], f"{path}.{key}")
+    elif isinstance(tree, list):
+        for i, v in enumerate(tree):
+            yield from leaves(v, f"{path}[{i}]")
+    else:
+        yield path, tree
+
+
+def summary_changes(old, new, path: str, lines: list[str]):
+    """Append to `lines` one entry per difference of two summary.json trees:
+    a numeric field's relative change, with its absolute change beside it;
+    each leaf of a field that only one side has (missing or null on the
+    other), as added or removed, with its value if numeric; each warning
+    added or removed; and the name of any other field that changed."""
+    if path == "warnings":
+        lines += [f"warning {kind}: {w}"
+                  for kind, mine, other in (("removed", old, new), ("added", new, old))
+                  for w in mine if w not in other]
+    elif (old is None) != (new is None):
+        kind, tree = ("added", new) if old is None else ("removed", old)
+        lines += [f"{leaf} {kind}" + (f" {v:.3g}" if is_number(v) else "")
+                  for leaf, v in leaves(tree, path)]
+    elif isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(old.keys() | new.keys()):
             summary_changes(old.get(key), new.get(key), f"{path}.{key}".lstrip("."),
-                            changes)
+                            lines)
     elif (isinstance(old, list) and isinstance(new, list)
           and len(old) == len(new)):
         for i, (a, b) in enumerate(zip(old, new)):
-            summary_changes(a, b, f"{path}[{i}]", changes)
+            summary_changes(a, b, f"{path}[{i}]", lines)
     elif old != new:
-        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                      for v in (old, new))
-        changes[path] = ((abs(old - new) / max(abs(old), abs(new)),
-                          abs(old - new)) if numeric else None)
+        if is_number(old) and is_number(new):
+            lines.append(f"{path} {abs(old - new) / max(abs(old), abs(new)):.2g} "
+                         f"(abs {abs(old - new):.2g})")
+        else:
+            lines.append(f"{path} changed")
 
 
 def value_changes(parent: dict, change: dict, changed: list[str]) -> list[str]:
     """Report lines on how far the values of the changed files moved."""
     snapshots, tables = {}, {}
-    fields: dict = {}
+    fields: list[str] = []
     for name in changed:
         if name.endswith(".npy"):
             column_changes(*(np.load(io.BytesIO(side[name]), allow_pickle=False)
@@ -124,10 +155,7 @@ def value_changes(parent: dict, change: dict, changed: list[str]) -> list[str]:
         if moved:
             lines.append(f"  {label}: " + ", ".join(moved))
     if fields:
-        lines.append("  summary.json: " + ", ".join(
-            f"{path} changed" if moved is None
-            else f"{path} {moved[0]:.2g} (abs {moved[1]:.2g})"
-            for path, moved in fields.items()))
+        lines.append("  summary.json: " + ", ".join(fields))
     return lines
 
 
