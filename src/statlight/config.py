@@ -9,7 +9,6 @@ control plateau: `t_start t_end omega_plus omega_minus [ramp]`.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 from .errors import ParseError, ValidationError
@@ -24,7 +23,6 @@ from .medium import (
     build_schedule,
     check_grid,
     opens_stored,
-    power_crossings,
     regime_windows,
 )
 from .perturber import PerturberSpec, build_perturber, cloud_rms
@@ -64,13 +62,6 @@ class RunConfig:
     output: OutputSettings
     engine: str
     perturber: PerturberSpec | None
-
-    # each run reads this several times: at preflight and for its summary
-    @functools.cached_property
-    def windows(self) -> tuple[tuple[float, float, bool], ...]:
-        """The transport and storage windows up to run.t_end
-        (`regime_windows`)."""
-        return tuple(regime_windows(self.medium, self.schedule, self.run.t_end))
 
 
 # Every config key in canonical order as (name, kind, default). A key's value
@@ -188,10 +179,9 @@ def _assemble(values: dict, segments: list[Segment]) -> RunConfig:
 
     medium = build_medium(**sections["medium"])
     schedule = build_schedule(segments)
-    # the crossings are found here, once per (medium, schedule): a clock
-    # rate that would overflow them, or a ramp that crosses twice, fails
-    # at parse time
-    power_crossings(medium, schedule)
+    # the storage timeline is walked here, once, and read from the cache after:
+    # a clock rate that would overflow it or a ramp that crosses twice fails here
+    regime_windows(medium, schedule)
     pulse = build_pulse(**sections["pulse"])
     check_grid(medium, pulse)
 

@@ -256,6 +256,12 @@ def build_schedule(segments) -> ControlSchedule:
         if seg.ramp > seg.t_end - seg.t_start:
             raise NonPhysicalParameter(
                 f"{key}: ramp {seg.ramp:g} longer than [{seg.t_start:g}, {seg.t_end:g}]")
+        # the slack within which segment ends meet (below): a ramp no longer is a jump
+        slack = 1e-9 * max(1.0, abs(seg.t_start))
+        if k > 1 and seg.ramp <= slack:
+            raise NonPhysicalParameter(
+                f"{key}: ramp {seg.ramp:g} is not longer than {slack:g}, the schedule's "
+                f"time resolution 1e-9 max(1, |t|) at its start t = {seg.t_start:g}")
         segs.append(seg)
     for k, (a, b) in enumerate(zip(segs, segs[1:]), 2):
         if abs(a.t_end - b.t_start) > 1e-9 * max(1.0, abs(a.t_end)):
@@ -485,47 +491,40 @@ def check_clock_rate(medium: MediumModel, schedule: ControlSchedule) -> None:
                 f"puts the stretched-time rate at {rate:g}, above {MAX_CLOCK_RATE:g}")
 
 
-def power_crossings(medium: MediumModel, schedule: ControlSchedule):
-    """Chronological storage threshold crossings as (time, kind) pairs.
-
-    kind is "off" (total control power dropped below the storage threshold)
-    or "on" (power recovered above the hysteresis level). On a ramp the power
-    is a quadratic in the smoothstep s, so each crossing is a root in s mapped
-    back through the smoothstep inverse. Raises ThresholdChatter when a single
-    ramp produces more than one crossing, and refuses a clock rate that would
-    overflow those roots (`check_clock_rate`). Both arguments are frozen, so
-    the crossings are found once per (medium, schedule) pair and each call
-    returns a fresh list of them.
-    """
-    return list(_power_crossings(medium, schedule))
-
-
 @functools.lru_cache(maxsize=16)
-def _power_crossings(medium: MediumModel,
-                     schedule: ControlSchedule) -> tuple[tuple[float, str], ...]:
+def regime_windows(medium: MediumModel,
+                   schedule: ControlSchedule) -> tuple[tuple[float, float, bool], ...]:
+    """The storage timeline: (lo, hi, transport) windows covering the whole
+    schedule, split where the control power crosses below the storage
+    threshold (storage, transport False) or above the release level. On a
+    ramp the power is a quadratic in the smoothstep s, so each crossing is a
+    root in s mapped back through the smoothstep inverse. Refuses a ramp
+    that crosses twice (ThresholdChatter) and a clock rate that would
+    overflow the roots (`check_clock_rate`). Cached: the walk runs once per
+    (medium, schedule) pair, and every reader gets the same tuple."""
     check_clock_rate(medium, schedule)
     gg2 = medium.gamma * medium.gamma2
-    active = not opens_stored(medium, schedule)
-    events: list[tuple[float, str]] = []
+    lo, transport = schedule.t_start, not opens_stored(medium, schedule)
+    windows: list[tuple[float, float, bool]] = []
     # over the whole span every ramp piece is a whole ramp, s from 0 to 1; on a
     # plateau c1 = c2 = 0 and nothing crosses
     for piece in _clock_pieces(medium, schedule, schedule.t_start, schedule.t_end):
-        s_lo = 0.0
-        ramp_events = []
+        s_lo, before = 0.0, len(windows)
         while True:
-            thr = medium.storage_threshold if active else medium.release_threshold
-            s = _ramp_crossing(piece, (gg2 + thr) / medium.gamma, not active)
+            thr = medium.storage_threshold if transport else medium.release_threshold
+            s = _ramp_crossing(piece, (gg2 + thr) / medium.gamma, not transport)
             if s is None or not s_lo < s <= 1.0:
                 break
             x = 0.5 - math.sin(math.asin(1.0 - 2.0 * s) / 3.0)
-            ramp_events.append((piece.t_ramp + piece.ramp * x, "off" if active else "on"))
-            active, s_lo = not active, s
-        if len(ramp_events) > 1:
+            t = piece.t_ramp + piece.ramp * x
+            windows.append((lo, t, transport))
+            lo, transport, s_lo = t, not transport, s
+        if len(windows) - before > 1:
             raise ThresholdChatter(
-                f"control power crossed the storage threshold {len(ramp_events)} "
+                f"control power crossed the storage threshold {len(windows) - before} "
                 f"times during the ramp at t = {piece.a:g}")
-        events.extend(ramp_events)
-    return tuple(events)
+    windows.append((lo, schedule.t_end, transport))
+    return tuple(windows)
 
 
 def opens_stored(medium: MediumModel, schedule: ControlSchedule) -> bool:
@@ -533,21 +532,6 @@ def opens_stored(medium: MediumModel, schedule: ControlSchedule) -> bool:
     storage threshold, so that a run opens with the pulse held as spin."""
     op, om = schedule.values(schedule.t_start)
     return op ** 2 + om ** 2 < medium.storage_threshold
-
-
-def regime_windows(medium: MediumModel, schedule: ControlSchedule,
-                   t: float) -> list[tuple[float, float, bool]]:
-    """Nonempty (lo, hi, transport) windows splitting [schedule start, t] at
-    the storage threshold crossings; transport is False while stored."""
-    transport = not opens_stored(medium, schedule)
-    edges = ([schedule.t_start]
-             + [tc for tc, _ in power_crossings(medium, schedule) if tc < t] + [t])
-    out = []
-    for lo, hi in zip(edges, edges[1:]):
-        if hi > lo:
-            out.append((lo, hi, transport))
-        transport = not transport
-    return out
 
 
 def envelope_scales(medium: MediumModel, omega_plus: float,

@@ -88,14 +88,15 @@ def _ramp_integral(f, a, b):
 
 def _quad(f, medium: MediumModel, schedule: ControlSchedule,
           lo: float, hi: float) -> float:
-    """Integral over the transport windows of `regime_windows` inside
-    [lo, hi] of an f that depends on t only through the controls: exact on
-    plateaus, where f is constant, adaptive on ramps. Stored time adds
-    nothing, and f is never called there."""
+    """Integral of an f that depends on t only through the controls over the
+    transport windows of the schedule's timeline (`regime_windows`), each
+    clipped to [lo, hi]: exact on plateaus, where f is constant, adaptive on
+    ramps. Stored time adds nothing, and f is never called there."""
     total = 0.0
-    for a, b, transport in regime_windows(medium, schedule, hi):
-        if transport and b > max(a, lo):
-            for p, q, _, ramping in schedule.pieces(max(a, lo), b):
+    for a, b, transport in regime_windows(medium, schedule):
+        a, b = max(a, lo), min(b, hi)
+        if transport and b > a:
+            for p, q, _, ramping in schedule.pieces(a, b):
                 total += _ramp_integral(f, p, q) if ramping else f(0.5 * (p + q)) * (q - p)
     return total
 
@@ -112,7 +113,7 @@ def drift_beta(medium: MediumModel, schedule: ControlSchedule,
     quadrature.
     """
     t0 = schedule.t_start
-    for lo, hi, transport in regime_windows(medium, schedule, schedule.t_end):
+    for lo, hi, transport in regime_windows(medium, schedule):
         if not transport and lo == t0:
             end = "the end of the schedule" if hi == schedule.t_end else f"t = {hi:g}"
             raise DegenerateCoefficients(
@@ -164,15 +165,16 @@ def decay_exponent(medium: MediumModel, schedule: ControlSchedule,
                    t: float) -> tuple[float, float]:
     """Integrals of the common envelope decay rate from schedule start to t:
     (the `_quad` over the transport windows, and that plus the bare rate
-    gamma2 times the stored time). The first is the envelope's own decay
-    (`gaussian_envelope`), the second the predicted attenuation of what the
-    run carries through storage."""
+    gamma2 times the stored time, min(hi, t) - lo summed over the storage
+    windows of `regime_windows` that open before t). The first is the
+    envelope's own decay (`gaussian_envelope`), the second the predicted
+    attenuation of what the run carries through storage."""
     if medium.gamma2 == 0.0:
         return 0.0, 0.0
     pde = _quad(lambda s: coefficients(medium, *schedule.values(s)).eta * medium.gamma2,
                 medium, schedule, schedule.t_start, t)
-    stored = sum(hi - lo for lo, hi, transport in regime_windows(medium, schedule, t)
-                 if not transport)
+    stored = sum(min(hi, t) - lo for lo, hi, transport in regime_windows(medium, schedule)
+                 if not transport and lo < t)
     return pde, pde + medium.gamma2 * stored
 
 

@@ -31,7 +31,7 @@ from .integrator import (BDF2, MODE_PDE, MODE_STORAGE, RESIDUAL_TOL,
                          advective_cap, build_absorbers, init_state, plan_steps,
                          polariton_field, release, step, storage_advance, store)
 from .medium import (coefficients, envelope_scales, group_velocity,
-                     power_crossings, pulse_length, stationarity_residual,
+                     pulse_length, regime_windows, stationarity_residual,
                      tau_of_t, validity_report)
 from .oracle import decay_exponent, width_b, width_growth_rate
 from .perturber import (interaction_rate, perturber_density,
@@ -124,7 +124,30 @@ def _snapshot_times(config: RunConfig) -> list[float]:
     return times
 
 
+def _run_windows(config: RunConfig) -> list[tuple[float, float, bool]]:
+    """The storage timeline (`regime_windows`) clipped to the run, from the
+    schedule start to run.t_end. A crossing within `_tol` of either end is
+    not an event of the run, so the run's events, its step budget and its
+    summary all describe the windows the engine takes."""
+    t0, t_end, tol = config.schedule.t_start, config.run.t_end, _tol(config)
+    timeline = regime_windows(config.medium, config.schedule)
+    edges, modes = [t0], [timeline[0][2]]
+    for lo, _, transport in timeline[1:]:
+        if t0 + tol < lo <= t_end - tol and transport != modes[-1]:
+            edges.append(lo)
+            modes.append(transport)
+    return list(zip(edges, edges[1:] + [t_end], modes))
+
+
+def _crossings(windows) -> list[tuple[float, str]]:
+    """(t, kind) of each window's start after the first: "on" where a
+    transport window opens, "off" where a storage window does."""
+    return [(lo, "on" if transport else "off") for lo, _, transport in windows[1:]]
+
+
 def _build_events(config: RunConfig) -> list[_Event]:
+    """The run's snapshot times, the breakpoints inside it and the crossings
+    of `_run_windows`, in time order; events within `_tol` are one."""
     sched = config.schedule
     t0, t_end = sched.t_start, config.run.t_end
     tol = _tol(config)
@@ -134,8 +157,7 @@ def _build_events(config: RunConfig) -> list[_Event]:
         tagged += [(float(t), "snap") for t in _fit_window(config) or ()
                    if t0 - tol <= t <= t_end + tol]
     tagged += [(b, "break") for b in sched.breakpoints() if t0 + tol < b < t_end - tol]
-    tagged += [(t, kind) for t, kind in power_crossings(config.medium, sched)
-               if t0 + tol < t <= t_end - tol]
+    tagged += _crossings(_run_windows(config))
     tagged.sort(key=lambda p: p[0])
     events: list[_Event] = []
     for t, tag in tagged:
@@ -208,7 +230,7 @@ def _pde_advance(state, schedule, a: float, b: float, safety: float,
 def resource_estimate(config: RunConfig) -> tuple[int, int]:
     """(transport steps, snapshot bytes held) that a run will need, from
     arithmetic alone. Steps are `_piece_steps` over the transport windows of
-    `config.windows` (the events of a run split pieces and add at most one
+    `_run_windows` (the events of a run split pieces and add at most one
     step each). The bytes are what a run without an out-dir holds, its full
     list: three grid arrays a snapshot, of 8-byte values in a direct run
     without a perturber and of 16-byte complex values otherwise. A run that
@@ -218,7 +240,7 @@ def resource_estimate(config: RunConfig) -> tuple[int, int]:
     steps = 0
     if config.engine != "spectral":
         steps = sum(_piece_steps(med, sched, a, b, i, ramping, run.dt_safety)
-                    for lo, hi, transport in config.windows
+                    for lo, hi, transport in _run_windows(config)
                     if transport
                     for a, b, i, ramping in sched.pieces(lo, hi))
     # start, end and the two ends of the fit window ride on top of the interval
@@ -695,6 +717,7 @@ def _summary(config: RunConfig, primary: EngineRun, measurements: dict,
              warnings: list) -> dict:
     med, sched, pulse = config.medium, config.schedule, config.pulse
     t_end = config.run.t_end
+    windows = _run_windows(config)
     return {
         "config": config_echo(config),
         "derived": {
@@ -707,13 +730,13 @@ def _summary(config: RunConfig, primary: EngineRun, measurements: dict,
             "storage_threshold": med.storage_threshold,
             # every engine records its last row at run.t_end
             "tau_end": primary.trajectory[-1]["tau"],
-            "final_mode": MODE_PDE if config.windows[-1][2] else MODE_STORAGE,
+            "final_mode": MODE_PDE if windows[-1][2] else MODE_STORAGE,
         },
         "validity": [c.to_dict() for c in validity_report(med, pulse, sched)],
-        "crossings": [[t, kind] for t, kind in power_crossings(med, sched) if t <= t_end],
+        "crossings": [list(c) for c in _crossings(windows)],
         # a storage window still open when the run ends has no end time
         "storage_windows": [[lo, None if hi == t_end else hi]
-                            for lo, hi, transport in config.windows if not transport],
+                            for lo, hi, transport in windows if not transport],
         "sponge_max_fraction": max(r["sponge_fraction"]
                                    for r in primary.trajectory),
         "measurements": measurements,

@@ -31,7 +31,8 @@ from statlight.errors import (
     ValidationError,
 )
 from statlight.integrator import RESIDUAL_TOL, FieldState
-from statlight.medium import Segment, envelope_scales, tau_of_t
+import statlight.medium as medium_module
+from statlight.medium import Segment, envelope_scales, regime_windows, tau_of_t
 from statlight.presets import get_preset, list_presets
 from statlight.spectral import (SpectralState, fields_from_state,
                                 spectral_state_from_fields)
@@ -469,6 +470,92 @@ def test_storage_windows_at_the_ends_of_a_run(segments, windows, final):
     assert result.trajectory[-1]["mode"] == (1.0 if final == "storage" else 0.0)
 
 
+# stop_and_store ending 3e-9 past its storage crossing, which lies within
+# `_tol` (5.3e-7 here) of the end and so is no event of the run
+ENDS_AT_THE_OFF_CROSSING = get_preset("stop_and_store").replace(
+    "run.t_end = 2.6e4", "run.t_end = 531.25634653")
+
+
+def test_a_crossing_within_tol_of_the_end_is_not_the_runs(run_text):
+    config = parse_config(ENDS_AT_THE_OFF_CROSSING)
+    _, (t_off, _, stored), _ = regime_windows(config.medium, config.schedule)
+    assert not stored
+    assert 0.0 < config.run.t_end - t_off < scenario._tol(config)
+    summary = run_text(ENDS_AT_THE_OFF_CROSSING).summary
+    assert summary["crossings"] == [] and summary["storage_windows"] == []
+
+
+def test_the_final_mode_is_the_last_rows(run_text):
+    result = run_text(ENDS_AT_THE_OFF_CROSSING)
+    final = result.summary["derived"]["final_mode"]
+    assert final == "pde"
+    assert result.trajectory[-1]["mode"] == (1.0 if final == "storage" else 0.0)
+
+
+def test_a_run_reads_its_storage_timeline_from_the_cache(monkeypatch):
+    """After parse, a whole run walks the storage timeline zero times: its
+    events, budget, summary and every oracle call read the cached windows."""
+    config = parse_config(get_preset("stop_and_store"))
+    misses = regime_windows.cache_info().misses
+    calls, check = [], medium_module.check_clock_rate
+    monkeypatch.setattr(medium_module, "check_clock_rate",
+                        lambda *args: calls.append(args) or check(*args))
+    result = run_scenario(config)
+    assert result.summary["measurements"]["oracle"] is not None
+    assert calls == [] and regime_windows.cache_info().misses == misses
+
+
+THETA = 1e-4  # the storage threshold 10 gamma gamma2 of STORED
+
+
+@given(release=st.sampled_from([(0.0, OM0), (OM0, 0.0), None]),
+       hold=st.sampled_from([0.0, 0.5 * THETA, 1.1 * THETA]),
+       ramp=st.sampled_from([1e-300, 1e-13, 1e-11, 3e-11, 1e-5, 1e-3, 1.0, 50.0]),
+       end=st.sampled_from([None, -1e-7, 3e-9, 1e-6, 200.0]))
+@settings(max_examples=48, deadline=None, derandomize=True)
+def test_a_stored_run_reports_the_modes_it_took(release, hold, ramp, end):
+    """Store and release as stop_and_store does, with the hold power off,
+    below the storage threshold or inside the hysteresis band, over ramps
+    down to the ones too short to step, and a run end `end` past the
+    storage crossing (None: the schedule end). A config that `--check`
+    accepts runs, its final mode is its last row's, and each row is stored
+    exactly when a storage window of the summary holds its t."""
+    segments = [f"0 500 {OM0!r} 0 50", f"500 3000 {math.sqrt(hold)!r} 0 {ramp!r}"]
+    if release is not None:
+        segments.append(f"3000 4000 {release[0]!r} {release[1]!r} {ramp!r}")
+    text = STORED + "output.snapshots = false\n" + "".join(
+        f"schedule.segment = {seg}\n" for seg in segments)
+    with contextlib.suppress(SimulationError):
+        config = parse_config(text)
+        off = [lo for lo, _, transport in regime_windows(
+            config.medium, config.schedule) if not transport]
+        if end is not None and off:
+            text += f"run.t_end = {off[0] + end!r}\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = pathlib.Path(tmp) / "scenario.cfg", pathlib.Path(tmp) / "out"
+        cfg.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            checked = main(["run", str(cfg), "--check"])
+            ran = main(["run", str(cfg), "--out-dir", str(out)])
+        assert checked in (0, 2) and ran == checked
+        if checked:
+            assert not out.exists()
+            return
+        summary = json.loads((out / "summary.json").read_text())
+        rows = np.loadtxt(out / "trajectory.tsv", ndmin=2)
+    t_col, mode_col = (scenario.TRAJECTORY_COLUMNS.index(c) for c in ("t", "mode"))
+    final = summary["derived"]["final_mode"]
+    assert rows[-1, mode_col] == (1.0 if final == "storage" else 0.0)
+    for t, mode in rows[:, [t_col, mode_col]]:
+        stored = any(lo <= t < (math.inf if hi is None else hi)
+                     for lo, hi in summary["storage_windows"])
+        assert mode == (1.0 if stored else 0.0)
+    assert [t for t, _ in summary["crossings"]] == sorted(
+        [lo for lo, _ in summary["storage_windows"]]
+        + [hi for _, hi in summary["storage_windows"] if hi is not None])
+
+
 def test_snapshot_next_to_a_ramp_end_moves_onto_the_plateau():
     """A grid snapshot just short of the ramp end that opens the fit window
     is taken at the ramp end, where the cross-engine replay can start."""
@@ -526,6 +613,16 @@ def _preset_with(name: str, **changes) -> str:
 
 def _stationary(**changes) -> str:
     return _preset_with("stationary", **changes)
+
+
+def _short_ramps(ramp: str) -> dict:
+    """Changes to the stationary preset that store its pulse for
+    [1000, 2000] and take both controls off and back over `ramp`."""
+    return {"medium.gamma2": "1e-5", "engine": "direct", "run.t_end": "3000",
+            "run.snapshot_interval": "150",
+            "schedule.segment": f"0 1000 0.03 0.03\n"
+                                f"schedule.segment = 1000 2000 0 0 {ramp}\n"
+                                f"schedule.segment = 2000 3000 0.03 0.03 {ramp}"}
 
 
 class TestPreflight:
@@ -707,8 +804,12 @@ class TestPreflight:
                         "medium.u_g0": "0.00124", "pulse.duration": "30000",
                         "schedule.segment": "0 10000 0.02742 0.02696 50"},
          "pulse.duration pulse.center medium.domain_length"),
+        # ramps too short to step, which the schedule takes for jumps
+        *[("stationary", _short_ramps(ramp), "schedule.segment 2")
+          for ramp in ("1e-300", "1e-13", "1e-11")],
     ], ids=["coarse-grid", "center-off-domain", "perturber-off-grid",
-            "spectral-opens-stored", "spectral-guard-band", "direct-sponges"])
+            "spectral-opens-stored", "spectral-guard-band", "direct-sponges",
+            "ramp-1e-300", "ramp-1e-13", "ramp-1e-11"])
     def test_check_refuses_what_a_run_refuses_before_its_first_step(
             self, tmp_path, capsys, name, changes, named):
         cfg = tmp_path / "scenario.cfg"

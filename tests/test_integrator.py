@@ -46,7 +46,6 @@ from statlight.medium import (
     build_pulse,
     build_schedule,
     coefficients,
-    regime_windows,
     tau_of_t,
 )
 
@@ -564,8 +563,7 @@ class TestPlan:
     def test_first_window_is_pivot_free_and_pins_the_source(self, name):
         config = parse_config(config_texts()[name])
         med, sched = config.medium, config.schedule
-        lo, hi, _ = next(w for w in regime_windows(med, sched, config.run.t_end)
-                         if w[2])
+        lo, hi, _ = next(w for w in scenario._run_windows(config) if w[2])
         a, b, i, ramping = sched.pieces(lo, hi)[0]
         dt = (b - a) / scenario._piece_steps(med, sched, a, b, i, ramping,
                                              config.run.dt_safety)

@@ -26,7 +26,6 @@ from statlight.medium import (
     build_schedule,
     coefficients,
     group_velocity,
-    power_crossings,
     pulse_length,
     regime_windows,
     stationarity_residual,
@@ -35,6 +34,7 @@ from statlight.medium import (
     validity_report,
 )
 import statlight.medium as medium_module
+from statlight import scenario
 from statlight.presets import get_preset
 
 OM0 = math.sqrt(1e-3)
@@ -356,6 +356,18 @@ def brentq_crossings(med, sched, n=4096):
     return events
 
 
+def crossings(med, sched):
+    """(t, kind) of each window start after the first of the storage
+    timeline: "off" into storage, "on" into transport."""
+    return [(lo, "on" if transport else "off")
+            for lo, _, transport in regime_windows(med, sched)[1:]]
+
+
+def up_to(windows, t):
+    """The windows clipped to [start, t], as the oracle reads them."""
+    return [(lo, min(hi, t), transport) for lo, hi, transport in windows if lo < t]
+
+
 class TestCrossings:
     def test_power_crossings_with_hysteresis(self):
         med = canonical(1e-5)
@@ -364,11 +376,11 @@ class TestCrossings:
             Segment(200.0, 10200.0, 0.0, 0.0, ramp=50.0),
             Segment(10200.0, 10800.0, 0.0, OM0, ramp=50.0),
         ])
-        crossings = power_crossings(med, sched)
-        kinds = [kind for _t, kind in crossings]
+        found = crossings(med, sched)
+        kinds = [kind for _t, kind in found]
         assert kinds == ["off", "on"]
-        t_off = crossings[0][0]
-        t_on = crossings[1][0]
+        t_off = found[0][0]
+        t_on = found[1][0]
         assert 200.0 < t_off < 250.0
         assert 10200.0 < t_on < 10250.0
         # re-activation waits for the hysteresis level, not the off level
@@ -381,34 +393,34 @@ class TestCrossings:
 
     def test_no_crossings_on_steady_hold(self):
         med = canonical(1e-4)
-        assert power_crossings(med, hold(OM0, OM0)) == []
+        assert crossings(med, hold(OM0, OM0)) == []
+        assert regime_windows(med, hold(OM0, OM0)) == ((0.0, 2e4, True),)
 
     def test_found_once_per_medium_and_schedule(self, monkeypatch):
-        """`drift_beta`, `regime_windows` and every oracle call at each
-        snapshot read the crossings; the roots are solved once per (medium,
+        """The run, its budget, its summary and every oracle call at each
+        snapshot read the timeline; its roots are solved once per (medium,
         schedule) pair, and no caller can change what the next one gets."""
         checked = []
         check = medium_module.check_clock_rate
         monkeypatch.setattr(medium_module, "check_clock_rate",
                             lambda *args: checked.append(args) or check(*args))
-        medium_module._power_crossings.cache_clear()
+        regime_windows.cache_clear()
         med = canonical(1e-5)
         sched = build_schedule([
             Segment(0.0, 200.0, OM0, 0.0),
             Segment(200.0, 10200.0, 0.0, 0.0, ramp=50.0),
             Segment(10200.0, 10800.0, 0.0, OM0, ramp=50.0),
         ])
-        first = power_crossings(med, sched)
-        first.clear()
-        again = power_crossings(med, sched)
-        assert [kind for _, kind in again] == ["off", "on"]
-        for t in (100.0, 5000.0, 10800.0):
-            regime_windows(med, sched, t)
+        first = regime_windows(med, sched)
+        assert isinstance(first, tuple)
+        again = regime_windows(med, sched)
+        assert again is first
+        assert [transport for _, _, transport in again] == [True, False, True]
         # an equal pair is the same key
-        assert power_crossings(dataclasses.replace(med), build_schedule(
-            list(sched.segments))) == again
+        assert regime_windows(dataclasses.replace(med), build_schedule(
+            list(sched.segments))) is again
         assert len(checked) == 1
-        power_crossings(canonical(2e-5), sched)
+        regime_windows(canonical(2e-5), sched)
         assert len(checked) == 2
 
     @pytest.mark.parametrize("levels", [
@@ -426,7 +438,7 @@ class TestCrossings:
                     ramp=80.0 + 170.0 * k)
             for k, (op, om) in enumerate(levels)])
         ref = brentq_crossings(med, sched)
-        got = power_crossings(med, sched)
+        got = crossings(med, sched)
         assert ref
         assert [kind for _, kind in got] == [kind for _, kind in ref]
         for (t, _), (t_ref, _) in zip(got, ref):
@@ -443,7 +455,7 @@ class TestCrossings:
         ])
         assert [kind for _, kind in brentq_crossings(med, sched)] == ["off", "on"]
         with pytest.raises(ThresholdChatter, match="2 times"):
-            power_crossings(med, sched)
+            regime_windows(med, sched)
 
     @pytest.mark.parametrize("gamma", [1e-200, 1e-310])
     def test_tiny_gamma_is_refused_before_ramp_arithmetic(self, gamma):
@@ -453,32 +465,34 @@ class TestCrossings:
                            domain_length=120.0, grid_points=2048)
         sched = parse_config(get_preset("stop_and_store")).schedule
         with pytest.raises(NonPhysicalParameter, match="medium.gamma"):
-            power_crossings(med, sched)
+            regime_windows(med, sched)
 
 
 class TestRegimeWindows:
     def test_stop_and_store(self):
         config = parse_config(get_preset("stop_and_store"))
         med, sched = config.medium, config.schedule
-        (t_off, off), (t_on, on) = power_crossings(med, sched)
+        (t_off, off), (t_on, on) = crossings(med, sched)
         assert (off, on) == ("off", "on")
-        assert regime_windows(med, sched, sched.t_end) == [
+        assert regime_windows(med, sched) == (
             (sched.t_start, t_off, True), (t_off, t_on, False),
-            (t_on, sched.t_end, True)]
-        # a window ends at t; crossings at or after t are left out
-        assert regime_windows(med, sched, t_on) == [
+            (t_on, sched.t_end, True))
+        # a run that ends at a crossing ends before it
+        ends_on = dataclasses.replace(
+            config, run=dataclasses.replace(config.run, t_end=t_on))
+        assert scenario._run_windows(ends_on) == [
             (sched.t_start, t_off, True), (t_off, t_on, False)]
 
     def test_schedule_opening_dark(self):
         med = canonical(1e-5)
         sched = build_schedule([Segment(0.0, 1000.0, 0.0, 0.0),
                                 Segment(1000.0, 2000.0, OM0, 0.0, ramp=100.0)])
-        [(t_on, kind)] = power_crossings(med, sched)
+        [(t_on, kind)] = crossings(med, sched)
         assert kind == "on" and 1000.0 < t_on < 1100.0
-        assert regime_windows(med, sched, 2000.0) == [
-            (0.0, t_on, False), (t_on, 2000.0, True)]
-        assert regime_windows(med, sched, 500.0) == [(0.0, 500.0, False)]
-        assert regime_windows(med, sched, 0.0) == []
+        assert regime_windows(med, sched) == (
+            (0.0, t_on, False), (t_on, 2000.0, True))
+        assert up_to(regime_windows(med, sched), 500.0) == [(0.0, 500.0, False)]
+        assert up_to(regime_windows(med, sched), 0.0) == []
 
 
 def test_validity_report_smoke():

@@ -21,8 +21,8 @@ from statlight.medium import (
     coefficients,
     delta_weighted,
     group_velocity,
-    power_crossings,
     pulse_length,
+    regime_windows,
     tau_rate_at,
 )
 from statlight.oracle import (
@@ -207,7 +207,7 @@ class TestDrift:
         gives a finite drift."""
         med = medium_for(gamma2=1e-5)
         sched = stored()
-        (t_off, _), (t_on, _) = power_crossings(med, sched)
+        _, (t_off, t_on, _), _ = regime_windows(med, sched)
         ts = np.concatenate([np.linspace(0.0, 10800.0, 109),
                              [t_off, np.nextafter(t_off, np.inf), t_on,
                               np.nextafter(t_on, np.inf)]])
@@ -270,8 +270,8 @@ class TestWidth:
         sched = stored()
         pulse = build_pulse(amplitude=1.0, duration=1e4, injection_time=0.0,
                             prepared=True, center=70.0)
-        (t_off, off), (t_on, on) = power_crossings(med, sched)
-        assert (off, on) == ("off", "on")
+        (_, t_off, before), (_, t_on, held), _ = regime_windows(med, sched)
+        assert (before, held) == (True, False)
         at_off = width_b(med, sched, pulse, t_off)
         assert width_b(med, sched, pulse, 5000.0) == at_off
         assert width_b(med, sched, pulse, t_on) == at_off
