@@ -66,7 +66,6 @@ import numpy as np
 
 from .errors import CFLViolation, NonPhysicalParameter, SweepDivergence
 from .medium import (
-    Coefficients,
     ControlSchedule,
     MediumModel,
     PulseSpec,
@@ -170,17 +169,17 @@ def init_state(medium: MediumModel, schedule: ControlSchedule,
     return FieldState(medium, pp, pm, t0)
 
 
-def source_amplitude(medium: MediumModel, schedule: ControlSchedule,
-                     pulse: PulseSpec, t: float) -> float:
-    """Boundary value of psi_plus at z = 0 feeding an injected pulse."""
-    if pulse.prepared:
-        return 0.0
-    op, _ = schedule.values(t)
-    if op ** 2 < medium.storage_threshold:
+def source_amplitude(medium: MediumModel, pulse: PulseSpec, t: float,
+                     omega_plus: float) -> float:
+    """Boundary value of psi_plus at z = 0 feeding an injected pulse at lab
+    time t, where the forward control is `omega_plus`: zero for a prepared
+    pulse and below the storage threshold. `step` passes the control its
+    plan holds for the step's end."""
+    if pulse.prepared or omega_plus ** 2 < medium.storage_threshold:
         return 0.0
     envelope = pulse.amplitude * math.exp(
         -((t - pulse.injection_time) ** 2) / (2.0 * pulse.duration ** 2))
-    return math.sqrt(medium.gamma) * envelope / op
+    return math.sqrt(medium.gamma) * envelope / omega_plus
 
 
 def build_absorbers(medium: MediumModel):
@@ -212,20 +211,21 @@ def advective_cap(medium: MediumModel, schedule: ControlSchedule, times) -> floa
 class StepPlan:
     """What every step of length dt shares within one constant-control window.
 
-    `bands` holds the nonzeros of the real implicit matrix, with the
-    backward rows divided by rho and the inflow row pinned at its
-    power-of-two scale, kept for the residual check: rows diag, sub and
-    sup, where sub[j] and sup[j] are the one entry left and the one entry
-    right of the diagonal in row j, A[j, j-2] and A[j, j+1] in a forward
-    row j = 2i, A[j, j-1] and A[j, j+2] in a backward row j = 2i+1 (zero
-    where the column falls outside the matrix, and in the pinned rows).
-    `factors` holds that matrix as D L' U~: the unit-lower L' and
-    unit-upper U~ band factors as Fortran (3, m) arrays, the layout `dtbsv`
-    and `ztbsv` read with diag=1 (their diagonal rows hold ones), and the
-    reciprocal pivots 1/D as an (m,) array; all real without a perturber,
-    complex with one. `split` is the perturber's per-step factor on
-    psi_plus, or None without one. `mass` is the time scheme's factor c,
-    `BE` or `BDF2`.
+    `bands` holds the nonzeros of the implicit matrix, with the backward
+    rows divided by rho and the inflow row pinned at its power-of-two scale,
+    kept for the residual check: rows diag, sub and sup, where sub[j] and
+    sup[j] are the one entry left and the one entry right of the diagonal
+    in row j, A[j, j-2] and A[j, j+1] in a forward row j = 2i, A[j, j-1]
+    and A[j, j+2] in a backward row j = 2i+1 (zero where the column falls
+    outside the matrix, and in the pinned rows). The matrix is real; the
+    bands hold it in the plan's dtype, so that no residual product mixes
+    real and complex. `factors` holds that matrix as D L' U~: the
+    unit-lower L' and unit-upper U~ band factors as Fortran (3, m) arrays,
+    the layout `dtbsv` and `ztbsv` read with diag=1 (their diagonal rows
+    hold ones), and the reciprocal pivots 1/D as an (m,) array. Everything
+    is real without a perturber and complex with one. `split` is the
+    perturber's per-step factor on psi_plus, or None without one. `mass` is
+    the time scheme's factor c, `BE` or `BDF2`.
 
     `controls` holds the controls at both ends of the step the plan was
     built for, and `inputs` records c, dt, dtau and those controls bit for
@@ -236,18 +236,34 @@ class StepPlan:
     `ztbsv` in complex128 with one. The fields `step` leaves in the state
     are views of the solution row, so a field kept past the next step must
     be copied.
+
+    The rest is what `step` reads on every call, made once with the plan:
+    `alphas`, the mixing weights (alpha_+, alpha_-) at the step's start;
+    `scale`, the right-hand side's factor 1/dtau (BE) or 2/dtau (BDF2);
+    `pin`, the inflow row's scale bands[0, 0]; `rows`, the rhs, solution
+    and residual rows of `work`; `halves`, the forward and backward halves
+    of the rhs row and of the solution row; `residual`, the residual's terms
+    below and above the diagonal, each as its (band, solution, product)
+    triples and the (residual, product) pair they add into; and `pieces`,
+    the float views of the first three work rows that the norms take.
     """
 
     dt: float
     dtau: float
     mass: float
-    co_old: Coefficients
+    alphas: tuple[float, float]
     controls: tuple[float, float, float, float]
     inputs: bytes
     bands: np.ndarray
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
     split: np.ndarray | None
     work: np.ndarray
+    scale: float
+    pin: float
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    halves: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    residual: tuple
+    pieces: tuple[np.ndarray, ...]
 
 
 def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
@@ -264,8 +280,8 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     medium, absorbers and perturber, is returned as it is when mass, dt, dtau
     and the controls at t0 and t0 + dt are bit-identical to its own inputs,
     since the matrix would be too; otherwise the new plan takes over its work
-    rows. dtau is compared, not assumed: on a plateau it is (t1 - t0) times
-    the rate, whose rounding depends on t0.
+    rows, and makes its own views of them. dtau is compared, not assumed: on
+    a plateau it is (t1 - t0) times the rate, whose rounding depends on t0.
     """
     n = medium.grid_points
     dz = medium.dz
@@ -315,7 +331,8 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     # power of two no smaller than the entries below it in column 0, so it
     # stays the pivot row and rhs pin * source gives the source exactly
     mantissa, exponent = math.frexp(max(abs(sub[1]), abs(sub[2])))
-    diag[0] = math.ldexp(1.0, exponent - 1 if mantissa == 0.5 else exponent)
+    pin = math.ldexp(1.0, exponent - 1 if mantissa == 0.5 else exponent)
+    diag[0] = pin
     sup[0] = 0.0
     diag[m - 1] = 1.0
     sub[m - 1] = 0.0
@@ -357,9 +374,23 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
         np.divide(lu[4 - k, k:], pivots[:-k], out=upper[row, k:])
     inv_pivots = np.empty(m, dtype=dtype)
     np.divide(1.0, pivots, out=inv_pivots)
-    # the factored band array is spent: free it before the split is made
+    # the factored band array is spent: free it before the split is made.
+    # A perturbed plan keeps its bands complex in place of the real ones
     del ab, lu, pivots
+    bands = bands.astype(dtype, copy=False)
+    diag, sub, sup = bands
     work = np.empty((4, m), dtype=dtype) if last is None else last.work
+    rhs, u, res, prod = work
+    # a forward row 2i reaches u[2i-2] and u[2i+1], a backward row 2i+1
+    # u[2i] and u[2i+3]; each row adds its lower term before its upper one
+    residual = (diag,
+                (((sub[2::2], u[:-2:2], prod[2::2]), (sub[1::2], u[0::2], prod[1::2])),
+                 (res[1:], prod[1:])),
+                (((sup[0::2], u[1::2], prod[0::2]), (sup[1:-2:2], u[3::2], prod[1:-2:2])),
+                 (res[:-1], prod[:-1])))
+    floats = work[:3].view(float)
+    pieces = tuple(floats[:, a:a + NORM_PIECE]
+                   for a in range(0, floats.shape[1], NORM_PIECE))
 
     split = None
     if perturber is not None:
@@ -367,14 +398,21 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
         split = rate * density
         split *= dtau
         np.exp(split, out=split)
-    return StepPlan(dt, dtau, mass, co_old, (*controls_old, *controls), inputs,
-                    bands, (lower, upper, inv_pivots), split, work)
+    return StepPlan(dt, dtau, mass, (co_old.alpha_plus, co_old.alpha_minus),
+                    (*controls_old, *controls), inputs, bands,
+                    (lower, upper, inv_pivots), split, work,
+                    1.0 / dtau if mass == BE else 2.0 * (1.0 / dtau), pin,
+                    (rhs, u, res), (rhs[0::2], rhs[1::2], u[0::2], u[1::2]),
+                    residual, pieces)
 
 
 def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
          pulse: PulseSpec) -> None:
     """Advance the state by one implicit step of `plan`, to lab time
     t + plan.dt; the step's stretched-time increment is `plan.dtau`.
+    `schedule` is the one the plan was built from. The step reads the plan
+    alone: its controls, of which the forward one at the step's end feeds
+    `source_amplitude`, its constants and its views of the work rows.
 
     The step solves A u = rhs in the plan's work rows and checks the
     residual A u - rhs on the unfactored matrix, from the nonzeros
@@ -386,18 +424,16 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
     """
     if state.mode != MODE_PDE:
         raise NonPhysicalParameter("step() requires transport mode, not storage")
-    med = state.medium
-    m = 2 * med.grid_points
-    t1 = state.t + plan.dt
-    inv_dtau = 1.0 / plan.dtau
-    a_plus, a_minus = plan.co_old.alpha_plus, plan.co_old.alpha_minus
-    rhs, u, res, prod = plan.work
     if plan.split is None and "c" in (
             state.psi_plus.dtype.kind, state.psi_minus.dtype.kind,
             state.history is not None and state.history.dtype.kind):
         raise NonPhysicalParameter(
             "a step without a perturber takes real fields, and this state's "
             "are complex: only a perturber's split imprints a phase")
+    t1 = state.t + plan.dt
+    a_plus, a_minus = plan.alphas
+    rhs, u, res = plan.rows
+    rhs_plus, rhs_minus, psi_plus, psi_minus = plan.halves
 
     # phi_n, and the next step's phi_{n-1}: phi_n itself, or with a
     # perturber phi_n carried through this step's split, so that BDF2 does
@@ -415,49 +451,43 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
     # every row's right-hand side is phi_n / dtau (BE) or
     # (2 phi_n - phi_{n-1} / 2) / dtau (BDF2)
     if plan.mass == BE:
-        terms, scale = phi, inv_dtau
+        terms = phi
     elif state.history is None:
         raise NonPhysicalParameter("a BDF2 step needs the field one step back")
     else:
         terms = state.history * -0.25
         terms += phi
-        scale = 2.0 * inv_dtau
     # two strided products cost less than one and a strided copy
-    np.multiply(terms, scale, out=rhs[0::2])
-    np.multiply(terms, scale, out=rhs[1::2])
-    rhs[0] = plan.bands[0, 0] * source_amplitude(med, schedule, pulse, t1)
-    rhs[m - 1] = 0.0
+    np.multiply(terms, plan.scale, out=rhs_plus)
+    np.multiply(terms, plan.scale, out=rhs_minus)
+    rhs[0] = plan.pin * source_amplitude(state.medium, pulse, t1, plan.controls[2])
+    rhs[-1] = 0.0
 
     # A u = rhs is L' U~ u = D^-1 rhs: scale by the reciprocal pivots on the
     # way into the solution row, then two unit-diagonal sweeps
     lower, upper, inv_pivots = plan.factors
-    sweep = ztbsv if u.dtype == complex else dtbsv
+    sweep = dtbsv if plan.split is None else ztbsv
     np.multiply(rhs, inv_pivots, out=u)
     sweep(2, lower, u, lower=1, diag=1, overwrite_x=1)
     sweep(2, upper, u, diag=1, overwrite_x=1)
 
     # explicit residual of the solved system, in the plan's work rows, from
-    # the nonzeros the plan keeps: a forward row 2i reaches u[2i-2] and
-    # u[2i+1], a backward row 2i+1 u[2i] and u[2i+3]. Each row adds its
-    # lower term before its upper one, as a five-band product does, which
-    # only adds exact zeros besides
-    diag, sub, sup = plan.bands
+    # the nonzeros the plan keeps, each row's lower term added before its
+    # upper one, as a five-band product does, which only adds exact zeros
+    # besides
+    diag, *sides = plan.residual
     np.multiply(diag, u, out=res)
     res -= rhs
-    np.multiply(sub[2::2], u[:-2:2], out=prod[2::2])
-    np.multiply(sub[1::2], u[0::2], out=prod[1::2])
-    res[1:] += prod[1:]
-    np.multiply(sup[0::2], u[1::2], out=prod[0::2])
-    np.multiply(sup[1:-2:2], u[3::2], out=prod[1:-2:2])
-    res[:-1] += prod[:-1]
+    for products, (total, part) in sides:
+        for band, x, out in products:
+            np.multiply(band, x, out=out)
+        total += part
     # written so that a NaN or an inf anywhere fails the check; all-zero
     # fields pass. The squared norms of rhs, u and res come from vecdot
     # calls over float views, BLAS's ddot, each on at most NORM_PIECE values
-    rows = plan.work[:3].view(float)
-    width = rows.shape[1]
-    sums = np.vecdot(rows[:, :NORM_PIECE], rows[:, :NORM_PIECE])
-    for a in range(NORM_PIECE, width, NORM_PIECE):
-        piece = rows[:, a:a + NORM_PIECE]
+    first, *rest = plan.pieces
+    sums = np.vecdot(first, first)
+    for piece in rest:
         sums += np.vecdot(piece, piece)
     r2, x2, e2 = sums.tolist()
     scale = math.sqrt(r2) + math.sqrt(x2)
@@ -467,11 +497,11 @@ def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
             f"implicit step residual {err:.3g} exceeds {RESIDUAL_TOL:g} "
             f"times the solution scale {scale:.3g}")
 
-    state.psi_plus = u[0::2]
-    state.psi_minus = u[1::2]
+    state.psi_plus = psi_plus
+    state.psi_minus = psi_minus
     state.history = history
     if plan.split is not None:
-        state.psi_plus *= plan.split
+        psi_plus *= plan.split
 
     state.t = t1
 

@@ -126,14 +126,25 @@ def _snapshot_times(config: RunConfig) -> list[float]:
 
 def _run_windows(config: RunConfig) -> list[tuple[float, float, bool]]:
     """The storage timeline (`regime_windows`) clipped to the run, from the
-    schedule start to run.t_end. A crossing within `_tol` of either end is
-    not an event of the run, so the run's events, its step budget and its
-    summary all describe the windows the engine takes."""
+    schedule start to run.t_end. A crossing within `_tol` of the end is not
+    an event of the run, so the run's events, its step budget and its
+    summary all describe the windows the engine takes. One within `_tol` of
+    the start is refused: the run opens in the mode of the first segment's
+    controls, and would keep it through the window the crossing opens."""
     t0, t_end, tol = config.schedule.t_start, config.run.t_end, _tol(config)
     timeline = regime_windows(config.medium, config.schedule)
     edges, modes = [t0], [timeline[0][2]]
+    if len(timeline) > 1 and timeline[1][0] <= t0 + tol:
+        opens, crosses = (("transport", "falls below the storage threshold")
+                          if modes[0] else
+                          ("storage", "rises above the release level"))
+        raise ValidationError(
+            f"the controls of schedule.segment 1 open the run in {opens}, and "
+            f"the control power {crosses} at t = {timeline[1][0]:g}, within "
+            f"the event tolerance {tol:g} of the schedule start, too early "
+            f"for the run to change mode")
     for lo, _, transport in timeline[1:]:
-        if t0 + tol < lo <= t_end - tol and transport != modes[-1]:
+        if lo <= t_end - tol:
             edges.append(lo)
             modes.append(transport)
     return list(zip(edges, edges[1:] + [t_end], modes))

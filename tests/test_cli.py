@@ -807,9 +807,17 @@ class TestPreflight:
         # ramps too short to step, which the schedule takes for jumps
         *[("stationary", _short_ramps(ramp), "schedule.segment 2")
           for ramp in ("1e-300", "1e-13", "1e-11")],
+        # the "off" crossing at t = 1.29e-6 lies within the event tolerance
+        # 3e-6 of the start, so the run would step transport through storage
+        ("stationary", {"medium.gamma2": "1e-5", "engine": "direct",
+                        "run.t_end": "3000", "run.snapshot_interval": "150",
+                        "schedule.segment": "0 1e-10 0.0100000000000005 0 1e-11\n"
+                                            "schedule.segment = 1e-10 2000 0 0 10\n"
+                                            "schedule.segment = 2000 3000 0.03 0 50"},
+         "schedule.segment 1"),
     ], ids=["coarse-grid", "center-off-domain", "perturber-off-grid",
             "spectral-opens-stored", "spectral-guard-band", "direct-sponges",
-            "ramp-1e-300", "ramp-1e-13", "ramp-1e-11"])
+            "ramp-1e-300", "ramp-1e-13", "ramp-1e-11", "crossing-at-start"])
     def test_check_refuses_what_a_run_refuses_before_its_first_step(
             self, tmp_path, capsys, name, changes, named):
         cfg = tmp_path / "scenario.cfg"

@@ -128,21 +128,21 @@ class TestSource:
         pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=3e4,
                             prepared=False, center=0.0)
         sched = hold(OM0, 0.0, t_end=1e5)
-        peak = source_amplitude(med, sched, pulse, 3e4)
+        peak = source_amplitude(med, pulse, 3e4, sched.values(3e4)[0])
         assert peak == pytest.approx(1.0 / OM0, rel=1e-12)
-        half = source_amplitude(med, sched, pulse, 3e4 + 2e4)
+        half = source_amplitude(med, pulse, 5e4, sched.values(5e4)[0])
         assert abs(half) == pytest.approx(math.exp(-0.5) / OM0, rel=1e-12)
 
     def test_prepared_pulse_has_no_source(self):
         med = medium_for()
         pulse = prepared()
-        assert source_amplitude(med, hold(OM0, 0.0), pulse, 0.0) == 0.0
+        assert source_amplitude(med, pulse, 0.0, OM0) == 0.0
 
     def test_source_gated_by_storage_threshold(self):
         med = medium_for(gamma2=1e-4)
         pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
                             prepared=False, center=0.0)
-        assert source_amplitude(med, hold(1e-4, 0.0), pulse, 0.0) == 0.0
+        assert source_amplitude(med, pulse, 0.0, 1e-4) == 0.0
 
 
 class TestAbsorbers:
@@ -182,6 +182,16 @@ def dense(bands):
     diag, sub1, sub2, sup1, sup2 = five_bands(bands)
     return (np.diag(diag) + np.diag(sub1[1:], -1) + np.diag(sub2[2:], -2)
             + np.diag(sup1[:-1], 1) + np.diag(sup2[:-2], 2))
+
+
+def inflow_is_the_source(state, sched, pulse):
+    """Assert that the state's inflow value psi_plus[0] is, bit for bit, the
+    source at its time t under the forward control the schedule gives at t;
+    returns that source."""
+    source = source_amplitude(state.medium, pulse, state.t,
+                              sched.values(state.t)[0])
+    assert state.psi_plus[0] == source
+    return source
 
 
 def advance(state, sched, dt, pulse, w_plus, w_minus, perturber=None):
@@ -227,7 +237,7 @@ def reference_step(state, sched, dt, pulse, w_plus, w_minus, mass=BE):
         rhs[k] = rho * phi_old[i] / dtau
     a[0, :] = 0.0
     a[0, 0] = 1.0
-    rhs[0] = source_amplitude(med, sched, pulse, t1)
+    rhs[0] = source_amplitude(med, pulse, t1, sched.values(t1)[0])
     a[m - 1, :] = 0.0
     a[m - 1, m - 1] = 1.0
     rhs[m - 1] = 0.0
@@ -413,8 +423,7 @@ class TestStep:
                               perturber, mass=mass)
             assert set(zip(*np.nonzero(dense(plan.bands)))) == expected
             state.t, state.history = t0, polariton_field(
-                plan.co_old.alpha_plus, plan.co_old.alpha_minus,
-                state.psi_plus, state.psi_minus)
+                *plan.alphas, state.psi_plus, state.psi_minus)
             step(state, plan, RAMPED, prepared(center=4.0, duration=1e3))
             rhs, u, res, _ = plan.work
             diag, sub1, sub2, sup1, sup2 = five_bands(plan.bands)
@@ -524,7 +533,8 @@ class TestPlan:
         dt = 0.5
         pulse = build_pulse(amplitude=1.0, duration=1e3, injection_time=t0 + dt,
                             prepared=False, center=0.0)
-        assert abs(source_amplitude(med, RAMPED, pulse, t0 + dt)) > 1.0
+        t1 = t0 + dt
+        assert abs(source_amplitude(med, pulse, t1, RAMPED.values(t1)[0])) > 1.0
         for perturber, imag in ((None, 0.0), ((np.zeros(n), 0j), 1j)):
             rng = np.random.default_rng(7)
             state = init_state(med, RAMPED, prepared(center=12.5))
@@ -579,13 +589,53 @@ class TestPlan:
         # a pulse peaking at the end of the step feeds a nonzero inflow value
         pulse = dataclasses.replace(config.pulse, prepared=False,
                                     injection_time=a + dt)
-        source = source_amplitude(med, sched, pulse, a + dt)
-        assert source != 0.0
         rng = np.random.default_rng(3)
         n = med.grid_points
         state = FieldState(med, rng.normal(size=n), rng.normal(size=n), a)
         step(state, plan, sched, pulse)
-        assert state.psi_plus[0] == source
+        assert state.t == a + dt
+        assert inflow_is_the_source(state, sched, pulse) != 0.0
+
+    def test_every_step_feeds_the_source_at_its_end(self, monkeypatch):
+        """The inflow value of every step is the source at its end, with the
+        forward control the schedule gives there: on plateau windows whose
+        BDF2 plan `plan_steps` hands back, on a ramp of one BE plan per step
+        that takes the forward control off, and on a plateau with it below
+        the storage threshold."""
+        config = parse_config(get_preset("slow_light"))
+        med = config.medium
+        pulse = dataclasses.replace(config.pulse, injection_time=300.0)
+        # the backward control keeps the pulse in transport
+        sched = build_schedule([Segment(0.0, 400.0, OM0, 0.0),
+                                Segment(400.0, 800.0, 0.0, OM0, 100.0)])
+        w_plus, w_minus = build_absorbers(med)
+        state = init_state(med, sched, pulse)
+        sources, plans = [], []
+        step_, plan_steps_ = scenario.step, scenario.plan_steps
+
+        def stepping(state, *args):
+            step_(state, *args)
+            sources.append(inflow_is_the_source(state, sched, pulse))
+
+        def planning(*args):
+            plan = plan_steps_(*args)
+            # (handed back as `last`, time scheme)
+            plans.append((plan is args[7], plan.mass))
+            return plan
+
+        monkeypatch.setattr(scenario, "step", stepping)
+        monkeypatch.setattr(scenario, "plan_steps", planning)
+        edges = [0.0, 100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0]
+        plan = None
+        for a, b in zip(edges, edges[1:]):
+            plan = scenario._pde_advance(state, sched, a, b, 0.9, pulse,
+                                         w_plus, w_minus, None, plan)
+        assert (True, BDF2) in plans
+        # the BE start and 64 ramp steps, one plan each
+        assert plans.count((False, BE)) >= 65
+        # on until the ramp's last step takes the forward control off
+        assert sched.values(500.0)[0] ** 2 < med.storage_threshold
+        assert all(sources[:-10]) and not any(sources[-10:])
 
     def counted_advance(self, monkeypatch, edges, reuse=True):
         """Run `_pde_advance` window by window over `edges`, passing each
@@ -755,6 +805,50 @@ class TestPlan:
         rebuilt = plan_steps(med, sched, 0.0, dt, zeros, zeros, last=plan)
         assert rebuilt is not plan
         assert rebuilt.dtau == math.nextafter(plan.dtau, 0.0)
+
+    @pytest.mark.parametrize("rate", [None, 0.25j], ids=["real", "perturbed"])
+    def test_a_plan_steps_in_the_work_rows_it_takes_over(self, rate):
+        """A plan built with `last` takes over the last plan's work rows, and
+        the views it steps through are of those rows: its step leaves the
+        bits that a plan with rows of its own leaves."""
+        med = medium_for(r_g=2.0, gamma2=1e-5, n=256, length=8.0)
+        w_plus, w_minus = build_absorbers(med)
+        n = med.grid_points
+        perturber = None if rate is None else (np.ones(n), rate)
+        t0, dt = 1e4 + 100.0, 0.01
+        pulse = build_pulse(amplitude=1.0, duration=1e3, injection_time=t0 + dt,
+                            prepared=False, center=0.0)
+        first = plan_steps(med, RAMPED, 5e3, dt, w_plus, w_minus, perturber)
+        # the first plan's step leaves its values in the rows handed on
+        spent = init_state(med, RAMPED, prepared(center=4.0, duration=1e3))
+        spent.t = 5e3
+        if rate is not None:
+            spent.psi_plus = spent.psi_plus.astype(complex)
+            spent.psi_minus = spent.psi_minus.astype(complex)
+        step(spent, first, RAMPED, pulse)
+        taken = plan_steps(med, RAMPED, t0, dt, w_plus, w_minus, perturber,
+                           first, BDF2)
+        own = plan_steps(med, RAMPED, t0, dt, w_plus, w_minus, perturber,
+                         mass=BDF2)
+        assert taken.work is first.work and own.work is not first.work
+        rng = np.random.default_rng(5)
+        imag = 0.0 if rate is None else 1j
+        fields = [rng.normal(size=n) + imag * rng.normal(size=n) for _ in range(3)]
+        state = FieldState(med, *fields[:2], t0, history=fields[2])
+        stepped = []
+        for plan in (taken, own):
+            stepped.append(copy.deepcopy(state))
+            step(stepped[-1], plan, RAMPED, pulse)
+            assert np.shares_memory(stepped[-1].psi_plus, plan.work)
+        for name in ("psi_plus", "psi_minus", "history"):
+            a, b = (getattr(s, name) for s in stepped)
+            assert a.tobytes() == b.tobytes()
+        # the rhs, solution and residual rows, which the norms read
+        assert taken.work[:3].tobytes() == own.work[:3].tobytes()
+        # and its residual check reads them: a corrupt factor fails it
+        taken.factors[2][n] *= 1.0 + 1e-6
+        with pytest.raises(SweepDivergence, match="residual"):
+            step(copy.deepcopy(state), taken, RAMPED, pulse)
 
     @pytest.mark.parametrize("r_g", [1e-3, 0.05, 0.25, 0.5, 0.7, 1.0, 2.0, 4.0, 20.0])
     def test_every_plan_is_column_diagonally_dominant(self, r_g):
