@@ -92,7 +92,8 @@ def compare_to_oracle(medium: MediumModel, schedule: ControlSchedule,
     snapshot, scored with anchor=None, so only evolution (drift, spreading,
     decay) is scored, not the injection normalization. After
     `check_channel`'s refusals, each call takes one `width_b` quadrature and
-    one `decay_exponent` pass, and hands both to `gaussian_envelope`.
+    one `decay_exponent` pass, and hands both to `gaussian_envelope`, which
+    then does not check the channel again.
     """
     z = medium.grid()
     op, om = schedule.values(t)

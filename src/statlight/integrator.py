@@ -2,11 +2,13 @@
 
 BDF2 in stretched time, started by one Backward Euler (BE) step, with
 per-channel upwind differences in z; each step's increment dtau comes from
-the exact clock `medium.tau_of_t`. In every row the only time derivative is
-that of the polariton phi, so both schemes share one matrix form: BE takes
-(phi - phi_n) / dtau and BDF2 (3 phi - 4 phi_n + phi_{n-1}) / (2 dtau),
-which is a mass factor c (1 or 3/2) on the alpha/dtau terms and the
-right-hand side phi_n / dtau or (2 phi_n - phi_{n-1} / 2) / dtau.
+`medium.tau_increment`: dt times the clock rate where the controls hold over
+the step, the exact clock `medium.tau_of_t` over it elsewhere. In every row
+the only time derivative is that of the polariton phi, so both schemes share
+one matrix form: BE takes (phi - phi_n) / dtau and BDF2
+(3 phi - 4 phi_n + phi_{n-1}) / (2 dtau), which is a mass factor c (1 or
+3/2) on the alpha/dtau terms and the right-hand side phi_n / dtau or
+(2 phi_n - phi_{n-1} / 2) / dtau.
 Interleaving the unknowns as u[2i] = psi_plus(z_i), u[2i+1] = psi_minus(z_i)
 makes the implicit system pentadiagonal. Its matrix is real and depends only
 on c, dt, dtau and the controls, so `plan_steps` checks dt against
@@ -19,12 +21,14 @@ perturber's split imprints a phase: a plan without a perturber steps in
 float64, one with a perturber in complex128.
 A plan also serves later windows: `plan_steps` hands back the last plan when
 c, dt, dtau and the controls at both ends of the new window's first step are
-bit-identical to the ones it was built from, so a run factors each distinct
-matrix once between matrix changes. The polariton time derivative is
-discretized so that the weighted field sum is carried exactly through
-control rotations. Both schemes are stable at any dt; `advective_cap`, one
-grid cell per step, bounds the time error, which second order keeps below
-BE's at half that step.
+bit-identical to the ones it was built from. A constant-control step's dtau
+depends on dt and the controls alone, so every window of a plateau with the
+same dt shares one BDF2 plan, and a run factors each distinct matrix once
+between matrix changes. The polariton time derivative is discretized so
+that the weighted field sum is carried exactly through control rotations.
+Both schemes are stable at any dt; `advective_cap`, one grid cell per step,
+bounds the time error, which second order keeps below BE's at half that
+step.
 
 Each backward-channel row is divided by rho = r_g^2, which makes the matrix
 column diagonally dominant for every r_g. alpha_+ + alpha_- + gamma2' = 1,
@@ -74,7 +78,7 @@ from .medium import (
     group_velocity,
     opens_stored,
     pulse_length,
-    tau_of_t,
+    tau_increment,
     tau_rate_at,
 )
 from .spectral import release_projection
@@ -230,12 +234,13 @@ class StepPlan:
     `controls` holds the controls at both ends of the step the plan was
     built for, and `inputs` records c, dt, dtau and those controls bit for
     bit: they fix the matrix, so `plan_steps` hands the plan back for any
-    step with the same inputs. `work` holds the right-hand side, solution,
-    residual and product rows that each step overwrites, of the factors'
-    dtype, which picks the sweep: `dtbsv` in float64 without a perturber,
-    `ztbsv` in complex128 with one. The fields `step` leaves in the state
-    are views of the solution row, so a field kept past the next step must
-    be copied.
+    step with the same inputs. On a plateau dtau is dt times the clock
+    rate, so the inputs are the same from every t0. `work` holds the
+    right-hand side, solution, residual and product rows that each step
+    overwrites, of the factors' dtype, which picks the sweep: `dtbsv` in
+    float64 without a perturber, `ztbsv` in complex128 with one. The fields
+    `step` leaves in the state are views of the solution row, so a field
+    kept past the next step must be copied.
 
     The rest is what `step` reads on every call, made once with the plan:
     `alphas`, the mixing weights (alpha_+, alpha_-) at the step's start;
@@ -280,8 +285,10 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     medium, absorbers and perturber, is returned as it is when mass, dt, dtau
     and the controls at t0 and t0 + dt are bit-identical to its own inputs,
     since the matrix would be too; otherwise the new plan takes over its work
-    rows, and makes its own views of them. dtau is compared, not assumed: on
-    a plateau it is (t1 - t0) times the rate, whose rounding depends on t0.
+    rows, and makes its own views of them. dtau is `medium.tau_increment`:
+    on a step whose controls hold it is dt times the clock rate, the same
+    bits from any t0, so every window of a plateau gets the plan back; on a
+    ramp it is `tau_of_t` over the step, and a plan serves that step alone.
     """
     n = medium.grid_points
     dz = medium.dz
@@ -291,7 +298,7 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     if dt > cap * (1.0 + 1e-6):
         raise CFLViolation(f"dt = {dt:g} exceeds advective bound {cap:g}")
 
-    dtau = tau_of_t(medium, schedule, t1, t0)
+    dtau = tau_increment(medium, schedule, t0, dt)
     if not dtau > 0.0:
         raise NonPhysicalParameter(
             f"a step of dt = {dt:g} from t0 = {t0:g} advances no stretched time")

@@ -394,6 +394,21 @@ def tau_of_t(medium: MediumModel, schedule: ControlSchedule, t: float,
                 for p in _clock_pieces(medium, schedule, lo, t)), 0.0)
 
 
+def tau_increment(medium: MediumModel, schedule: ControlSchedule, t0: float,
+                  dt: float) -> float:
+    """Stretched time that a step of lab time dt from t0 advances. Where the
+    controls hold over the step it is dt times the clock rate, the product
+    `tau_of_t` forms on a plateau piece with dt in place of (t0 + dt) - t0,
+    so it depends on dt and the controls alone, not on how t0 + dt rounds.
+    On a step over which the controls vary, which equal end controls do not
+    rule out, and on one that advances no lab time, it is
+    `tau_of_t(t0 + dt, t0)`."""
+    t1 = t0 + dt
+    if t1 > t0 and not schedule.varies(t0, t1):
+        return dt * _clock_rate(medium, *schedule.values(t0))
+    return tau_of_t(medium, schedule, t1, t0)
+
+
 def group_velocity(medium: MediumModel, omega_plus: float, omega_minus: float) -> float:
     """Closed-form polariton velocity (units of c) at the given controls."""
     co = coefficients(medium, omega_plus, omega_minus)

@@ -206,11 +206,12 @@ def _pde_advance(state, schedule, a: float, b: float, safety: float,
     """Advance the fields over the transport window [a, b]. `plan` is the
     run's last plan, or None. A ramp takes BE steps, one plan each, since the
     matrix follows the controls, and leaves no history. A plateau piece
-    takes BDF2 steps from one plan, which `plan_steps` keeps when the
-    piece's first step has bit-identical inputs; it starts with one BE step,
-    from a transient plan, unless the state's history comes from a step of
-    the same dt and controls. Returns the last plan, for the run's next
-    window."""
+    takes BDF2 steps from one plan. A plateau step's dtau is dt times the
+    clock rate from any t0, so `plan_steps` hands the last plan back to
+    every later piece of the same dt and controls. A piece starts with one
+    BE step, from a transient plan, unless the state's history comes from a
+    step of the same dt and controls. Returns the last plan, for the run's
+    next window."""
     med = state.medium
     for lo, hi, i, ramping in schedule.pieces(a, b):
         n = _piece_steps(med, schedule, lo, hi, i, ramping, safety)
@@ -401,14 +402,47 @@ def check_sponges(config: RunConfig, t: float, sponge: float) -> None:
             f"longer medium.domain_length keeps it clear")
 
 
+def check_crossing_steps(config: RunConfig, events, w_plus, w_minus) -> None:
+    """Refuse a ramp whose step next to a threshold crossing the direct
+    engine cannot take. The clock is slowest at a crossing, so these steps
+    have the smallest dtau of their ramp, and at a dtau small enough the
+    matrix's columns are diagonally dominant by less than their rounding,
+    and its factorization swaps rows. Each is planned as `_pde_advance`
+    splits the piece between the crossing and the event next to it, up to
+    the last bits of its t0: the last step before an "off" crossing and the
+    first after an "on" one."""
+    med, sched, safety = config.medium, config.schedule, config.run.dt_safety
+    for before, after in zip(events, events[1:]):
+        for crossing, end in ((after, "off"), (before, "on")):
+            if crossing.kind != end:
+                continue
+            pieces = sched.pieces(before.t, after.t)
+            a, b, i, ramping = pieces[-1] if end == "off" else pieces[0]
+            if not ramping:
+                continue
+            dt = (b - a) / _piece_steps(med, sched, a, b, i, ramping, safety)
+            try:
+                plan_steps(med, sched, b - dt if end == "off" else a, dt,
+                           w_plus, w_minus)
+            except SimulationError as exc:
+                raise ValidationError(
+                    f"schedule.segment {i + 1}: the ramp of "
+                    f"{sched.segments[i].ramp:g} is too short for the direct "
+                    f"engine to step next to its threshold crossing at t = "
+                    f"{crossing.t:.10g}: {exc}") from None
+
+
 def _direct_records(config: RunConfig):
-    """The direct engine's records, one per snapshot event. Each is refused
-    by `check_sponges` before it is yielded; a storage record has no sponge
-    fraction."""
+    """The direct engine's records, one per snapshot event. Before the first,
+    `check_crossing_steps` refuses a ramp the engine cannot step. Each is
+    refused by `check_sponges` before it is yielded; a storage record has no
+    sponge fraction."""
     med, sched, pulse, run = (config.medium, config.schedule,
                               config.pulse, config.run)
     state = init_state(med, sched, pulse)
     w_plus, w_minus = build_absorbers(med)
+    events = _build_events(config)
+    check_crossing_steps(config, events, w_plus, w_minus)
     sponge_mask = (w_plus > 0.0) | (w_minus > 0.0)
     pert = None
     if config.perturber is not None:
@@ -417,7 +451,7 @@ def _direct_records(config: RunConfig):
     probe_idx = _probe_index(config)
     plan, index = None, 0
     # the first event is the snapshot at the start
-    for k, ev in enumerate(_build_events(config)):
+    for k, ev in enumerate(events):
         if k:
             if state.mode == MODE_PDE:
                 plan = _pde_advance(state, sched, state.t, ev.t, run.dt_safety,

@@ -807,6 +807,10 @@ class TestPreflight:
         # ramps too short to step, which the schedule takes for jumps
         *[("stationary", _short_ramps(ramp), "schedule.segment 2")
           for ramp in ("1e-300", "1e-13", "1e-11")],
+        # a ramp the schedule takes, whose step before the "off" crossing
+        # (dtau 4.8e-17 at gamma2 = 0) has a matrix that swaps rows
+        ("stationary", {**_short_ramps("1e-5"), "medium.gamma2": "0"},
+         "schedule.segment 2"),
         # the "off" crossing at t = 1.29e-6 lies within the event tolerance
         # 3e-6 of the start, so the run would step transport through storage
         ("stationary", {"medium.gamma2": "1e-5", "engine": "direct",
@@ -817,7 +821,8 @@ class TestPreflight:
          "schedule.segment 1"),
     ], ids=["coarse-grid", "center-off-domain", "perturber-off-grid",
             "spectral-opens-stored", "spectral-guard-band", "direct-sponges",
-            "ramp-1e-300", "ramp-1e-13", "ramp-1e-11", "crossing-at-start"])
+            "ramp-1e-300", "ramp-1e-13", "ramp-1e-11", "ramp-1e-5-gamma2-0",
+            "crossing-at-start"])
     def test_check_refuses_what_a_run_refuses_before_its_first_step(
             self, tmp_path, capsys, name, changes, named):
         cfg = tmp_path / "scenario.cfg"
@@ -829,6 +834,19 @@ class TestPreflight:
             assert "config ok" not in captured.out
             assert all(key in captured.err for key in named.split())
             assert not out.exists()
+
+    def test_a_ramp_the_engine_can_step_runs_at_gamma2_0(self, tmp_path, capsys):
+        """Ten times the ramp refused above: its steps next to the two
+        crossings factor, and the run stores and releases the pulse."""
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(_stationary(**{**_short_ramps("1e-4"), "medium.gamma2": "0",
+                                      "output.snapshots": "false"}))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--check"]) == 0
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        summary = json.loads((out / "summary.json").read_text())
+        assert [kind for _, kind in summary["crossings"]] == ["off", "on"]
 
     def test_a_spectral_run_builds_its_start_once(self, monkeypatch):
         """The run's own first record is the one its preflight checks."""

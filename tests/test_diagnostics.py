@@ -7,6 +7,8 @@ import pytest
 
 import statlight.diagnostics as diagnostics
 import statlight.oracle as oracle
+import statlight.scenario as scenario
+from statlight import get_preset
 from statlight.config import parse_config
 from statlight.diagnostics import (
     MIN_FIT_POINTS,
@@ -209,6 +211,17 @@ class TestOracleComparison:
                 med, sched, pulse, t, (np.abs(a), np.zeros(len(z))), anchor)
             assert (errors, anchor) == want
             assert len(widths) == len(decays) == 1
+
+    def test_the_channel_is_checked_once_per_scored_snapshot(self, monkeypatch):
+        """The stationary preset's direct run scores its 21 snapshots, and
+        each `compare_to_oracle` call checks its channel once."""
+        checks = self.counting(monkeypatch, "check_channel")
+        compares, compare = [], scenario.compare_to_oracle
+        monkeypatch.setattr(scenario, "compare_to_oracle",
+                            lambda *args: compares.append(1) or compare(*args))
+        scenario._run_direct(parse_config(get_preset("stationary")))
+        assert len(compares) == 21
+        assert len(checks) == 21
 
     def test_channel_off_is_refused_before_any_quadrature(self, monkeypatch):
         med = build_medium(r_g=1.0, gamma=1.0, gamma2=1e-5, u_g0=1e-3,

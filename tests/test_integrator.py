@@ -44,6 +44,7 @@ from statlight.medium import (
     Segment,
     build_medium,
     build_pulse,
+    _clock_rate,
     build_schedule,
     coefficients,
     tau_of_t,
@@ -564,6 +565,9 @@ class TestPlan:
 
     @pytest.mark.parametrize("t0", [5e3, 1e4 - 0.25, 1e4 + 100.0, 1e4 + 499.75])
     def test_dtau_is_the_exact_clock(self, t0):
+        """A step on the ramp, or across its start, takes dtau from the exact
+        clock over the step, bit for bit. On the plateau, from t0 = 5e3,
+        (t0 + dt) - t0 is dt, so dt times the rate is that clock too."""
         med = medium_for(gamma2=1e-5, n=256, length=25.0)
         zeros = np.zeros(med.grid_points)
         plan = plan_steps(med, RAMPED, t0, 0.5, zeros, zeros)
@@ -696,30 +700,38 @@ class TestPlan:
                          (state.psi_minus, fresh.psi_minus)):
             assert got.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("interval", [100, 500])
-    def test_stationary_run_takes_one_be_start(self, monkeypatch, interval):
-        """The stationary preset's direct run factors one BE start matrix and
-        otherwise BDF2 ones. With a snapshot every 100 (as in the hold_dense
-        workload) every window's first step has the same dtau, and the run
-        factors two matrices. With the preset's 500, dtau's last bits move
-        with t0 at some windows: the plan is rebuilt there, keeps the
-        history, and builds no BE plan."""
+    @staticmethod
+    def counted_run(monkeypatch, text):
+        """The plans and the `dgbtrf` calls of the direct run of a config."""
         built, make = [], integrator.StepPlan
         monkeypatch.setattr(integrator, "StepPlan",
                             lambda *args: built.append(make(*args)) or built[-1])
         factored, dgbtrf = [], integrator.dgbtrf
         monkeypatch.setattr(integrator, "dgbtrf",
                             lambda *args, **kw: factored.append(1) or dgbtrf(*args, **kw))
+        scenario._run_direct(parse_config(text))
+        return built, factored
+
+    @pytest.mark.parametrize("interval", [100, 500])
+    def test_stationary_run_takes_one_be_start(self, monkeypatch, interval):
+        """The stationary preset's direct run factors one BE start matrix and
+        one BDF2 matrix, with a snapshot every 100 (as in the hold_dense
+        workload) and with the preset's 500: every window's first step has
+        the same dt, controls and dtau, whatever its t0."""
         text = get_preset("stationary").replace(
             "run.snapshot_interval = 500", f"run.snapshot_interval = {interval}")
-        scenario._run_direct(parse_config(text))
-        assert len(factored) == len(built)
-        assert len(built) == 2 if interval == 100 else len(built) > 2
-        assert [p.mass for p in built] == [BE] + [BDF2] * (len(built) - 1)
+        built, factored = self.counted_run(monkeypatch, text)
+        assert len(factored) == len(built) == 2
+        assert [p.mass for p in built] == [BE, BDF2]
         assert {(p.dt, p.controls) for p in built} == {(built[0].dt, built[0].controls)}
-        for old, new in zip(built[1:], built[2:]):
-            assert new.dtau != old.dtau
-            assert new.dtau == pytest.approx(old.dtau, rel=1e-12, abs=0.0)
+
+    def test_phase_gate_run_factors_twice(self, monkeypatch):
+        """The perturbed hold's 40 windows share one BDF2 plan after the BE
+        start."""
+        built, factored = self.counted_run(monkeypatch, get_preset("phase_gate"))
+        assert len(factored) == 2
+        assert [p.mass for p in built] == [BE, BDF2]
+        assert all(p.split is not None for p in built)
 
     def test_bdf2_step_needs_a_history(self):
         med = medium_for(n=256, length=25.0)
@@ -791,20 +803,41 @@ class TestPlan:
         assert 1.0 < phases[1] < 2.0
         assert phases[0] == pytest.approx(phases[1], rel=0.01)
 
-    def test_plan_is_not_reused_when_dtau_differs_in_its_last_bit(self):
+    def test_a_plateau_plan_serves_every_t0(self):
+        """On a hold, dtau is dt times the clock rate bit for bit, so a plan
+        built from t0 = 0.25 is handed back from t0 = 0 and 0.5, where
+        (t0 + dt) - t0 rounds differently; the exact clock over each step
+        stays within 2 ulp of it."""
         med = medium_for(n=256, length=25.0)
         sched = hold(OM0, OM0)
         zeros = np.zeros(med.grid_points)
         dt = 0.3
-        # dtau = (t0 + dt - t0) * rate: from t0 = 0 that is one ulp below its
-        # value from t0 = 0.25 or 0.5
         plan = plan_steps(med, sched, 0.25, dt, zeros, zeros)
-        assert tau_of_t(med, sched, 0.5 + dt, 0.5) == plan.dtau
-        assert tau_of_t(med, sched, dt, 0.0) == math.nextafter(plan.dtau, 0.0)
-        assert plan_steps(med, sched, 0.5, dt, zeros, zeros, last=plan) is plan
-        rebuilt = plan_steps(med, sched, 0.0, dt, zeros, zeros, last=plan)
-        assert rebuilt is not plan
-        assert rebuilt.dtau == math.nextafter(plan.dtau, 0.0)
+        assert plan.dtau == dt * _clock_rate(med, OM0, OM0)
+        exact = set()
+        for t0 in (0.0, 0.25, 0.5):
+            assert plan_steps(med, sched, t0, dt, zeros, zeros, last=plan) is plan
+            exact.add(tau_of_t(med, sched, t0 + dt, t0))
+        # the clock over the step, ((t0 + dt) - t0) times the rate, takes
+        # two values: one ulp apart, one of them dt times the rate
+        assert len(exact) == 2 and plan.dtau in exact
+        assert all(abs(tau - plan.dtau) <= 2.0 * math.ulp(plan.dtau) for tau in exact)
+
+    def test_a_step_across_an_up_and_back_ramp_pair_takes_the_exact_clock(self):
+        """Controls that ramp up and back within one step are equal at its
+        two ends, yet vary over it: its dtau is the clock over the step, not
+        dt times the rate at its ends."""
+        med = medium_for(gamma2=1e-5, n=256, length=25.0)
+        sched = build_schedule([Segment(0.0, 100.0, OM0, OM0),
+                                Segment(100.0, 100.5, 2.0 * OM0, OM0, 0.5),
+                                Segment(100.5, 200.0, OM0, OM0, 0.5)])
+        zeros = np.zeros(med.grid_points)
+        t0, dt = 99.5, 1.5
+        assert sched.values(t0) == sched.values(t0 + dt)
+        assert sched.varies(t0, t0 + dt)
+        plan = plan_steps(med, sched, t0, dt, zeros, zeros)
+        assert plan.dtau == tau_of_t(med, sched, t0 + dt, t0)
+        assert plan.dtau > 1.25 * dt * _clock_rate(med, OM0, OM0)
 
     @pytest.mark.parametrize("rate", [None, 0.25j], ids=["real", "perturbed"])
     def test_a_plan_steps_in_the_work_rows_it_takes_over(self, rate):
