@@ -19,13 +19,10 @@ The control phases are normalised out of the equations, and the prepared
 pulse and the injected source are real, so the fields stay real unless a
 perturber's split imprints a phase: a plan without a perturber steps in
 float64, one with a perturber in complex128.
-A plan also serves later windows: `plan_steps` hands back the last plan when
-c, dt, dtau and the controls at both ends of the new window's first step are
-bit-identical to the ones it was built from. A constant-control step's dtau
-depends on dt and the controls alone, so every window of a plateau with the
-same dt shares one BDF2 plan, and a run factors each distinct matrix once
-between matrix changes. The polariton time derivative is discretized so
-that the weighted field sum is carried exactly through control rotations.
+A constant-control step's dtau depends on dt and the controls alone, so
+`scenario._pde_advance` keeps stepping a plateau's BDF2 plan on its later
+windows. The polariton time derivative is discretized so that the weighted
+field sum is carried exactly through control rotations.
 Both schemes are stable at any dt; `advective_cap`, one grid cell per step,
 bounds the time error, which second order keeps below BE's at half that
 step.
@@ -162,7 +159,7 @@ def init_state(medium: MediumModel, schedule: ControlSchedule,
     if pulse.prepared:
         l_o = pulse_length(medium, pulse)
         phi = pulse.amplitude * np.exp(
-            -((medium.grid() - pulse.center) ** 2) / (2.0 * l_o ** 2))
+            -((medium.grid() - pulse.center) ** 2) / (2.0 * l_o * l_o))
     if opens_stored(medium, schedule):
         return FieldState(medium, zero.copy(), zero.copy(), t0,
                           mode=MODE_STORAGE, spin=phi)
@@ -181,8 +178,10 @@ def source_amplitude(medium: MediumModel, pulse: PulseSpec, t: float,
     plan holds for the step's end."""
     if pulse.prepared or omega_plus ** 2 < medium.storage_threshold:
         return 0.0
+    # products, not powers: a square past the float range is inf, not an error
+    lag = t - pulse.injection_time
     envelope = pulse.amplitude * math.exp(
-        -((t - pulse.injection_time) ** 2) / (2.0 * pulse.duration ** 2))
+        -(lag * lag) / (2.0 * pulse.duration * pulse.duration))
     return math.sqrt(medium.gamma) * envelope / omega_plus
 
 
@@ -232,10 +231,7 @@ class StepPlan:
     the time scheme's factor c, `BE` or `BDF2`.
 
     `controls` holds the controls at both ends of the step the plan was
-    built for, and `inputs` records c, dt, dtau and those controls bit for
-    bit: they fix the matrix, so `plan_steps` hands the plan back for any
-    step with the same inputs. On a plateau dtau is dt times the clock
-    rate, so the inputs are the same from every t0. `work` holds the
+    built for; with c and dt they fix the matrix. `work` holds the
     right-hand side, solution, residual and product rows that each step
     overwrites, of the factors' dtype, which picks the sweep: `dtbsv` in
     float64 without a perturber, `ztbsv` in complex128 with one. The fields
@@ -258,7 +254,6 @@ class StepPlan:
     mass: float
     alphas: tuple[float, float]
     controls: tuple[float, float, float, float]
-    inputs: bytes
     bands: np.ndarray
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
     split: np.ndarray | None
@@ -281,14 +276,12 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     all of them see the same matrix; on a ramp build one per step.
     `perturber` is an optional (density_array, exponent_scale) pair applied
     by operator splitting after the solve, with exponent_scale the complex
-    per-atom-density rate divided by dtau. `last`, a plan built for the same
-    medium, absorbers and perturber, is returned as it is when mass, dt, dtau
-    and the controls at t0 and t0 + dt are bit-identical to its own inputs,
-    since the matrix would be too; otherwise the new plan takes over its work
-    rows, and makes its own views of them. dtau is `medium.tau_increment`:
-    on a step whose controls hold it is dt times the clock rate, the same
-    bits from any t0, so every window of a plateau gets the plan back; on a
-    ramp it is `tau_of_t` over the step, and a plan serves that step alone.
+    per-atom-density rate divided by dtau. A plan is always built. `last`, a
+    plan built for the same medium, absorbers and perturber, hands on its
+    work rows, of which the new plan makes its own views; `last` must not
+    step again. dtau is `medium.tau_increment`: on a step whose controls
+    hold it is dt times the clock rate, the same bits from any t0; on a ramp
+    it is `tau_of_t` over the step.
     """
     n = medium.grid_points
     dz = medium.dz
@@ -303,10 +296,6 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
         raise NonPhysicalParameter(
             f"a step of dt = {dt:g} from t0 = {t0:g} advances no stretched time")
     controls_old, controls = schedule.values(t0), schedule.values(t1)
-    inputs = np.array((mass, dt, dtau, *controls_old, *controls)).tobytes()
-    if last is not None and last.inputs == inputs:
-        return last
-
     co_old = coefficients(medium, *controls_old)
     co = coefficients(medium, *controls)
 
@@ -406,20 +395,19 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
         split *= dtau
         np.exp(split, out=split)
     return StepPlan(dt, dtau, mass, (co_old.alpha_plus, co_old.alpha_minus),
-                    (*controls_old, *controls), inputs, bands,
+                    (*controls_old, *controls), bands,
                     (lower, upper, inv_pivots), split, work,
                     1.0 / dtau if mass == BE else 2.0 * (1.0 / dtau), pin,
                     (rhs, u, res), (rhs[0::2], rhs[1::2], u[0::2], u[1::2]),
                     residual, pieces)
 
 
-def step(state: FieldState, plan: StepPlan, schedule: ControlSchedule,
-         pulse: PulseSpec) -> None:
+def step(state: FieldState, plan: StepPlan, pulse: PulseSpec) -> None:
     """Advance the state by one implicit step of `plan`, to lab time
     t + plan.dt; the step's stretched-time increment is `plan.dtau`.
-    `schedule` is the one the plan was built from. The step reads the plan
-    alone: its controls, of which the forward one at the step's end feeds
-    `source_amplitude`, its constants and its views of the work rows.
+    The step reads the state, the pulse and the plan alone: its controls,
+    of which the forward one at the step's end feeds `source_amplitude`,
+    its constants and its views of the work rows.
 
     The step solves A u = rhs in the plan's work rows and checks the
     residual A u - rhs on the unfactored matrix, from the nonzeros

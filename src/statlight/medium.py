@@ -222,10 +222,7 @@ class ControlSchedule:
 
 
 def _smoothstep(x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
+    x = min(max(x, 0.0), 1.0)
     return x * x * (3.0 - 2.0 * x)
 
 

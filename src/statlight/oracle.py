@@ -154,7 +154,7 @@ def width_b(medium: MediumModel, schedule: ControlSchedule, pulse: PulseSpec,
     grow = _quad(lambda s: m2_rate(medium, schedule, s)
                  * tau_rate_at(medium, schedule, s),
                  medium, schedule, schedule.t_start, t)
-    radicand = l_o ** 2 + 2.0 * grow
+    radicand = l_o * l_o + 2.0 * grow
     if radicand <= 0.0:
         raise NegativeRadicand(
             f"squared width {radicand:g} not positive at t = {t:g}")
@@ -249,6 +249,6 @@ def conversion_probability(medium: MediumModel, pulse: PulseSpec, t_s: float) ->
     if t_s < 0.0:
         raise NonPhysicalParameter(f"hold time must be >= 0, got {t_s}")
     l_o = pulse_length(medium, pulse)
-    growth = medium.u_g0 * t_s * medium.xi_sum_inv / l_o ** 2
+    growth = medium.u_g0 * t_s * medium.xi_sum_inv / (l_o * l_o)
     return 1.0 / math.sqrt(1.0 + growth)
 

@@ -128,6 +128,9 @@ def polariton_dilution(medium: MediumModel, co: Coefficients) -> float:
     num = co.eta * medium.xi_minus * co.alpha_plus
     den = (medium.xi_minus * co.alpha_plus
            + medium.rho * medium.xi_plus * co.alpha_minus)
+    if den == 0.0:
+        raise DegenerateCoefficients(
+            "polariton dilution undefined with both controls off")
     return num / den
 
 

@@ -3,8 +3,9 @@
 A run is a sequence of windows separated by events (schedule breakpoints,
 storage threshold crossings, snapshot times). Transport windows advance the
 banded implicit integrator; storage windows advance the stored coherence
-analytically. With engine "both", the longest constant-control window is
-replayed spectrally and the two engines are scored against each other.
+analytically. With engine "both" and no perturber, the last constant-control
+window is replayed spectrally and the two engines are scored against each
+other.
 
 Each engine is a generator of records (`_direct_records`, `_spectral_records`)
 that refuses a bad record before yielding it: a held pulse in the direct
@@ -15,6 +16,7 @@ the first record of the same generator.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -29,7 +31,8 @@ from .errors import (EmptyField, GuardBandOverflow, SimulationError,
                      ValidationError)
 from .integrator import (BDF2, MODE_PDE, MODE_STORAGE, RESIDUAL_TOL,
                          advective_cap, build_absorbers, init_state, plan_steps,
-                         polariton_field, release, step, storage_advance, store)
+                         polariton_field, release, source_amplitude, step,
+                         storage_advance, store)
 from .medium import (coefficients, envelope_scales, group_velocity,
                      pulse_length, regime_windows, stationarity_residual,
                      tau_of_t, validity_report)
@@ -109,19 +112,11 @@ def _tol(config: RunConfig) -> float:
 
 
 def _snapshot_times(config: RunConfig) -> list[float]:
-    t0 = config.schedule.t_start
-    t_end = config.run.t_end
-    tol = _tol(config)
+    t0, t_end, tol = config.schedule.t_start, config.run.t_end, _tol(config)
     times = [t0]
-    k = 1
-    while True:
-        t = t0 + k * config.run.snapshot_interval
-        if t >= t_end - tol:
-            break
+    while (t := t0 + len(times) * config.run.snapshot_interval) < t_end - tol:
         times.append(t)
-        k += 1
-    times.append(t_end)
-    return times
+    return times + [t_end]
 
 
 def _run_windows(config: RunConfig) -> list[tuple[float, float, bool]]:
@@ -156,6 +151,12 @@ def _crossings(windows) -> list[tuple[float, str]]:
     return [(lo, "on" if transport else "off") for lo, _, transport in windows[1:]]
 
 
+def _replays(config: RunConfig) -> bool:
+    """Whether the run replays its fit window: the spectral engine carries
+    no perturber."""
+    return config.engine == "both" and config.perturber is None
+
+
 def _build_events(config: RunConfig) -> list[_Event]:
     """The run's snapshot times, the breakpoints inside it and the crossings
     of `_run_windows`, in time order; events within `_tol` are one."""
@@ -163,7 +164,7 @@ def _build_events(config: RunConfig) -> list[_Event]:
     t0, t_end = sched.t_start, config.run.t_end
     tol = _tol(config)
     tagged = [(t, "snap") for t in _snapshot_times(config)]
-    if config.engine == "both":
+    if _replays(config):
         # the cross-engine replay runs between snapshots at the fit window's ends
         tagged += [(float(t), "snap") for t in _fit_window(config) or ()
                    if t0 - tol <= t <= t_end + tol]
@@ -203,15 +204,15 @@ def _piece_steps(med, schedule, lo: float, hi: float, i: int, ramping: bool,
 
 def _pde_advance(state, schedule, a: float, b: float, safety: float,
                  pulse, w_plus, w_minus, perturber, plan):
-    """Advance the fields over the transport window [a, b]. `plan` is the
-    run's last plan, or None. A ramp takes BE steps, one plan each, since the
-    matrix follows the controls, and leaves no history. A plateau piece
-    takes BDF2 steps from one plan. A plateau step's dtau is dt times the
-    clock rate from any t0, so `plan_steps` hands the last plan back to
-    every later piece of the same dt and controls. A piece starts with one
-    BE step, from a transient plan, unless the state's history comes from a
-    step of the same dt and controls. Returns the last plan, for the run's
-    next window."""
+    """Advance the fields over the transport window [a, b] and return the
+    last plan, for the next window; `plan` is the run's last plan, or None.
+    This is the one place that decides whether a step reuses it. A ramp
+    takes BE steps, one plan each, and leaves no history. A plateau piece
+    takes BDF2 steps from one plan, whose dtau is dt times the clock rate
+    from any t0. A state's history comes from a step of the last plan; if
+    that plan has the piece's dt and controls, the piece keeps stepping it
+    when it is a BDF2 plan and builds its BDF2 plan when it is the piece's
+    BE start. Otherwise the piece starts with one BE step."""
     med = state.medium
     for lo, hi, i, ramping in schedule.pieces(a, b):
         n = _piece_steps(med, schedule, lo, hi, i, ramping, safety)
@@ -220,7 +221,7 @@ def _pde_advance(state, schedule, a: float, b: float, safety: float,
             for _ in range(n):
                 plan = plan_steps(med, schedule, state.t, dt, w_plus, w_minus,
                                   perturber, plan)
-                step(state, plan, schedule, pulse)
+                step(state, plan, pulse)
             state.history = None
         else:
             # a plateau step has the same controls at both ends
@@ -228,13 +229,13 @@ def _pde_advance(state, schedule, a: float, b: float, safety: float,
                     or plan.controls != 2 * schedule.values(lo)):
                 plan = plan_steps(med, schedule, state.t, dt, w_plus, w_minus,
                                   perturber, plan)
-                step(state, plan, schedule, pulse)
+                step(state, plan, pulse)
                 n -= 1
-            if n:
+            if n and plan.mass != BDF2:
                 plan = plan_steps(med, schedule, state.t, dt, w_plus, w_minus,
                                   perturber, plan, BDF2)
-                for _ in range(n):
-                    step(state, plan, schedule, pulse)
+            for _ in range(n):
+                step(state, plan, pulse)
         state.t = hi
     return plan
 
@@ -385,21 +386,39 @@ def _run(config: RunConfig, out_dir, records) -> EngineRun:
     return EngineRun(snapshots, traj, fit)
 
 
+def _holds(medium, op: float, om: float) -> bool:
+    """Whether controls hold a pulse: on, and near enough stationarity;
+    controls far from it (a transit or a release) let it flow out."""
+    return (op ** 2 + om ** 2 >= medium.release_threshold
+            and abs(stationarity_residual(medium, op, om)) < EXIT_RESIDUAL)
+
+
 def check_sponges(config: RunConfig, t: float, sponge: float) -> None:
     """Refuse a record with more than SPONGE_ABORT_FRACTION of its energy in
-    the sponges while the controls hold the pulse; controls far from
-    stationarity (a transit or a release) let it flow out."""
-    if sponge <= SPONGE_ABORT_FRACTION:
-        return
-    med = config.medium
-    op, om = config.schedule.values(t)
-    held = op ** 2 + om ** 2 >= med.release_threshold
-    if held and abs(stationarity_residual(med, op, om)) < EXIT_RESIDUAL:
+    the sponges while the controls hold the pulse (`_holds`)."""
+    if sponge > SPONGE_ABORT_FRACTION and _holds(config.medium,
+                                                 *config.schedule.values(t)):
+        center = ", a pulse.center farther from the edges"
         raise GuardBandOverflow(
             f"{sponge:.3g} of the pulse energy reached the absorbing edges at "
             f"t = {t:g} while the controls hold the pulse; a shorter "
-            f"pulse.duration, a pulse.center farther from the edges or a "
+            f"pulse.duration{center if config.pulse.prepared else ''} or a "
             f"longer medium.domain_length keeps it clear")
+
+
+def check_injection(config: RunConfig) -> None:
+    """Refuse an injected pulse whose source feeds controls that hold it
+    (`_holds`) at its injection time within the run: it would stay in the
+    sponge at the inflow edge, which `check_sponges` refuses."""
+    med, pulse, sched = config.medium, config.pulse, config.schedule
+    t = pulse.injection_time
+    if (sched.t_start <= t <= config.run.t_end and _holds(med, *sched.values(t))
+            and source_amplitude(med, pulse, t, sched.values(t)[0]) != 0.0):
+        i = max(k for k, seg in enumerate(sched.segments) if seg.t_start <= t)
+        raise ValidationError(
+            f"pulse.injection_time = {t:g}: the controls of schedule.segment "
+            f"{i + 1} hold the pulse there, so it would stay in the absorbing "
+            f"edge it enters through; inject it under controls that carry it in")
 
 
 def check_crossing_steps(config: RunConfig, events, w_plus, w_minus) -> None:
@@ -434,7 +453,8 @@ def check_crossing_steps(config: RunConfig, events, w_plus, w_minus) -> None:
 
 def _direct_records(config: RunConfig):
     """The direct engine's records, one per snapshot event. Before the first,
-    `check_crossing_steps` refuses a ramp the engine cannot step. Each is
+    `check_crossing_steps` refuses a ramp the engine cannot step, and
+    `check_injection` a pulse injected into controls that hold it. Each is
     refused by `check_sponges` before it is yielded; a storage record has no
     sponge fraction."""
     med, sched, pulse, run = (config.medium, config.schedule,
@@ -443,11 +463,10 @@ def _direct_records(config: RunConfig):
     w_plus, w_minus = build_absorbers(med)
     events = _build_events(config)
     check_crossing_steps(config, events, w_plus, w_minus)
+    check_injection(config)
     sponge_mask = (w_plus > 0.0) | (w_minus > 0.0)
-    pert = None
-    if config.perturber is not None:
-        pert = (perturber_density(med, config.perturber),
-                interaction_rate(config.perturber))
+    pert = None if config.perturber is None else (
+        perturber_density(med, config.perturber), interaction_rate(config.perturber))
     probe_idx = _probe_index(config)
     plan, index = None, 0
     # the first event is the snapshot at the start
@@ -540,8 +559,8 @@ def _fit_window(config: RunConfig):
 
 class _FitWindow:
     """The transport records of the fit window, measured as the run
-    collects them: their trajectory rows, under `engine = both` the first
-    and the latest snapshot (the ends of the cross-engine replay) and, for
+    collects them: their trajectory rows, when the run replays (`_replays`)
+    the first and the latest snapshot (the ends of the replay) and, for
     a prepared pulse, each one's errors against the oracle, until the
     oracle refuses one (`refusal`)."""
 
@@ -553,7 +572,6 @@ class _FitWindow:
         # (envelope l2, width rel, decay rel) of each scored snapshot
         self.errors: list[tuple] = []
         self.anchor = self.refusal = None
-        self.replay = config.engine == "both"
 
     def add(self, snap: Snapshot, row: dict, envelopes):
         """Take in a record of `_record`; a prepared pulse's envelope is
@@ -563,7 +581,7 @@ class _FitWindow:
                 or not window[0] - tol <= snap.t <= window[1] + tol):
             return
         self.rows.append(row)
-        if self.replay:
+        if _replays(self.config):
             self.first = self.first or snap
             self.last = snap
         med, sched, pulse = self.config.medium, self.config.schedule, self.config.pulse
@@ -585,10 +603,11 @@ def _cross_engine(config: RunConfig, primary: EngineRun):
     over the window, so one exact `propagate` spans it; `steps` counts the
     snapshot intervals it spans."""
     fit = primary.fit
-    if fit.window is None:
-        return None, ["cross-engine replay skipped: no suitable constant window"]
-    if len(fit.rows) < 2:
-        return None, ["cross-engine replay skipped: too few snapshots in window"]
+    skipped = ("the spectral engine carries no perturber" if config.perturber is not None
+               else "no suitable constant window" if fit.window is None
+               else "too few snapshots in window" if len(fit.rows) < 2 else None)
+    if skipped is not None:
+        return None, [f"cross-engine replay skipped: {skipped}"]
     med, sched = config.medium, config.schedule
     s0, ref = fit.first, fit.last
     sstate = spectral_state_from_fields(med, s0.psi_plus, t=s0.t)
@@ -605,15 +624,11 @@ def _cross_engine(config: RunConfig, primary: EngineRun):
 
 
 def _longest_true_run(mask) -> slice:
-    best_len, best_start, cur = 0, 0, None
-    for i, m in enumerate(list(mask) + [False]):
-        if m and cur is None:
-            cur = i
-        elif not m and cur is not None:
-            if i - cur > best_len:
-                best_len, best_start = i - cur, cur
-            cur = None
-    return slice(best_start, best_start + best_len)
+    """The first longest run of true values in a boolean array with one."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask, [0]))))
+    starts, stops = edges[0::2], edges[1::2]
+    k = int(np.argmax(stops - starts))
+    return slice(int(starts[k]), int(stops[k]))
 
 
 def _perturber_measurement(config: RunConfig, primary: EngineRun):
@@ -646,27 +661,35 @@ def _perturber_measurement(config: RunConfig, primary: EngineRun):
               "phase_slope": None, "phase_r2": None,
               "pi_crossing_time": None}
     if len(phi) >= MIN_FIT_POINTS:
-        slope, _, r2 = linear_fit(tm, phi)
-        result["phase_slope"] = slope
-        result["phase_r2"] = r2
+        result["phase_slope"], _, result["phase_r2"] = linear_fit(tm, phi)
     mag = np.abs(phi)  # a negative detuning's phase falls through -pi
     for i in range(1, len(mag)):
         if mag[i - 1] < math.pi <= mag[i]:
             frac = (math.pi - mag[i - 1]) / (mag[i] - mag[i - 1])
             result["pi_crossing_time"] = float(tm[i - 1] + frac * (tm[i] - tm[i - 1]))
             break
-    chi, t_pi = phase_rate_stationary(med, spec)
-    result["predicted_rate"] = chi
-    result["predicted_t_pi"] = t_pi
-    mid = 0.5 * (tm[0] + tm[-1])
-    op, om = sched.values(mid)
-    result["rate_scale"] = stationary_rate_measured_scale(med, spec, op, om)
-    try:
+    result["predicted_rate"], result["predicted_t_pi"] = phase_rate_stationary(med, spec)
+    op, om = sched.values(0.5 * (tm[0] + tm[-1]))
+    # null where the window's middle has no transport (both controls off, in
+    # a storage window between transport rows), the shift also for a
+    # standing pulse
+    result["rate_scale"] = result["predicted_shift_traveling"] = None
+    with contextlib.suppress(SimulationError):
+        result["rate_scale"] = stationary_rate_measured_scale(med, spec, op, om)
+    with contextlib.suppress(SimulationError):
         result["predicted_shift_traveling"] = phase_shift_traveling(
             med, coefficients(med, op, om), spec)
-    except SimulationError:
-        result["predicted_shift_traveling"] = None
     return result, []
+
+
+def _line_fit(ts, values, predicted: float) -> dict:
+    """The slope of a line fitted to values over times ts, scored against
+    its predicted value."""
+    slope, _, r2 = linear_fit(ts, values)
+    err = abs(slope - predicted)
+    return {"window": [ts[0], ts[-1]], "measured": slope, "predicted": predicted,
+            "abs_err": err, "rel_err": err / abs(predicted) if predicted != 0.0 else None,
+            "r2": r2}
 
 
 def _measurements(config: RunConfig, primary: EngineRun):
@@ -685,26 +708,16 @@ def _measurements(config: RunConfig, primary: EngineRun):
             ts = [r["t"] for r in rows]
             op, om = sched.values(0.5 * (ts[0] + ts[-1]))
 
-            slope, _, r2 = linear_fit(ts, [r["phi_centroid"] for r in rows])
-            pred = group_velocity(med, op, om)
+            velocity = out["velocity"] = _line_fit(
+                ts, [r["phi_centroid"] for r in rows], group_velocity(med, op, om))
             # a step is accepted at a relative residual of RESIDUAL_TOL, which
             # can shift the centroid of a field on the N dz long domain by up
             # to RESIDUAL_TOL * N dz; a fit moving it less is fitting round-off
-            resolved = (abs(slope) * (ts[-1] - ts[0])
-                        >= RESIDUAL_TOL * med.domain_length)
-            out["velocity"] = {
-                "window": [ts[0], ts[-1]], "measured": slope, "predicted": pred,
-                "abs_err": abs(slope - pred),
-                "rel_err": abs(slope - pred) / abs(pred) if pred != 0.0 else None,
-                "r2": r2 if resolved else None}
-
-            slope2, _, r2w = linear_fit(ts, [r["phi_rms"] ** 2 for r in rows])
-            predw = width_growth_rate(med, op, om)
-            out["width_rate"] = {
-                "window": [ts[0], ts[-1]], "measured": slope2, "predicted": predw,
-                "abs_err": abs(slope2 - predw),
-                "rel_err": abs(slope2 - predw) / abs(predw) if predw != 0.0 else None,
-                "r2": r2w}
+            if not (abs(velocity["measured"]) * (ts[-1] - ts[0])
+                    >= RESIDUAL_TOL * med.domain_length):
+                velocity["r2"] = None
+            out["width_rate"] = _line_fit(
+                ts, [r["phi_rms"] ** 2 for r in rows], width_growth_rate(med, op, om))
 
             a0, a1 = rows[0]["phi_area"], rows[-1]["phi_area"]
             if a0 > 0.0:

@@ -819,10 +819,14 @@ class TestPreflight:
                                             "schedule.segment = 1e-10 2000 0 0 10\n"
                                             "schedule.segment = 2000 3000 0.03 0 50"},
          "schedule.segment 1"),
+        # a pulse injected under balanced controls stays in the inflow
+        # sponge it enters through
+        ("stationary", {"pulse.prepared": "false", "pulse.injection_time": "0"},
+         "pulse.injection_time schedule.segment 1"),
     ], ids=["coarse-grid", "center-off-domain", "perturber-off-grid",
             "spectral-opens-stored", "spectral-guard-band", "direct-sponges",
             "ramp-1e-300", "ramp-1e-13", "ramp-1e-11", "ramp-1e-5-gamma2-0",
-            "crossing-at-start"])
+            "crossing-at-start", "injected-and-held"])
     def test_check_refuses_what_a_run_refuses_before_its_first_step(
             self, tmp_path, capsys, name, changes, named):
         cfg = tmp_path / "scenario.cfg"
@@ -947,6 +951,40 @@ class TestPerturbedRun:
             monkeypatch, dataclasses.replace(config, perturber=None))
         assert runs == 1 and result.reference is None
         assert steps == bare_steps > 0
+
+    def test_both_engines_skip_the_replay_of_a_perturbed_run(self, preset_run):
+        """The spectral replay carries no cloud, so under engine = both a
+        perturbed run is the direct run, with the replay skipped."""
+        direct = preset_run("phase_gate")
+        both = run_scenario(dataclasses.replace(direct.config, engine="both"))
+        measured = both.summary["measurements"]
+        assert measured["cross_engine"] is None
+        assert ("cross-engine replay skipped: the spectral engine carries no "
+                "perturber") in both.summary["warnings"]
+        assert measured["perturber"] == direct.summary["measurements"]["perturber"]
+        assert both.trajectory == direct.trajectory
+
+    def test_a_phase_window_across_storage_has_no_rate_scale(self):
+        """The probe's phase window spans the transport rows on either side
+        of a storage window, whose middle has both controls off: the rate
+        scale and the traveling shift are null there, and the run ends."""
+        text = _preset_with("phase_gate", **{
+            "medium.r_g": "2", "medium.gamma2": "1e-6",
+            "medium.domain_length": "30", "medium.grid_points": "1024",
+            "pulse.duration": "4000", "pulse.center": "15",
+            "schedule.segment": f"0 1000 {OM0!r} 0 50\n"
+                                f"schedule.segment = 1000 2000 0 0 1\n"
+                                f"schedule.segment = 2000 3000 0 {2 * OM0!r} 1",
+            "run.t_end": "3000", "run.snapshot_interval": "500",
+            "run.probe_z": "15", "perturber.m_atoms": "100",
+            "perturber.z_center": "15", "perturber.length": "5"})
+        result = run_scenario(parse_config(text))
+        assert result.summary["storage_windows"]
+        phase = result.summary["measurements"]["perturber"]
+        lo, hi = phase["window"]
+        assert result.config.schedule.values(0.5 * (lo + hi)) == (0.0, 0.0)
+        assert phase["rate_scale"] is None
+        assert phase["predicted_shift_traveling"] is None
 
     def test_the_run_without_the_cloud_has_no_probe_phase(self, preset_run):
         """The premise of reading the phase off the perturbed run alone:

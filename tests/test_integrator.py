@@ -200,7 +200,7 @@ def advance(state, sched, dt, pulse, w_plus, w_minus, perturber=None):
     the plan."""
     plan = plan_steps(state.medium, sched, state.t, dt, w_plus, w_minus,
                       perturber)
-    step(state, plan, sched, pulse)
+    step(state, plan, pulse)
     return plan
 
 
@@ -275,7 +275,7 @@ class TestStep:
         zeros = np.zeros(med.grid_points)
         plan = plan_steps(med, hold(OM0, OM0), state.t, 1.0, zeros, zeros)
         with pytest.raises(NonPhysicalParameter):
-            step(state, plan, hold(1e-4, 0.0), prepared())
+            step(state, plan, prepared())
 
     def test_dtau_increment_on_constant_controls(self):
         med, sched, state, zeros = self.run_setup()
@@ -290,7 +290,7 @@ class TestStep:
                                        state.psi_plus, state.psi_minus))
         plan = plan_steps(med, sched, state.t, 10.0, zeros, zeros)
         for _ in range(50):
-            step(state, plan, sched, prepared())
+            step(state, plan, prepared())
         area1 = np.sum(polariton_field(co.alpha_plus, co.alpha_minus,
                                        state.psi_plus, state.psi_minus))
         assert abs(area1 - area0) / abs(area0) < 1e-9
@@ -310,7 +310,7 @@ class TestStep:
                           perturber=(zeros, 0j))
         assert plan.work.dtype == complex
         with pytest.raises(SweepDivergence):
-            step(state, plan, sched, prepared())
+            step(state, plan, prepared())
 
     def test_nan_field_fails_residual_check(self):
         # on the dtbsv path, and on the ztbsv path with a split of 1
@@ -352,7 +352,7 @@ class TestStep:
                                 lambda k, a, x, sweep=sweep, **kw:
                                 sweep(k, a, x.copy(), **kw))
             with pytest.raises(SweepDivergence):
-                step(state, plan, sched, prepared())
+                step(state, plan, prepared())
             monkeypatch.undo()
 
     def test_the_sweeps_solve_the_work_row_in_place(self, monkeypatch):
@@ -368,7 +368,7 @@ class TestStep:
                     calls.append(sweep(*args, **kwargs))
                     return calls[-1]
                 monkeypatch.setattr(integrator, kernel, recording)
-            step(state, plan, sched, prepared())
+            step(state, plan, prepared())
             monkeypatch.undo()
             assert [len(calls) for kernel, calls in returned.items()
                     if kernel != name] == [0]
@@ -395,7 +395,7 @@ class TestStep:
             monkeypatch.setattr(integrator, name, blowing_up)
             with (np.errstate(invalid="ignore"),
                   pytest.raises(SweepDivergence, match="residual")):
-                step(state, plan, sched, prepared())
+                step(state, plan, prepared())
             monkeypatch.undo()
             # complex products make inf + nan j of their own; real ones do not
             assert dtype == complex or not np.any(np.isnan(plan.work[2]))
@@ -425,7 +425,7 @@ class TestStep:
             assert set(zip(*np.nonzero(dense(plan.bands)))) == expected
             state.t, state.history = t0, polariton_field(
                 *plan.alphas, state.psi_plus, state.psi_minus)
-            step(state, plan, RAMPED, prepared(center=4.0, duration=1e3))
+            step(state, plan, prepared(center=4.0, duration=1e3))
             rhs, u, res, _ = plan.work
             diag, sub1, sub2, sup1, sup2 = five_bands(plan.bands)
             full = diag * u - rhs
@@ -453,7 +453,7 @@ class TestStep:
             plan = plan_steps(med, sched, state.t, 0.05, zeros, zeros, perturber)
             widths.clear()
             monkeypatch.setattr(integrator.np, "vecdot", recording)
-            step(state, plan, sched, prepared(center=160.0))
+            step(state, plan, prepared(center=160.0))
             monkeypatch.undo()
             rows = plan.work[:3].view(float)
             assert max(widths) <= integrator.NORM_PIECE < rows.shape[1]
@@ -466,12 +466,12 @@ class TestStep:
             bad = copy.deepcopy(state)
             setattr(bad, field, getattr(bad, field) * (1.0 + 0.0j))
             with pytest.raises(SimulationError, match="complex"):
-                step(bad, plan, sched, prepared())
-        step(state, plan, sched, prepared())
+                step(bad, plan, prepared())
+        step(state, plan, prepared())
         bdf2 = plan_steps(med, sched, state.t, 10.0, zeros, zeros, mass=BDF2)
         state.history = state.history.astype(complex)
         with pytest.raises(SimulationError, match="complex"):
-            step(state, bdf2, sched, prepared())
+            step(state, bdf2, prepared())
 
     def test_perturber_split_rotates_forward_field(self):
         med, sched, state, zeros = self.run_setup()
@@ -547,7 +547,7 @@ class TestPlan:
                 copy.deepcopy(state), RAMPED, dt, pulse, w_plus, w_minus, mass)
             plan = plan_steps(med, RAMPED, t0, dt, w_plus, w_minus, perturber,
                               mass=mass)
-            step(state, plan, RAMPED, pulse)
+            step(state, plan, pulse)
             assert plan.dtau == pytest.approx(ref_dtau, rel=1e-15)
             # at r_g = 2 the scaled eliminations, and at any r_g the real
             # ones, differ from the reference's complex eliminations by
@@ -596,16 +596,16 @@ class TestPlan:
         rng = np.random.default_rng(3)
         n = med.grid_points
         state = FieldState(med, rng.normal(size=n), rng.normal(size=n), a)
-        step(state, plan, sched, pulse)
+        step(state, plan, pulse)
         assert state.t == a + dt
         assert inflow_is_the_source(state, sched, pulse) != 0.0
 
     def test_every_step_feeds_the_source_at_its_end(self, monkeypatch):
         """The inflow value of every step is the source at its end, with the
-        forward control the schedule gives there: on plateau windows whose
-        BDF2 plan `plan_steps` hands back, on a ramp of one BE plan per step
-        that takes the forward control off, and on a plateau with it below
-        the storage threshold."""
+        forward control the schedule gives there: on plateau windows that
+        step the first window's BDF2 plan without building one, on a ramp of
+        one BE plan per step that takes the forward control off, and on a
+        plateau with it below the storage threshold."""
         config = parse_config(get_preset("slow_light"))
         med = config.medium
         pulse = dataclasses.replace(config.pulse, injection_time=300.0)
@@ -614,38 +614,45 @@ class TestPlan:
                                 Segment(400.0, 800.0, 0.0, OM0, 100.0)])
         w_plus, w_minus = build_absorbers(med)
         state = init_state(med, sched, pulse)
-        sources, plans = [], []
+        sources, built, stepped = [], [], []
         step_, plan_steps_ = scenario.step, scenario.plan_steps
 
-        def stepping(state, *args):
-            step_(state, *args)
+        def stepping(state, plan, *args):
+            step_(state, plan, *args)
+            stepped.append(plan)
             sources.append(inflow_is_the_source(state, sched, pulse))
 
         def planning(*args):
-            plan = plan_steps_(*args)
-            # (handed back as `last`, time scheme)
-            plans.append((plan is args[7], plan.mass))
-            return plan
+            built.append(plan_steps_(*args))
+            return built[-1]
 
         monkeypatch.setattr(scenario, "step", stepping)
         monkeypatch.setattr(scenario, "plan_steps", planning)
         edges = [0.0, 100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0]
-        plan = None
+        plan, windows = None, []
         for a, b in zip(edges, edges[1:]):
+            made, steps = len(built), len(stepped)
             plan = scenario._pde_advance(state, sched, a, b, 0.9, pulse,
                                          w_plus, w_minus, None, plan)
-        assert (True, BDF2) in plans
+            windows.append((built[made:], stepped[steps:]))
+        # the plateau windows after the first build no plan, and step the
+        # BDF2 plan the first one built
+        bdf2 = windows[0][0][-1]
+        assert bdf2.mass == BDF2
+        for made, steps in windows[1:4]:
+            assert not made and steps and all(p is bdf2 for p in steps)
         # the BE start and 64 ramp steps, one plan each
-        assert plans.count((False, BE)) >= 65
+        assert [p.mass for p in built].count(BE) >= 65
         # on until the ramp's last step takes the forward control off
         assert sched.values(500.0)[0] ** 2 < med.storage_threshold
         assert all(sources[:-10]) and not any(sources[-10:])
 
     def counted_advance(self, monkeypatch, edges, reuse=True):
         """Run `_pde_advance` window by window over `edges`, passing each
-        window the last plan, or when not `reuse` a copy of it whose inputs
-        match no step, so that every window refactors its matrix but keeps
-        the BDF2 history; (matrices factored, step calls, state)."""
+        window the last plan, or when not `reuse` a copy of it marked as a
+        BE start, so that every window builds its BDF2 plan again, and
+        refactors its matrix, but keeps the BDF2 history; (matrices
+        factored, step calls, state)."""
         med = medium_for(n=2048)
         w_plus, w_minus = build_absorbers(med)
         state = init_state(med, RAMPED, prepared())
@@ -666,7 +673,7 @@ class TestPlan:
         plan = None
         for a, b in zip(edges, edges[1:]):
             if plan is not None and not reuse:
-                plan = dataclasses.replace(plan, inputs=b"")
+                plan = dataclasses.replace(plan, mass=BE)
             plan = scenario._pde_advance(state, RAMPED, a, b, 0.9, prepared(),
                                          w_plus, w_minus, None, plan)
             assert state.t == b
@@ -725,6 +732,17 @@ class TestPlan:
         assert [p.mass for p in built] == [BE, BDF2]
         assert {(p.dt, p.controls) for p in built} == {(built[0].dt, built[0].controls)}
 
+    def test_hold_dense_run_plans_twice(self, monkeypatch):
+        """The hold_dense workload's direct run builds two plans, the BE
+        start and the BDF2 plan that its 100 later windows keep stepping,
+        and factors each once."""
+        calls, plan_steps_ = [], scenario.plan_steps
+        monkeypatch.setattr(scenario, "plan_steps",
+                            lambda *args: calls.append(1) or plan_steps_(*args))
+        built, factored = self.counted_run(monkeypatch, config_texts()["hold_dense"])
+        assert len(calls) == len(built) == len(factored) == 2
+        assert [p.mass for p in built] == [BE, BDF2]
+
     def test_phase_gate_run_factors_twice(self, monkeypatch):
         """The perturbed hold's 40 windows share one BDF2 plan after the BE
         start."""
@@ -740,13 +758,13 @@ class TestPlan:
         zeros = np.zeros(med.grid_points)
         plan = plan_steps(med, sched, state.t, 0.5, zeros, zeros, mass=BDF2)
         with pytest.raises(NonPhysicalParameter, match="one step back"):
-            step(state, plan, sched, prepared(center=12.5))
+            step(state, plan, prepared(center=12.5))
         advance(state, sched, 0.5, prepared(center=12.5), zeros, zeros)
-        step(state, plan, sched, prepared(center=12.5))
+        step(state, plan, prepared(center=12.5))
         store(state, sched)
         release(state, sched)
         with pytest.raises(NonPhysicalParameter, match="one step back"):
-            step(state, plan, sched, prepared(center=12.5))
+            step(state, plan, prepared(center=12.5))
 
     @pytest.mark.parametrize("om_minus", [OM0, 0.5 * OM0], ids=["balanced", "moving"])
     def test_plateau_steps_are_second_order_in_time(self, om_minus):
@@ -795,7 +813,7 @@ class TestPlan:
             for _ in range(n):
                 plan = plan_steps(med, sched, state.t, end / n, w_plus, w_minus,
                                   pert, plan)
-                step(state, plan, sched, pulse)
+                step(state, plan, pulse)
             return state.psi_plus
 
         phases = [np.angle(np.vdot(run(None), run(perturber)))
@@ -804,10 +822,11 @@ class TestPlan:
         assert phases[0] == pytest.approx(phases[1], rel=0.01)
 
     def test_a_plateau_plan_serves_every_t0(self):
-        """On a hold, dtau is dt times the clock rate bit for bit, so a plan
-        built from t0 = 0.25 is handed back from t0 = 0 and 0.5, where
-        (t0 + dt) - t0 rounds differently; the exact clock over each step
-        stays within 2 ulp of it."""
+        """On a hold, dtau is dt times the clock rate bit for bit, so plans
+        built from t0 = 0, 0.25 and 0.5, where (t0 + dt) - t0 rounds
+        differently, have the same dtau, and a plan of that dt and those
+        controls serves a step from any of them; the exact clock over each
+        step stays within 2 ulp of it."""
         med = medium_for(n=256, length=25.0)
         sched = hold(OM0, OM0)
         zeros = np.zeros(med.grid_points)
@@ -816,7 +835,7 @@ class TestPlan:
         assert plan.dtau == dt * _clock_rate(med, OM0, OM0)
         exact = set()
         for t0 in (0.0, 0.25, 0.5):
-            assert plan_steps(med, sched, t0, dt, zeros, zeros, last=plan) is plan
+            assert plan_steps(med, sched, t0, dt, zeros, zeros).dtau == plan.dtau
             exact.add(tau_of_t(med, sched, t0 + dt, t0))
         # the clock over the step, ((t0 + dt) - t0) times the rate, takes
         # two values: one ulp apart, one of them dt times the rate
@@ -858,7 +877,7 @@ class TestPlan:
         if rate is not None:
             spent.psi_plus = spent.psi_plus.astype(complex)
             spent.psi_minus = spent.psi_minus.astype(complex)
-        step(spent, first, RAMPED, pulse)
+        step(spent, first, pulse)
         taken = plan_steps(med, RAMPED, t0, dt, w_plus, w_minus, perturber,
                            first, BDF2)
         own = plan_steps(med, RAMPED, t0, dt, w_plus, w_minus, perturber,
@@ -871,7 +890,7 @@ class TestPlan:
         stepped = []
         for plan in (taken, own):
             stepped.append(copy.deepcopy(state))
-            step(stepped[-1], plan, RAMPED, pulse)
+            step(stepped[-1], plan, pulse)
             assert np.shares_memory(stepped[-1].psi_plus, plan.work)
         for name in ("psi_plus", "psi_minus", "history"):
             a, b = (getattr(s, name) for s in stepped)
@@ -881,7 +900,7 @@ class TestPlan:
         # and its residual check reads them: a corrupt factor fails it
         taken.factors[2][n] *= 1.0 + 1e-6
         with pytest.raises(SweepDivergence, match="residual"):
-            step(copy.deepcopy(state), taken, RAMPED, pulse)
+            step(copy.deepcopy(state), taken, pulse)
 
     @pytest.mark.parametrize("r_g", [1e-3, 0.05, 0.25, 0.5, 0.7, 1.0, 2.0, 4.0, 20.0])
     def test_every_plan_is_column_diagonally_dominant(self, r_g):
@@ -949,10 +968,10 @@ class TestPlan:
         perturber = None if rate is None else (zeros, rate)
         plan = plan_steps(med, sched, 0.0, 0.5, zeros, zeros, perturber)
         state = init_state(med, sched, prepared(center=12.5))
-        step(copy.deepcopy(state), plan, sched, prepared(center=12.5))
+        step(copy.deepcopy(state), plan, prepared(center=12.5))
         plan.factors[2][med.grid_points] *= 1.0 + 1e-6
         with pytest.raises(SweepDivergence, match="residual"):
-            step(state, plan, sched, prepared(center=12.5))
+            step(state, plan, prepared(center=12.5))
 
     @pytest.mark.parametrize("t0,dt", [(1e4, 1e-13), (0.0, 0.0)])
     def test_step_that_advances_no_stretched_time_is_refused(self, t0, dt):
