@@ -20,8 +20,8 @@ _EXPORTS = {
     "errors": ("SimulationError",),
     "medium": ("MediumModel", "build_medium", "build_pulse", "build_schedule",
                "coefficients", "group_velocity"),
-    "oracle": ("conversion_probability", "gaussian_envelope",
-               "spreading_velocity", "width_b"),
+    "oracle": ("conversion_probability", "decay_exponent", "drift_beta",
+               "gaussian_envelope", "spreading_velocity", "width_b"),
     "presets": ("get_preset", "list_presets"),
     "scenario": ("RunResult", "run_scenario"),
 }

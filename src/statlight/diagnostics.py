@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from .errors import EmptyField, PhaseUnwrapAmbiguity, WindowTooShort
-from .medium import ControlSchedule, MediumModel, PulseSpec
-from .oracle import check_channel, decay_exponent, gaussian_envelope, width_b
+from .medium import PulseSpec
+from .oracle import OracleWalk, check_channel, gaussian_envelope
 
 ENERGY_FLOOR = 1e-30
 MIN_FIT_POINTS = 5
@@ -28,15 +28,20 @@ class Moments:
     peak: float
 
 
-def moments(z: np.ndarray, field: np.ndarray, dz: float) -> Moments:
-    """Intensity-weighted moments of a complex field sampled on z."""
-    w = np.abs(np.asarray(field)) ** 2
+def _spread(z: np.ndarray, w: np.ndarray, dz: float) -> tuple[float, float, float]:
+    """(energy, centroid, rms) of the intensity w = |field|^2 sampled on z;
+    an empty field is refused."""
     energy = float(np.sum(w) * dz)
     if energy < ENERGY_FLOOR:
         raise EmptyField(f"field energy {energy:g} below {ENERGY_FLOOR:g}")
     centroid = float(np.sum(w * z) * dz / energy)
     var = float(np.sum(w * (z - centroid) ** 2) * dz / energy)
-    rms = max(math.sqrt(max(var, 0.0)), dz)
+    return energy, centroid, max(math.sqrt(max(var, 0.0)), dz)
+
+
+def moments(z: np.ndarray, field: np.ndarray, dz: float) -> Moments:
+    """Intensity-weighted moments of a complex field sampled on z."""
+    energy, centroid, rms = _spread(z, np.abs(np.asarray(field)) ** 2, dz)
     i = int(np.argmax(np.abs(field)))
     return Moments(energy=energy, centroid=centroid, rms=rms,
                    peak=float(np.abs(field[i])))
@@ -80,32 +85,35 @@ def unwrapped_phase(samples) -> np.ndarray:
     return np.asarray(out)
 
 
-def compare_to_oracle(medium: MediumModel, schedule: ControlSchedule,
-                      pulse: PulseSpec, t: float, envelopes, anchor=None):
+def compare_to_oracle(walk: OracleWalk, pulse: PulseSpec, t: float,
+                      envelopes, squares, anchor=None):
     """Relative errors (envelope l2, width, decay) of one measured channel
     envelope at time t against the closed form, and the anchor to score the
     next snapshot of the same series with. `envelopes` is the non-negative
-    pair (a_plus, a_minus) that `_record` forms; the channel scored is the
-    one whose control is on at t, "+" when both or neither are.
+    pair (a_plus, a_minus) that `_record` forms and `squares` their squares;
+    the channel scored is the one whose control is on at t, "+" when both
+    or neither are.
 
     The anchor (scale, peak, B0, decay factor) comes from the series' first
     snapshot, scored with anchor=None, so only evolution (drift, spreading,
     decay) is scored, not the injection normalization. After
-    `check_channel`'s refusals, each call takes one `width_b` quadrature and
-    one `decay_exponent` pass, and hands both to `gaussian_envelope`, which
-    then does not check the channel again.
+    `check_channel`'s refusals, the width B, the decay pair and the drift
+    are read at t from `walk`, the series' one `OracleWalk`, which
+    `gaussian_envelope` reads too, so a series takes no quadrature of its
+    own per snapshot; the width error's rms is the moment of the squared
+    envelope.
     """
+    medium, schedule = walk.medium, walk.schedule
     z = medium.grid()
     op, om = schedule.values(t)
     channel = "-" if op == 0.0 and om != 0.0 else "+"
     check_channel(medium, schedule, channel, t)
-    a = envelopes[0 if channel == "+" else 1]
-    b = width_b(medium, schedule, pulse, t)
-    transport, total = decay_exponent(medium, schedule, t)
+    k = 0 if channel == "+" else 1
+    a = envelopes[k]
     # the closed form is a positive prefactor times a Gaussian
-    pred = gaussian_envelope(medium, schedule, pulse, channel, t, z,
-                             width=b, decay=transport)
-    df = math.exp(-total)
+    pred = gaussian_envelope(medium, schedule, pulse, channel, t, z, walk)
+    b = walk.width(pulse, t)
+    df = math.exp(-walk.decay(t)[1])
     pk = float(np.max(a))
     if anchor is None:
         if pk <= 0.0:
@@ -115,8 +123,8 @@ def compare_to_oracle(medium: MediumModel, schedule: ControlSchedule,
     pred = pred * scale
     env_err = float(np.linalg.norm(a - pred) / np.linalg.norm(pred))
 
-    m = moments(z, a, medium.dz)
-    width_err = abs(m.rms - b / math.sqrt(2.0)) / (b / math.sqrt(2.0))
+    _, _, rms = _spread(z, squares[k], medium.dz)
+    width_err = abs(rms - b / math.sqrt(2.0)) / (b / math.sqrt(2.0))
 
     predicted_ratio = (df / df0) * (b0 / b)
     measured_ratio = pk / peak0
@@ -124,11 +132,10 @@ def compare_to_oracle(medium: MediumModel, schedule: ControlSchedule,
     return (env_err, width_err, decay_err), anchor
 
 
-def energy_fraction(psi_plus, psi_minus, mask) -> float:
-    """Share of the two channels' grid energy |psi_+|^2 + |psi_-|^2 that sits
-    where mask is true; zero for empty fields."""
-    w = np.abs(psi_plus) ** 2 + np.abs(psi_minus) ** 2
-    total = float(np.sum(w))
+def energy_fraction(intensity, mask) -> float:
+    """Share of the grid energy `intensity` (|psi_+|^2 + |psi_-|^2 of the
+    two channels) that sits where mask is true; zero for an empty field."""
+    total = float(np.sum(intensity))
     if total <= 0.0:
         return 0.0
-    return float(np.sum(w[mask])) / total
+    return float(np.sum(intensity[mask])) / total

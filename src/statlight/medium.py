@@ -68,10 +68,17 @@ class MediumModel:
     def dz(self) -> float:
         return self.domain_length / self.grid_points
 
-    def grid(self):
+    @functools.cached_property
+    def _grid(self):
         import numpy as np
 
-        return self.dz * np.arange(self.grid_points)
+        z = self.dz * np.arange(self.grid_points)
+        z.flags.writeable = False
+        return z
+
+    def grid(self):
+        """The cell positions z, one read-only array per medium."""
+        return self._grid
 
     @property
     def storage_threshold(self) -> float:

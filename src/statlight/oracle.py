@@ -2,10 +2,11 @@
 
 Everything here is an integral over the control schedule plus small-k Taylor
 data of the transport branch, keyed by lab time t; no fields are evolved.
-Each is a `_quad` over the transport windows alone: a stored pulse does not
-drift, spread or decay. The integrands depend on t only through the controls,
-so `_quad` takes each plateau exactly, as value times length, and each
-smoothstep ramp by adaptive Gauss-Legendre quadrature.
+Each is an `_Integral` over the transport windows alone: a stored pulse does
+not drift, spread or decay. The integrands depend on t only through the
+controls, so each plateau is taken exactly, as value times length, and each
+smoothstep ramp by adaptive Gauss-Legendre quadrature. An `OracleWalk` holds
+one walk per integral and reads it at any number of times.
 The drift/width pair (`drift_beta`, `width_b`) describes a Gaussian envelope
 carried by the two-channel medium; `gaussian_envelope` assembles the full
 envelope including the common decay and the channel prefactors.
@@ -13,6 +14,7 @@ envelope including the common decay and the channel prefactors.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -86,53 +88,131 @@ def _ramp_integral(f, a, b):
     return total
 
 
-def _quad(f, medium: MediumModel, schedule: ControlSchedule,
-          lo: float, hi: float) -> float:
-    """Integral of an f that depends on t only through the controls over the
-    transport windows of the schedule's timeline (`regime_windows`), each
-    clipped to [lo, hi]: exact on plateaus, where f is constant, adaptive on
-    ramps. Stored time adds nothing, and f is never called there."""
-    total = 0.0
-    for a, b, transport in regime_windows(medium, schedule):
-        a, b = max(a, lo), min(b, hi)
-        if transport and b > a:
-            for p, q, _, ramping in schedule.pieces(a, b):
-                total += _ramp_integral(f, p, q) if ramping else f(0.5 * (p + q)) * (q - p)
-    return total
+class _Integral:
+    """The integral from the schedule start to t of an f that depends on t
+    only through the controls, over the transport pieces: exact on a
+    plateau, where f is constant, as value times length, and by
+    `_ramp_integral` on a ramp. `sums[k]` is the sum over the first k
+    pieces, added in time order and kept, so every t reads the same sums;
+    a plateau's f is evaluated once. A t partway through a piece adds that
+    piece up to t; the last such read is kept, for a second read at the
+    same t."""
+
+    def __init__(self, f, pieces):
+        self.f, self.pieces = f, pieces
+        self.ends = [b for _, b, _ in pieces]
+        self.sums = [0.0]
+        self.values: dict[int, float] = {}
+        self.partial = (None, 0.0)
+
+    def _piece(self, k: int, b: float) -> float:
+        a, end, ramping = self.pieces[k]
+        if ramping:
+            return _ramp_integral(self.f, a, b)
+        if k not in self.values:
+            self.values[k] = self.f(0.5 * (a + end))
+        return self.values[k] * (b - a)
+
+    def __call__(self, t: float) -> float:
+        sums, k = self.sums, bisect.bisect_right(self.ends, t)
+        while len(sums) <= k:
+            n = len(sums) - 1
+            sums.append(sums[n] + self._piece(n, self.ends[n]))
+        if k < len(self.pieces) and self.pieces[k][0] < t:
+            if self.partial[0] != t:
+                self.partial = t, sums[k] + self._piece(k, t)
+            return self.partial[1]
+        return sums[k]
+
+
+class OracleWalk:
+    """The oracle's scalars of one (medium, schedule) pair at lab times t:
+    the envelope width B (`width`), the decay pair (`decay`) and the drift
+    (`drift`). Each integral is one walk over the transport pieces
+    (`_Integral`), read at every t, so a run scores all its snapshots from
+    one walk per integral. `width_b`, `decay_exponent` and `drift_beta` are
+    single reads of a fresh walk."""
+
+    def __init__(self, medium: MediumModel, schedule: ControlSchedule):
+        self.medium, self.schedule = medium, schedule
+        self.windows = regime_windows(medium, schedule)
+        # every integral sums the schedule pieces of the transport windows;
+        # stored time has none
+        pieces = [(a, b, ramping) for lo, hi, transport in self.windows if transport
+                  for a, b, _, ramping in schedule.pieces(lo, hi)]
+        self._drift = _Integral(
+            lambda s: group_velocity(medium, *schedule.values(s)), pieces)
+        self._grow = _Integral(
+            lambda s: m2_rate(medium, schedule, s) * tau_rate_at(medium, schedule, s),
+            pieces)
+        self._decay = _Integral(
+            lambda s: coefficients(medium, *schedule.values(s)).eta * medium.gamma2,
+            pieces)
+
+    def drift(self, t: float) -> tuple[float, float]:
+        """Envelope center drift (beta_plus, beta_minus) at lab time t.
+
+        The rate is the polariton group velocity, integrated over the
+        transport pieces, plus an exact time derivative, taken as the
+        difference of eta alpha_tilde / xi_minus between the run's two ends
+        (not per window: it changes sign across storage). That term is
+        inf * 0 in storage, so a t inside a storage window, and a schedule
+        that opens stored, are refused before any quadrature.
+        """
+        medium, schedule = self.medium, self.schedule
+        t0 = schedule.t_start
+        for lo, hi, transport in self.windows:
+            if not transport and lo == t0:
+                end = "the end of the schedule" if hi == schedule.t_end else f"t = {hi:g}"
+                raise DegenerateCoefficients(
+                    f"drift undefined at t = {t:g}: the schedule opens in dark storage, "
+                    f"below the storage threshold from t = {t0:g} to {end}")
+            if not transport and lo < t <= hi:
+                raise DegenerateCoefficients(
+                    f"drift undefined at t = {t:g}: the control power fell below "
+                    f"the storage threshold at t = {lo:g}")
+        xm = medium.xi_minus
+        main = self._drift(t)
+
+        def eta_alpha_tilde(s):
+            co = coefficients(medium, *schedule.values(s))
+            return co.eta * co.alpha_tilde
+
+        beta_plus = main - (eta_alpha_tilde(t) - eta_alpha_tilde(t0)) / xm
+        return beta_plus, beta_plus - medium.xi_sum_inv
+
+    def width(self, pulse: PulseSpec, t: float) -> float:
+        """Envelope Gaussian width B at lab time t (time units, c = 1). A
+        stored pulse does not spread, so B is the same at both ends of a
+        storage window."""
+        l_o = pulse_length(self.medium, pulse)
+        grow = self._grow(t)
+        radicand = l_o * l_o + 2.0 * grow
+        if radicand <= 0.0:
+            raise NegativeRadicand(
+                f"squared width {radicand:g} not positive at t = {t:g}")
+        return math.sqrt(radicand)
+
+    def decay(self, t: float) -> tuple[float, float]:
+        """Integrals of the common envelope decay rate from schedule start
+        to t: (the integral over the transport pieces, and that plus the
+        bare rate gamma2 times the stored time, min(hi, t) - lo summed over
+        the storage windows of `regime_windows` that open before t). The
+        first is the envelope's own decay (`gaussian_envelope`), the second
+        the predicted attenuation of what the run carries through storage."""
+        medium = self.medium
+        if medium.gamma2 == 0.0:
+            return 0.0, 0.0
+        pde = self._decay(t)
+        stored = sum(min(hi, t) - lo for lo, hi, transport in self.windows
+                     if not transport and lo < t)
+        return pde, pde + medium.gamma2 * stored
 
 
 def drift_beta(medium: MediumModel, schedule: ControlSchedule,
                t: float) -> tuple[float, float]:
-    """Envelope center drift (beta_plus, beta_minus) at lab time t.
-
-    The rate is the polariton group velocity, integrated by `_quad`, plus an
-    exact time derivative, taken as the difference of eta alpha_tilde /
-    xi_minus between the run's two ends (not per window: it changes sign
-    across storage). That term is inf * 0 in storage, so a t inside a
-    storage window, and a schedule that opens stored, are refused before any
-    quadrature.
-    """
-    t0 = schedule.t_start
-    for lo, hi, transport in regime_windows(medium, schedule):
-        if not transport and lo == t0:
-            end = "the end of the schedule" if hi == schedule.t_end else f"t = {hi:g}"
-            raise DegenerateCoefficients(
-                f"drift undefined at t = {t:g}: the schedule opens in dark storage, "
-                f"below the storage threshold from t = {t0:g} to {end}")
-        if not transport and lo < t <= hi:
-            raise DegenerateCoefficients(
-                f"drift undefined at t = {t:g}: the control power fell below "
-                f"the storage threshold at t = {lo:g}")
-    xm = medium.xi_minus
-    main = _quad(lambda s: group_velocity(medium, *schedule.values(s)),
-                 medium, schedule, t0, t)
-
-    def eta_alpha_tilde(s):
-        co = coefficients(medium, *schedule.values(s))
-        return co.eta * co.alpha_tilde
-
-    beta_plus = main - (eta_alpha_tilde(t) - eta_alpha_tilde(t0)) / xm
-    return beta_plus, beta_plus - medium.xi_sum_inv
+    """`OracleWalk.drift` at lab time t, read from a fresh walk."""
+    return OracleWalk(medium, schedule).drift(t)
 
 
 def m2_rate(medium: MediumModel, schedule: ControlSchedule, t: float) -> float:
@@ -148,34 +228,14 @@ def m2_rate(medium: MediumModel, schedule: ControlSchedule, t: float) -> float:
 
 def width_b(medium: MediumModel, schedule: ControlSchedule, pulse: PulseSpec,
             t: float) -> float:
-    """Envelope Gaussian width B at lab time t (time units, c = 1). A stored
-    pulse does not spread, so B is the same at both ends of a storage window."""
-    l_o = pulse_length(medium, pulse)
-    grow = _quad(lambda s: m2_rate(medium, schedule, s)
-                 * tau_rate_at(medium, schedule, s),
-                 medium, schedule, schedule.t_start, t)
-    radicand = l_o * l_o + 2.0 * grow
-    if radicand <= 0.0:
-        raise NegativeRadicand(
-            f"squared width {radicand:g} not positive at t = {t:g}")
-    return math.sqrt(radicand)
+    """`OracleWalk.width` at lab time t, read from a fresh walk."""
+    return OracleWalk(medium, schedule).width(pulse, t)
 
 
 def decay_exponent(medium: MediumModel, schedule: ControlSchedule,
                    t: float) -> tuple[float, float]:
-    """Integrals of the common envelope decay rate from schedule start to t:
-    (the `_quad` over the transport windows, and that plus the bare rate
-    gamma2 times the stored time, min(hi, t) - lo summed over the storage
-    windows of `regime_windows` that open before t). The first is the
-    envelope's own decay (`gaussian_envelope`), the second the predicted
-    attenuation of what the run carries through storage."""
-    if medium.gamma2 == 0.0:
-        return 0.0, 0.0
-    pde = _quad(lambda s: coefficients(medium, *schedule.values(s)).eta * medium.gamma2,
-                medium, schedule, schedule.t_start, t)
-    stored = sum(min(hi, t) - lo for lo, hi, transport in regime_windows(medium, schedule)
-                 if not transport and lo < t)
-    return pde, pde + medium.gamma2 * stored
+    """`OracleWalk.decay` at lab time t, read from a fresh walk."""
+    return OracleWalk(medium, schedule).decay(t)
 
 
 def check_channel(medium: MediumModel, schedule: ControlSchedule,
@@ -195,21 +255,23 @@ def check_channel(medium: MediumModel, schedule: ControlSchedule,
 
 def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
                       pulse: PulseSpec, channel: str, t: float, z,
-                      width: float | None = None, decay: float | None = None):
+                      walk: OracleWalk | None = None):
     """Predicted field envelope A_channel(t, z) at lab time t.
 
     channel is "+" or "-". z may be an array. A single constant control
     gives pure translation at the group velocity. The envelope is real:
     the model normalises the control phases out of the transport equations.
-    `check_channel` refuses an undefined envelope first. A caller that
-    already holds the width B (`width_b`) and the transport decay exponent
-    (`decay_exponent`'s first value) at the same t passes them as `width`
-    and `decay`, and neither quadrature runs again. Such a caller has run
-    `check_channel` before its quadratures, as `compare_to_oracle` does, so
-    the check runs here only when one of the two is not passed.
+    The width, decay and drift are read from `walk`, an `OracleWalk` of the
+    same medium and schedule. A caller that passes one has run
+    `check_channel` first, as `compare_to_oracle` does; without one the
+    check runs here, before a fresh walk's quadratures.
     """
-    if width is None or decay is None:
+    if walk is None:
         check_channel(medium, schedule, channel, t)
+        walk = OracleWalk(medium, schedule)
+    b = walk.width(pulse, t)
+    decay, _ = walk.decay(t)
+    beta_p, beta_m = walk.drift(t)
     t0 = schedule.t_start
     op0, om0 = schedule.values(t0)
     op1, om1 = schedule.values(t)
@@ -219,10 +281,6 @@ def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
     else:
         om_here, g_ratio = om1, 1.0 / medium.r_g
 
-    b = width_b(medium, schedule, pulse, t) if width is None else width
-    if decay is None:
-        decay, _ = decay_exponent(medium, schedule, t)
-    beta_p, beta_m = drift_beta(medium, schedule, t)
     beta = beta_p if channel == "+" else beta_m
     # beta is a displacement from the initial forward-channel center, which
     # sits ahead of the polariton center by the slaving offset

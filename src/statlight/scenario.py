@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import io
 import json
 import math
+import os
 import pathlib
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .config import RunConfig, config_echo, render_config
 from .diagnostics import (MIN_FIT_POINTS, compare_to_oracle, energy_fraction,
@@ -36,7 +39,7 @@ from .integrator import (BDF2, MODE_PDE, MODE_STORAGE, RESIDUAL_TOL,
 from .medium import (coefficients, envelope_scales, group_velocity,
                      pulse_length, regime_windows, stationarity_residual,
                      tau_of_t, validity_report)
-from .oracle import decay_exponent, width_b, width_growth_rate
+from .oracle import OracleWalk, width_b, width_growth_rate
 from .perturber import (interaction_rate, perturber_density,
                         phase_rate_stationary, phase_shift_traveling,
                         stationary_rate_measured_scale)
@@ -291,9 +294,8 @@ def check_budget(config: RunConfig) -> None:
 
 def preflight(config: RunConfig) -> None:
     """Refuse, before any step, what a run of the config refuses before its
-    first step: the budget, then the first record of the config's engine,
-    made and checked by the generator the run takes it from."""
-    check_budget(config)
+    first step: the first record of the config's engine, made and checked,
+    after the budget, by the generator the run takes it from."""
     next((_spectral_records if config.engine == "spectral"
           else _direct_records)(config))
 
@@ -308,10 +310,11 @@ def _probe_index(config: RunConfig):
 def _record(config: RunConfig, t: float, mode: str,
             psi_plus, psi_minus, spin, sponge_mask, probe_idx, index: int):
     """The snapshot of the fields at lab time t, with tau = `tau_of_t` at t,
-    its trajectory row and the channel envelopes (a_plus, a_minus), formed
-    once for the row, the snapshot file and the fit window: |psi| times
-    `envelope_scales` in transport, zeros in storage. The sponge fraction (in
-    transport, over `sponge_mask` unless it is None) weighs |psi| unscaled."""
+    its trajectory row, the channel envelopes (a_plus, a_minus) and their
+    squares, formed once for the row, the snapshot file and the fit window:
+    |psi| times `envelope_scales` in transport, zeros in storage. The
+    sponge fraction (in transport, over `sponge_mask` unless it is None)
+    weighs the same |psi| unscaled."""
     med, sched = config.medium, config.schedule
     tau = tau_of_t(med, sched, t)
     z = med.grid()
@@ -320,14 +323,18 @@ def _record(config: RunConfig, t: float, mode: str,
         phi = np.array(spin, copy=True)
         envelopes = (np.zeros(med.grid_points),) * 2
     else:
+        envelopes = np.abs(psi_plus), np.abs(psi_minus)
         if sponge_mask is not None:
-            sponge = energy_fraction(psi_plus, psi_minus, sponge_mask)
+            sponge = energy_fraction(envelopes[0] ** 2 + envelopes[1] ** 2,
+                                     sponge_mask)
         op, om = sched.values(t)
         co = coefficients(med, op, om)
         phi = polariton_field(co.alpha_plus, co.alpha_minus, psi_plus, psi_minus)
-        scale_p, scale_m = envelope_scales(med, op, om)
-        envelopes = np.abs(psi_plus) * scale_p, np.abs(psi_minus) * scale_m
-    ep, em = (float(np.sum(a ** 2) * med.dz) for a in envelopes)
+        # |psi|, once weighed for the sponge fraction, scaled in place
+        for a, scale in zip(envelopes, envelope_scales(med, op, om)):
+            a *= scale
+    squares = tuple(a ** 2 for a in envelopes)
+    ep, em = (float(np.sum(sq) * med.dz) for sq in squares)
     app, apm = (float(np.max(a)) for a in envelopes)
     try:
         m = moments(z, phi, med.dz)
@@ -348,41 +355,46 @@ def _record(config: RunConfig, t: float, mode: str,
     snap = Snapshot(index, t, tau, mode,
                     np.array(psi_plus, copy=True),
                     np.array(psi_minus, copy=True), phi)
-    return snap, row, envelopes
+    return snap, row, envelopes, squares
 
 
 def _run(config: RunConfig, out_dir, records) -> EngineRun:
     """Collect an engine's records, each checked by its engine before it is
-    yielded. Without an out-dir the run keeps every snapshot. With one, the
-    first record makes the directory and unlinks what an earlier run left
-    there: the files only a finished run writes (summary.json,
-    trajectory.tsv, config.txt) and every snap_*.npy; each record then saves
-    snap_NNNNN.npy if `output.snapshots`, from one (N, 9) buffer whose z
-    column, and the zero im columns of real fields, are written once."""
+    yielded, the first after `check_budget`. Without an out-dir the run
+    keeps every snapshot. With one, the first record makes the directory and
+    unlinks what an earlier run left there: the files only a finished run
+    writes (summary.json, trajectory.tsv, config.txt) and every snap_*.npy;
+    each record then saves snap_NNNNN.npy if `output.snapshots`, from one
+    (N, 9) buffer, made at the first record, whose z column, and the zero im
+    columns of real fields, are written once, behind the one .npy header of
+    that buffer."""
     out = None if out_dir is None else pathlib.Path(out_dir)
-    buf = None
-    if out is not None and config.output.snapshots:
-        buf = np.zeros((config.medium.grid_points, 9))
-        buf[:, 0] = config.medium.grid()
+    buf = header = None
     imag = not _real_fields(config)
     snapshots: list[Snapshot] = []
     traj: list[dict] = []
     fit = _FitWindow(config)
-    for snap, row, envelopes in records:
+    for snap, row, envelopes, squares in records:
         if out is None:
             snapshots.append(snap)
         else:
             if not traj:
+                # past the budget, which the first record checks
                 out.mkdir(parents=True, exist_ok=True)
                 for stale in [out / "summary.json", out / "trajectory.tsv",
                               out / "config.txt", *out.glob("snap_*.npy")]:
                     stale.unlink(missing_ok=True)
+                if config.output.snapshots:
+                    buf = np.zeros((config.medium.grid_points, 9))
+                    buf[:, 0] = config.medium.grid()
+                    header = _npy_header(buf)
             if buf is not None:
                 _write_snapshot(out / f"snap_{snap.index:05d}.npy", snap, buf,
-                                imag, envelopes)
-        fit.add(snap, row, envelopes)
+                                header, imag, envelopes)
+        fit.add(snap, row, envelopes, squares)
         traj.append(row)
-        del snap, envelopes  # a streamed run holds none while the engine advances
+        # a streamed run holds none while the engine advances
+        del snap, envelopes, squares
     return EngineRun(snapshots, traj, fit)
 
 
@@ -453,10 +465,11 @@ def check_crossing_steps(config: RunConfig, events, w_plus, w_minus) -> None:
 
 def _direct_records(config: RunConfig):
     """The direct engine's records, one per snapshot event. Before the first,
-    `check_crossing_steps` refuses a ramp the engine cannot step, and
-    `check_injection` a pulse injected into controls that hold it. Each is
-    refused by `check_sponges` before it is yielded; a storage record has no
-    sponge fraction."""
+    `check_budget` refuses a run too large, `check_crossing_steps` a ramp the
+    engine cannot step, and `check_injection` a pulse injected into controls
+    that hold it. Each is refused by `check_sponges` before it is yielded; a
+    storage record has no sponge fraction."""
+    check_budget(config)
     med, sched, pulse, run = (config.medium, config.schedule,
                               config.pulse, config.run)
     state = init_state(med, sched, pulse)
@@ -509,7 +522,7 @@ def check_guard_band(medium, psi_plus, psi_minus, centroid: float,
             f"guard band of {half_width:g} around the centroid z = {centroid:g} "
             f"(from pulse.center) does not fit in medium.domain_length = "
             f"{medium.domain_length:g}")
-    frac = energy_fraction(psi_plus, psi_minus,
+    frac = energy_fraction(np.abs(psi_plus) ** 2 + np.abs(psi_minus) ** 2,
                            np.abs(medium.grid() - centroid) > half_width)
     if frac > GUARD_ENERGY_FRACTION:
         raise GuardBandOverflow(
@@ -520,9 +533,11 @@ def check_guard_band(medium, psi_plus, psi_minus, centroid: float,
 
 def _spectral_records(config: RunConfig):
     """The spectral engine's records, one per snapshot time, from the
-    spectrum of the direct engine's start field. Each is refused by
-    `check_guard_band` before it is yielded, about its row's centroid, with
-    the half-width GUARD_WIDTHS times the oracle's rms width at run.t_end."""
+    spectrum of the direct engine's start field, after `check_budget`. Each
+    is refused by `check_guard_band` before it is yielded, about its row's
+    centroid, with the half-width GUARD_WIDTHS times the oracle's rms width
+    at run.t_end."""
+    check_budget(config)
     med, sched, pulse = config.medium, config.schedule, config.pulse
     # `parse_config` refuses a spectral run that opens in storage
     sstate = spectral_state_from_fields(
@@ -562,18 +577,20 @@ class _FitWindow:
     collects them: their trajectory rows, when the run replays (`_replays`)
     the first and the latest snapshot (the ends of the replay) and, for
     a prepared pulse, each one's errors against the oracle, until the
-    oracle refuses one (`refusal`)."""
+    oracle refuses one (`refusal`). `walk` is the run's one `OracleWalk`,
+    which scores every snapshot and predicts the window's area decay."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.window, self.tol = _fit_window(config), _tol(config)
+        self.walk = OracleWalk(config.medium, config.schedule)
         self.rows: list[dict] = []
         self.first = self.last = None
         # (envelope l2, width rel, decay rel) of each scored snapshot
         self.errors: list[tuple] = []
         self.anchor = self.refusal = None
 
-    def add(self, snap: Snapshot, row: dict, envelopes):
+    def add(self, snap: Snapshot, row: dict, envelopes, squares):
         """Take in a record of `_record`; a prepared pulse's envelope is
         scored against the oracle (`compare_to_oracle` picks the channel)."""
         window, tol = self.window, self.tol
@@ -584,12 +601,12 @@ class _FitWindow:
         if _replays(self.config):
             self.first = self.first or snap
             self.last = snap
-        med, sched, pulse = self.config.medium, self.config.schedule, self.config.pulse
+        pulse = self.config.pulse
         if not pulse.prepared or self.refusal is not None:
             return
         try:
-            errors, self.anchor = compare_to_oracle(med, sched, pulse, snap.t,
-                                                    envelopes, self.anchor)
+            errors, self.anchor = compare_to_oracle(self.walk, pulse, snap.t,
+                                                    envelopes, squares, self.anchor)
         except SimulationError as exc:
             self.refusal = str(exc)
         else:
@@ -623,10 +640,12 @@ def _cross_engine(config: RunConfig, primary: EngineRun):
             "l2": math.sqrt(num / den)}, []
 
 
-def _longest_true_run(mask) -> slice:
-    """The first longest run of true values in a boolean array with one."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask, [0]))))
-    starts, stops = edges[0::2], edges[1::2]
+def _longest_true_run(mask, keys) -> slice:
+    """The first longest run of true values, all of one key, in a boolean
+    array with one."""
+    joined = mask[1:] & mask[:-1] & (keys[1:] == keys[:-1])
+    starts = np.flatnonzero(mask & ~np.concatenate(([False], joined)))
+    stops = np.flatnonzero(mask & ~np.concatenate((joined, [False]))) + 1
     k = int(np.argmax(stops - starts))
     return slice(int(starts[k]), int(stops[k]))
 
@@ -636,17 +655,22 @@ def _perturber_measurement(config: RunConfig, primary: EngineRun):
     idx = _probe_index(config)
     if idx is None:
         return None, ["perturber phase needs run.probe_z; measurement skipped"]
-    # each transport row of a trajectory carries psi_plus at the probe
-    rows = [r for r in primary.trajectory if r["mode"] == 0.0]
-    if len(rows) < 2:
+    # each transport row of a trajectory carries psi_plus at the probe, and
+    # each storage row nan, which no mask selects; keyed by the run window
+    # it lies in, a phase window stays inside one transport window also
+    # where no row falls in the storage window between
+    rows = primary.trajectory
+    if sum(r["mode"] == 0.0 for r in rows) < 2:
         return None, ["perturber phase skipped: too few transport snapshots"]
     tseries = np.array([r["t"] for r in rows])
     p = np.array([complex(r["probe_re"], r["probe_im"]) for r in rows])
     amp = np.abs(p)
-    top = float(np.max(amp))
+    top = float(np.nanmax(amp))
     if top <= 0.0:
         return None, ["perturber phase skipped: probe never sees the pulse"]
-    sl = _longest_true_run(amp >= PHASE_MASK_LEVEL * top)
+    window_starts = [lo for lo, _, _ in _run_windows(config)]
+    sl = _longest_true_run(amp >= PHASE_MASK_LEVEL * top,
+                           np.searchsorted(window_starts, tseries, side="right"))
     if sl.stop - sl.start < 2:
         return None, ["perturber phase skipped: pulse too brief at the probe"]
     try:
@@ -669,13 +693,11 @@ def _perturber_measurement(config: RunConfig, primary: EngineRun):
             result["pi_crossing_time"] = float(tm[i - 1] + frac * (tm[i] - tm[i - 1]))
             break
     result["predicted_rate"], result["predicted_t_pi"] = phase_rate_stationary(med, spec)
+    # the window's middle lies in its transport window, so a control is on
     op, om = sched.values(0.5 * (tm[0] + tm[-1]))
-    # null where the window's middle has no transport (both controls off, in
-    # a storage window between transport rows), the shift also for a
-    # standing pulse
-    result["rate_scale"] = result["predicted_shift_traveling"] = None
-    with contextlib.suppress(SimulationError):
-        result["rate_scale"] = stationary_rate_measured_scale(med, spec, op, om)
+    result["rate_scale"] = stationary_rate_measured_scale(med, spec, op, om)
+    # null for a standing pulse
+    result["predicted_shift_traveling"] = None
     with contextlib.suppress(SimulationError):
         result["predicted_shift_traveling"] = phase_shift_traveling(
             med, coefficients(med, op, om), spec)
@@ -692,7 +714,13 @@ def _line_fit(ts, values, predicted: float) -> dict:
             "r2": r2}
 
 
-def _measurements(config: RunConfig, primary: EngineRun):
+def _measurements(config: RunConfig, primary: EngineRun, cross_engine,
+                  cross_warnings: list) -> dict:
+    """The run's summary (`_summary`): its measurements, the cross-engine
+    score that `_cross_engine` gave, and the warnings, the cross-engine ones
+    after the measurements' own. The summary is assembled here, in the
+    stage perfbench/run.py times as the measurements, so that no work of
+    `run_scenario` runs outside a timed stage."""
     med, sched, pulse = config.medium, config.schedule, config.pulse
     warnings: list[str] = []
     out: dict = {"velocity": None, "width_rate": None, "area_decay": None,
@@ -721,8 +749,8 @@ def _measurements(config: RunConfig, primary: EngineRun):
 
             a0, a1 = rows[0]["phi_area"], rows[-1]["phi_area"]
             if a0 > 0.0:
-                predd = math.exp(-(decay_exponent(med, sched, ts[-1])[1]
-                                   - decay_exponent(med, sched, ts[0])[1]))
+                predd = math.exp(-(fit.walk.decay(ts[-1])[1]
+                                   - fit.walk.decay(ts[0])[1]))
                 out["area_decay"] = {
                     "window": [ts[0], ts[-1]], "measured_ratio": a1 / a0,
                     "predicted_ratio": predd,
@@ -749,7 +777,8 @@ def _measurements(config: RunConfig, primary: EngineRun):
         pm, pwarn = _perturber_measurement(config, primary)
         out["perturber"] = pm
         warnings += pwarn
-    return out, warnings
+    out["cross_engine"] = cross_engine
+    return _summary(config, primary, out, warnings + cross_warnings)
 
 
 def _round_floats(obj):
@@ -803,43 +832,56 @@ def _summary(config: RunConfig, primary: EngineRun, measurements: dict,
 
 
 def run_scenario(config: RunConfig, out_dir=None) -> RunResult:
-    """Run the config. Past the budget, the engine's records refuse what
-    `preflight` refuses, from the first one on, so the start is made once."""
-    check_budget(config)
+    """Run the config. The engine's records refuse what `preflight`
+    refuses, the budget first, so the start is made once."""
     if config.engine == "spectral":
         primary = _run(config, out_dir, _spectral_records(config))
     else:
         primary = _run_direct(config, out_dir)
-
-    measurements, warnings = _measurements(config, primary)
-    cross = None
-    if config.engine == "both":
-        cross, cwarn = _cross_engine(config, primary)
-        warnings += cwarn
-    measurements["cross_engine"] = cross
-
-    summary = _summary(config, primary, measurements, warnings)
+    cross = _cross_engine(config, primary) if config.engine == "both" else (None, [])
+    summary = _measurements(config, primary, *cross)
     result = RunResult(config, primary.snapshots, primary.trajectory, summary)
     if out_dir is not None:
         write_outputs(result, out_dir)
     return result
 
 
+def _npy_header(array: np.ndarray) -> bytes:
+    """The .npy header (format 1.0) that `np.save` writes before the bytes
+    of a C-contiguous `array`."""
+    fp = io.BytesIO()
+    npy_format.write_array_header_1_0(fp, npy_format.header_data_from_array_1_0(array))
+    return fp.getvalue()
+
+
 def _write_snapshot(path: pathlib.Path, snap: Snapshot, buf: np.ndarray,
-                    imag: bool, envelopes):
+                    header: bytes, imag: bool, envelopes):
     """Save the float64 (N, 9) columns of the README's snap_NNNNN.npy; t, tau
     and mode of the snapshot are row `snap.index` of trajectory.tsv.
 
     The columns are filled into `buf`, the array `_run` keeps from file to
     file. Only the field columns are written: the z column stays,
     and with `imag` false so do the im columns of real fields, which must
-    then be zero already. `envelopes` holds `_record`'s abs_a columns."""
+    then be zero already. `envelopes` holds `_record`'s abs_a columns. The
+    file is `header` (`_npy_header` of `buf`) and the buffer, the bytes of
+    `np.save`, in one write; a write short of them removes the file and
+    raises."""
     for col, values in ((1, snap.psi_plus), (3, snap.psi_minus), (7, snap.phi)):
         buf[:, col] = values.real
         if imag or values.dtype.kind == "c":
             buf[:, col + 1] = values.imag
     buf[:, 5], buf[:, 6] = envelopes
-    np.save(path, buf, allow_pickle=False)
+    size = len(header) + buf.nbytes
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        written = os.writev(fd, (header, buf))
+        if written != size:
+            raise OSError(f"{path}: wrote {written} of {size} bytes")
+    except OSError:
+        path.unlink()
+        raise
+    finally:
+        os.close(fd)
 
 
 def _write_trajectory(path: pathlib.Path, trajectory: list):

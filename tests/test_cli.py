@@ -409,7 +409,7 @@ def test_oracle_refusal_stops_scoring(monkeypatch):
     calls = []
 
     def counting(*args):
-        calls.append(args[3])
+        calls.append(args[2])
         return compare(*args)
 
     compare = scenario.compare_to_oracle
@@ -714,6 +714,18 @@ class TestPreflight:
         assert "config ok" not in captured.out
         assert key in captured.err
 
+    @pytest.mark.parametrize("key,value", [("medium.grid_points", "1e10"),
+                                           ("run.snapshot_interval", "1e-3")])
+    def test_run_refuses_over_budget_before_any_work(self, tmp_path, capsys,
+                                                     key, value):
+        # the run's snapshot buffer is sized by medium.grid_points: a run the
+        # budget refuses makes neither it nor the out-dir
+        cfg, out = tmp_path / "scenario.cfg", tmp_path / "out"
+        cfg.write_text(_stationary(**{key: value}))
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key,value,named", [
         ("medium.r_g", "1e200", "medium.r_g"),
         ("medium.r_g", "1e-200", "medium.r_g"),
@@ -964,10 +976,16 @@ class TestPerturbedRun:
         assert measured["perturber"] == direct.summary["measurements"]["perturber"]
         assert both.trajectory == direct.trajectory
 
-    def test_a_phase_window_across_storage_has_no_rate_scale(self):
-        """The probe's phase window spans the transport rows on either side
-        of a storage window, whose middle has both controls off: the rate
-        scale and the traveling shift are null there, and the run ends."""
+    @pytest.mark.parametrize("interval,window", [
+        ("500", [0.0, 1000.0]), ("2100", [2100.0, 3000.0])],
+        ids=["storage-rows", "no-storage-row"])
+    def test_a_phase_window_stays_inside_one_transport_window(self, interval,
+                                                             window):
+        """The phase window cannot join the transport rows on either side
+        of the storage window: a storage row's probe value is nan, and at
+        a snapshot interval of 2100 no row falls in the storage window. It
+        is one transport window's rows, whose controls give a rate scale
+        and a traveling shift, and the run ends."""
         text = _preset_with("phase_gate", **{
             "medium.r_g": "2", "medium.gamma2": "1e-6",
             "medium.domain_length": "30", "medium.grid_points": "1024",
@@ -975,16 +993,17 @@ class TestPerturbedRun:
             "schedule.segment": f"0 1000 {OM0!r} 0 50\n"
                                 f"schedule.segment = 1000 2000 0 0 1\n"
                                 f"schedule.segment = 2000 3000 0 {2 * OM0!r} 1",
-            "run.t_end": "3000", "run.snapshot_interval": "500",
+            "run.t_end": "3000", "run.snapshot_interval": interval,
             "run.probe_z": "15", "perturber.m_atoms": "100",
             "perturber.z_center": "15", "perturber.length": "5"})
         result = run_scenario(parse_config(text))
-        assert result.summary["storage_windows"]
+        [(t_off, t_on)] = result.summary["storage_windows"]
         phase = result.summary["measurements"]["perturber"]
-        lo, hi = phase["window"]
-        assert result.config.schedule.values(0.5 * (lo + hi)) == (0.0, 0.0)
-        assert phase["rate_scale"] is None
-        assert phase["predicted_shift_traveling"] is None
+        assert phase["window"] == window and 1000.0 < t_off < t_on < 2100.0
+        lo, hi = window
+        assert result.config.schedule.values(0.5 * (lo + hi)) != (0.0, 0.0)
+        assert phase["rate_scale"] is not None
+        assert phase["predicted_shift_traveling"] is not None
 
     def test_the_run_without_the_cloud_has_no_probe_phase(self, preset_run):
         """The premise of reading the phase off the perturbed run alone:
@@ -1127,6 +1146,55 @@ def test_snapshot_npy_round_trip(tmp_path, preset_run):
         assert row[:3] == [f"{snap.t:.12g}", f"{snap.tau:.12g}", mode]
 
 
+class TestSnapshotWrite:
+    """A snapshot file is the .npy header of the run's buffer and the
+    buffer, in one write."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("rows", [1, 256, 10240])
+    def test_header_and_buffer_are_the_bytes_of_np_save(self, tmp_path, dtype, rows):
+        buf = (np.arange(rows * 9) / 7.0).astype(dtype).reshape(rows, 9)
+        if buf.dtype.kind == "c":
+            buf.imag = -np.arange(rows * 9).reshape(rows, 9)
+        np.save(tmp_path / "ref.npy", buf, allow_pickle=False)
+        assert (scenario._npy_header(buf) + buf.tobytes()
+                == (tmp_path / "ref.npy").read_bytes())
+
+    @pytest.mark.parametrize("imag", [False, True])
+    def test_a_snapshot_file_is_the_np_save_of_its_buffer(self, tmp_path, imag):
+        n = 64
+        buf = np.zeros((n, 9))
+        buf[:, 0] = np.arange(n) / 8.0
+        field = np.linspace(-1.0, 1.0, n)
+        snap = scenario.Snapshot(3, 1.0, 2.0, "pde", field,
+                                 field * (1 - 2j) if imag else 0.5 * field,
+                                 field * (1j if imag else -1.0))
+        envelopes = np.abs(snap.psi_plus), np.abs(snap.psi_minus)
+        path = tmp_path / "snap_00003.npy"
+        scenario._write_snapshot(path, snap, buf, scenario._npy_header(buf), imag,
+                                 envelopes)
+        np.save(tmp_path / "ref.npy", buf, allow_pickle=False)
+        assert path.read_bytes() == (tmp_path / "ref.npy").read_bytes()
+        assert np.array_equal(np.load(path)[:, 4], snap.psi_minus.imag)
+
+    def test_a_short_write_raises_and_leaves_no_file(self, tmp_path, monkeypatch):
+        """A write that stops short (a full disk) raises instead of leaving
+        a truncated snapshot file."""
+        writev = os.writev
+
+        def short(fd, buffers):
+            return writev(fd, [bytes(buffers[0])[:-1]])
+
+        monkeypatch.setattr(scenario.os, "writev", short)
+        buf = np.zeros((16, 9))
+        snap = scenario.Snapshot(0, 0.0, 0.0, "pde", *(np.ones(16),) * 3)
+        path = tmp_path / "snap_00000.npy"
+        with pytest.raises(OSError, match="wrote 127 of 1280 bytes"):
+            scenario._write_snapshot(path, snap, buf, scenario._npy_header(buf),
+                                     False, (np.ones(16),) * 2)
+        assert not path.exists()
+
+
 class TestStreaming:
     """With an out-dir, each snap_NNNNN.npy is written as the run records it,
     and no snapshot stays in memory: the measurements read the fit window
@@ -1182,8 +1250,9 @@ class TestStreaming:
         for snap, row in zip(order, rows):
             scale_p, scale_m = envelope_scales(config.medium,
                                                *config.schedule.values(snap.t))
-            records.append((snap, row, (np.abs(snap.psi_plus) * scale_p,
-                                        np.abs(snap.psi_minus) * scale_m)))
+            envelopes = (np.abs(snap.psi_plus) * scale_p,
+                         np.abs(snap.psi_minus) * scale_m)
+            records.append((snap, row, envelopes, tuple(a ** 2 for a in envelopes)))
         scenario._run(config, out, records)
         for snap in order:
             assert _holds_columns(out / f"snap_{snap.index:05d}.npy", config, snap)

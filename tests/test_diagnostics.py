@@ -30,10 +30,16 @@ from statlight.medium import (
     build_pulse,
     build_schedule,
 )
-from statlight.oracle import decay_exponent, gaussian_envelope, width_b
+from statlight.oracle import OracleWalk, decay_exponent, gaussian_envelope, width_b
 from statlight.scenario import _record
 
 OM0 = math.sqrt(1e-3)
+
+
+def scored(walk, pulse, t, envelopes, anchor=None):
+    """`compare_to_oracle` on an envelope pair and their squares."""
+    return compare_to_oracle(walk, pulse, t, envelopes,
+                             tuple(a ** 2 for a in envelopes), anchor)
 
 
 class TestMoments:
@@ -119,11 +125,10 @@ class TestOracleComparison:
         pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
                             prepared=True, center=100.0)
         z = med.grid()
-        anchor, errors = None, []
+        walk, anchor, errors = OracleWalk(med, sched), None, []
         for t in [0.0, 2.5e3, 5e3, 1e4]:
             snap = gaussian_envelope(med, sched, pulse, "+", t, z)
-            errs, anchor = compare_to_oracle(med, sched, pulse, t,
-                                             (snap, np.zeros_like(snap)), anchor)
+            errs, anchor = scored(walk, pulse, t, (snap, np.zeros_like(snap)), anchor)
             errors.append(errs)
         env, width, decay = (max(col) for col in zip(*errors))
         assert env < 1e-9
@@ -141,7 +146,7 @@ class TestOracleComparison:
         pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
                             prepared=True, center=100.0)
         with pytest.raises(EmptyField, match="no field in channel \\+"):
-            compare_to_oracle(med, sched, pulse, 0.0, (np.zeros(256), np.ones(256)))
+            scored(OracleWalk(med, sched), pulse, 0.0, (np.zeros(256), np.ones(256)))
 
 
     RAMPED = build_schedule([Segment(0.0, 2000.0, OM0, 0.0),
@@ -162,10 +167,14 @@ class TestOracleComparison:
                 monkeypatch.setattr(module, name, counted)
         return calls
 
-    def test_one_width_and_one_decay_pass_per_snapshot(self, monkeypatch):
+    def test_a_series_takes_its_scalars_from_one_walk(self, monkeypatch):
         """Errors and anchor equal, bit for bit, those of the form that let
         `gaussian_envelope` take its own width and decay and took them again
-        for the width and decay errors (and a third time for the anchor)."""
+        for the width and decay errors (and a third time for the anchor),
+        each a single-time call with quadratures of its own. The series
+        reads them all from the one walk it is given: it makes no other
+        walk, so no snapshot takes a quadrature of its own beyond the piece
+        its time ends partway."""
         med = build_medium(r_g=1.5, gamma=1.0, gamma2=1e-5, u_g0=1e-3,
                            domain_length=200.0, grid_points=1024)
         sched = self.RAMPED
@@ -199,18 +208,18 @@ class TestOracleComparison:
             snapshots.append((t, a))
             errors, anchor = two_call_form(t, a, anchor)
             expected.append((errors, anchor))
-        widths = self.counting(monkeypatch, "width_b")
-        decays = self.counting(monkeypatch, "decay_exponent")
+        walk, walks = OracleWalk(med, sched), []
+        make = oracle.OracleWalk.__init__
+        monkeypatch.setattr(oracle.OracleWalk, "__init__",
+                            lambda *args: walks.append(args) or make(*args))
         anchor = None
         for (t, a), want in zip(snapshots, expected):
-            widths.clear()
-            decays.clear()
             # the envelopes `_record` forms are non-negative; both controls
             # are on past the ramp, so the forward channel is scored
-            errors, anchor = compare_to_oracle(
-                med, sched, pulse, t, (np.abs(a), np.zeros(len(z))), anchor)
+            errors, anchor = scored(walk, pulse, t, (np.abs(a), np.zeros(len(z))),
+                                    anchor)
             assert (errors, anchor) == want
-            assert len(widths) == len(decays) == 1
+        assert walks == []
 
     def test_the_channel_is_checked_once_per_scored_snapshot(self, monkeypatch):
         """The stationary preset's direct run scores its 21 snapshots, and
@@ -228,9 +237,10 @@ class TestOracleComparison:
                            domain_length=200.0, grid_points=256)
         pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
                             prepared=True, center=100.0)
-        calls = (self.counting(monkeypatch, "width_b")
-                 + self.counting(monkeypatch, "decay_exponent")
-                 + self.counting(monkeypatch, "drift_beta"))
+        calls = []
+        integral = oracle._Integral.__call__
+        monkeypatch.setattr(oracle._Integral, "__call__",
+                            lambda *args: calls.append(args) or integral(*args))
         for segments, message in [
             # both controls off in the middle of a storage window
             ([Segment(0.0, 1000.0, OM0, 0.0),
@@ -242,8 +252,8 @@ class TestOracleComparison:
              "normalization needs the forward control on at start"),
         ]:
             with pytest.raises(ChannelOff, match=message):
-                compare_to_oracle(med, build_schedule(segments), pulse, 3000.0,
-                                  (np.ones(256), np.ones(256)))
+                scored(OracleWalk(med, build_schedule(segments)), pulse, 3000.0,
+                       (np.ones(256), np.ones(256)))
         assert calls == []
 
     def test_the_backward_channel_is_scored_where_its_control_alone_is_on(self):
@@ -258,11 +268,10 @@ class TestOracleComparison:
         pulse = build_pulse(amplitude=1.0, duration=1e4, injection_time=0.0,
                             prepared=True, center=100.0)
         z = med.grid()
-        anchor, errors = None, []
+        walk, anchor, errors = OracleWalk(med, sched), None, []
         for t in [6000.0, 7000.0, 9000.0]:
             a_minus = gaussian_envelope(med, sched, pulse, "-", t, z)
-            errs, anchor = compare_to_oracle(med, sched, pulse, t,
-                                             (np.zeros(len(z)), a_minus), anchor)
+            errs, anchor = scored(walk, pulse, t, (np.zeros(len(z)), a_minus), anchor)
             errors.append(errs)
         env, width, decay = (max(col) for col in zip(*errors))
         assert env < 1e-9 and width < 1e-6
@@ -276,8 +285,8 @@ class TestChannelEnergies:
         config = parse_config("medium.r_g = 2\nmedium.grid_points = 8192\n"
                               f"schedule.segment = 0 1e4 {OM0!r} {OM0!r} 50\n")
         ones = np.ones(8192, complex)
-        _, row, _ = _record(config, 0.0, MODE_PDE, ones, ones, None, None,
-                            None, 0)
+        _, row, _, _ = _record(config, 0.0, MODE_PDE, ones, ones, None, None,
+                               None, 0)
         e_plus, e_minus = row["e_plus"], row["e_minus"]
         # equal transport fields with equal controls: the backward physical
         # field is 1/r_g of the forward one, so energies differ by r_g^2

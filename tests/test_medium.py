@@ -77,6 +77,17 @@ class TestMediumModel:
         assert med.dz == pytest.approx(200.0 / 4096)
         assert np.allclose(np.diff(z), med.dz)
 
+    def test_grid_is_one_read_only_array(self):
+        """Every reader shares one array, so none may write into it."""
+        med = canonical()
+        z = med.grid()
+        assert med.grid() is z
+        with pytest.raises(ValueError, match="read-only"):
+            z[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            z += 1.0
+        assert z[0] == 0.0
+
     def test_storage_threshold(self):
         assert canonical(1e-4).storage_threshold == pytest.approx(1e-3)
         # gamma2 = 0 keeps a tiny floor so release can still trigger

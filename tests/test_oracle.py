@@ -9,9 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
-from statlight import oracle
+from statlight import oracle, scenario
+from statlight.config import parse_config
 from statlight.errors import (ChannelOff, DegenerateCoefficients,
                              NonPhysicalParameter)
+from statlight.presets import get_preset, list_presets
 from statlight.medium import (
     HYSTERESIS,
     Segment,
@@ -26,6 +28,7 @@ from statlight.medium import (
     tau_rate_at,
 )
 from statlight.oracle import (
+    OracleWalk,
     conversion_probability,
     decay_exponent,
     drift_beta,
@@ -506,3 +509,130 @@ class TestConversion:
                             prepared=True, center=100.0)
         p = conversion_probability(med, pulse, t_s)
         assert 0.0 < p <= 1.0
+
+
+def quad_per_time(f, med, sched, t):
+    """An oracle integral as each scalar took it with a quadrature of its
+    own: the transport windows clipped to [t_start, t], their pieces summed
+    in time order, a plateau as f at its middle times its length."""
+    total = 0.0
+    for a, b, transport in regime_windows(med, sched):
+        a, b = max(a, sched.t_start), min(b, t)
+        if transport and b > a:
+            for p, q, _, ramping in sched.pieces(a, b):
+                total += (oracle._ramp_integral(f, p, q) if ramping
+                          else f(0.5 * (p + q)) * (q - p))
+    return total
+
+
+def scalars_per_time(med, sched, pulse, t):
+    """(B, the decay pair, the drift) at t from quadratures of their own;
+    the drift is None where the oracle refuses it (storage)."""
+    l_o = pulse_length(med, pulse)
+    grow = quad_per_time(lambda s: m2_rate(med, sched, s) * tau_rate_at(med, sched, s),
+                         med, sched, t)
+    b = math.sqrt(l_o * l_o + 2.0 * grow)
+    decay = (0.0, 0.0)
+    if med.gamma2 != 0.0:
+        pde = quad_per_time(lambda s: coefficients(med, *sched.values(s)).eta * med.gamma2,
+                            med, sched, t)
+        stored = sum(min(hi, t) - lo for lo, hi, transport in regime_windows(med, sched)
+                     if not transport and lo < t)
+        decay = (pde, pde + med.gamma2 * stored)
+    windows = regime_windows(med, sched)
+    if any(not transport and (lo == sched.t_start or lo < t <= hi)
+           for lo, hi, transport in windows):
+        return b, decay, None
+    main = quad_per_time(lambda s: group_velocity(med, *sched.values(s)), med, sched, t)
+
+    def eta_alpha_tilde(s):
+        co = coefficients(med, *sched.values(s))
+        return co.eta * co.alpha_tilde
+
+    beta = main - (eta_alpha_tilde(t) - eta_alpha_tilde(sched.t_start)) / med.xi_minus
+    return b, decay, (beta, beta - med.xi_sum_inv)
+
+
+class TestWalk:
+    """One walk per (medium, schedule), read at every snapshot time of a
+    run, gives the bits of a quadrature per time."""
+
+    @pytest.mark.parametrize("name", [name for name, _ in list_presets()])
+    def test_every_snapshot_time_of_a_preset(self, name):
+        """At every snapshot time of the preset's run, scored or not, and at
+        two times partway through each ramp: so across ramps (push_pull,
+        stop_and_store, conversion) and inside a storage window
+        (stop_and_store), as well as past them, where every scored snapshot
+        of those presets sits. The drift is refused at the same times, with
+        the error a fresh walk (`drift_beta`) gives."""
+        config = parse_config(get_preset(name))
+        med, sched, pulse = config.medium, config.schedule, config.pulse
+        times = sorted([ev.t for ev in scenario._build_events(config) if ev.snap]
+                       + [a + f * (b - a) for a, b, _, ramping
+                          in sched.pieces(sched.t_start, config.run.t_end)
+                          if ramping for f in (0.3, 0.7)])
+        walk, refused = OracleWalk(med, sched), []
+        for t in times:
+            b, decay, drift = scalars_per_time(med, sched, pulse, t)
+            assert walk.width(pulse, t) == b == width_b(med, sched, pulse, t)
+            assert walk.decay(t) == decay == decay_exponent(med, sched, t)
+            if drift is None:
+                refused.append(t)
+                with pytest.raises(DegenerateCoefficients) as fresh:
+                    drift_beta(med, sched, t)
+                with pytest.raises(DegenerateCoefficients) as read:
+                    walk.drift(t)
+                assert str(read.value) == str(fresh.value)
+            else:
+                assert walk.drift(t) == drift == drift_beta(med, sched, t)
+        assert bool(refused) == (name == "stop_and_store")
+
+    def test_reads_in_any_order_give_the_same_bits(self):
+        """The walk keeps its sums over whole pieces, so a time read after a
+        later one, or twice, reads the same sums."""
+        med = medium_for(r_g=1.5, gamma2=1e-5)
+        sched = stored(t_release=1200.0, t_end=2000.0, ramp=100.0)
+        pulse = build_pulse(amplitude=1.0, duration=2e3, injection_time=0.0,
+                            prepared=True, center=50.0)
+        times = [0.0, 120.0, 230.0, 800.0, 1250.0, 1300.0, 1700.0, 2000.0]
+        forward, backward = OracleWalk(med, sched), OracleWalk(med, sched)
+        ahead = [(forward.width(pulse, t), forward.decay(t)) for t in times]
+        behind = [(backward.width(pulse, t), backward.decay(t)) for t in times[::-1]]
+        assert ahead == behind[::-1]
+        assert ahead == [(forward.width(pulse, t), forward.decay(t)) for t in times]
+
+    def test_a_plateau_integrand_is_evaluated_once(self, monkeypatch):
+        """A hold read at many times evaluates each integrand once: on its
+        one plateau."""
+        med = medium_for(gamma2=1e-5)
+        sched = hold(OM0, OM0)
+        pulse = build_pulse(amplitude=1.0, duration=2e4, injection_time=0.0,
+                            prepared=True, center=100.0)
+        calls = []
+        rate = oracle.m2_rate
+        monkeypatch.setattr(oracle, "m2_rate",
+                            lambda *args: calls.append(args) or rate(*args))
+        walk = OracleWalk(med, sched)
+        widths = [walk.width(pulse, t) for t in np.linspace(0.0, 2e4, 101)]
+        assert len(calls) == 1
+        assert widths == [width_b(med, sched, pulse, t) for t in np.linspace(0.0, 2e4, 101)]
+
+    def test_a_second_read_inside_a_ramp_takes_no_quadrature(self, monkeypatch):
+        """The width and decay that `gaussian_envelope` reads at a ramp time
+        are read again by `compare_to_oracle`: the second read of a time
+        partway through a ramp takes the kept value, with the same bits."""
+        med = medium_for(r_g=1.5, gamma2=1e-5)
+        sched = stored(t_release=1200.0, t_end=2000.0, ramp=100.0)
+        pulse = build_pulse(amplitude=1.0, duration=2e3, injection_time=0.0,
+                            prepared=True, center=50.0)
+        calls = []
+        ramp = oracle._ramp_integral
+        monkeypatch.setattr(oracle, "_ramp_integral",
+                            lambda *args: calls.append(args) or ramp(*args))
+        walk = OracleWalk(med, sched)
+        t = 230.0  # partway through the ramp into storage
+        first = (walk.width(pulse, t), walk.decay(t))
+        taken = len(calls)
+        assert taken > 0
+        assert (walk.width(pulse, t), walk.decay(t)) == first
+        assert len(calls) == taken

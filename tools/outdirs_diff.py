@@ -1,16 +1,20 @@
 """Compares the out-dirs of every preset between a parent checkout and this one.
 
 usage:
-  python3 tools/outdirs_diff.py PARENT_CHECKOUT
+  python3 tools/outdirs_diff.py PARENT_CHECKOUT [--workloads]
 
 PARENT_CHECKOUT is a second checkout of the parent commit (a clone or an
 exported tree with its own src/). For each preset, both checkouts run
 `python -m statlight run --preset NAME --out-dir DIR` with their own src/ on
 PYTHONPATH, each into a fresh temporary directory, and
-`python -m statlight run --preset NAME --check`. The script prints, per
-preset, the files whose bytes differ (the snapshots as a count), the files
-that only one side wrote and whether the two `--check` runs differ in exit
-status or stdout, and exits 1 if there are any (or if a run fails), else 0.
+`python -m statlight run --preset NAME --check`. With --workloads the same
+is done, after the presets, for each workload of BENCHMARK.json, on the
+config text `config_text(1)` of perfbench/workloads.py gives it in this
+checkout, from one file that both sides read. The script prints, per
+preset or workload, the files whose bytes differ (the snapshots as a
+count), the files that only one side wrote and whether the two `--check`
+runs differ in exit status or stdout, and exits 1 if there are any (or if
+a run fails), else 0.
 
 Under a preset whose files differ it prints how far the values moved: for
 each column of the snap_*.npy files and of trajectory.tsv, and for each
@@ -159,24 +163,43 @@ def value_changes(parent: dict, change: dict, changed: list[str]) -> list[str]:
     return lines
 
 
+def workload_configs(tmp: pathlib.Path) -> list[tuple[str, tuple[str, ...]]]:
+    """(name, run arguments) of each workload of BENCHMARK.json: its
+    `config_text(1)` written to a file under tmp."""
+    sys.path.insert(0, str(CHANGE / "perfbench"))
+    from workloads import WORKLOADS
+
+    spec = json.loads((CHANGE / "BENCHMARK.json").read_text())
+    cases = []
+    for entry in spec["workloads"]:
+        path = tmp / f"{entry['name']}.conf"
+        path.write_text(WORKLOADS[entry["name"]].config_text(1))
+        cases.append((entry["name"], (str(path),)))
+    return cases
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=pathlib.Path)
+    parser.add_argument("--workloads", action="store_true",
+                        help="also compare the benchmark workloads at seed 1")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": CHANGE}
     differ = False
     with tempfile.TemporaryDirectory() as tmp:
-        for name in presets(CHANGE):
+        cases = [(name, ("--preset", name)) for name in presets(CHANGE)]
+        if args.workloads:
+            cases += workload_configs(pathlib.Path(tmp))
+        for name, source in cases:
             files = {}
             for side in SIDES:
                 out = pathlib.Path(tmp) / side / name
-                statlight(checkouts[side], "run", "--preset", name,
-                          "--out-dir", str(out))
+                statlight(checkouts[side], "run", *source, "--out-dir", str(out))
                 files[side] = {p.name: p.read_bytes() for p in out.iterdir()}
             parent, change = files["parent"], files["change"]
             report = []
-            checks = [statlight_process(checkouts[side], "run", "--preset", name,
-                                        "--check") for side in SIDES]
+            checks = [statlight_process(checkouts[side], "run", *source, "--check")
+                      for side in SIDES]
             if checks[0].returncode != checks[1].returncode:
                 report.append(f"--check exits {checks[0].returncode} in parent, "
                               f"{checks[1].returncode} in change")
