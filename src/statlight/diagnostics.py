@@ -40,11 +40,12 @@ def _spread(z: np.ndarray, w: np.ndarray, dz: float) -> tuple[float, float, floa
 
 
 def moments(z: np.ndarray, field: np.ndarray, dz: float) -> Moments:
-    """Intensity-weighted moments of a complex field sampled on z."""
-    energy, centroid, rms = _spread(z, np.abs(np.asarray(field)) ** 2, dz)
-    i = int(np.argmax(np.abs(field)))
+    """Intensity-weighted moments of a complex field sampled on z. The peak
+    is read from the one |field| the weights square."""
+    magnitude = np.abs(np.asarray(field))
+    energy, centroid, rms = _spread(z, magnitude ** 2, dz)
     return Moments(energy=energy, centroid=centroid, rms=rms,
-                   peak=float(np.abs(field[i])))
+                   peak=float(np.max(magnitude)))
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:

@@ -46,6 +46,18 @@ perturber, `ztbsv` against complex copies of them with one. A factorization
 that swaps rows anyway is refused. The residual check runs on the unfactored
 scaled system, which at r_g = 1 is bit for bit the unscaled one, so it also
 catches a bad factor.
+With alpha_- = 0 at a step's end (Omega_- = 0, single-control slow light)
+the forward rows have no psi_minus term, so the matrix's only entries above
+its diagonal are the backward chain A[2i+1, 2i+3], and an elimination
+without row swaps adds none: U's offset-1 entries and its offset-2 entries
+in even columns are exact zeros, and so are U~'s. The
+upper sweep then changes only the backward unknowns, down the chain
+U~[2i+1, 2i+3], and the plan solves it as one k = 1 sweep over the odd
+entries of the solution row (incx = 2), N columns in place of 2N. It
+subtracts the same products in the same order, and what it leaves out
+subtracts zeros. `plan_steps` reads the case from U~ itself. Likewise the
+residual forms no product of an all-zero band, and `polariton_field` no term
+of zero weight; a zero left out can change only the sign of a zero.
 
 `dgbtrf`, `dtbsv` and `ztbsv` are the only LAPACK/BLAS routines used. They are
 scipy's f2py wrappers, taken from its `_flapack` and `_fblas` extension files
@@ -122,7 +134,12 @@ BDF2 = 1.5
 
 
 def polariton_field(alpha_plus: float, alpha_minus: float, psi_plus, psi_minus):
-    """The polariton carried in transport by the two channel fields."""
+    """The polariton carried in transport by the two channel fields. A
+    channel of zero weight adds only zeros, so it is left out."""
+    if alpha_minus == 0.0:
+        return alpha_plus * psi_plus
+    if alpha_plus == 0.0:
+        return alpha_minus * psi_minus
     return alpha_plus * psi_plus + alpha_minus * psi_minus
 
 
@@ -226,7 +243,12 @@ class StepPlan:
     unit-lower L' and unit-upper U~ band factors as Fortran (3, m) arrays,
     the layout `dtbsv` and `ztbsv` read with diag=1 (their diagonal rows
     hold ones), and the reciprocal pivots 1/D as an (m,) array. Everything
-    is real without a perturber and complex with one. `split` is the
+    is real without a perturber and complex with one. `upper_sweep` is the
+    upper solve's (band, k, incx, offx): (U~, 2, 1, 0) in general, and
+    (chain, 1, 2, 1) when U~'s only nonzeros above the diagonal are the
+    backward chain U~[2i+1, 2i+3], as they are when alpha_- = 0 at the
+    step's end; chain is the Fortran (2, N) unit band of that chain, and the
+    sweep runs over the odd entries of the solution row. `split` is the
     perturber's per-step factor on psi_plus, or None without one. `mass` is
     the time scheme's factor c, `BE` or `BDF2`.
 
@@ -244,8 +266,9 @@ class StepPlan:
     `pin`, the inflow row's scale bands[0, 0]; `rows`, the rhs, solution
     and residual rows of `work`; `halves`, the forward and backward halves
     of the rhs row and of the solution row; `residual`, the residual's terms
-    below and above the diagonal, each as its (band, solution, product)
-    triples and the (residual, product) pair they add into; and `pieces`,
+    below and above the diagonal, each as the (band, solution, product)
+    triples of its bands that hold a nonzero and the (residual, product)
+    pairs they add into (`_residual_side`); and `pieces`,
     the float views of the first three work rows that the norms take.
     """
 
@@ -256,6 +279,7 @@ class StepPlan:
     controls: tuple[float, float, float, float]
     bands: np.ndarray
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
+    upper_sweep: tuple[np.ndarray, int, int, int]
     split: np.ndarray | None
     work: np.ndarray
     scale: float
@@ -264,6 +288,21 @@ class StepPlan:
     halves: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     residual: tuple
     pieces: tuple[np.ndarray, ...]
+
+
+def _residual_side(terms, total, part):
+    """One side of the residual, below or above the diagonal, as `step` runs
+    it, from its (band, solution, product, residual rows) terms: the
+    (band, solution, product) triples of the bands that hold a nonzero, and
+    the (residual, product) pairs they add into. With no band left out
+    that is `total += part` over the whole side; otherwise each formed
+    product adds into its own rows alone, since in the rows of a product
+    left out `part` holds other values: the other side's products, or an
+    earlier plan's."""
+    live = [term for term in terms if term[0].any()]
+    adds = (((total, part),) if len(live) == len(terms)
+            else tuple((rows, out) for _, _, out, rows in live))
+    return tuple(term[:3] for term in live), adds
 
 
 def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
@@ -370,6 +409,15 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
         np.divide(lu[4 - k, k:], pivots[:-k], out=upper[row, k:])
     inv_pivots = np.empty(m, dtype=dtype)
     np.divide(1.0, pivots, out=inv_pivots)
+    # U~ reaches the forward unknowns only through its offset-1 entries and
+    # its offset-2 entries in even columns. Where all of them are zeros, as
+    # they are when alpha_- = 0 at the step's end, the upper solve leaves the
+    # forward unknowns as they are and is one k = 1 sweep down the backward
+    # chain U~[2i+1, 2i+3], over the odd entries of the solution row
+    if upper[1].any() or upper[0, 0::2].any():
+        upper_sweep = (upper, 2, 1, 0)
+    else:
+        upper_sweep = (np.asfortranarray(upper[0::2, 1::2]), 1, 2, 1)
     # the factored band array is spent: free it before the split is made.
     # A perturbed plan keeps its bands complex in place of the real ones
     del ab, lu, pivots
@@ -380,10 +428,12 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
     # a forward row 2i reaches u[2i-2] and u[2i+1], a backward row 2i+1
     # u[2i] and u[2i+3]; each row adds its lower term before its upper one
     residual = (diag,
-                (((sub[2::2], u[:-2:2], prod[2::2]), (sub[1::2], u[0::2], prod[1::2])),
-                 (res[1:], prod[1:])),
-                (((sup[0::2], u[1::2], prod[0::2]), (sup[1:-2:2], u[3::2], prod[1:-2:2])),
-                 (res[:-1], prod[:-1])))
+                _residual_side(((sub[2::2], u[:-2:2], prod[2::2], res[2::2]),
+                                (sub[1::2], u[0::2], prod[1::2], res[1::2])),
+                               res[1:], prod[1:]),
+                _residual_side(((sup[0::2], u[1::2], prod[0::2], res[0::2]),
+                                (sup[1:-2:2], u[3::2], prod[1:-2:2], res[1:-2:2])),
+                               res[:-1], prod[:-1]))
     floats = work[:3].view(float)
     pieces = tuple(floats[:, a:a + NORM_PIECE]
                    for a in range(0, floats.shape[1], NORM_PIECE))
@@ -396,7 +446,7 @@ def plan_steps(medium: MediumModel, schedule: ControlSchedule, t0: float,
         np.exp(split, out=split)
     return StepPlan(dt, dtau, mass, (co_old.alpha_plus, co_old.alpha_minus),
                     (*controls_old, *controls), bands,
-                    (lower, upper, inv_pivots), split, work,
+                    (lower, upper, inv_pivots), upper_sweep, split, work,
                     1.0 / dtau if mass == BE else 2.0 * (1.0 / dtau), pin,
                     (rhs, u, res), (rhs[0::2], rhs[1::2], u[0::2], u[1::2]),
                     residual, pieces)
@@ -459,24 +509,26 @@ def step(state: FieldState, plan: StepPlan, pulse: PulseSpec) -> None:
     rhs[-1] = 0.0
 
     # A u = rhs is L' U~ u = D^-1 rhs: scale by the reciprocal pivots on the
-    # way into the solution row, then two unit-diagonal sweeps
-    lower, upper, inv_pivots = plan.factors
+    # way into the solution row, then two unit-diagonal sweeps, the upper
+    # one as the plan sets it out
+    lower, _, inv_pivots = plan.factors
+    upper, k, incx, offx = plan.upper_sweep
     sweep = dtbsv if plan.split is None else ztbsv
     np.multiply(rhs, inv_pivots, out=u)
     sweep(2, lower, u, lower=1, diag=1, overwrite_x=1)
-    sweep(2, upper, u, diag=1, overwrite_x=1)
+    sweep(k, upper, u, incx=incx, offx=offx, diag=1, overwrite_x=1)
 
     # explicit residual of the solved system, in the plan's work rows, from
     # the nonzeros the plan keeps, each row's lower term added before its
-    # upper one, as a five-band product does, which only adds exact zeros
-    # besides
+    # upper one, as a five-band product does, which only adds zeros besides
     diag, *sides = plan.residual
     np.multiply(diag, u, out=res)
     res -= rhs
-    for products, (total, part) in sides:
+    for products, adds in sides:
         for band, x, out in products:
             np.multiply(band, x, out=out)
-        total += part
+        for total, part in adds:
+            total += part
     # written so that a NaN or an inf anywhere fails the check; all-zero
     # fields pass. The squared norms of rhs, u and res come from vecdot
     # calls over float views, BLAS's ddot, each on at most NORM_PIECE values

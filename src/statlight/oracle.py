@@ -15,6 +15,7 @@ envelope including the common decay and the channel prefactors.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 
 import numpy as np
@@ -154,8 +155,9 @@ class OracleWalk:
 
         The rate is the polariton group velocity, integrated over the
         transport pieces, plus an exact time derivative, taken as the
-        difference of eta alpha_tilde / xi_minus between the run's two ends
-        (not per window: it changes sign across storage). That term is
+        difference of eta alpha_tilde / xi_minus between t and the schedule
+        start, whose value the walk keeps (`start`), not per window: it
+        changes sign across storage. That term is
         inf * 0 in storage, so a t inside a storage window, and a schedule
         that opens stored, are refused before any quadrature.
         """
@@ -173,13 +175,22 @@ class OracleWalk:
                     f"the storage threshold at t = {lo:g}")
         xm = medium.xi_minus
         main = self._drift(t)
-
-        def eta_alpha_tilde(s):
-            co = coefficients(medium, *schedule.values(s))
-            return co.eta * co.alpha_tilde
-
-        beta_plus = main - (eta_alpha_tilde(t) - eta_alpha_tilde(t0)) / xm
+        co = coefficients(medium, *schedule.values(t))
+        beta_plus = main - (co.eta * co.alpha_tilde - self.start[2]) / xm
         return beta_plus, beta_plus - medium.xi_sum_inv
+
+    @functools.cached_property
+    def start(self) -> tuple[tuple[float, float], Coefficients, float, float]:
+        """At the schedule start: the controls, their coefficients, eta
+        alpha_tilde, which `drift` takes its difference from, and the
+        slaving offset alpha_- (1/xi_+ + 1/xi_-) by which the forward-channel
+        center leads the polariton's (`gaussian_envelope`). Made at the
+        first read, which follows the refusals of a schedule whose start
+        has no coefficients."""
+        controls = self.schedule.values(self.schedule.t_start)
+        co = coefficients(self.medium, *controls)
+        return (controls, co, co.eta * co.alpha_tilde,
+                co.alpha_minus * self.medium.xi_sum_inv)
 
     def width(self, pulse: PulseSpec, t: float) -> float:
         """Envelope Gaussian width B at lab time t (time units, c = 1). A
@@ -272,10 +283,9 @@ def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
     b = walk.width(pulse, t)
     decay, _ = walk.decay(t)
     beta_p, beta_m = walk.drift(t)
-    t0 = schedule.t_start
-    op0, om0 = schedule.values(t0)
+    (op0, _), co0, _, offset = walk.start
     op1, om1 = schedule.values(t)
-    co0, co1 = coefficients(medium, op0, om0), coefficients(medium, op1, om1)
+    co1 = coefficients(medium, op1, om1)
     if channel == "+":
         om_here, g_ratio = op1, 1.0
     else:
@@ -284,8 +294,7 @@ def gaussian_envelope(medium: MediumModel, schedule: ControlSchedule,
     beta = beta_p if channel == "+" else beta_m
     # beta is a displacement from the initial forward-channel center, which
     # sits ahead of the polariton center by the slaving offset
-    anchor = ((pulse.center if pulse.prepared else 0.0)
-              + co0.alpha_minus * medium.xi_sum_inv)
+    anchor = (pulse.center if pulse.prepared else 0.0) + offset
     l_o = pulse_length(medium, pulse)
     pref = (l_o / b) * (co1.eta * om_here * g_ratio / (co0.eta * op0)) * pulse.amplitude
     pref *= math.exp(-decay)

@@ -67,6 +67,25 @@ class TestMoments:
         with pytest.raises(EmptyField):
             moments(z, np.zeros(128, complex), z[1] - z[0])
 
+    @pytest.mark.parametrize("imag", [0.0, 1j], ids=["real", "complex"])
+    def test_peak_keeps_the_two_pass_bits(self, imag):
+        """The peak is read from the |field| array the weights square. It
+        keeps the bits of the scalar |field[i]| at the array's argmax, on
+        fields from 1e-10 to 1e100, and the two magnitudes agree on values
+        from 1e-300 to 1e300: a platform whose array and scalar complex
+        magnitudes differ fails here, not in a snapshot's bytes."""
+        z = np.linspace(0.0, 200.0, 256)
+        rng = np.random.default_rng(3)
+        for scale in 10.0 ** np.arange(-10, 101, 10):
+            for _ in range(20):
+                field = scale * (rng.normal(size=256) + imag * rng.normal(size=256))
+                two_pass = float(np.abs(field[int(np.argmax(np.abs(field)))]))
+                assert moments(z, field, z[1] - z[0]).peak.hex() == two_pass.hex()
+        for scale in 10.0 ** np.arange(-300, 301, 100):
+            values = scale * (rng.normal(size=2000) + imag * rng.normal(size=2000))
+            assert [float(np.abs(v)).hex() for v in values] == [
+                v.hex() for v in np.abs(values).tolist()]
+
 
 class TestFits:
     def test_exact_line(self):

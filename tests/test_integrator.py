@@ -1001,6 +1001,169 @@ class TestPlan:
                 f" -> ({new[0]:g}, {new[1]:g})") in str(err.value)
 
 
+class TestChainSweep:
+    """With alpha_- = 0 at a step's end the plan's upper solve is one k = 1
+    sweep down the backward chain of U~, over the odd entries of the
+    solution row, which leaves the bits of the full k = 2 sweep."""
+
+    MED = medium_for(r_g=2.0, gamma2=1e-5, n=256, length=8.0)
+    # a hold at alpha_- = 0, then a ramp to both controls on, and back
+    SCHED = build_schedule([Segment(0.0, 1e3, OM0, 0.0),
+                            Segment(1e3, 2e3, OM0, OM0, 500.0),
+                            Segment(2e3, 3e3, OM0, 0.0, 500.0)])
+
+    def plan(self, t0, dt=0.01, rate=None, mass=BE, last=None):
+        n = self.MED.grid_points
+        w_plus, w_minus = build_absorbers(self.MED)
+        perturber = None if rate is None else (np.ones(n), rate)
+        return plan_steps(self.MED, self.SCHED, t0, dt, w_plus, w_minus,
+                          perturber, last, mass)
+
+    @staticmethod
+    def takes_the_chain(plan):
+        band, k, incx, offx = plan.upper_sweep
+        if k == 2:
+            assert band is plan.factors[1] and (incx, offx) == (1, 0)
+            return False
+        n = plan.work.shape[1] // 2
+        assert (k, incx, offx) == (1, 2, 1) and band.shape == (2, n)
+        assert band.flags.f_contiguous and np.all(band[1] == 1.0)
+        return True
+
+    @pytest.mark.parametrize("mass", [BE, BDF2], ids=["be", "bdf2"])
+    @pytest.mark.parametrize("rate", [None, 0.25j], ids=["real", "perturbed"])
+    def test_the_chain_sweep_leaves_the_full_sweeps_bytes(self, monkeypatch,
+                                                          rate, mass):
+        """On a random right-hand side and on those of a running state, the
+        chain sweep leaves the bytes of the full upper sweep against U~."""
+        plan = self.plan(500.0, rate=rate, mass=mass)
+        assert self.takes_the_chain(plan)
+        _, upper, _ = plan.factors
+        # the chain is U~'s only off-diagonal part
+        assert not np.any(upper[1]) and not np.any(upper[0, 0::2])
+        assert np.any(upper[0, 3::2])
+        band, k, incx, offx = plan.upper_sweep
+        assert np.array_equal(band[0, 1:], upper[0, 3::2])
+        name = "dtbsv" if rate is None else "ztbsv"
+        sweep = getattr(integrator, name)
+        m = plan.work.shape[1]
+        rng = np.random.default_rng(7)
+        imag = 0.0 if rate is None else 1j
+        x = rng.normal(size=m) + imag * rng.normal(size=m)
+        full = sweep(2, upper, x.copy(), diag=1)
+        chain = sweep(k, band, x.copy(), incx=incx, offx=offx, diag=1)
+        assert full.tobytes() == chain.tobytes()
+
+        compared = []
+
+        def comparing(k, a, x, sweep=sweep, **kw):
+            if a is band:
+                compared.append(sweep(2, upper, x.copy(), diag=1))
+            out = sweep(k, a, x, **kw)
+            if a is band:
+                assert compared[-1].tobytes() == out.tobytes()
+            return out
+
+        state = init_state(self.MED, self.SCHED, prepared(center=4.0, duration=1e3))
+        state.t = 500.0
+        state.history = polariton_field(*plan.alphas, state.psi_plus, state.psi_minus)
+        if rate is not None:
+            state.psi_plus = state.psi_plus.astype(complex)
+            state.psi_minus = state.psi_minus.astype(complex)
+            state.history = state.history.astype(complex)
+        monkeypatch.setattr(integrator, name, comparing)
+        for _ in range(5):
+            step(state, plan, prepared(center=4.0, duration=1e3))
+        assert len(compared) == 5
+
+    def test_only_a_step_that_ends_at_alpha_minus_zero_takes_the_chain(self):
+        """A two-control plan and a ramp step that ends with Omega_- on keep
+        the full sweep; a ramp step that ends at Omega_- = 0 takes the
+        chain, whatever the controls at its start."""
+        assert not self.takes_the_chain(self.plan(1.8e3))
+        assert not self.takes_the_chain(self.plan(1.2e3))
+        # the last steps of the ramp up: from Omega_- = 0 to Omega_- > 0
+        assert self.SCHED.values(1e3)[1] == 0.0
+        assert not self.takes_the_chain(self.plan(1e3))
+        # the last step of the ramp down ends at its plateau's controls
+        t0, dt = 2.5e3 - 0.5, 0.5
+        assert self.SCHED.values(t0)[1] > 0.0 == self.SCHED.values(t0 + dt)[1]
+        assert self.takes_the_chain(self.plan(t0, dt))
+        assert not self.takes_the_chain(self.plan(t0 - dt, dt))
+
+    @pytest.mark.parametrize("rate", [None, 0j], ids=["dtbsv", "ztbsv"])
+    def test_a_corrupt_chain_fails_the_residual_check(self, rate):
+        """The residual runs on the unfactored bands, so a wrong chain entry
+        cannot check itself."""
+        plan = self.plan(500.0, dt=10.0, rate=rate)
+        assert self.takes_the_chain(plan)
+        state = init_state(self.MED, self.SCHED, prepared(center=4.0, duration=1e3))
+        state.t = 500.0
+        step(copy.deepcopy(state), plan, prepared(center=4.0, duration=1e3))
+        plan.upper_sweep[0][0, self.MED.grid_points // 2] *= 1.0 + 1e-6
+        with pytest.raises(SweepDivergence, match="residual"):
+            step(state, plan, prepared(center=4.0, duration=1e3))
+
+    @pytest.mark.parametrize("rate", [None, 0j], ids=["dtbsv", "ztbsv"])
+    def test_the_residual_leaves_out_an_all_zero_band(self, rate):
+        """At alpha_- = 0 the forward rows' psi_minus band is all zeros and
+        forms no product. The product row's forward entries then hold the
+        lower side's products, in work rows a two-control plan hands on,
+        and the upper side adds its formed product's rows alone: the
+        residual equals the five-band product."""
+        first = self.plan(1.8e3, rate=rate)
+        state = init_state(self.MED, self.SCHED, prepared(center=4.0, duration=1e3))
+        if rate is not None:
+            state.psi_plus = state.psi_plus.astype(complex)
+            state.psi_minus = state.psi_minus.astype(complex)
+        state.t = 1.8e3
+        step(state, first, prepared(center=4.0, duration=1e3))
+        _, lower_side, upper_side = first.residual
+        assert len(lower_side[0]) == len(upper_side[0]) == 2
+        assert np.all(first.work[3, 2:-2:2] != 0.0)
+        plan = self.plan(500.0, rate=rate, mass=BDF2, last=first)
+        _, lower_side, upper_side = plan.residual
+        assert not np.any(plan.bands[2, 0::2])
+        assert len(lower_side[0]) == 2 and len(upper_side[0]) == 1
+        state.t = 500.0
+        step(state, plan, prepared(center=4.0, duration=1e3))
+        # what a whole-row add would have added a second time
+        assert np.any(plan.work[3, 2::2])
+        assert np.array_equal(plan.work[3, 2::2], plan.bands[1, 2::2] * state.psi_plus[:-1])
+        rhs, u, res, _ = plan.work
+        diag, sub1, sub2, sup1, sup2 = five_bands(plan.bands)
+        full = diag * u - rhs
+        for band, k in ((sub1, 1), (sub2, 2)):
+            full[k:] += band[k:] * u[:-k]
+        for band, k in ((sup1, 1), (sup2, 2)):
+            full[:-k] += band[:-k] * u[k:]
+        assert np.array_equal(res, full)
+
+    def test_every_slow_light_step_takes_the_chain(self, monkeypatch):
+        """The slow_light preset's controls leave Omega_- = 0 throughout, so
+        every one of its steps sweeps the chain alone."""
+        taken, step_ = [], scenario.step
+
+        def stepping(state, plan, pulse):
+            taken.append(self.takes_the_chain(plan))
+            return step_(state, plan, pulse)
+
+        monkeypatch.setattr(scenario, "step", stepping)
+        scenario._run_direct(parse_config(get_preset("slow_light")))
+        assert len(taken) > 1000 and all(taken)
+
+    @pytest.mark.parametrize("imag", [0.0, 1j], ids=["real", "complex"])
+    def test_a_zero_weight_leaves_its_channel_out(self, imag):
+        """`polariton_field` with one weight zero gives the bits of the
+        two-term sum."""
+        rng = np.random.default_rng(11)
+        psi_plus, psi_minus = (rng.normal(size=512) + imag * rng.normal(size=512)
+                               for _ in range(2))
+        for a_plus, a_minus in ((0.75, 0.0), (0.0, 0.75)):
+            got = polariton_field(a_plus, a_minus, psi_plus, psi_minus)
+            assert got.tobytes() == (a_plus * psi_plus + a_minus * psi_minus).tobytes()
+
+
 class TestArithmetic:
     """Fields stay float64 unless a perturber's split imprints a phase."""
 

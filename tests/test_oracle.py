@@ -617,6 +617,34 @@ class TestWalk:
         assert len(calls) == 1
         assert widths == [width_b(med, sched, pulse, t) for t in np.linspace(0.0, 2e4, 101)]
 
+    def test_the_start_is_read_once_per_walk(self, monkeypatch):
+        """`drift` and `gaussian_envelope` take the controls and
+        coefficients at the schedule start from the walk, made once, with
+        the bits of a fresh walk per read; a schedule that opens stored has
+        no start coefficients to make, and its reads refuse as before."""
+        med = medium_for(r_g=1.5)
+        sched = build_schedule([Segment(0.0, 500.0, OM0, 0.0),
+                                Segment(500.0, 2e3, OM0, OM0, ramp=100.0)])
+        pulse = build_pulse(amplitude=1.0, duration=2e3, injection_time=0.0,
+                            prepared=True, center=50.0)
+        z = med.grid()
+        times = np.linspace(700.0, 2e3, 9)
+        fresh = [(drift_beta(med, sched, t),
+                  gaussian_envelope(med, sched, pulse, "-", t, z)) for t in times]
+        calls = []
+        coefficients_ = oracle.coefficients
+        monkeypatch.setattr(oracle, "coefficients", lambda *args: calls.append(
+            args[1:]) or coefficients_(*args))
+        walk = OracleWalk(med, sched)
+        read = [(walk.drift(t), gaussian_envelope(med, sched, pulse, "-", t, z, walk))
+                for t in times]
+        assert calls.count((OM0, 0.0)) == 2  # the start, and m2_rate's plateau
+        for (drift, envelope), (drift_, envelope_) in zip(read, fresh):
+            assert drift == drift_ and envelope.tobytes() == envelope_.tobytes()
+        dark = build_schedule([Segment(0.0, 2e3, 0.0, 0.0)])
+        with pytest.raises(DegenerateCoefficients, match="opens in dark storage"):
+            OracleWalk(med, dark).drift(100.0)
+
     def test_a_second_read_inside_a_ramp_takes_no_quadrature(self, monkeypatch):
         """The width and decay that `gaussian_envelope` reads at a ramp time
         are read again by `compare_to_oracle`: the second read of a time
